@@ -13,13 +13,13 @@ CHURNTIME ?= 5000x
 # feeds BENCH_hotpath.json; the engine file merges a churn run
 # (allocation-gated) with a throughput run (timing only — engine
 # fan-out allocs vary with scheduling and are not a useful gate).
-HOTPATH_BENCH = BenchmarkSIPParse$$|BenchmarkRTPParse$$|BenchmarkRTCPParse$$|BenchmarkIDSProcessSIP$$|BenchmarkIDSProcessSIPCompiled$$|BenchmarkIDSProcessRTP$$|BenchmarkEFSMStep$$|BenchmarkEFSMStepCompiled$$|BenchmarkFastpathLookup$$
+HOTPATH_BENCH = BenchmarkSIPParse$$|BenchmarkSIPScan$$|BenchmarkRTPParse$$|BenchmarkRTCPParse$$|BenchmarkIDSProcessSIP$$|BenchmarkIDSProcessSIPCompiled$$|BenchmarkIDSProcessSIPView$$|BenchmarkIDSProcessRTP$$|BenchmarkEFSMStep$$|BenchmarkEFSMStepCompiled$$|BenchmarkFastpathLookup$$|BenchmarkWheelNextLoaded$$
 # THROUGHPUT_BENCH pairs the SIP-heavy engine mix with the media-heavy
 # one so the fast-path absorption numbers are pinned alongside the
 # baseline fan-out numbers in BENCH_engine.json.
 THROUGHPUT_BENCH = BenchmarkEngineThroughput$$|BenchmarkEngineThroughputMedia$$
 
-.PHONY: all build test race fmt lint ci golden bench bench-smoke bench-compare fuzz-smoke speccover speccover-update specgen specgen-check
+.PHONY: all build test race fmt lint ci golden bench bench-smoke bench-compare bench-e2e fuzz-smoke speccover speccover-update specgen specgen-check
 
 all: build
 
@@ -105,6 +105,15 @@ bench-compare:
 bench-smoke:
 	$(GO) test -race -run '^$$' -bench 'BenchmarkEngineThroughput' -benchtime=1x .
 
+# bench-e2e runs the end-to-end benchmark (bench/, BENCHMARK.json) on
+# its signaling-only workload as an exit-code smoke: the run fails
+# unless the pipeline's alerts equal the sequential reference's, the
+# accounting identity holds at every census and no operation failed.
+# The numbers it prints are not gated here; bench/README.md says how
+# two commits are compared.
+bench-e2e:
+	$(GO) run ./bench -workload sip_churn -trace 0 -seconds 10
+
 # fuzz-smoke briefly runs the native fuzz targets that hammer the
 # //vids:nopanic roots with hostile bytes — the dynamic cross-check of
 # the static panic-freedom gate. Each target also replays its
@@ -116,7 +125,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sipmsg -run '^$$' -fuzz 'FuzzSIPParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sipmsg -run '^$$' -fuzz 'FuzzURIParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rtp -run '^$$' -fuzz 'FuzzRTPParseInto$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ingress -run '^$$' -fuzz 'FuzzLiteExtract$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ids -run '^$$' -fuzz 'FuzzScanParse$$' -fuzztime $(FUZZTIME)
 
 # speccover measures specification transition coverage (scenario
 # suite + synthesized witness traces, merged with static product
@@ -144,7 +153,7 @@ specgen-check:
 	$(GO) run ./cmd/specgen -check
 
 # ci reproduces .github/workflows/ci.yml locally.
-ci: lint specgen-check build race bench-smoke fuzz-smoke speccover
+ci: lint specgen-check build race bench-smoke bench-e2e fuzz-smoke speccover
 
 # golden regenerates the spec-graph golden files after a reviewed
 # specification change.

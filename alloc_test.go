@@ -59,6 +59,16 @@ const (
 	// window advance. Zero, exactly — an allocation here is paid by
 	// ~90% of all packets in a media-heavy mix.
 	maxFastpathConsultAllocs = 0
+	// maxSIPScanAllocs pins the packet path's SIP scanner: it answers
+	// with offsets into the datagram and copies nothing. Zero, exactly.
+	maxSIPScanAllocs = 0
+	// maxIDSProcessSIPViewAllocs bounds one whole dialog — six scanned
+	// datagrams fed to the compiled detector through ProcessSIPView,
+	// plus the timer drain — in steady state. The only allocation the
+	// view-fed path owns is the intern table's first sight of a string,
+	// and a recurring dialog has none left; the headroom is
+	// maxCallChurnAllocs' (incidental map rehashing).
+	maxIDSProcessSIPViewAllocs = 4
 )
 
 // TestAllocBudgetSIPParse holds the parser to its allocation budget.
@@ -314,6 +324,73 @@ func TestAllocBudgetCallChurn(t *testing.T) {
 	}
 	if n := len(d.Alerts()); n != 0 {
 		t.Fatalf("benign churn raised %d alerts", n)
+	}
+}
+
+// TestAllocBudgetSIPScan holds the scanner to zero allocations on the
+// INVITE TestAllocBudgetSIPParse parses.
+func TestAllocBudgetSIPScan(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	raw := benchInvite().Bytes()
+	var v sipmsg.View
+	avg := testing.AllocsPerRun(200, func() {
+		if sipmsg.Scan(raw, &v) != sipmsg.ScanOK {
+			t.Fatal("scan did not commit to the bench INVITE")
+		}
+	})
+	if avg > maxSIPScanAllocs {
+		t.Errorf("sipmsg.Scan allocates %.1f/op, budget %d", avg, maxSIPScanAllocs)
+	}
+}
+
+// TestAllocBudgetIDSProcessSIPView holds the pipeline's signaling path
+// — scan each datagram once, feed the compiled detector from the view
+// — to its steady-state budget over whole dialogs (the churn dialogs
+// of TestAllocBudgetCallChurn, serialized to the wire).
+func TestAllocBudgetIDSProcessSIPView(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	s := sim.New(1)
+	cfg := ids.DefaultConfig()
+	d := ids.New(s, cfg)
+	dialogs := make([][]*sim.Packet, 8)
+	for i := range dialogs {
+		for _, step := range churnDialog(i) {
+			pkt := *step.pkt
+			pkt.Payload = step.m.Bytes()
+			dialogs[i] = append(dialogs[i], &pkt)
+		}
+	}
+	settle := cfg.ByeGraceT + cfg.CloseLinger + time.Second
+	i := 0
+	var v sipmsg.View
+	run := func() {
+		for _, pkt := range dialogs[i%len(dialogs)] {
+			if sipmsg.Scan(pkt.Payload.([]byte), &v) != sipmsg.ScanOK {
+				t.Fatal("scan did not commit to a serialized dialog message")
+			}
+			d.ProcessSIPView(&v, pkt)
+		}
+		if err := s.Run(s.Now() + settle); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for j := 0; j < 32; j++ {
+		run()
+	}
+	avg := testing.AllocsPerRun(100, run)
+	if avg > maxIDSProcessSIPViewAllocs {
+		t.Errorf("view-fed dialog allocates %.1f, budget %d", avg, maxIDSProcessSIPViewAllocs)
+	}
+	if n := len(d.Alerts()); n != 0 {
+		t.Fatalf("benign churn raised %d alerts: %+v", n, d.Alerts())
+	}
+	if d.Evicted() < 100 {
+		t.Fatalf("only %d monitors recycled; the dialogs are not completing", d.Evicted())
 	}
 }
 

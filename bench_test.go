@@ -22,6 +22,7 @@ import (
 	"vids/internal/sdp"
 	"vids/internal/sim"
 	"vids/internal/sipmsg"
+	"vids/internal/timerwheel"
 	"vids/internal/trace"
 	"vids/internal/workload"
 )
@@ -262,6 +263,77 @@ func BenchmarkIDSProcessSIPCompiled(b *testing.B) {
 	b.StopTimer()
 	if n := len(d.Alerts()); n != 0 {
 		b.Fatalf("retransmitted INVITE raised %d alerts", n)
+	}
+}
+
+// BenchmarkSIPScan measures the packet path's one SIP scanner on the
+// datagram BenchmarkSIPParse parses: same bytes, same verdict, no
+// Message.
+func BenchmarkSIPScan(b *testing.B) {
+	raw := benchInvite().Bytes()
+	var v sipmsg.View
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sipmsg.Scan(raw, &v) != sipmsg.ScanOK {
+			b.Fatal("scan did not commit to the bench INVITE")
+		}
+	}
+}
+
+// BenchmarkIDSProcessSIPView measures what a shard does per signaling
+// datagram in the pipeline: ProcessSIPView on the lane's scan — intern
+// the strings the machines keep, fact-base lookup, compiled machine
+// step — as a retransmission of one dialog's INVITE. It is
+// BenchmarkIDSProcessSIPCompiled with the view filler in place of the
+// parsed message, and BenchmarkIDSProcessSIP without the parse.
+func BenchmarkIDSProcessSIPView(b *testing.B) {
+	s := sim.New(1)
+	cfg := ids.DefaultConfig()
+	cfg.FloodN = 1 << 40 // frozen virtual time: see BenchmarkIDSProcessSIPCompiled
+	d := ids.New(s, cfg)
+	raw := benchInvite().Bytes()
+	var v sipmsg.View
+	if sipmsg.Scan(raw, &v) != sipmsg.ScanOK {
+		b.Fatal("scan did not commit to the bench INVITE")
+	}
+	pkt := &sim.Packet{
+		From: sim.Addr{Host: "proxy.a.example.com", Port: 5060}, To: sim.Addr{Host: "proxy.b.example.com", Port: 5060},
+		Proto: sim.ProtoSIP, Size: len(raw), Payload: raw,
+	}
+	d.ProcessSIPView(&v, pkt) // create the monitor outside the timed loop
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.ProcessSIPView(&v, pkt)
+	}
+	b.StopTimer()
+	if n := len(d.Alerts()); n != 0 {
+		b.Fatalf("retransmitted INVITE raised %d alerts", n)
+	}
+}
+
+// BenchmarkWheelNextLoaded measures the timer wheel's wake-up estimate
+// with 50 K timers parked in one coarse bucket — the shape the shards'
+// close-linger timers take under call churn, and the call wheelClock
+// makes after every expiry batch. It must not depend on the load.
+func BenchmarkWheelNextLoaded(b *testing.B) {
+	w := timerwheel.New(func(*timerwheel.Timer) {})
+	tms := make([]timerwheel.Timer, 50000)
+	for i := range tms {
+		w.Arm(&tms[i], 10*time.Second+time.Duration(i)*100*time.Nanosecond)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum time.Duration
+	for i := 0; i < b.N; i++ {
+		at, _ := w.Next()
+		sum += at
+	}
+	b.StopTimer()
+	if sum <= 0 {
+		b.Fatal("Next found no timer")
 	}
 }
 

@@ -7,6 +7,11 @@
 // -replay` and checks the run is panic-free, the alert multiset is
 // stable, and every datagram is accounted for in the parse counters.
 //
+// It also writes testdata/via-evasion.jsonl, the 41-packet regression
+// for a detection evasion the ingress tier once had: an INVITE only a
+// lenient reader accepts (`Via: garbage`) must not make the stray
+// responses that follow it look like answers to a known call.
+//
 // Regenerate with:
 //
 //	go run cmd/vids/gen_torture.go
@@ -84,7 +89,42 @@ func main() {
 	}
 	sort.SliceStable(entries, func(i, j int) bool { return entries[i].AtNanos < entries[j].AtNanos })
 
-	f, err := os.Create("cmd/vids/testdata/torture.jsonl")
+	write("cmd/vids/testdata/torture.jsonl", entries)
+	write("cmd/vids/testdata/via-evasion.jsonl", viaEvasion())
+}
+
+// viaEvasion is one malformed INVITE planting a Call-ID, then forty
+// stray 200 OKs for that Call-ID reflected at one victim host: the
+// sequential detector reports the first stray as a deviation and the
+// burst as DRDoS.
+func viaEvasion() []trace.Entry {
+	const callID = "evade@attacker.example.net"
+	invite := "INVITE sip:bob@b.example.com SIP/2.0\r\nVia: garbage\r\n" +
+		"From: <sip:mallory@attacker.example.net>;tag=m1\r\nTo: <sip:bob@b.example.com>\r\n" +
+		"Call-ID: " + callID + "\r\nCSeq: 1 INVITE\r\n\r\n"
+	entries := []trace.Entry{{
+		Proto:    "SIP",
+		FromHost: "attacker.example.net", FromPort: 5060,
+		ToHost: "proxy.b.example.com", ToPort: 5060,
+		Size: len(invite), Data: []byte(invite),
+	}}
+	for i := 0; i < 40; i++ {
+		ok := fmt.Sprintf("SIP/2.0 200 OK\r\nVia: SIP/2.0/UDP victim.b.example.com;branch=z9hG4bKr%d\r\n"+
+			"From: <sip:mallory@attacker.example.net>;tag=m1\r\nTo: <sip:bob@b.example.com>;tag=r%d\r\n"+
+			"Call-ID: %s\r\nCSeq: 1 INVITE\r\n\r\n", i, i, callID)
+		entries = append(entries, trace.Entry{
+			AtNanos:  int64(10*time.Millisecond + time.Duration(i)*time.Millisecond),
+			Proto:    "SIP",
+			FromHost: fmt.Sprintf("reflector%d.example.org", i), FromPort: 5060,
+			ToHost: "victim.b.example.com", ToPort: 5060,
+			Size: len(ok), Data: []byte(ok),
+		})
+	}
+	return entries
+}
+
+func write(path string, entries []trace.Entry) {
+	f, err := os.Create(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -100,5 +140,5 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %d entries\n", w.Entries())
+	fmt.Printf("%s: wrote %d entries\n", path, w.Entries())
 }

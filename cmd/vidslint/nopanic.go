@@ -11,7 +11,7 @@ import (
 
 // The nopanic gate proves the untrusted-input path free of runtime
 // panics: over the static call closure of every //vids:nopanic root
-// (the SIP/RTP parsers, the ingress lite-extract, the fast-path
+// (the SIP/RTP parsers, the packet-path SIP scanner, the fast-path
 // consult and the generated-dispatch step entrypoints — everything
 // that touches raw network bytes), it reports each potential panic
 // site that the bounds facts engine (bounds.go) cannot discharge:

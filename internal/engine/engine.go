@@ -119,15 +119,20 @@ var ErrClosed = errors.New("engine: closed")
 const internTableCap = 4096
 
 // item is one unit of shard work: a packet, its capture timestamp,
-// and — for SIP — the parse the router already did to route it. Media
-// escalated by the fast-path cache additionally carries its flow's
-// in-flight reference, the epoch its arm offer must match, and — for
-// the first packet after a stretch of absorption — the resync
-// snapshot the worker applies before delivery.
+// and — for SIP — what the tier in front already learned to route it:
+// the router's parse, or the ingress lane's scan (by value: a View is
+// a handful of offsets into the packet's own buffer). Media escalated
+// by the fast-path cache additionally carries its flow's in-flight
+// reference, the epoch its arm offer must match, and — for the first
+// packet after a stretch of absorption — the resync snapshot the
+// worker applies before delivery.
 type item struct {
 	pkt *sim.Packet
 	at  time.Duration
 	sip *sipmsg.Message
+
+	view    sipmsg.View
+	hasView bool
 
 	fpFlow    *fastpath.Flow
 	fpEpoch   uint64
@@ -351,17 +356,22 @@ func (sh *shard) run() {
 		sh.mu.Unlock()
 
 		for i := range batch {
-			it := batch[i]
+			it := &batch[i]
 			_ = sh.sim.RunUntil(it.at)
 			switch {
+			case it.hasView:
+				// Ingress path: the lane scanned the datagram once and
+				// the detector reads that scan; nothing is parsed here.
+				sh.ids.ProcessSIPView(&it.view, it.pkt)
+				sh.processed.Add(1)
 			case it.sip != nil:
 				// Router path: the serial router already parsed to route.
 				sh.ids.ProcessSIP(it.sip, it.pkt)
 				sh.processed.Add(1)
 			case it.pkt.Proto == sim.ProtoSIP:
-				// Ingress path: the lane routed on a lite extract and the
-				// shard owns the full parse, so the serial tier never
-				// pays for it.
+				// A datagram the lane's scanner would not commit to (it
+				// parsed cleanly there, on the cold path) or one handed
+				// to EnqueueRaw directly: the full parser reads it.
 				if raw, ok := it.pkt.Payload.([]byte); ok {
 					if m, err := sipmsg.Parse(raw); err == nil {
 						sh.ids.ProcessSIP(m, it.pkt)
@@ -390,7 +400,7 @@ func (sh *shard) run() {
 			if sh.retire != nil {
 				sh.retire(it.pkt)
 			}
-			batch[i] = item{}
+			*it = item{}
 		}
 		sh.batch = batch[:0]
 	}
@@ -553,8 +563,8 @@ func (e *Engine) shardFor(key string) *shard {
 }
 
 // ShardIndexFor exposes the Call-ID → shard mapping to the ingress
-// tier, which routes on a lite extract and must land a call's packets
-// on the same worker the router path would pick.
+// tier, which routes on its own scan of the datagram and must land a
+// call's packets on the same worker the router path would pick.
 func (e *Engine) ShardIndexFor(callID string) int {
 	return int(fnv32a(callID) % uint32(len(e.shards)))
 }
@@ -567,12 +577,24 @@ func (e *Engine) ShardIndexForBytes(key []byte) int {
 
 // EnqueueRaw hands a packet straight to shard idx, bypassing the
 // serial router: the ingress tier has already made the routing
-// decision and fed the cross-call detectors on its lanes. Raw SIP
-// payloads (no parsed message attached) are parsed on the shard
-// worker, which is exactly the point — parse and classify scale with
-// the shard count instead of serializing at one router goroutine.
-// Callers own per-call packet ordering, as with Ingest.
+// decision and fed the cross-call detectors on its lanes. A raw SIP
+// payload handed over this way is parsed in full on the shard worker;
+// the lanes use it only for the datagrams their scanner bails on (see
+// EnqueueSIP for the rest). Callers own per-call packet ordering, as
+// with Ingest.
 func (e *Engine) EnqueueRaw(idx int, pkt *sim.Packet, at time.Duration) error {
+	return e.enqueue(idx, item{pkt: pkt, at: at})
+}
+
+// EnqueueSIP is EnqueueRaw for a SIP datagram the ingress lane scanned:
+// v, the sipmsg.Scan of pkt's payload (which answered ScanOK), rides
+// to the worker by value and feeds the detector directly, so the
+// datagram is read once in the whole pipeline.
+func (e *Engine) EnqueueSIP(idx int, pkt *sim.Packet, at time.Duration, v *sipmsg.View) error {
+	return e.enqueue(idx, item{pkt: pkt, at: at, view: *v, hasView: true})
+}
+
+func (e *Engine) enqueue(idx int, it item) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
@@ -583,7 +605,7 @@ func (e *Engine) EnqueueRaw(idx int, pkt *sim.Packet, at time.Duration) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	e.shards[idx].enqueue(item{pkt: pkt, at: at}, e.cfg.Policy)
+	e.shards[idx].enqueue(it, e.cfg.Policy)
 	return nil
 }
 
@@ -640,8 +662,8 @@ func (e *Engine) RecordAlert(a ids.Alert) {
 // pipeline no matter which tier fed it.
 func (e *Engine) NoteIngested() { e.ingested.Add(1) }
 
-// NoteParseError counts a datagram that failed the SIP lite extract
-// and the full parse fallback.
+// NoteParseError counts a datagram the ingress tier found malformed
+// (rejected by the scanner, or by the full parser on the cold path).
 func (e *Engine) NoteParseError() { e.parseErrors.Add(1) }
 
 // NoteAbsorbed counts a stray response consumed at the ingress tier.
@@ -750,7 +772,7 @@ func (e *Engine) ingestSIP(pkt *sim.Packet, at time.Duration) {
 		// any machine.
 		_, evicted := e.gone[m.CallID]
 		if !evicted && m.CSeq.Method != sipmsg.REGISTER {
-			e.fw.FeedStrayResponse(m, pkt.To.Host, pkt.From.Host, now)
+			e.fw.FeedStrayResponse(raw, pkt.To.Host, pkt.From.Host, now)
 		}
 		e.absorbed.Add(1)
 		e.mu.Unlock()

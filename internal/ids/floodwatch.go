@@ -7,7 +7,6 @@ import (
 	"vids/internal/core"
 	"vids/internal/idsgen"
 	"vids/internal/sim"
-	"vids/internal/sipmsg"
 	"vids/internal/timerwheel"
 )
 
@@ -170,10 +169,11 @@ func (fw *FloodWatch) FeedInvite(dest, src string, now time.Duration) {
 // FeedStrayResponse counts one SIP response for a call the destination
 // never initiated and raises AlertDRDoS when the windowed threshold
 // trips. The first stray response of a window is reported once as a
-// deviation.
+// deviation; raw, the response's bytes, is parsed for that report and
+// not otherwise read.
 //
 //vids:alloc-ok per-destination window state is first-sight-bounded; alert construction fires only on a detected reflection attack
-func (fw *FloodWatch) FeedStrayResponse(m *sipmsg.Message, dest, src string, now time.Duration) {
+func (fw *FloodWatch) FeedStrayResponse(raw []byte, dest, src string, now time.Duration) {
 	e, ok := fw.respFloods[dest]
 	if !ok {
 		e = &floodEntry{m: fw.newCounter(idsgen.FloodResponse), dest: dest}
@@ -189,10 +189,11 @@ func (fw *FloodWatch) FeedStrayResponse(m *sipmsg.Message, dest, src string, now
 	}
 	if res.From == FloodInit && res.To == FloodCounting {
 		// First stray response of the window: report once, arm T1.
+		callID, summary := sipSummary(raw)
 		fw.raise(Alert{
-			At: now, Type: AlertDeviation, CallID: m.CallID,
+			At: now, Type: AlertDeviation, CallID: callID,
 			Source: src, Target: dest,
-			Detail: fmt.Sprintf("%s for unknown call", m.Summary()),
+			Detail: summary + " for unknown call",
 		})
 		fw.wc.arm(&e.timer, fw.cfg.FloodT1)
 	}

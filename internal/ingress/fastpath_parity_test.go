@@ -43,14 +43,18 @@ func captureScenario(t *testing.T, name string) []trace.Entry {
 	return entries
 }
 
-// assertFastpathParity replays entries three ways — sequential IDS,
-// lane tier with the validation cache, lane tier without — and
-// requires the exact alert multiset from all three. This is the
-// tentpole's correctness contract: absorption may change *work*, never
-// *alerts*.
+// assertFastpathParity replays entries three ways — the sequential
+// interpreted IDS parsing every datagram (the reference), the lane
+// tier feeding compiled shards from the one scan with the validation
+// cache, and the same without — and requires the exact alert multiset
+// from all three. This is the correctness contract of every fast
+// path: scanning once, compiling the machines and absorbing media may
+// change *work*, never *alerts*.
 func assertFastpathParity(t *testing.T, name string, entries []trace.Entry) {
 	t.Helper()
-	want := replaySequential(t, entries, ids.DefaultConfig())
+	ref := ids.DefaultConfig()
+	ref.Backend = ids.BackendInterpreted
+	want := replaySequential(t, entries, ref)
 	for _, disable := range []bool{false, true} {
 		got, st := replayIngress(t, entries, Config{
 			Lanes:  2,
@@ -99,10 +103,15 @@ func TestFastpathScenarioParity(t *testing.T) {
 // hand-authored speccover witness traces — the packet sequences built
 // to reach transitions the scenarios do not, including the reorder,
 // absorb and post-close corners most likely to disagree with a cache.
+// The traces are build outputs (`make speccover` writes them), so a
+// tree that has not generated them yet skips.
 func TestFastpathWitnessTraceParity(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "coverage-traces", "*.jsonl"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Skip("no witness traces in coverage-traces/; run `make speccover` to generate them")
 	}
 	if len(paths) < 14 {
 		t.Fatalf("found %d witness traces, want at least 14", len(paths))
@@ -111,17 +120,68 @@ func TestFastpathWitnessTraceParity(t *testing.T) {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
 			t.Parallel()
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			entries, err := trace.Read(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertFastpathParity(t, filepath.Base(path), entries)
+			assertFastpathParity(t, filepath.Base(path), readTrace(t, path))
 		})
+	}
+}
+
+// TestHostileTraceParity pins the same parity on the two committed
+// regression traces of hostile datagrams — the RFC-4475-flavored
+// torture trace and the malformed-INVITE evasion — where the scanner's
+// reject and bail paths do their work.
+func TestHostileTraceParity(t *testing.T) {
+	for _, path := range []string{tortureTrace, viaEvasionTrace} {
+		path := path
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			t.Parallel()
+			assertFastpathParity(t, filepath.Base(path), readTrace(t, path))
+		})
+	}
+}
+
+var (
+	tortureTrace    = filepath.Join("..", "..", "cmd", "vids", "testdata", "torture.jsonl")
+	viaEvasionTrace = filepath.Join("..", "..", "cmd", "vids", "testdata", "via-evasion.jsonl")
+)
+
+func readTrace(t *testing.T, path string) []trace.Entry {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	entries, err := trace.Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entries
+}
+
+// TestMalformedInviteCannotHideStrayResponses replays the committed
+// evasion: one INVITE with `Via: garbage` (a parse error to the
+// detector) followed by forty stray 200 OKs for its Call-ID toward one
+// host. While the lane routed on a reader more lenient than the
+// detector's, the INVITE planted its Call-ID in the lane's call table,
+// the responses passed as answers to a known call, and the reflection
+// window never saw them: zero alerts. Whatever the lane count, the
+// pipeline must report what the sequential detector reports.
+func TestMalformedInviteCannotHideStrayResponses(t *testing.T) {
+	entries := readTrace(t, viaEvasionTrace)
+	want := replaySequential(t, entries, ids.DefaultConfig())
+	types := alertTypeCounts(want)
+	if types[ids.AlertDeviation] != 1 || types[ids.AlertDRDoS] != 1 || len(want) != 2 {
+		t.Fatalf("sequential reference raised %v, want one protocol-deviation and one drdos", types)
+	}
+	for _, lanes := range []int{1, 2, 4} {
+		got, st := replayIngress(t, entries, Config{Lanes: lanes, Engine: engine.Config{Shards: lanes}})
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("lanes=%d: pipeline raised %v, sequential %v", lanes, got, want)
+		}
+		if st.ParseErrors != 1 || st.Absorbed != 40 || st.Processed != 0 {
+			t.Errorf("lanes=%d: parse-errors=%d absorbed=%d processed=%d, want 1/40/0",
+				lanes, st.ParseErrors, st.Absorbed, st.Processed)
+		}
 	}
 }
 

@@ -1,21 +1,30 @@
 // Package ingress is the production ingestion tier between packet
 // sources and the detection engine: M independent lanes standing in
 // front of N shard workers, with the serial work the engine's router
-// used to do — parse, classify, flood accounting, media-index
-// maintenance — either moved onto the shard workers (the full SIP
-// parse) or spread over the lanes (everything else).
+// used to do — scan, classify, flood accounting, media-index
+// maintenance — spread over the lanes.
 //
 // A lane is a lock stripe, not a goroutine: listener goroutines call
 // Ingest concurrently, and each packet takes the lane lock (or locks —
 // a SIP packet may touch the flood lane, the call lane and a media
 // lane, always sequentially, never nested) that its keys hash to. The
-// per-packet work under a lane lock is deliberately tiny: a zero-alloc
-// lite extract of the Call-ID/media key (no full parse — the owning
-// shard does that, so parsing scales with the shard count), a map
-// probe, and a clock advance. The engine's single router mutex, which
+// per-packet work under a lane lock is deliberately tiny: a map probe
+// and a clock advance. The engine's single router mutex, which
 // BENCH_engine.json showed flattening shards=4 to shards=1 throughput,
-// is out of the hot path entirely: lanes hand raw buffers straight to
-// shard queues via EnqueueRaw.
+// is out of the hot path entirely: lanes hand buffers straight to
+// shard queues.
+//
+// Every SIP datagram is read exactly once, before any lane lock:
+// sipmsg.Scan walks it without allocating and answers with a View —
+// offsets into the receive buffer for the fields the lane routes on
+// and the detector's machines read. The lane routes on the View and
+// hands it to the owning shard by value with the packet; the shard
+// feeds the detector from it and never parses. A datagram the scanner
+// rejects is counted as a parse error and retired right here, so it
+// can never leave a trace in a lane table or the fast-path cache that
+// the detector would not know about; one it does not commit to (folded
+// headers, quoted display names, …) takes the cold path through the
+// full parser, on the lane and again on the shard.
 //
 // Cross-call detection stays exact under the partitioning because the
 // flood detectors are per-destination: every INVITE toward one AOR
@@ -73,7 +82,7 @@ type mediaEntry struct {
 // lane is one lock stripe of the ingestion tier. All fields after mu
 // are guarded by it. Lane locks never nest with each other or with the
 // engine's: a packet acquires each lane it needs in sequence, and
-// everything engine-facing (EnqueueRaw, RecordAlert, Note*) happens
+// everything engine-facing (Enqueue*, RecordAlert, Note*) happens
 // after the lane lock is released.
 type lane struct {
 	mu      sync.Mutex
@@ -274,54 +283,127 @@ func fnvString(s string) uint32 {
 	return h
 }
 
-// ingestSIP is the signaling lane path: lite-extract the routing
-// fields, feed the flood window for initial INVITEs, maintain the
-// call/tombstone maps, install media routes from SDP, and hand the raw
-// buffer to the owning shard, which parses it there. Anything the
-// extract cannot commit to falls back to a full parse (cold path).
+// sipRoute is what a lane needs to know about one well-formed SIP
+// datagram to route it: filled from the scan on the forwarding path,
+// from the full parse on the cold one. The byte slices alias the
+// receive buffer (or, on the cold path, throwaway copies).
+type sipRoute struct {
+	method   sipmsg.Method // "" for a response
+	cseq     sipmsg.Method
+	status   int
+	toTag    bool
+	callID   []byte
+	ruriUser []byte
+	ruriHost []byte
+	sdpAddr  []byte // empty when the body advertises no media destination
+	sdpPort  int
+	// view is the scan the shard feeds its detector from; nil makes the
+	// shard parse the datagram itself.
+	view *sipmsg.View
+}
+
+// ingestSIP is the signaling lane path: scan the datagram once, then
+// route on the scan. A datagram the scanner rejects ends here; one it
+// does not commit to falls back to the full parser (cold path).
 //
 //vids:noalloc the per-datagram signaling path; alert/absorb/install branches are cold
 func (ing *Ingress) ingestSIP(pkt *sim.Packet, at time.Duration) error {
 	raw, ok := pkt.Payload.([]byte)
 	if !ok {
-		ing.e.NoteIngested()
-		ing.e.NoteParseError()
-		ing.retirePkt(pkt)
-		return nil
+		return ing.discardSIP(pkt)
 	}
-	var sum sipSummary
-	if !extractSIP(raw, &sum) {
+	var v sipmsg.View
+	switch sipmsg.Scan(raw, &v) {
+	case sipmsg.ScanReject:
+		return ing.discardSIP(pkt)
+	case sipmsg.ScanBail:
 		return ing.ingestSIPSlow(pkt, raw, at)
 	}
+	r := sipRoute{
+		method:   v.Method.Method(),
+		cseq:     v.CSeqMethod.Method(),
+		status:   int(v.Status),
+		toTag:    v.ToTag.Len > 0,
+		callID:   v.CallID.Of(raw),
+		ruriUser: v.RequestURI.User.Of(raw),
+		ruriHost: v.RequestURI.Host.Of(raw),
+		sdpAddr:  v.SDPAddr.Of(raw),
+		sdpPort:  int(v.SDPPort),
+		view:     &v,
+	}
+	return ing.routeSIP(pkt, raw, at, &r)
+}
 
-	isInvite := sum.req && string(sum.method) == "INVITE"
-	if isInvite && !sum.toTag {
+// discardSIP retires a datagram that is not a SIP message: counted, and
+// gone before it can touch a lane table, the fast-path cache or a
+// shard.
+func (ing *Ingress) discardSIP(pkt *sim.Packet) error {
+	ing.e.NoteIngested()
+	ing.e.NoteParseError()
+	ing.retirePkt(pkt)
+	return nil
+}
+
+// ingestSIPSlow is the fallback for datagrams the scanner does not
+// commit to: a full parse, then the same routing decisions. Parse
+// failures are counted and retired here, so the shard only ever
+// re-parses messages known to be well-formed.
+//
+//vids:coldpath the scanner covers the protocol's serialized shapes; this path is for the torture cases
+func (ing *Ingress) ingestSIPSlow(pkt *sim.Packet, raw []byte, at time.Duration) error {
+	m, err := sipmsg.Parse(raw)
+	if err != nil {
+		return ing.discardSIP(pkt)
+	}
+	r := sipRoute{
+		method:   m.Method,
+		cseq:     m.CSeq.Method,
+		status:   m.StatusCode,
+		toTag:    m.To.Tag() != "",
+		callID:   []byte(m.CallID),
+		ruriUser: []byte(m.RequestURI.User),
+		ruriHost: []byte(m.RequestURI.Host),
+	}
+	if addr, port, _, ok := sdp.MediaDest(m.Body); ok {
+		r.sdpAddr, r.sdpPort = addr, port
+	}
+	return ing.routeSIP(pkt, raw, at, &r)
+}
+
+// routeSIP makes the lane's decisions for one well-formed SIP
+// datagram: feed the flood window for initial INVITEs, maintain the
+// call/tombstone maps, absorb stray responses, install media routes
+// from SDP, disarm the call's fast-path flows, and hand the packet to
+// the owning shard.
+func (ing *Ingress) routeSIP(pkt *sim.Packet, raw []byte, at time.Duration, r *sipRoute) error {
+	isInvite := r.method == sipmsg.INVITE
+	if isInvite && !r.toTag {
 		// Initial INVITE: feed the per-destination Figure 4 window on
 		// the destination's lane.
-		ing.feedInvite(sum.ruriUser, sum.ruriHost, pkt.From.Host, at)
+		ing.feedInvite(r.ruriUser, r.ruriHost, pkt.From.Host, at)
 	}
 
-	shardIdx := ing.e.ShardIndexForBytes(sum.callID)
+	shardIdx := ing.e.ShardIndexForBytes(r.callID)
 	l := ing.laneForShard(shardIdx)
 	l.mu.Lock()
 	_ = l.clock.RunUntil(at)
 	if isInvite {
-		cid := l.strings.Bytes(sum.callID)
+		cid := l.strings.Bytes(r.callID)
 		l.calls[cid] = at //vids:alloc-ok one dialog slot per INVITE; the sweep bounds the table
 		delete(l.gone, cid)
 		ing.armSweep(l)
-	} else if _, known := l.calls[string(sum.callID)]; known {
-		l.calls[l.strings.Bytes(sum.callID)] = at //vids:alloc-ok refreshes the slot the probe above found
-	} else if !sum.req {
+	} else if _, known := l.calls[string(r.callID)]; known {
+		l.calls[l.strings.Bytes(r.callID)] = at //vids:alloc-ok refreshes the slot the probe above found
+	} else if r.method == "" {
 		// A response for a call this edge never initiated: absorbed
 		// here, exactly as the engine's router absorbs it — the shards
 		// never see it. Tombstoned calls swallow their stragglers
 		// silently.
-		_, evicted := l.gone[string(sum.callID)]
+		_, evicted := l.gone[string(r.callID)]
 		alerts := l.takePending()
 		l.mu.Unlock()
 		ing.drain(alerts)
-		return ing.absorbStray(pkt, raw, evicted, at)
+		return ing.absorbStray(pkt, raw, evicted || r.cseq == sipmsg.REGISTER, at)
 	}
 	alerts := l.takePending()
 	l.mu.Unlock()
@@ -329,11 +411,9 @@ func (ing *Ingress) ingestSIP(pkt *sim.Packet, at time.Duration) error {
 
 	// Mirror ids.indexMedia: the INVITE's SDP names where the callee's
 	// stream will land, the 2xx answer's where the caller's will.
-	if isInvite || (!sum.req && sum.status >= 200 && sum.status < 300 &&
-		string(sum.cseqMethod) == "INVITE") {
-		if addr, port, _, ok := sdp.MediaDest(sum.body); ok {
-			ing.installMedia(addr, port, sum.callID, at)
-		}
+	if len(r.sdpAddr) > 0 && (isInvite || (r.method == "" &&
+		r.status >= 200 && r.status < 300 && r.cseq == sipmsg.INVITE)) {
+		ing.installMedia(r.sdpAddr, r.sdpPort, r.callID, at)
 	}
 
 	if ing.fp != nil {
@@ -341,9 +421,15 @@ func (ing *Ingress) ingestSIP(pkt *sim.Packet, at time.Duration) error {
 		// renegotiation): disarm its flows before the event is enqueued,
 		// so an RTP packet racing this datagram on another lane can no
 		// longer be absorbed against pre-transition state.
-		ing.fp.DisarmCall(sum.callID)
+		ing.fp.DisarmCall(r.callID)
 	}
-	if err := ing.e.EnqueueRaw(shardIdx, pkt, at); err != nil {
+	var err error
+	if r.view != nil {
+		err = ing.e.EnqueueSIP(shardIdx, pkt, at, r.view)
+	} else {
+		err = ing.e.EnqueueRaw(shardIdx, pkt, at)
+	}
+	if err != nil {
 		return err
 	}
 	ing.e.NoteIngested()
@@ -402,25 +488,19 @@ func (ing *Ingress) installMedia(addr []byte, port int, callID []byte, at time.D
 	ing.drain(alerts)
 }
 
-// absorbStray handles a response for an unknown call. The full parse
-// happens here — strays are off the forwarding path, and the exact
-// message (Summary, CSeq method) drives the reflection detector with
-// router-path fidelity.
+// absorbStray retires a response for an unknown call at the lane,
+// feeding the destination host's reflection window unless the response
+// is silent (a tombstoned call's straggler, a registrar's answer). raw
+// is known to parse: the window's first stray is reported with the
+// message's own summary.
 //
 //vids:coldpath stray responses never reach a shard; volume is bounded by the reflection window
-func (ing *Ingress) absorbStray(pkt *sim.Packet, raw []byte, evicted bool, at time.Duration) error {
-	m, err := sipmsg.Parse(raw)
-	if err != nil {
-		ing.e.NoteIngested()
-		ing.e.NoteParseError()
-		ing.retirePkt(pkt)
-		return nil
-	}
-	if !evicted && m.CSeq.Method != sipmsg.REGISTER {
+func (ing *Ingress) absorbStray(pkt *sim.Packet, raw []byte, silent bool, at time.Duration) error {
+	if !silent {
 		l := ing.laneForHost(pkt.To.Host)
 		l.mu.Lock()
 		_ = l.clock.RunUntil(at)
-		l.fw.FeedStrayResponse(m, pkt.To.Host, pkt.From.Host, l.clock.Now())
+		l.fw.FeedStrayResponse(raw, pkt.To.Host, pkt.From.Host, l.clock.Now())
 		alerts := l.takePending()
 		l.mu.Unlock()
 		ing.drain(alerts)
@@ -428,75 +508,6 @@ func (ing *Ingress) absorbStray(pkt *sim.Packet, raw []byte, evicted bool, at ti
 	ing.e.NoteIngested()
 	ing.e.NoteAbsorbed()
 	ing.retirePkt(pkt)
-	return nil
-}
-
-// ingestSIPSlow is the fallback for datagrams the lite extract cannot
-// commit to: a full parse, then the same routing decisions. Parse
-// failures are counted and retired here, so the shards only ever
-// re-parse messages known to be well-formed.
-//
-//vids:coldpath the lite extract covers the protocol's serialized shapes; this path is for the torture cases
-func (ing *Ingress) ingestSIPSlow(pkt *sim.Packet, raw []byte, at time.Duration) error {
-	m, err := sipmsg.Parse(raw)
-	if err != nil {
-		ing.e.NoteIngested()
-		ing.e.NoteParseError()
-		ing.retirePkt(pkt)
-		return nil
-	}
-	var sum sipSummary
-	sum.req = m.IsRequest()
-	if sum.req {
-		sum.method = []byte(m.Method)
-		sum.ruriUser = []byte(m.RequestURI.User)
-		sum.ruriHost = []byte(m.RequestURI.Host)
-	} else {
-		sum.status = m.StatusCode
-	}
-	sum.callID = []byte(m.CallID)
-	sum.toTag = m.To.Tag() != ""
-	sum.cseqMethod = []byte(m.CSeq.Method)
-	sum.body = m.Body
-
-	isInvite := sum.req && m.Method == sipmsg.INVITE
-	if isInvite && !sum.toTag {
-		ing.feedInvite(sum.ruriUser, sum.ruriHost, pkt.From.Host, at)
-	}
-	shardIdx := ing.e.ShardIndexFor(m.CallID)
-	l := ing.laneForShard(shardIdx)
-	l.mu.Lock()
-	_ = l.clock.RunUntil(at)
-	if isInvite {
-		cid := l.strings.String(m.CallID)
-		l.calls[cid] = at
-		delete(l.gone, cid)
-		ing.armSweep(l)
-	} else if _, known := l.calls[m.CallID]; known {
-		l.calls[l.strings.String(m.CallID)] = at
-	} else if !sum.req {
-		_, evicted := l.gone[m.CallID]
-		alerts := l.takePending()
-		l.mu.Unlock()
-		ing.drain(alerts)
-		return ing.absorbStray(pkt, raw, evicted, at)
-	}
-	alerts := l.takePending()
-	l.mu.Unlock()
-	ing.drain(alerts)
-
-	if isInvite || (m.IsResponse() && m.IsSuccess() && m.CSeq.Method == sipmsg.INVITE) {
-		if addr, port, _, ok := sdp.MediaDest(m.Body); ok {
-			ing.installMedia(addr, port, sum.callID, at)
-		}
-	}
-	if ing.fp != nil {
-		ing.fp.DisarmCall(sum.callID)
-	}
-	if err := ing.e.EnqueueRaw(shardIdx, pkt, at); err != nil {
-		return err
-	}
-	ing.e.NoteIngested()
 	return nil
 }
 

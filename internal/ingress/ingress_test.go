@@ -50,8 +50,8 @@ func replayIngress(t *testing.T, entries []trace.Entry, cfg Config) ([]ids.Alert
 }
 
 // TestIngressParityWithSequential is the tier's acceptance check: the
-// lane path — lite extract, per-lane flood windows, raw shard handoff
-// — must yield the exact alert multiset of the sequential IDS for a
+// lane path — one scan per datagram, per-lane flood windows, view-fed
+// shards — must yield the exact alert multiset of the sequential IDS for a
 // trace that exercises every detector family, at every lane count.
 func TestIngressParityWithSequential(t *testing.T) {
 	entries := engine.Synthesize(engine.SynthConfig{Calls: 40, RTPPerCall: 10, Attacks: true})

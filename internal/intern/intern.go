@@ -76,5 +76,6 @@ func (t *Table) put(s string) {
 		t.prev, t.cur = t.cur, t.prev
 		clear(t.cur)
 	}
+	//vids:panic-ok New, the only constructor, makes both generations and rotation only swaps them
 	t.cur[s] = s //vids:alloc-ok insert on first sight; generation rotation bounds both maps
 }

@@ -6,6 +6,7 @@
 package sdp
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -192,7 +193,7 @@ func MediaDest(data []byte) (addr []byte, port, payload int, ok bool) {
 	rest := data
 	for len(rest) > 0 {
 		var line []byte
-		if i := indexByte(rest, '\n'); i >= 0 {
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
 			line, rest = rest[:i], rest[i+1:]
 		} else {
 			line, rest = rest, nil
@@ -214,36 +215,27 @@ func MediaDest(data []byte) (addr []byte, port, payload int, ok bool) {
 			}
 			sawVersion = true
 		case 'o':
+			// At least six fields, the second and third numeric.
 			var f fieldScanner
 			f.init(value)
-			if f.count() < 6 {
-				return nil, 0, 0, false
-			}
-			f.init(value)
 			f.next() // username
-			if _, numOK := parseUintField(f.next()); !numOK {
-				return nil, 0, 0, false
-			}
-			if _, numOK := parseUintField(f.next()); !numOK {
+			_, idOK := parseUintField(f.next())
+			_, verOK := parseUintField(f.next())
+			if !idOK || !verOK || f.next() == nil || f.next() == nil || f.next() == nil {
 				return nil, 0, 0, false
 			}
 		case 'c':
+			// Exactly "IN IP4 <address>".
 			var f fieldScanner
 			f.init(value)
-			if f.count() != 3 {
+			netType, addrType, a := f.next(), f.next(), f.next()
+			if string(netType) != "IN" || string(addrType) != "IP4" || a == nil || f.next() != nil {
 				return nil, 0, 0, false
 			}
-			f.init(value)
-			if string(f.next()) != "IN" || string(f.next()) != "IP4" {
-				return nil, 0, 0, false
-			}
-			addr = f.next()
+			addr = a
 		case 'm':
+			// "audio <port> RTP/AVP" and at least one payload type.
 			var f fieldScanner
-			f.init(value)
-			if f.count() < 4 {
-				return nil, 0, 0, false
-			}
 			f.init(value)
 			if string(f.next()) != "audio" {
 				return nil, 0, 0, false
@@ -256,11 +248,7 @@ func MediaDest(data []byte) (addr []byte, port, payload int, ok bool) {
 				return nil, 0, 0, false
 			}
 			firstPT := -1
-			for {
-				fld := f.next()
-				if fld == nil {
-					break
-				}
+			for fld := f.next(); fld != nil; fld = f.next() {
 				pt, ptOK := parseIntField(fld)
 				if !ptOK || pt < 0 || pt > 127 {
 					return nil, 0, 0, false
@@ -268,6 +256,9 @@ func MediaDest(data []byte) (addr []byte, port, payload int, ok bool) {
 				if firstPT < 0 {
 					firstPT = pt
 				}
+			}
+			if firstPT < 0 {
+				return nil, 0, 0, false
 			}
 			if !sawMedia {
 				port, payload = p, firstPT
@@ -281,15 +272,6 @@ func MediaDest(data []byte) (addr []byte, port, payload int, ok bool) {
 	return addr, port, payload, true
 }
 
-func indexByte(b []byte, c byte) int {
-	for i, x := range b {
-		if x == c {
-			return i
-		}
-	}
-	return -1
-}
-
 // fieldScanner iterates whitespace-separated fields of a line the way
 // strings.Fields does, without allocating the field slice.
 type fieldScanner struct {
@@ -298,37 +280,29 @@ type fieldScanner struct {
 
 func (f *fieldScanner) init(b []byte) { f.rest = b }
 
-func isSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
-}
+// isSpace reports ASCII white space: SP, or one of HT LF VT FF CR,
+// which are the five consecutive bytes 9..13.
+func isSpace(c byte) bool { return c == ' ' || c-'\t' < 5 }
 
 // next returns the next field, or nil when exhausted.
 func (f *fieldScanner) next() []byte {
-	i := 0
-	for i < len(f.rest) && isSpace(f.rest[i]) {
-		i++
+	b := f.rest
+	for len(b) > 0 && isSpace(b[0]) {
+		b = b[1:]
 	}
-	if i == len(f.rest) {
-		f.rest = nil
-		return nil
-	}
-	j := i
-	for j < len(f.rest) && !isSpace(f.rest[j]) {
+	j := 0
+	for j < len(b) && !isSpace(b[j]) {
 		j++
 	}
-	field := f.rest[i:j]
-	f.rest = f.rest[j:]
-	return field
-}
-
-func (f *fieldScanner) count() int {
-	n := 0
-	saved := f.rest
-	for f.next() != nil {
-		n++
+	f.rest = nil
+	if j == 0 {
+		return nil
 	}
-	f.rest = saved
-	return n
+	if j < len(b) {
+		f.rest = b[j:]
+		return b[:j]
+	}
+	return b
 }
 
 // parseIntField parses a decimal field with an optional sign, the

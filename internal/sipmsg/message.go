@@ -368,8 +368,6 @@ func (m *Message) Validate() error {
 }
 
 // Summary renders a one-line description for logs and alerts.
-//
-//vids:coldpath alert text rendering; runs per raised alert, not per packet
 func (m *Message) Summary() string {
 	if m.IsRequest() {
 		return fmt.Sprintf("%s %s (Call-ID %s)", m.Method, m.RequestURI, m.CallID)

@@ -86,9 +86,8 @@ func uriPartOK(s string, host bool) bool {
 	return true
 }
 
-// String renders the URI in canonical sip: form.
-//
-//vids:coldpath serialization for alerts and tests; the hot path renders keys with ids.AppendURI
+// String renders the URI in canonical sip: form; the packet path
+// renders keys with ids.AppendURI instead.
 func (u URI) String() string {
 	var b strings.Builder
 	b.WriteString("sip:")

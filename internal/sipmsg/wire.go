@@ -157,6 +157,15 @@ func cutLine(b []byte, pos int) ([]byte, int) {
 		return nil, len(b) + 1
 	}
 	rest := b[pos:]
+	i := bytes.IndexByte(rest, '\r')
+	if i < 0 {
+		return rest, len(b) + 1
+	}
+	if i+1 < len(rest) && rest[i+1] == '\n' {
+		return rest[:i], pos + i + 2
+	}
+	// The first CR is a bare one (no serializer emits that): look for
+	// the CRLF pair byte by byte.
 	for i := 0; i+1 < len(rest); i++ {
 		if rest[i] == '\r' && rest[i+1] == '\n' {
 			return rest[:i], pos + i + 2
@@ -537,9 +546,9 @@ func trimASCII(b []byte) []byte {
 	return b
 }
 
-func asciiSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
-}
+// asciiSpace reports ASCII white space: SP, or one of HT LF VT FF CR,
+// which are the five consecutive bytes 9..13.
+func asciiSpace(c byte) bool { return c == ' ' || c-'\t' < 5 }
 
 func lowerByte(c byte) byte {
 	if c >= 'A' && c <= 'Z' {

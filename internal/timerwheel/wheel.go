@@ -174,10 +174,24 @@ func (w *Wheel) unlink(t *Timer) {
 	w.count--
 }
 
-// Next reports the earliest pending deadline. The estimate errs only
-// toward earliness (a parked far-future entry may report its bucket's
-// horizon); callers re-arming a wake-up off Next never sleep past a
-// real deadline.
+// Next reports a lower bound on the earliest pending deadline, in time
+// independent of how many timers are armed. Level 0 is exact: its
+// buckets are one tick wide, so the handful of entries sharing a
+// bucket are walked. A coarser level answers with the start of its
+// first occupied bucket without looking inside — every entry parked
+// there is due at or after that instant, and an Advance to it cascades
+// the bucket onto finer levels, so a caller that keeps waking at Next
+// reaches every deadline exactly and never sleeps past one.
+//
+// A level's current bucket is the one place a slot index is ambiguous:
+// an entry placed 64 buckets ahead (or parked beyond the top level's
+// span) shares it with the bucket now is in. On a coarse level nothing
+// else can be there — Arm puts anything nearer on a finer level and
+// Advance cascades the bucket it lands in — so it counts as a full
+// turn away, which also keeps the bound strictly after now. On level 0
+// both the current bucket and the next occupied one are walked.
+//
+//vids:noalloc consulted after every timer drain
 func (w *Wheel) Next() (time.Duration, bool) {
 	best := time.Duration(0)
 	found := false
@@ -186,12 +200,23 @@ func (w *Wheel) Next() (time.Duration, bool) {
 		if occ == 0 {
 			continue
 		}
-		cur := int((uint64(w.now) >> shift(l)) & slotMask)
+		sh := shift(l)
+		cur := int((uint64(w.now) >> sh) & slotMask)
 		rot := bits.RotateLeft64(occ, -cur)
-		slot := (cur + bits.TrailingZeros64(rot)) & slotMask
-		for t := w.slots[l][slot].head; t != nil; t = t.next {
-			if !found || t.deadline < best {
-				best, found = t.deadline, true
+		// TrailingZeros64 of the other buckets is numSlots exactly when
+		// the current one is the only one occupied.
+		ahead := bits.TrailingZeros64(rot &^ 1)
+		if l > 0 {
+			if start := time.Duration((uint64(w.now)>>sh + uint64(ahead)) << sh); !found || start < best {
+				best, found = start, true
+			}
+			continue
+		}
+		for _, slot := range [2]int{cur, cur + ahead} {
+			for t := w.slots[0][slot&slotMask].head; t != nil; t = t.next {
+				if !found || t.deadline < best {
+					best, found = t.deadline, true
+				}
 			}
 		}
 	}
@@ -247,9 +272,13 @@ func (w *Wheel) collect(now time.Duration) {
 			if w.occupied[l]&(1<<slot) == 0 {
 				continue
 			}
-			t := w.slots[l][slot].head
-			for t != nil {
+			// Stop at the entry that was last on the way in: an entry
+			// still parked beyond the top level's span can be re-placed
+			// onto the tail of this very list.
+			last := w.slots[l][slot].tail
+			for t, more := w.slots[l][slot].head, true; more; {
 				next := t.next
+				more = t != last
 				if t.deadline <= now {
 					w.unlink(t)
 					t.expiring = true

@@ -278,3 +278,170 @@ func TestAllocationFreeSteadyState(t *testing.T) {
 		t.Fatalf("arm/cancel/advance allocated %.1f per cycle, want 0", allocs)
 	}
 }
+
+// loadedWheel parks n timers in one level-2 bucket (deadlines spread
+// over a few milliseconds around 10 s) — the shape the engine's
+// close-linger and idle timers take under call churn.
+func loadedWheel(n int) (*Wheel, []Timer) {
+	w := New(func(*Timer) {})
+	tms := make([]Timer, n)
+	for i := range tms {
+		w.Arm(&tms[i], 10*time.Second+time.Duration(i)*100*time.Nanosecond)
+	}
+	return w, tms
+}
+
+// TestNextLoadedBucket: with 50 K timers sharing one coarse bucket,
+// Next answers with that bucket's start (a lower bound, not a walk),
+// and waking at Next still drains every timer at its exact deadline in
+// deadline order.
+func TestNextLoadedBucket(t *testing.T) {
+	const n = 50000
+	var fired []time.Duration
+	w, tms := loadedWheel(n)
+	w.fire = func(tm *Timer) {
+		if w.Now() != tm.Deadline() {
+			t.Fatalf("fired at %v, deadline %v", w.Now(), tm.Deadline())
+		}
+		fired = append(fired, w.Now())
+	}
+	if tms[0].level != 2 || tms[n-1].level != 2 || tms[0].slot != tms[n-1].slot {
+		t.Fatalf("fixture does not share one level-2 bucket: levels %d/%d slots %d/%d",
+			tms[0].level, tms[n-1].level, tms[0].slot, tms[n-1].slot)
+	}
+	at, ok := w.Next()
+	if !ok || at > 10*time.Second || at <= 0 {
+		t.Fatalf("Next = %v, %v; want a positive lower bound of 10s", at, ok)
+	}
+	if want := time.Duration(uint64(10*time.Second) >> shift(2) << shift(2)); at != want {
+		t.Fatalf("Next = %v, want the bucket start %v", at, want)
+	}
+	for steps := 0; w.Len() > 0; steps++ {
+		if steps > 2*n {
+			t.Fatalf("anchor loop did not drain: %d left", w.Len())
+		}
+		at, ok := w.Next()
+		if !ok {
+			t.Fatalf("Next lost %d timers", w.Len())
+		}
+		w.Advance(at)
+	}
+	if len(fired) != n || !sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] }) {
+		t.Fatalf("fired %d of %d, sorted=%v", len(fired), n,
+			sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] }))
+	}
+}
+
+// TestRandomOpsAgainstOracle drives random arm / re-arm / cancel /
+// run-until sequences the way wheelClock does — the wheel only ever
+// advances to an anchor taken from Next, while deadlines are armed off
+// a virtual clock that runs ahead of it — against a sorted-slice
+// oracle. Every anchor must be at or before the true minimum, and the
+// fire log (instant and timer, ties compared as sets) must equal the
+// oracle's.
+func TestRandomOpsAgainstOracle(t *testing.T) {
+	type fire struct {
+		at time.Duration
+		id int
+	}
+	spans := []time.Duration{ // one per wheel level, plus beyond the top
+		50 * time.Millisecond, 3 * time.Second, 4 * time.Minute,
+		3 * time.Hour, 200 * time.Hour, 500 * time.Hour,
+	}
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const n = 64
+		tms := make([]Timer, n)
+		index := make(map[*Timer]int, n)
+		for i := range tms {
+			index[&tms[i]] = i
+		}
+		var got, want []fire
+		var w *Wheel
+		w = New(func(tm *Timer) { got = append(got, fire{w.Now(), index[tm]}) })
+		armed := make(map[int]time.Duration) // oracle: id -> deadline
+		vnow := time.Duration(0)
+
+		runUntil := func(target time.Duration) {
+			for {
+				min, any := time.Duration(0), false
+				for _, d := range armed {
+					if !any || d < min {
+						min, any = d, true
+					}
+				}
+				at, ok := w.Next()
+				if ok != any {
+					t.Fatalf("seed %d: Next ok=%v with %d armed", seed, ok, len(armed))
+				}
+				if !ok {
+					break
+				}
+				if at > min {
+					t.Fatalf("seed %d: anchor %v is later than the true minimum %v", seed, at, min)
+				}
+				if at > target {
+					break
+				}
+				var due []fire
+				for id, d := range armed {
+					if d <= at {
+						due = append(due, fire{d, id})
+						delete(armed, id)
+					}
+				}
+				sort.Slice(due, func(i, j int) bool { return due[i].id < due[j].id })
+				want = append(want, due...)
+				w.Advance(at)
+			}
+			vnow = target
+		}
+
+		for op := 0; op < 2000; op++ {
+			id := rng.Intn(n)
+			switch k := rng.Intn(10); {
+			case k < 5:
+				span := spans[rng.Intn(len(spans))]
+				d := vnow + time.Duration(rng.Int63n(int64(span)))
+				w.Arm(&tms[id], d)
+				if d < w.Now() {
+					d = w.Now()
+				}
+				armed[id] = d
+			case k < 7:
+				w.Cancel(&tms[id])
+				delete(armed, id)
+			default:
+				span := spans[rng.Intn(4)]
+				runUntil(vnow + time.Duration(rng.Int63n(int64(span))))
+			}
+			if w.Len() != len(armed) {
+				t.Fatalf("seed %d op %d: wheel holds %d, oracle %d", seed, op, w.Len(), len(armed))
+			}
+		}
+		runUntil(vnow + 1000*time.Hour)
+		if len(armed) != 0 || w.Len() != 0 {
+			t.Fatalf("seed %d: %d timers never fired", seed, w.Len())
+		}
+
+		// Same instants in the same order; within one instant the batch
+		// order is the wheel's slot FIFO, so compare ties as sets.
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: fired %d, oracle %d", seed, len(got), len(want))
+		}
+		for i := 0; i < len(got); {
+			j := i
+			for j < len(got) && got[j].at == got[i].at {
+				j++
+			}
+			batch := append([]fire(nil), got[i:j]...)
+			sort.Slice(batch, func(a, b int) bool { return batch[a].id < batch[b].id })
+			for k := range batch {
+				if batch[k] != want[i+k] {
+					t.Fatalf("seed %d: fire %d = %+v, oracle %+v", seed, i+k, batch[k], want[i+k])
+				}
+			}
+			i = j
+		}
+	}
+}
