@@ -688,9 +688,9 @@ func BenchmarkTraceReplay(b *testing.B) {
 // shape of K SO_REUSEPORT listeners — then routed, analyzed and
 // drained. Sub-benchmarks sweep the shard count with lanes scaled
 // alongside; on a multi-core runner throughput scales with shards
-// because the serial router of the previous design is out of the hot
-// path (parsing runs on the shard workers, flood windows on the
-// lanes). The reported "cores" metric lets downstream tooling
+// because no lock spans the tier (each datagram is scanned once before
+// any lane lock, flood windows are striped over the lanes). The
+// reported "cores" metric lets downstream tooling
 // (cmd/benchjson -scaling) skip the scaling assertion on boxes with
 // too few cores to show it.
 func BenchmarkEngineThroughput(b *testing.B) {

@@ -1,5 +1,6 @@
-// Command vidsd runs vids as an online detection daemon: the sharded
-// concurrent engine (internal/engine) fed from a packet source, with
+// Command vidsd runs vids as an online detection daemon: the
+// multi-lane ingestion tier (internal/ingress) in front of the sharded
+// detection workers (internal/engine), fed from a packet source, with
 // alerts streamed to stdout as they fire and pipeline statistics
 // reported periodically on stderr.
 //
@@ -8,19 +9,19 @@
 //   - trace: replay a captured trace file (cmd/simnet -trace or
 //     cmd/vids -report companions) at a configurable pace. -pace 1
 //     reproduces the capture timeline in real time, -pace 0 pushes as
-//     fast as the engine accepts — the offline-analysis mode.
+//     fast as the pipeline accepts — the offline-analysis mode.
 //   - udp: bind real UDP sockets for SIP and media (RTCP is
 //     demultiplexed off the media socket per RFC 5761) and analyze
-//     whatever arrives, live.
+//     whatever arrives, live. -listeners binds several SO_REUSEPORT
+//     socket pairs feeding the lanes concurrently.
 //
-// With -lanes N (N > 0) packets enter through the multi-lane
-// ingestion tier (internal/ingress): parsing moves onto the shard
-// workers, flood windows onto the lanes, and with -source udp the
-// -listeners flag binds several SO_REUSEPORT socket pairs feeding the
-// lanes concurrently. -lanes 0 keeps the classic serial router path.
-// The lane tier consults the per-flow RTP validation cache and absorbs
-// in-profile media before shard enqueue; -fastpath=false disables the
-// cache so every packet takes the slow path.
+// Every packet enters through the lanes: each SIP datagram is scanned
+// once there, the cross-call flood windows live there, and the lanes
+// hand packets to the shard that owns their call. -lanes sets the
+// stripe count (0, the default, is one lane per shard; 1 serializes
+// ingestion). The lanes consult the per-flow RTP validation cache and
+// absorb in-profile media before shard enqueue; -fastpath=false
+// disables the cache so every packet takes the slow path.
 //
 // Usage:
 //
@@ -65,10 +66,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		shards    = fs.Int("shards", 0, "detection shard workers (0 = GOMAXPROCS)")
 		queue     = fs.Int("queue", 0, "per-shard queue depth (0 = 1024)")
 		policy    = fs.String("policy", "block", "full-queue policy: block (lossless), drop (drop-oldest) or shed (media before signaling)")
-		lanes     = fs.Int("lanes", 0, "ingestion lanes; 0 = classic serial router path")
-		listeners = fs.Int("listeners", 1, "UDP socket pairs, SO_REUSEPORT permitting (source=udp, lanes>0)")
+		lanes     = fs.Int("lanes", 0, "ingestion lanes, rounded down to a divisor of the shard count (0 = one per shard)")
+		listeners = fs.Int("listeners", 1, "UDP socket pairs, SO_REUSEPORT permitting (source=udp)")
 		srtp      = fs.Bool("srtp", false, "SRTP-degraded mode: inspect only cleartext RTP headers, skip media payloads and RTCP")
-		fastpath  = fs.Bool("fastpath", true, "per-flow RTP validation cache in front of the shards (consulted by the lane tier); false = every packet takes the slow path")
+		fastpath  = fs.Bool("fastpath", true, "per-flow RTP validation cache the lanes consult before shard enqueue; false = every packet takes the slow path")
 		compiled  = fs.Bool("compiled", true, "run the specgen-compiled EFSM backend (false = interpreted reference walker)")
 		source    = fs.String("source", "trace", "packet source: trace or udp")
 		tracePath = fs.String("trace", "", "trace file to replay (source=trace)")
@@ -110,50 +111,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-lanes must be >= 0")
 	}
 
-	// The tier in front of the engine: with -lanes 0 the engine's own
-	// serial router ingests; otherwise the multi-lane tier does, and
-	// stats/alerts/drain all go through it.
-	var (
-		sink   engine.Sink
-		stats  func() engine.Stats
-		alerts func() []ids.Alert
-		drain  func() error
-		ing    *ingress.Ingress
-	)
-	if *lanes > 0 {
-		ing = ingress.New(ingress.Config{Lanes: *lanes, Engine: cfg})
-		sink, stats, alerts, drain = ing, ing.Stats, ing.Alerts, ing.Close
-		fmt.Fprintf(stderr, "vidsd: %d lane(s) -> %d shard(s), queue %s, source %s\n",
-			ing.Lanes(), ing.Engine().Shards(), cfg.Policy, *source)
-	} else {
-		e := engine.New(cfg)
-		sink, stats, alerts, drain = e, e.Stats, e.Alerts, e.Close
-		fmt.Fprintf(stderr, "vidsd: %d shard(s), queue %s, source %s\n",
-			e.Shards(), cfg.Policy, *source)
-	}
-
-	var runSrc func(context.Context) error
+	var runSrc func(context.Context, *ingress.Ingress) error
 	switch *source {
 	case "trace":
 		if *tracePath == "" {
 			return fmt.Errorf("source=trace needs -trace FILE")
 		}
-		src := &engine.TraceSource{Path: *tracePath, Pace: *pace}
-		runSrc = func(ctx context.Context) error { return src.Run(ctx, sink) }
+		runSrc = (&ingress.TraceSource{Path: *tracePath, Pace: *pace}).Run
 	case "udp":
-		if ing != nil {
-			ul := &ingress.UDPListeners{
-				SIPAddr: *sipAddr, RTPAddr: *rtpAddr,
-				AdvertiseHost: *advertise, Listeners: *listeners,
-			}
-			runSrc = func(ctx context.Context) error { return ul.Run(ctx, ing) }
-		} else {
-			src := &engine.UDPSource{SIPAddr: *sipAddr, RTPAddr: *rtpAddr, AdvertiseHost: *advertise}
-			runSrc = func(ctx context.Context) error { return src.Run(ctx, sink) }
-		}
+		runSrc = (&ingress.UDPListeners{
+			SIPAddr: *sipAddr, RTPAddr: *rtpAddr,
+			AdvertiseHost: *advertise, Listeners: *listeners,
+		}).Run
 	default:
 		return fmt.Errorf("unknown -source %q (want trace or udp)", *source)
 	}
+
+	ing := ingress.New(ingress.Config{Lanes: *lanes, Engine: cfg})
+	fmt.Fprintf(stderr, "vidsd: %d lane(s) -> %d shard(s), queue %s, source %s\n",
+		ing.Lanes(), ing.Engine().Shards(), cfg.Policy, *source)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -169,7 +145,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			for {
 				select {
 				case <-t.C:
-					printStats(stderr, stats())
+					printStats(stderr, ing.Stats())
 				case <-ctx.Done():
 					return
 				}
@@ -179,7 +155,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		close(statsDone)
 	}
 
-	srcErr := runSrc(ctx)
+	srcErr := runSrc(ctx, ing)
 	switch {
 	case errors.Is(srcErr, context.Canceled):
 		fmt.Fprintln(stderr, "vidsd: interrupted, draining")
@@ -189,16 +165,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	stop()
 	<-statsDone
-	closeErr := drain()
+	closeErr := ing.Close()
 
 	// The final counters and the report flush no matter how the run
 	// ended — source EOF, signal, or a drain failure. An operator
 	// diagnosing a failed run needs the numbers and the alert log most
 	// of all, and a clean EOF exit must leave the same artifacts a
 	// signal-triggered drain does.
-	finalStats := stats()
+	finalStats := ing.Stats()
 	printStats(stderr, finalStats)
-	alertLog := alerts()
+	alertLog := ing.Alerts()
 	fmt.Fprintf(stderr, "vidsd: done: %d alert(s)\n", len(alertLog))
 	var reportErr error
 	if *report != "" {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -52,6 +53,10 @@ func TestTraceRunToCompletion(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "vidsd: done:") {
 		t.Errorf("no final summary on stderr:\n%s", stderr.String())
+	}
+	// No -lanes flag (0): one lane per shard.
+	if !strings.Contains(stderr.String(), "vidsd: 3 lane(s) -> 3 shard(s)") {
+		t.Errorf("default lane count is not one per shard:\n%s", stderr.String())
 	}
 	data, err := os.ReadFile(report)
 	if err != nil {
@@ -112,9 +117,9 @@ func TestEOFDrainFlushesStatsAndReport(t *testing.T) {
 	}
 }
 
-// TestLanesRunToCompletion drives the multi-lane ingestion tier end to
-// end from the daemon: same trace, -lanes 2, shed policy and the
-// widened report. The attack trace must still be fully detected.
+// TestLanesRunToCompletion drives an explicit lane count end to end
+// from the daemon: same trace, -lanes 2, shed policy and the widened
+// report. The attack trace must still be fully detected.
 func TestLanesRunToCompletion(t *testing.T) {
 	path := writeSynthTrace(t, engine.SynthConfig{Calls: 10, RTPPerCall: 5, Attacks: true})
 	report := filepath.Join(t.TempDir(), "alerts.json")
@@ -154,74 +159,62 @@ func TestLanesRunToCompletion(t *testing.T) {
 }
 
 // TestFastpathCountersSurfaced pins the operator-visible fast-path
-// accounting: on a benign media-heavy trace through the lane tier the
-// cache must absorb packets, the stderr stats line must carry the
-// fp-* counters, and the JSON report must record them. The same trace
-// with -fastpath=false must absorb nothing — and detect identically.
+// accounting: on a benign media-heavy trace the cache must absorb
+// packets — with the default lane count as much as with an explicit
+// -lanes 1 — the stderr stats line must carry the fp-* counters, and
+// the JSON report must record them. The same trace with -fastpath=false
+// must absorb nothing — and detect identically.
 func TestFastpathCountersSurfaced(t *testing.T) {
 	path := writeSynthTrace(t, engine.SynthConfig{Calls: 4, RTPPerCall: 40})
-	report := filepath.Join(t.TempDir(), "alerts.json")
 
-	var stdout, stderr bytes.Buffer
+	type reportDoc struct {
+		Alerts []ids.Alert  `json:"alerts"`
+		Stats  engine.Stats `json:"stats"`
+	}
 	// A small queue keeps ingestion within a few packets of the shard
 	// worker, so flows reach the armable state (no queued escalations)
 	// instead of the whole trace being enqueued before any arm lands.
-	err := run([]string{
-		"-source", "trace", "-trace", path, "-pace", "0",
-		"-shards", "1", "-lanes", "1", "-queue", "4",
-		"-stats", "0", "-report", report,
-	}, &stdout, &stderr)
-	if err != nil {
-		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "fp-hits=") {
-		t.Errorf("stats line missing fast-path counters:\n%s", stderr.String())
-	}
-	data, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Alerts []ids.Alert  `json:"alerts"`
-		Stats  engine.Stats `json:"stats"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("report: %v\n%s", err, data)
-	}
-	if doc.Stats.FastpathHits == 0 {
-		t.Errorf("benign media-heavy trace absorbed nothing: %+v", doc.Stats)
-	}
-	if got := doc.Stats.FastpathHits + doc.Stats.FastpathMisses + doc.Stats.FastpathEscalations; got == 0 {
-		t.Errorf("fast-path counters all zero in report:\n%s", data)
+	runReport := func(extra ...string) (reportDoc, string) {
+		t.Helper()
+		report := filepath.Join(t.TempDir(), "alerts.json")
+		var stdout, stderr bytes.Buffer
+		args := append([]string{
+			"-source", "trace", "-trace", path, "-pace", "0",
+			"-shards", "1", "-queue", "4", "-stats", "0", "-report", report,
+		}, extra...)
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Fatalf("run %v: %v\nstderr: %s", extra, err, stderr.String())
+		}
+		data, err := os.ReadFile(report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc reportDoc
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatalf("report: %v\n%s", err, data)
+		}
+		return doc, stderr.String()
 	}
 
-	stdout.Reset()
-	stderr.Reset()
-	offReport := filepath.Join(t.TempDir(), "alerts-off.json")
-	err = run([]string{
-		"-source", "trace", "-trace", path, "-pace", "0",
-		"-shards", "1", "-lanes", "1", "-queue", "4", "-stats", "0",
-		"-fastpath=false", "-report", offReport,
-	}, &stdout, &stderr)
-	if err != nil {
-		t.Fatalf("run -fastpath=false: %v\nstderr: %s", err, stderr.String())
+	off, _ := runReport("-fastpath=false")
+	if off.Stats.FastpathHits != 0 || off.Stats.FastpathMisses != 0 {
+		t.Errorf("-fastpath=false still consulted the cache: %+v", off.Stats)
 	}
-	offData, err := os.ReadFile(offReport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var offDoc struct {
-		Alerts []ids.Alert  `json:"alerts"`
-		Stats  engine.Stats `json:"stats"`
-	}
-	if err := json.Unmarshal(offData, &offDoc); err != nil {
-		t.Fatalf("report: %v\n%s", err, offData)
-	}
-	if offDoc.Stats.FastpathHits != 0 || offDoc.Stats.FastpathMisses != 0 {
-		t.Errorf("-fastpath=false still consulted the cache: %+v", offDoc.Stats)
-	}
-	if len(doc.Alerts) != len(offDoc.Alerts) {
-		t.Errorf("alert count diverges across -fastpath: on=%d off=%d", len(doc.Alerts), len(offDoc.Alerts))
+
+	for _, extra := range [][]string{
+		nil, // default flags: the daemon an operator actually starts
+		{"-lanes", "1"},
+	} {
+		doc, stderr := runReport(extra...)
+		if !strings.Contains(stderr, "fp-hits=") {
+			t.Errorf("%v: stats line missing fast-path counters:\n%s", extra, stderr)
+		}
+		if doc.Stats.FastpathHits == 0 {
+			t.Errorf("%v: benign media-heavy trace absorbed nothing: %+v", extra, doc.Stats)
+		}
+		if !reflect.DeepEqual(doc.Alerts, off.Alerts) {
+			t.Errorf("%v: alerts diverge across -fastpath:\n on: %v\noff: %v", extra, doc.Alerts, off.Alerts)
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package bufpool provides a fixed-size datagram-buffer free list for
-// the live ingestion paths (engine.UDPSource, ingress.UDPListeners).
+// the live ingestion path (ingress.UDPListeners).
 //
 // A UDP reader needs a maximum-datagram-sized buffer per read, and the
 // engine keeps the payload referenced until the owning shard has

@@ -1,25 +1,29 @@
-// Package engine runs vids online: a sharded, concurrent detection
-// pipeline wrapping the per-call machinery of internal/ids.
+// Package engine is the shard tier of the online vids pipeline: N
+// concurrent detection workers wrapping the per-call machinery of
+// internal/ids, fed by the ingestion lanes of internal/ingress.
 //
 // The paper argues vids scales because per-call EFSM pairs are
 // independent (Section 7.3): one call's SIP machine, its two RTP
 // machines and the δ channels between them never touch another call's
 // state. The engine exploits exactly that independence. It owns N
 // shard workers, each with its own ids.IDS fact base on its own
-// virtual clock, and routes every packet to the shard that owns its
-// call: SIP by FNV hash of the Call-ID, RTP and RTCP through a media
-// key → Call-ID index maintained from the SDP offers the router sees
-// crossing it. Both machines of a call and their δ channels therefore
-// always live on one shard, and the hot path takes no cross-shard
-// locks.
+// virtual clock behind a bounded ring with a backpressure policy
+// (Block, DropOldest, Shed). The tier in front decides which shard
+// owns a packet — SIP by FNV hash of the Call-ID (ShardIndexFor*),
+// media through its own media key → Call-ID index — and hands it over
+// with EnqueueSIP, EnqueueMedia or EnqueueRaw. Both machines of a call
+// and their δ channels therefore always live on one shard, and a
+// worker analyzes its packets without taking any cross-shard lock.
 //
-// The only detectors that cannot be shard-local are the cross-call
-// windowed ones — the per-destination INVITE flood (Figure 4) and the
-// DRDoS response-reflection counter — because a flood deliberately
-// spreads over many Call-IDs and would scatter across shards. The
-// router runs one shared ids.FloodWatch at its single serialized
-// ingestion point and configures every shard with ExternalFloods so
-// the shard-local copies stay silent.
+// The engine holds no routing state and no cross-call detector. The
+// per-destination INVITE flood (Figure 4) and the DRDoS
+// response-reflection counter deliberately spread over many Call-IDs,
+// so they run on the ingestion lanes, and every shard is configured
+// with ExternalFloods so its local copies stay silent. What the engine
+// keeps beside the workers is the shared alert-and-census plane: the
+// lanes report their alerts through RecordAlert and their dispositions
+// through the Note* counters, so Alerts and Stats cover the whole
+// pipeline. Engine.mu guards only the log of lane-raised alerts.
 package engine
 
 import (
@@ -32,8 +36,6 @@ import (
 
 	"vids/internal/fastpath"
 	"vids/internal/ids"
-	"vids/internal/intern"
-	"vids/internal/sdp"
 	"vids/internal/sim"
 	"vids/internal/sipmsg"
 )
@@ -43,8 +45,8 @@ import (
 type Policy int
 
 const (
-	// Block makes Ingest wait for queue space: lossless, the right
-	// policy for trace replay where input pacing is elastic.
+	// Block makes the producer wait for queue space: lossless, the
+	// right policy for trace replay where input pacing is elastic.
 	Block Policy = iota
 	// DropOldest evicts the oldest queued packet to admit the newest,
 	// counting the eviction in the shard's drop counter: the right
@@ -84,11 +86,11 @@ type Config struct {
 	// QueueDepth bounds each shard's pending-packet queue. Zero or
 	// negative means 1024.
 	QueueDepth int
-	// Policy selects what Ingest does when a shard queue is full.
+	// Policy selects what Enqueue* does when a shard queue is full.
 	Policy Policy
 	// IDS configures each shard's detector instance. The zero value
 	// means ids.DefaultConfig(). ExternalFloods is forced on: the
-	// engine always runs the one shared FloodWatch itself.
+	// cross-call flood windows run on the ingestion lanes.
 	IDS ids.Config
 	// DisableFastpath turns off the per-flow RTP validation cache the
 	// ingress tier consults before shard enqueue (the -fastpath=false
@@ -96,32 +98,26 @@ type Config struct {
 	DisableFastpath bool
 	// OnAlert, when set, observes every alert as it is raised. The
 	// engine serializes the calls (alerts originate on shard workers
-	// and inside Ingest, but never overlap), so an unsynchronized
+	// and on ingestion lanes, but never overlap), so an unsynchronized
 	// writer is fine. The callback must not call back into the
-	// engine's Ingest or Close.
+	// pipeline's Ingest or Close.
 	OnAlert func(ids.Alert)
-	// OnRetire, when set, observes every ingested packet exactly once
+	// OnRetire, when set, observes every enqueued packet exactly once
 	// after the engine is finished with it — analyzed by a shard,
-	// absorbed at the router, evicted under DropOldest/Shed, counted
-	// as a parse error, or ignored as non-VoIP. Live sources use it to
-	// return receive buffers to a bufpool free list. It may run on any
-	// goroutine, is never invoked under an engine lock, and must not
-	// call back into Ingest or Close.
+	// counted there as a parse error, or evicted under DropOldest/Shed.
+	// (The ingress tier chains the same hook for the packets it disposes
+	// of itself.) Live sources use it to return receive buffers to a
+	// bufpool free list. It may run on any goroutine, is never invoked
+	// under an engine lock, and must not call back into Ingest or Close.
 	OnRetire func(*sim.Packet)
 }
 
-// ErrClosed is returned by Ingest after Close has begun.
+// ErrClosed is returned by Enqueue* after Close has begun.
 var ErrClosed = errors.New("engine: closed")
 
-// internTableCap bounds the router's string-intern table, sized like
-// the shard-side one: enough for the media keys and flood destinations
-// of a large live population without growing without bound.
-const internTableCap = 4096
-
 // item is one unit of shard work: a packet, its capture timestamp,
-// and — for SIP — what the tier in front already learned to route it:
-// the router's parse, or the ingress lane's scan (by value: a View is
-// a handful of offsets into the packet's own buffer). Media escalated
+// and — for SIP the ingress lane scanned — that scan (by value: a View
+// is a handful of offsets into the packet's own buffer). Media escalated
 // by the fast-path cache additionally carries its flow's in-flight
 // reference, the epoch its arm offer must match, and — for the first
 // packet after a stretch of absorption — the resync snapshot the
@@ -129,7 +125,6 @@ const internTableCap = 4096
 type item struct {
 	pkt *sim.Packet
 	at  time.Duration
-	sip *sipmsg.Message
 
 	view    sipmsg.View
 	hasView bool
@@ -143,7 +138,7 @@ type item struct {
 // shard is one detection worker: a bounded ring of pending items
 // feeding a single-goroutine ids.IDS on its own virtual clock.
 //
-// The router→worker handoff is batched: producers append single items
+// The lane→worker handoff is batched: producers append single items
 // to the ring under the shard mutex, but the worker detaches the
 // whole backlog in one critical section and analyzes it outside the
 // lock, so a busy shard pays one synchronization round-trip per batch
@@ -187,8 +182,8 @@ type shard struct {
 	alerts     atomic.Uint64
 }
 
-// Engine is the online detection pipeline. Create instances with New;
-// the zero value is not usable.
+// Engine is the shard tier of the online detection pipeline. Create
+// instances with New; the zero value is not usable.
 type Engine struct {
 	cfg    Config
 	shards []*shard
@@ -197,36 +192,23 @@ type Engine struct {
 	// before shard enqueue; nil when Config.DisableFastpath is set.
 	fp *fastpath.Cache
 
-	// Router state. The router is the single point that sees the whole
-	// packet stream, so the cross-call detectors and the routing
-	// indexes live here, under one mutex. Shard work happens outside
-	// it.
-	mu         sync.Mutex
-	clock      *sim.Simulator           // drives FloodWatch windows and index GC
-	fw         *ids.FloodWatch          // shared cross-call detectors
-	fwAlerts   []ids.Alert              // alerts the router itself raised
-	media      map[string]string        // media key -> owning Call-ID
-	calls      map[string]time.Duration // Call-ID -> last activity (stray-response test + GC)
-	gone       map[string]time.Duration // Call-ID -> when the sweep forgot it (router tombstones)
-	keyBuf     []byte                   // reusable media-key scratch, guarded by mu
-	strings    *intern.Table            // media keys / flood dests, guarded by mu
-	retain     time.Duration            // how long idle routing entries survive
-	sweepArmed bool
+	// mu guards fwAlerts, the log of alerts the ingestion lanes raised
+	// (RecordAlert); shard alerts live in each worker's own fact base.
+	mu       sync.Mutex
+	fwAlerts []ids.Alert
 
 	ingested    atomic.Uint64
 	parseErrors atomic.Uint64
-	absorbed    atomic.Uint64 // stray responses consumed by the router
+	absorbed    atomic.Uint64 // stray responses consumed at the ingress tier
 	ignored     atomic.Uint64 // non-VoIP packets
 	alertCount  atomic.Uint64
 
 	closed   atomic.Bool
-	ingestWG sync.WaitGroup // in-flight Ingest calls, so Close never races a queue send
+	ingestWG sync.WaitGroup // in-flight Enqueue* calls, so Close never races a queue send
 	start    time.Time
 
 	// cbMu serializes cfg.OnAlert delivery across shard workers and
-	// the router. Always acquired after e.mu, never before it.
-	//
-	//vids:lockorder Engine.mu -> Engine.cbMu
+	// the ingestion lanes. Never held together with mu.
 	cbMu sync.Mutex
 }
 
@@ -245,22 +227,9 @@ func New(cfg Config) *Engine {
 	cfg.IDS.ExternalFloods = true
 
 	e := &Engine{
-		cfg:     cfg,
-		clock:   sim.New(0),
-		media:   make(map[string]string),
-		calls:   make(map[string]time.Duration),
-		gone:    make(map[string]time.Duration),
-		strings: intern.New(internTableCap),
-		retain:  cfg.IDS.IdleEviction + cfg.IDS.CloseLinger,
-		start:   time.Now(), //vidslint:allow wallclock — uptime display only
+		cfg:   cfg,
+		start: time.Now(), //vidslint:allow wallclock — uptime display only
 	}
-	e.fw = ids.NewFloodWatch(e.clock, cfg.IDS, func(a ids.Alert) {
-		// Runs under e.mu: FeedInvite/FeedStrayResponse and the router
-		// clock's timers only execute inside Ingest or Close.
-		e.fwAlerts = append(e.fwAlerts, a)
-		e.alertCount.Add(1)
-		e.deliver(a)
-	})
 	if !cfg.DisableFastpath {
 		e.fp = fastpath.New(fastpath.Config{
 			SeqGap:      cfg.IDS.RTP.SeqGap,
@@ -269,7 +238,7 @@ func New(cfg Config) *Engine {
 			RatePackets: cfg.IDS.RTP.RatePackets,
 			// One Touch per quarter of the routing-entry lifetime keeps
 			// the ingress sweeps fed without per-packet bookkeeping.
-			RefreshEvery: e.retain / 4,
+			RefreshEvery: (cfg.IDS.IdleEviction + cfg.IDS.CloseLinger) / 4,
 		})
 	}
 	e.shards = make([]*shard, cfg.Shards)
@@ -315,8 +284,8 @@ func New(cfg Config) *Engine {
 func (e *Engine) Fastpath() *fastpath.Cache { return e.fp }
 
 // deliver hands an alert to the user's OnAlert callback, serializing
-// across the shard workers and the router so the callback never runs
-// concurrently with itself.
+// across the shard workers and the ingestion lanes so the callback
+// never runs concurrently with itself.
 func (e *Engine) deliver(a ids.Alert) {
 	if e.cfg.OnAlert == nil {
 		return
@@ -363,10 +332,6 @@ func (sh *shard) run() {
 				// Ingress path: the lane scanned the datagram once and
 				// the detector reads that scan; nothing is parsed here.
 				sh.ids.ProcessSIPView(&it.view, it.pkt)
-				sh.processed.Add(1)
-			case it.sip != nil:
-				// Router path: the serial router already parsed to route.
-				sh.ids.ProcessSIP(it.sip, it.pkt)
 				sh.processed.Add(1)
 			case it.pkt.Proto == sim.ProtoSIP:
 				// A datagram the lane's scanner would not commit to (it
@@ -519,7 +484,7 @@ func isMedia(pkt *sim.Packet) bool {
 }
 
 // shut marks the shard closing and wakes the worker so it drains the
-// backlog and exits. Close has already waited out in-flight Ingest
+// backlog and exits. Close has already waited out in-flight Enqueue*
 // calls, so no producer can be blocked in enqueue at this point.
 func (sh *shard) shut() {
 	sh.mu.Lock()
@@ -558,13 +523,9 @@ func fnv32aBytes(b []byte) uint32 {
 	return h
 }
 
-func (e *Engine) shardFor(key string) *shard {
-	return e.shards[int(fnv32a(key)%uint32(len(e.shards)))]
-}
-
-// ShardIndexFor exposes the Call-ID → shard mapping to the ingress
-// tier, which routes on its own scan of the datagram and must land a
-// call's packets on the same worker the router path would pick.
+// ShardIndexFor is the Call-ID → shard mapping. The ingress tier routes
+// on its own scan of the datagram and uses it to land every packet of a
+// call on the one worker that owns the call's machines.
 func (e *Engine) ShardIndexFor(callID string) int {
 	return int(fnv32a(callID) % uint32(len(e.shards)))
 }
@@ -575,13 +536,14 @@ func (e *Engine) ShardIndexForBytes(key []byte) int {
 	return int(fnv32aBytes(key) % uint32(len(e.shards)))
 }
 
-// EnqueueRaw hands a packet straight to shard idx, bypassing the
-// serial router: the ingress tier has already made the routing
-// decision and fed the cross-call detectors on its lanes. A raw SIP
-// payload handed over this way is parsed in full on the shard worker;
-// the lanes use it only for the datagrams their scanner bails on (see
-// EnqueueSIP for the rest). Callers own per-call packet ordering, as
-// with Ingest.
+// EnqueueRaw hands a packet to shard idx: the ingress tier has already
+// made the routing decision and fed the cross-call detectors on its
+// lanes. A raw SIP payload handed over this way is parsed in full on
+// the shard worker; the lanes use it only for the datagrams their
+// scanner bails on (see EnqueueSIP for the rest). at is the packet's
+// capture timestamp on the trace clock; callers own per-call packet
+// ordering. Safe for concurrent use; returns ErrClosed once Close has
+// begun, in which case the caller keeps the packet.
 func (e *Engine) EnqueueRaw(idx int, pkt *sim.Packet, at time.Duration) error {
 	return e.enqueue(idx, item{pkt: pkt, at: at})
 }
@@ -594,21 +556,6 @@ func (e *Engine) EnqueueSIP(idx int, pkt *sim.Packet, at time.Duration, v *sipms
 	return e.enqueue(idx, item{pkt: pkt, at: at, view: *v, hasView: true})
 }
 
-func (e *Engine) enqueue(idx int, it item) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	e.ingestWG.Add(1)
-	defer e.ingestWG.Done()
-	// Same double-check as Ingest: Close sets closed before waiting on
-	// the group, so passing this check means the queues are still open.
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	e.shards[idx].enqueue(it, e.cfg.Policy)
-	return nil
-}
-
 // EnqueueMedia is EnqueueRaw for an RTP packet the fast-path cache
 // declined to absorb: the flow's in-flight reference rides to the
 // worker (which Releases it after analysis), epoch gates the arm offer
@@ -616,22 +563,33 @@ func (e *Engine) enqueue(idx int, it item) error {
 // machine before this packet is delivered. On ErrClosed the flow is
 // released here, since no worker will see the item.
 func (e *Engine) EnqueueMedia(idx int, pkt *sim.Packet, at time.Duration, f *fastpath.Flow, epoch uint64, snap fastpath.Snapshot, hasSnap bool) error {
+	return e.enqueue(idx, item{pkt: pkt, at: at, fpFlow: f, fpEpoch: epoch, fpSnap: snap, fpHasSnap: hasSnap})
+}
+
+// enqueue admits one item to shard idx unless the engine is closing.
+// Close sets closed before waiting on the group, so passing the second
+// check means the queues stay open for the whole call.
+func (e *Engine) enqueue(idx int, it item) error {
 	if e.closed.Load() {
-		if f != nil {
-			f.Release()
-		}
-		return ErrClosed
+		return refuse(&it)
 	}
 	e.ingestWG.Add(1)
 	defer e.ingestWG.Done()
 	if e.closed.Load() {
-		if f != nil {
-			f.Release()
-		}
-		return ErrClosed
+		return refuse(&it)
 	}
-	e.shards[idx].enqueue(item{pkt: pkt, at: at, fpFlow: f, fpEpoch: epoch, fpSnap: snap, fpHasSnap: hasSnap}, e.cfg.Policy)
+	e.shards[idx].enqueue(it, e.cfg.Policy)
 	return nil
+}
+
+// refuse turns away an item no worker will see, dropping the in-flight
+// flow reference it carries: every reference the cache hands out is
+// released exactly once — by the worker, by an eviction, or here.
+func refuse(it *item) error {
+	if it.fpFlow != nil {
+		it.fpFlow.Release()
+	}
+	return ErrClosed
 }
 
 // NoteFastpathHit accounts one packet the cache absorbed on shard
@@ -645,9 +603,9 @@ func (e *Engine) NoteFastpathHit(idx int) {
 	e.shards[idx].fpHits.Add(1)
 }
 
-// RecordAlert merges an alert raised outside the engine — an ingress
-// lane's FloodWatch — into the router's alert log, the alert counter,
-// and the serialized OnAlert stream.
+// RecordAlert merges an alert raised on an ingestion lane (its
+// FloodWatch) into the pipeline's alert log, the alert counter, and
+// the serialized OnAlert stream.
 func (e *Engine) RecordAlert(a ids.Alert) {
 	e.mu.Lock()
 	e.fwAlerts = append(e.fwAlerts, a)
@@ -659,7 +617,7 @@ func (e *Engine) RecordAlert(a ids.Alert) {
 // NoteIngested, NoteParseError, NoteAbsorbed and NoteIgnored let the
 // ingress tier account for packets it accepts or disposes of before
 // they reach a shard, so Stats stays a complete census of the
-// pipeline no matter which tier fed it.
+// pipeline.
 func (e *Engine) NoteIngested() { e.ingested.Add(1) }
 
 // NoteParseError counts a datagram the ingress tier found malformed
@@ -672,226 +630,24 @@ func (e *Engine) NoteAbsorbed() { e.absorbed.Add(1) }
 // NoteIgnored counts a non-VoIP packet dropped at the ingress tier.
 func (e *Engine) NoteIgnored() { e.ignored.Add(1) }
 
-// Ingest routes one captured packet into the pipeline. at is the
-// packet's capture timestamp on the trace clock; callers must deliver
-// packets in capture order. Ingest is safe for concurrent use and
-// returns ErrClosed once Close has begun. Parse failures are counted,
-// not returned: garbage on the wire is an observation, not an ingest
-// error.
-func (e *Engine) Ingest(pkt *sim.Packet, at time.Duration) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	e.ingestWG.Add(1)
-	defer e.ingestWG.Done()
-	// Re-check after joining the wait group: Close sets closed before
-	// waiting, so passing this check guarantees Close has not yet
-	// closed the shard queues.
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	e.ingested.Add(1)
-
-	switch pkt.Proto {
-	case sim.ProtoSIP:
-		e.ingestSIP(pkt, at)
-	case sim.ProtoRTP:
-		e.routeMedia(pkt.To.Host, pkt.To.Port, at).
-			enqueue(item{pkt: pkt, at: at}, e.cfg.Policy)
-	case sim.ProtoRTCP:
-		// RTCP rides the media port + 1 (RFC 3550 convention the
-		// shard-side handler assumes too).
-		e.routeMedia(pkt.To.Host, pkt.To.Port-1, at).
-			enqueue(item{pkt: pkt, at: at}, e.cfg.Policy)
-	default:
-		// Non-VoIP traffic is outside vids' scope.
-		e.ignored.Add(1)
-		e.retirePkt(pkt)
-	}
-	return nil
-}
-
-// retirePkt hands a packet the engine has finished with to the
-// OnRetire hook. Never called under a lock.
-func (e *Engine) retirePkt(pkt *sim.Packet) {
-	if e.cfg.OnRetire != nil {
-		e.cfg.OnRetire(pkt)
-	}
-}
-
-// ingestSIP parses, feeds the cross-call detectors, maintains the
-// routing indexes, and forwards to the owning shard — or absorbs the
-// packet here when it is a stray response the shared FloodWatch owns.
-func (e *Engine) ingestSIP(pkt *sim.Packet, at time.Duration) {
-	raw, ok := pkt.Payload.([]byte)
-	if !ok {
-		e.parseErrors.Add(1)
-		e.retirePkt(pkt)
-		return
-	}
-	m, err := sipmsg.Parse(raw)
-	if err != nil {
-		e.parseErrors.Add(1)
-		e.retirePkt(pkt)
-		return
-	}
-
-	e.mu.Lock()
-	// Fire flood-window timers due before this packet, then feed.
-	_ = e.clock.RunUntil(at)
-	now := e.clock.Now()
-
-	if m.IsRequest() && m.Method == sipmsg.INVITE {
-		if m.To.Tag() == "" {
-			// Render user@host into the scratch and intern it, so a
-			// popular destination's window feeds stop materializing its
-			// AOR string on every INVITE.
-			e.keyBuf = append(e.keyBuf[:0], m.RequestURI.User...)
-			e.keyBuf = append(e.keyBuf, '@')
-			e.keyBuf = append(e.keyBuf, m.RequestURI.Host...)
-			e.fw.FeedInvite(e.strings.Bytes(e.keyBuf), pkt.From.Host, now)
-		}
-		// Any INVITE creates a call monitor on its shard; remember the
-		// Call-ID so later responses are recognized as answered, not
-		// stray.
-		e.noteCall(m.CallID, at)
-	}
-	_, known := e.calls[m.CallID]
-	if known {
-		e.calls[m.CallID] = at
-	}
-	if m.IsResponse() && !known {
-		// A response for a call this edge never initiated. The
-		// registrar's answer to a REGISTER is the echo of a request
-		// that already raised its own alert, and a response for a call
-		// the sweep only recently forgot is a straggler of a closed
-		// dialog (the sequential path swallows it on a tombstone);
-		// everything else counts toward the DRDoS reflection window.
-		// Either way the shards never see it — mirroring the sequential
-		// path, where such packets die in handleSIP without touching
-		// any machine.
-		_, evicted := e.gone[m.CallID]
-		if !evicted && m.CSeq.Method != sipmsg.REGISTER {
-			e.fw.FeedStrayResponse(raw, pkt.To.Host, pkt.From.Host, now)
-		}
-		e.absorbed.Add(1)
-		e.mu.Unlock()
-		// The alert detail (if any) was rendered inside the feed, so
-		// nothing references the payload anymore.
-		e.retirePkt(pkt)
-		return
-	}
-	// Mirror ids.indexMedia: the INVITE's SDP names where the callee's
-	// stream will land, the 2xx answer's SDP where the caller's will.
-	// One validating scan extracts the destination without building the
-	// session description, and the key is interned so re-INVITEs and
-	// recycled ports reuse the routing entry's string.
-	if (m.IsRequest() && m.Method == sipmsg.INVITE) ||
-		(m.IsResponse() && m.IsSuccess() && m.CSeq.Method == sipmsg.INVITE) {
-		if addr, port, _, ok := sdp.MediaDest(m.Body); ok {
-			host := e.strings.Bytes(addr)
-			e.keyBuf = ids.AppendMediaKey(e.keyBuf[:0], host, port)
-			e.media[e.strings.Bytes(e.keyBuf)] = m.CallID
-		}
-	}
-	e.mu.Unlock()
-
-	e.shardFor(m.CallID).enqueue(item{pkt: pkt, at: at, sip: m}, e.cfg.Policy)
-}
-
-// routeMedia resolves a media destination to the shard that owns it,
-// refreshing the owning call's activity stamp. Known streams route by
-// their Call-ID; a destination no SDP advertised is an unsolicited
-// stream, hashed by the media key itself so all its packets still meet
-// one shard's spam monitor. The key is rendered into a scratch buffer
-// under e.mu, so the per-packet path never allocates it.
-func (e *Engine) routeMedia(host string, port int, at time.Duration) *shard {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.keyBuf = ids.AppendMediaKey(e.keyBuf[:0], host, port)
-	callID, ok := e.media[string(e.keyBuf)]
-	if ok {
-		if _, live := e.calls[callID]; live {
-			e.calls[callID] = at
-		}
-		return e.shardFor(callID)
-	}
-	return e.shards[int(fnv32aBytes(e.keyBuf)%uint32(len(e.shards)))]
-}
-
-// noteCall records Call-ID activity and arms the index GC. Caller
-// holds e.mu.
-func (e *Engine) noteCall(id string, at time.Duration) {
-	e.calls[id] = at
-	delete(e.gone, id)
-	e.armSweep()
-}
-
-// armSweep schedules the routing-index sweep on the router clock,
-// mirroring the shard-side idle eviction: entries idle longer than the
-// shard would keep their call (IdleEviction + CloseLinger) are
-// dropped, so the index cannot grow without bound under call churn.
-// Caller holds e.mu.
-func (e *Engine) armSweep() {
-	if e.sweepArmed || e.retain <= 0 {
-		return
-	}
-	e.sweepArmed = true
-	e.clock.Schedule(e.retain/2, func() {
-		e.sweepArmed = false
-		now := e.clock.Now()
-		for id, last := range e.calls {
-			if now-last > e.retain {
-				delete(e.calls, id)
-				// Tombstone the forgotten Call-ID so straggler responses
-				// of the closed dialog are still absorbed silently, the
-				// way the shard's (and the sequential path's) tombstones
-				// swallow them, instead of feeding the reflection window.
-				e.gone[id] = now
-			}
-		}
-		for id, at := range e.gone {
-			if now-at > e.retain {
-				delete(e.gone, id)
-			}
-		}
-		for key, id := range e.media {
-			if _, live := e.calls[id]; !live {
-				delete(e.media, key)
-			}
-		}
-		if len(e.calls)+len(e.gone) > 0 {
-			e.armSweep()
-		}
-	})
-}
-
-// Close drains the pipeline: it waits for in-flight Ingest calls,
-// marks every shard closing, waits for the workers to finish the
-// backlog and run their remaining timers, and finally drains the
-// router clock so open flood windows expire. Close is idempotent;
-// after the first call Ingest returns ErrClosed.
+// Close drains the tier: it waits for in-flight Enqueue* calls, marks
+// every shard closing, and waits for the workers to finish the backlog
+// and run their remaining timers. Close is idempotent; after the first
+// call Enqueue* returns ErrClosed.
 func (e *Engine) Close() error {
-	if !e.closed.CompareAndSwap(false, true) {
+	if e.closed.CompareAndSwap(false, true) {
+		e.ingestWG.Wait()
 		for _, sh := range e.shards {
-			<-sh.done
+			sh.shut()
 		}
-		return nil
-	}
-	e.ingestWG.Wait()
-	for _, sh := range e.shards {
-		sh.shut()
 	}
 	for _, sh := range e.shards {
 		<-sh.done
 	}
-	e.mu.Lock()
-	err := e.clock.RunAll()
-	e.mu.Unlock()
-	return err
+	return nil
 }
 
-// Alerts merges every shard's alert log with the router's own into
+// Alerts merges every shard's alert log with the lane-raised alerts into
 // one stream ordered by virtual time (ties broken on the alert fields
 // so the order is deterministic). Call it after Close; while shards
 // are still running it would race their fact bases.
@@ -950,16 +706,16 @@ type ShardStats struct {
 // Stats is a point-in-time snapshot of the pipeline.
 type Stats struct {
 	Shards       []ShardStats
-	Ingested     uint64 // packets accepted by Ingest/EnqueueRaw (or noted by ingress)
+	Ingested     uint64 // packets the ingress tier accepted, fast-path hits included
 	Processed    uint64 // sum of shard Processed
 	Dropped      uint64 // sum of shard Dropped
 	DroppedMedia uint64 // Shed evictions that hit media, summed
 	// DroppedSignaling is the shed count the operator watches: while
 	// it stays zero, overload has cost only media-plane sensitivity.
 	DroppedSignaling uint64
-	Alerts           uint64 // shard alerts + router/lane (flood) alerts
-	ParseErrors      uint64 // SIP payloads that failed to parse (router, lane, or shard)
-	Absorbed         uint64 // stray responses consumed by the router or an ingress lane
+	Alerts           uint64 // shard alerts + lane (flood) alerts
+	ParseErrors      uint64 // SIP payloads that failed to parse (lane or shard)
+	Absorbed         uint64 // stray responses consumed by an ingress lane
 	Ignored          uint64 // non-VoIP packets
 
 	// Fast-path cache outcomes (all zero when the cache is disabled).
@@ -1026,11 +782,3 @@ func (e *Engine) Stats() Stats {
 
 // Shards reports the worker count.
 func (e *Engine) Shards() int { return len(e.shards) }
-
-// Tap adapts the engine to the simulator's passive-tap signature, so
-// an in-sim monitoring point can feed the online pipeline directly.
-func (e *Engine) Tap() func(pkt *sim.Packet, at time.Duration) {
-	return func(pkt *sim.Packet, at time.Duration) {
-		_ = e.Ingest(pkt, at)
-	}
-}

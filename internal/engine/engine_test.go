@@ -1,208 +1,160 @@
 package engine
 
 import (
-	"fmt"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"vids/internal/fastpath"
 	"vids/internal/ids"
 	"vids/internal/rtp"
+	"vids/internal/sdp"
 	"vids/internal/sim"
 	"vids/internal/sipmsg"
-	"vids/internal/trace"
 )
 
-// replaySequential runs a trace through the plain single-threaded IDS
-// — the ground truth the engine must reproduce.
-func replaySequential(t *testing.T, entries []trace.Entry, cfg ids.Config) []ids.Alert {
+// These tests drive the tier on its real surface, Enqueue*, the way an
+// ingestion lane does: pick the shard, enqueue, then NoteIngested. The
+// routing and parity properties that need a front end live in
+// routing_test.go and internal/ingress.
+
+// enqueueRaw is one lane-style hand-off to shard idx.
+func enqueueRaw(t *testing.T, e *Engine, idx int, pkt *sim.Packet, at time.Duration) {
 	t.Helper()
-	s := sim.New(0)
-	d := ids.New(s, cfg)
-	if err := trace.Replay(s, entries, d); err != nil {
+	if err := e.EnqueueRaw(idx, pkt, at); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	alerts := d.Alerts()
-	SortAlerts(alerts)
-	return alerts
+	e.NoteIngested()
 }
 
-func replayEngine(t *testing.T, entries []trace.Entry, cfg Config) ([]ids.Alert, Stats) {
+// parkWorker starts a one-shard engine and parks its worker: a REGISTER
+// always raises the shard-local rogue-register alert, and the worker
+// blocks inside OnAlert until release is called, so everything enqueued
+// meanwhile stays in the ring for the policy under test to act on.
+func parkWorker(t *testing.T, cfg Config) (e *Engine, release func()) {
 	t.Helper()
-	e := New(cfg)
-	for i, en := range entries {
-		if err := e.Ingest(en.Packet(), en.At()); err != nil {
-			t.Fatalf("ingest entry %d: %v", i, err)
-		}
+	blocked := make(chan struct{})
+	unblock := make(chan struct{})
+	var once sync.Once
+	cfg.Shards = 1
+	cfg.OnAlert = func(ids.Alert) {
+		once.Do(func() {
+			close(blocked)
+			<-unblock
+		})
 	}
+	e = New(cfg)
+
+	reg := sipmsg.NewRequest(sipmsg.REGISTER, sipmsg.URI{Host: "a.example.com"})
+	reg.Via = []sipmsg.Via{{Transport: "UDP", Host: "x.example.net", Port: 5060,
+		Params: map[string]string{"branch": "z9hG4bKpark"}}}
+	reg.From = sipmsg.NameAddr{URI: sipmsg.URI{User: "a", Host: "a.example.com"}}.WithTag("p1")
+	reg.To = sipmsg.NameAddr{URI: sipmsg.URI{User: "a", Host: "a.example.com"}}
+	reg.CallID = "park@example.net"
+	reg.CSeq = sipmsg.CSeq{Seq: 1, Method: sipmsg.REGISTER}
+	enqueueRaw(t, e, 0, &sim.Packet{
+		From:  sim.Addr{Host: "x.example.net", Port: 5060},
+		To:    sim.Addr{Host: "reg.a.example.com", Port: 5060},
+		Proto: sim.ProtoSIP, Payload: reg.Bytes(),
+	}, 0)
+	<-blocked
+	return e, func() { close(unblock) }
+}
+
+// senderReport is a media-plane packet that raises nothing.
+func senderReport(i int) *sim.Packet {
+	return &sim.Packet{
+		From:    sim.Addr{Host: "m.example.net", Port: 40001},
+		To:      sim.Addr{Host: "n.example.net", Port: 40001},
+		Proto:   sim.ProtoRTCP,
+		Payload: rtcpBytes(rtp.RTCPSenderReport, uint32(i)),
+	}
+}
+
+// TestDropOldestPolicy parks the single shard worker, floods the
+// depth-2 queue, and checks the eviction accounting.
+func TestDropOldestPolicy(t *testing.T) {
+	e, release := parkWorker(t, Config{QueueDepth: 2, Policy: DropOldest})
+
+	// 10 sender reports against a depth-2 queue must evict 8.
+	for i := 0; i < 10; i++ {
+		enqueueRaw(t, e, 0, senderReport(i), time.Duration(i+1)*time.Millisecond)
+	}
+	release()
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return e.Alerts(), e.Stats()
-}
-
-// TestEngineParityWithSequential is the core acceptance check: a trace
-// replayed through four shards yields the exact alert multiset of the
-// sequential ids path — same types, same virtual timestamps, same
-// details.
-func TestEngineParityWithSequential(t *testing.T) {
-	entries := Synthesize(SynthConfig{Calls: 40, RTPPerCall: 10, Attacks: true})
-	if len(entries) < 1000 {
-		t.Fatalf("suspiciously small trace: %d entries", len(entries))
+	st := e.Stats()
+	if st.Dropped != 8 {
+		t.Errorf("dropped %d, want 8", st.Dropped)
 	}
-	want := replaySequential(t, entries, ids.DefaultConfig())
-	if len(want) == 0 {
-		t.Fatal("sequential replay raised no alerts; trace is not exercising the detectors")
+	if st.Processed != 3 { // the REGISTER + the 2 surviving reports
+		t.Errorf("processed %d, want 3", st.Processed)
 	}
-
-	got, st := replayEngine(t, entries, Config{Shards: 4})
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("alert streams diverge: sequential %d alerts, engine %d", len(want), len(got))
-		max := len(want)
-		if len(got) > max {
-			max = len(got)
-		}
-		for i := 0; i < max && i < 40; i++ {
-			var w, g ids.Alert
-			if i < len(want) {
-				w = want[i]
-			}
-			if i < len(got) {
-				g = got[i]
-			}
-			if !reflect.DeepEqual(w, g) {
-				t.Errorf("  [%d]\n    seq: %+v\n    eng: %+v", i, w, g)
-			}
-		}
-	}
-	if st.Dropped != 0 {
-		t.Errorf("Block policy dropped %d packets", st.Dropped)
-	}
-	if st.Processed+st.Absorbed+st.Ignored+st.ParseErrors != uint64(len(entries)) {
-		t.Errorf("accounting mismatch: processed %d + absorbed %d + ignored %d + parse errors %d != %d entries",
-			st.Processed, st.Absorbed, st.Ignored, st.ParseErrors, len(entries))
-	}
-
-	// The trace must exercise every detector family for parity to mean
-	// anything.
-	byType := make(map[ids.AlertType]int)
-	for _, a := range got {
-		byType[a.Type]++
-	}
-	for _, typ := range []ids.AlertType{
-		ids.AlertInviteFlood, ids.AlertDRDoS, ids.AlertByeDoS, ids.AlertTollFraud,
-		ids.AlertRTCPBye, ids.AlertUnsolicitedRTP, ids.AlertMediaSpam,
-		ids.AlertRogueRegister, ids.AlertDeviation,
-	} {
-		if byType[typ] == 0 {
-			t.Errorf("trace raised no %s alert", typ)
-		}
+	if st.Processed+st.ParseErrors+st.Dropped != st.Ingested {
+		t.Errorf("accounting mismatch: %+v", st)
 	}
 }
 
-// TestEngineParityAcrossShardCounts: the alert stream must not depend
-// on the shard count at all.
-func TestEngineParityAcrossShardCounts(t *testing.T) {
-	entries := Synthesize(SynthConfig{Calls: 25, RTPPerCall: 6, Attacks: true})
-	base, _ := replayEngine(t, entries, Config{Shards: 1})
-	for _, shards := range []int{2, 3, 8} {
-		got, _ := replayEngine(t, entries, Config{Shards: shards})
-		if !reflect.DeepEqual(base, got) {
-			t.Errorf("shards=%d: %d alerts vs %d at shards=1", shards, len(got), len(base))
-		}
+// TestShedPolicyMediaFirst parks the single shard worker, fills the
+// depth-4 queue with media, and verifies the shedding tiers with exact
+// counters: arriving media is dropped on the floor once the ring is
+// full, arriving signaling evicts the oldest queued media, and only a
+// ring full of signaling sacrifices its own oldest entry. The retire
+// hook must see every enqueued packet exactly once, evicted or not.
+func TestShedPolicyMediaFirst(t *testing.T) {
+	var retired atomic.Uint64
+	e, release := parkWorker(t, Config{
+		QueueDepth: 4,
+		Policy:     Shed,
+		OnRetire:   func(*sim.Packet) { retired.Add(1) },
+	})
+
+	// Fill the ring with 4 media packets, then 2 more: the ring is full
+	// and the arrivals are media, so tier 1 drops them on the floor.
+	for i := 0; i < 6; i++ {
+		enqueueRaw(t, e, 0, senderReport(i), time.Duration(i+1)*time.Millisecond)
+	}
+	// 5 INVITEs against the full ring: the first 4 evict the 4 queued
+	// media packets (tier 1), the 5th finds all-signaling and evicts
+	// the oldest INVITE (tier 2).
+	for i := 0; i < 5; i++ {
+		d := newDialog(i, "shedsip")
+		enqueueRaw(t, e, 0, &sim.Packet{
+			From: d.callerAddr, To: d.calleeAddr,
+			Proto: sim.ProtoSIP, Payload: d.inv.Bytes(),
+		}, time.Duration(10+i)*time.Millisecond)
+	}
+	release()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	if st.DroppedMedia != 6 {
+		t.Errorf("DroppedMedia = %d, want 6 (2 floor drops + 4 evictions)", st.DroppedMedia)
+	}
+	if st.DroppedSignaling != 1 {
+		t.Errorf("DroppedSignaling = %d, want 1 (all-signaling fallback)", st.DroppedSignaling)
+	}
+	if st.Dropped != 7 {
+		t.Errorf("Dropped = %d, want 7", st.Dropped)
+	}
+	if st.Processed != 5 { // the REGISTER + the 4 surviving INVITEs
+		t.Errorf("processed %d, want 5", st.Processed)
+	}
+	if st.Processed+st.ParseErrors+st.Dropped != st.Ingested {
+		t.Errorf("accounting mismatch: %+v", st)
+	}
+	if got := retired.Load(); got != st.Ingested {
+		t.Errorf("retired %d of %d enqueued packets", got, st.Ingested)
 	}
 }
 
-// TestShardRoutingInvariant is the routing property test: every
-// packet of one call — SIP, RTP in both directions, RTCP, and media
-// moved by a mid-call re-INVITE — lands on the same shard. Observed
-// black-box: ingest one call into an 8-shard engine and require that
-// exactly one shard processed anything.
-func TestShardRoutingInvariant(t *testing.T) {
-	for i := 0; i < 20; i++ {
-		i := i
-		t.Run(fmt.Sprintf("call-%d", i), func(t *testing.T) {
-			g := &synthGen{}
-			d := g.benignCall(i*31, 0, 5, false)
-
-			// Mid-call re-INVITE moves the caller's media port.
-			reinv := d.inv.Clone()
-			reinv.To = d.ok.To // in-dialog: To carries the callee's tag
-			reinv.CSeq = sipmsg.CSeq{Seq: 3, Method: sipmsg.INVITE}
-			newMed := sim.Addr{Host: d.callerMed.Host, Port: d.callerMed.Port + 1000}
-			reinv.Body = d.inv.Body // same SDP shape…
-			reinv.Body = []byte(string(reinv.Body))
-			reinv.Body = replacePort(t, reinv.Body, d.callerMed.Port, newMed.Port)
-			g.add(300*time.Millisecond, sim.ProtoSIP, d.callerAddr, d.calleeAddr, reinv.Bytes())
-			rok := sipmsg.NewResponse(reinv, sipmsg.StatusOK)
-			rok.Body = d.ok.Body
-			rok.ContentType = "application/sdp"
-			g.add(320*time.Millisecond, sim.ProtoSIP, d.calleeAddr, d.callerAddr, rok.Bytes())
-
-			// Media to the re-negotiated port, plus RTCP beside it.
-			g.add(340*time.Millisecond, sim.ProtoRTP,
-				sim.Addr{Host: d.calleeHost, Port: d.calleeMed.Port},
-				newMed, rtpBytes(0xD0000000+uint32(i*31), 6, 6*160))
-			g.add(341*time.Millisecond, sim.ProtoRTCP,
-				sim.Addr{Host: d.calleeHost, Port: d.calleeMed.Port + 1},
-				sim.Addr{Host: newMed.Host, Port: newMed.Port + 1},
-				rtcpBytes(rtp.RTCPSenderReport, 0xD0000000+uint32(i*31)))
-
-			e := New(Config{Shards: 8})
-			for _, en := range g.entries {
-				if err := e.Ingest(en.Packet(), en.At()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
-			st := e.Stats()
-			busy := 0
-			for _, sh := range st.Shards {
-				if sh.Processed > 0 {
-					busy++
-				}
-			}
-			if busy != 1 {
-				t.Fatalf("call scattered over %d shards: %+v", busy, st.Shards)
-			}
-			if st.Processed != uint64(len(g.entries)) {
-				t.Fatalf("processed %d of %d packets", st.Processed, len(g.entries))
-			}
-		})
-	}
-}
-
-// replacePort rewrites the SDP media port in a body.
-func replacePort(t *testing.T, body []byte, oldPort, newPort int) []byte {
-	t.Helper()
-	oldStr := fmt.Sprintf("m=audio %d", oldPort)
-	newStr := fmt.Sprintf("m=audio %d", newPort)
-	out := []byte(replaceOne(string(body), oldStr, newStr))
-	if string(out) == string(body) {
-		t.Fatalf("SDP body does not contain %q", oldStr)
-	}
-	return out
-}
-
-func replaceOne(s, old, new string) string {
-	for i := 0; i+len(old) <= len(s); i++ {
-		if s[i:i+len(old)] == old {
-			return s[:i] + new + s[i+len(old):]
-		}
-	}
-	return s
-}
-
-// TestConcurrentIngestionStress hammers the engine from many
-// goroutines while a reader polls Stats — the -race exercise for the
-// whole hot path.
+// TestConcurrentIngestionStress hammers Enqueue from many goroutines
+// while a reader polls Stats — the -race exercise for the ring, the
+// worker handoff and the close protocol. Block must lose nothing, and
+// a closed engine must refuse further work and tolerate a second Close.
 func TestConcurrentIngestionStress(t *testing.T) {
 	const producers = 8
 	perProducer := Synthesize(SynthConfig{Calls: 12, RTPPerCall: 8})
@@ -229,10 +181,13 @@ func TestConcurrentIngestionStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, en := range perProducer {
-				if err := e.Ingest(en.Packet(), en.At()); err != nil {
+				// Any stable spread will do: detection is not under test
+				// here, the queues are.
+				if err := e.EnqueueRaw(e.ShardIndexFor(en.ToHost), en.Packet(), en.At()); err != nil {
 					t.Error(err)
 					return
 				}
+				e.NoteIngested()
 			}
 		}()
 	}
@@ -248,109 +203,26 @@ func TestConcurrentIngestionStress(t *testing.T) {
 	if st.Ingested != want {
 		t.Errorf("ingested %d, want %d", st.Ingested, want)
 	}
-	if st.Processed+st.Absorbed+st.Ignored+st.ParseErrors != want {
+	if st.Processed+st.ParseErrors != want {
 		t.Errorf("accounting mismatch: %+v", st)
 	}
 	if st.Dropped != 0 {
 		t.Errorf("Block policy dropped %d", st.Dropped)
 	}
 
-	if err := e.Ingest(perProducer[0].Packet(), 0); err != ErrClosed {
-		t.Errorf("Ingest after Close: got %v, want ErrClosed", err)
+	if err := e.EnqueueRaw(0, perProducer[0].Packet(), 0); err != ErrClosed {
+		t.Errorf("EnqueueRaw after Close: got %v, want ErrClosed", err)
 	}
 	if err := e.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
 }
 
-// TestDropOldestPolicy blocks the single shard worker on its first
-// alert, floods the depth-2 queue, and checks the eviction accounting.
-func TestDropOldestPolicy(t *testing.T) {
-	blocked := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	e := New(Config{
-		Shards:     1,
-		QueueDepth: 2,
-		Policy:     DropOldest,
-		OnAlert: func(ids.Alert) {
-			once.Do(func() {
-				close(blocked)
-				<-release
-			})
-		},
-	})
-
-	// A REGISTER always raises the rogue-register alert — the worker
-	// parks inside OnAlert holding the shard busy.
-	reg := sipmsg.NewRequest(sipmsg.REGISTER, sipmsg.URI{Host: "a.example.com"})
-	reg.Via = []sipmsg.Via{{Transport: "UDP", Host: "x.example.net", Port: 5060,
-		Params: map[string]string{"branch": "z9hG4bKdrop"}}}
-	reg.From = sipmsg.NameAddr{URI: sipmsg.URI{User: "a", Host: "a.example.com"}}.WithTag("d1")
-	reg.To = sipmsg.NameAddr{URI: sipmsg.URI{User: "a", Host: "a.example.com"}}
-	reg.CallID = "drop@example.net"
-	reg.CSeq = sipmsg.CSeq{Seq: 1, Method: sipmsg.REGISTER}
-	regPkt := &sim.Packet{
-		From:  sim.Addr{Host: "x.example.net", Port: 5060},
-		To:    sim.Addr{Host: "reg.a.example.com", Port: 5060},
-		Proto: sim.ProtoSIP, Payload: reg.Bytes(),
-	}
-	if err := e.Ingest(regPkt, 0); err != nil {
-		t.Fatal(err)
-	}
-	<-blocked
-
-	// RTCP sender reports raise nothing; 10 of them against a depth-2
-	// queue must evict 8.
-	for i := 0; i < 10; i++ {
-		pkt := &sim.Packet{
-			From:    sim.Addr{Host: "m.example.net", Port: 40001},
-			To:      sim.Addr{Host: "n.example.net", Port: 40001},
-			Proto:   sim.ProtoRTCP,
-			Payload: rtcpBytes(rtp.RTCPSenderReport, 7),
-		}
-		if err := e.Ingest(pkt, time.Duration(i+1)*time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(release)
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	if st.Dropped != 8 {
-		t.Errorf("dropped %d, want 8", st.Dropped)
-	}
-	if st.Processed != 3 { // the REGISTER + the 2 surviving reports
-		t.Errorf("processed %d, want 3", st.Processed)
-	}
-}
-
-// TestTapAdapter feeds the engine straight from a trace entry list via
-// the in-sim tap signature.
-func TestTapAdapter(t *testing.T) {
-	entries := Synthesize(SynthConfig{Calls: 3, RTPPerCall: 4})
-	e := New(Config{Shards: 2})
-	tap := e.Tap()
-	for _, en := range entries {
-		tap(en.Packet(), en.At())
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.Stats(); st.Ingested != uint64(len(entries)) {
-		t.Errorf("tap ingested %d of %d", st.Ingested, len(entries))
-	}
-}
-
 // TestStatsThroughput sanity-checks the derived rate.
 func TestStatsThroughput(t *testing.T) {
-	entries := Synthesize(SynthConfig{Calls: 2, RTPPerCall: 2})
 	e := New(Config{Shards: 1})
-	for _, en := range entries {
-		if err := e.Ingest(en.Packet(), en.At()); err != nil {
-			t.Fatal(err)
-		}
+	for _, en := range Synthesize(SynthConfig{Calls: 2, RTPPerCall: 2}) {
+		enqueueRaw(t, e, 0, en.Packet(), en.At())
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -364,131 +236,62 @@ func TestStatsThroughput(t *testing.T) {
 	}
 }
 
-// TestLateHangupParity regresses a divergence found on a real testbed
-// capture: a dialog that goes idle past the eviction horizon and only
-// then hangs up. Both the shard and the sequential IDS have already
-// evicted the monitor (leaving tombstones that swallow the BYE and its
-// 200), but the router's routing index had simply forgotten the
-// Call-ID, so it fed the straggler 200 to the shared reflection
-// detector — raising a deviation the sequential path never raises.
-// The router now tombstones swept calls the same way.
-func TestLateHangupParity(t *testing.T) {
-	d := newDialog(0, "late")
-	g := &synthGen{}
-	g.add(0, sim.ProtoSIP, d.callerAddr, d.calleeAddr, d.inv.Bytes())
-	g.add(20*time.Millisecond, sim.ProtoSIP, d.calleeAddr, d.callerAddr, d.ok.Bytes())
-	g.add(40*time.Millisecond, sim.ProtoSIP, d.callerAddr, d.calleeAddr, d.ack().Bytes())
-	// Silence until the sweeps (which run every half retention period)
-	// have provably fired on both the shards and the router, then the
-	// caller hangs up and the callee answers.
-	cfg := ids.DefaultConfig()
-	late := 2*(cfg.IdleEviction+cfg.CloseLinger) + time.Minute
-	g.add(late, sim.ProtoSIP, d.callerAddr, d.calleeAddr, d.bye().Bytes())
-	okBye := sipmsg.NewResponse(d.bye(), sipmsg.StatusOK)
-	g.add(late+20*time.Millisecond, sim.ProtoSIP, d.calleeAddr, d.callerAddr, okBye.Bytes())
-
-	want := replaySequential(t, g.entries, ids.DefaultConfig())
-	got, st := replayEngine(t, g.entries, Config{Shards: 4})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("alerts diverge:\nengine:     %v\nsequential: %v", got, want)
+// TestEnqueueMediaReleasesFlowOnce pins the in-flight contract of an
+// escalated media packet: the reference its cache consult took is
+// dropped exactly once — by the worker when the item was admitted, by
+// EnqueueMedia itself when a closed engine refused it. The cache only
+// arms a flow whose sole in-flight packet is the arming one, so a probe
+// consult plus an arm offer succeeds precisely when every earlier
+// reference is back: a leaked one leaves two in flight, a doubly
+// released one leaves none.
+func TestEnqueueMediaReleasesFlowOnce(t *testing.T) {
+	e := New(Config{Shards: 1})
+	fp := e.Fastpath()
+	dst := sim.Addr{Host: "n.example.net"}
+	escalate := func(port int) ([]byte, fastpath.Consult) {
+		t.Helper()
+		key := ids.AppendMediaKey(nil, dst.Host, port)
+		var res fastpath.Consult
+		fp.ConsultKey(key, sdp.PayloadG729, 7, 1, 160, 0, &res)
+		if res.Flow == nil || res.Verdict == fastpath.Hit {
+			t.Fatalf("port %d: consult did not escalate: %+v", port, res)
+		}
+		return key, res
 	}
-	if st.Absorbed != 1 {
-		t.Errorf("absorbed = %d, want 1 (the straggler 200-for-BYE)", st.Absorbed)
+	enqueue := func(port int) error {
+		_, res := escalate(port)
+		return e.EnqueueMedia(0, &sim.Packet{
+			From:  sim.Addr{Host: "m.example.net", Port: 30000},
+			To:    sim.Addr{Host: dst.Host, Port: port},
+			Proto: sim.ProtoRTP, Payload: rtpBytes(7, 1, 160),
+		}, 0, res.Flow, res.Epoch, res.Snap, res.HasSnap)
 	}
-}
-
-// TestShedPolicyMediaFirst blocks the single shard worker, fills the
-// depth-4 queue with media, and verifies the shedding tiers with exact
-// counters: arriving media is dropped on the floor once the ring is
-// full, arriving signaling evicts the oldest queued media, and only a
-// ring full of signaling sacrifices its own oldest entry. The retire
-// hook must see every ingested packet exactly once, evicted or not.
-func TestShedPolicyMediaFirst(t *testing.T) {
-	blocked := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	var retired atomic.Uint64
-	e := New(Config{
-		Shards:     1,
-		QueueDepth: 4,
-		Policy:     Shed,
-		OnAlert: func(ids.Alert) {
-			once.Do(func() {
-				close(blocked)
-				<-release
-			})
-		},
-		OnRetire: func(*sim.Packet) { retired.Add(1) },
-	})
-
-	// A REGISTER always raises the rogue-register alert — the worker
-	// parks inside OnAlert holding the shard busy.
-	reg := sipmsg.NewRequest(sipmsg.REGISTER, sipmsg.URI{Host: "a.example.com"})
-	reg.Via = []sipmsg.Via{{Transport: "UDP", Host: "x.example.net", Port: 5060,
-		Params: map[string]string{"branch": "z9hG4bKshed"}}}
-	reg.From = sipmsg.NameAddr{URI: sipmsg.URI{User: "a", Host: "a.example.com"}}.WithTag("s1")
-	reg.To = sipmsg.NameAddr{URI: sipmsg.URI{User: "a", Host: "a.example.com"}}
-	reg.CallID = "shed@example.net"
-	reg.CSeq = sipmsg.CSeq{Seq: 1, Method: sipmsg.REGISTER}
-	regPkt := &sim.Packet{
-		From:  sim.Addr{Host: "x.example.net", Port: 5060},
-		To:    sim.Addr{Host: "reg.a.example.com", Port: 5060},
-		Proto: sim.ProtoSIP, Payload: reg.Bytes(),
+	settled := func(port int) bool {
+		key, res := escalate(port)
+		defer res.Flow.Release()
+		return fp.Update(key, res.Epoch, sdp.PayloadG729, fastpath.Snapshot{})
 	}
-	if err := e.Ingest(regPkt, 0); err != nil {
+
+	// No call owns either destination on the shard, so the worker sees
+	// unsolicited media and never offers an arm of its own.
+	const admitted, refused = 40000, 40002
+	for _, port := range []int{admitted, refused} {
+		fp.Install(ids.AppendMediaKey(nil, dst.Host, port), "flow@example.net", 0)
+	}
+
+	if err := enqueue(admitted); err != nil {
 		t.Fatal(err)
 	}
-	<-blocked
-
-	media := func(i int) *sim.Packet {
-		return &sim.Packet{
-			From:    sim.Addr{Host: "m.example.net", Port: 40001},
-			To:      sim.Addr{Host: "n.example.net", Port: 40001},
-			Proto:   sim.ProtoRTCP,
-			Payload: rtcpBytes(rtp.RTCPSenderReport, uint32(i)),
-		}
-	}
-	// Fill the ring with 4 media packets, then 2 more: the ring is full
-	// and the arrivals are media, so tier 1 drops them on the floor.
-	for i := 0; i < 6; i++ {
-		if err := e.Ingest(media(i), time.Duration(i+1)*time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 5 INVITEs against the full ring: the first 4 evict the 4 queued
-	// media packets (tier 1), the 5th finds all-signaling and evicts
-	// the oldest INVITE (tier 2).
-	for i := 0; i < 5; i++ {
-		d := newDialog(i, "shedsip")
-		pkt := &sim.Packet{
-			From: d.callerAddr, To: d.calleeAddr,
-			Proto: sim.ProtoSIP, Payload: d.inv.Bytes(),
-		}
-		if err := e.Ingest(pkt, time.Duration(10+i)*time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(release)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := e.Stats()
-	if st.DroppedMedia != 6 {
-		t.Errorf("DroppedMedia = %d, want 6 (2 floor drops + 4 evictions)", st.DroppedMedia)
+	if err := enqueue(refused); err != ErrClosed {
+		t.Fatalf("EnqueueMedia after Close: got %v, want ErrClosed", err)
 	}
-	if st.DroppedSignaling != 1 {
-		t.Errorf("DroppedSignaling = %d, want 1 (all-signaling fallback)", st.DroppedSignaling)
+	if !settled(admitted) {
+		t.Error("admitted item: worker did not release the flow exactly once")
 	}
-	if st.Dropped != 7 {
-		t.Errorf("Dropped = %d, want 7", st.Dropped)
-	}
-	if st.Processed != 5 { // the REGISTER + the 4 surviving INVITEs
-		t.Errorf("processed %d, want 5", st.Processed)
-	}
-	if st.Processed+st.Absorbed+st.Ignored+st.ParseErrors+st.Dropped != st.Ingested {
-		t.Errorf("accounting mismatch: %+v", st)
-	}
-	if got := retired.Load(); got != st.Ingested {
-		t.Errorf("retired %d of %d ingested packets", got, st.Ingested)
+	if !settled(refused) {
+		t.Error("refused item: EnqueueMedia did not release the flow exactly once")
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"vids/internal/engine"
 	"vids/internal/ids"
-	"vids/internal/sim"
 )
 
 // backendShards are the engine fan-outs the backend comparison sweeps.
@@ -76,48 +75,14 @@ func (r *BackendsResult) Render() string {
 // traffic; every (backend, shards) cell replays the identical packet
 // sequence and the alert streams are required to match cell for cell.
 func Backends(o Options) (*BackendsResult, error) {
-	o = o.withDefaults()
-	calls := int(o.Duration/o.MeanCallInterval) * o.UAs
-	if calls < 8 {
-		calls = 8
-	}
-	if calls > 2000 {
-		calls = 2000
-	}
-	rtpPerCall := int(o.MeanCallDuration / (20 * time.Millisecond))
-	if rtpPerCall > 120 {
-		rtpPerCall = 120
-	}
-	if rtpPerCall < 4 {
-		rtpPerCall = 4
-	}
-	entries := engine.Synthesize(engine.SynthConfig{
-		Calls: calls, RTPPerCall: rtpPerCall, Attacks: true,
-	})
-	pkts := make([]*sim.Packet, len(entries))
-	ats := make([]time.Duration, len(entries))
-	for i, en := range entries {
-		pkts[i] = en.Packet()
-		ats[i] = en.At()
-	}
-
+	w := synthWorkload(o.withDefaults())
 	run := func(backend ids.Backend, shards int) (time.Duration, []ids.Alert, error) {
 		idsCfg := ids.DefaultConfig()
 		idsCfg.Backend = backend
-		e := engine.New(engine.Config{Shards: shards, IDS: idsCfg})
-		start := time.Now()
-		for i := range pkts {
-			if err := e.Ingest(pkts[i], ats[i]); err != nil {
-				return 0, nil, err
-			}
-		}
-		if err := e.Close(); err != nil {
-			return 0, nil, err
-		}
-		return time.Since(start), e.Alerts(), nil
+		return w.replay(engine.Config{Shards: shards, IDS: idsCfg})
 	}
 
-	res := &BackendsResult{Packets: len(entries), Calls: calls, AlertsMatch: true}
+	res := &BackendsResult{Packets: len(w.pkts), Calls: w.calls, AlertsMatch: true}
 	var ref []ids.Alert
 	for _, shards := range backendShards {
 		iTime, iAlerts, err := run(ids.BackendInterpreted, shards)

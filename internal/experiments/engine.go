@@ -8,12 +8,14 @@ import (
 
 	"vids/internal/engine"
 	"vids/internal/ids"
+	"vids/internal/ingress"
 	"vids/internal/sim"
 )
 
 // EngineResult holds experiment E10: scaling of the online sharded
 // detection pipeline. The same synthetic workload is pushed through
-// the engine with one shard and with NumCPU shards; the speedup bounds
+// the production path (ingress lanes → engine shards) with one shard
+// and with NumCPU shards, one lane per shard; the speedup bounds
 // what the paper's per-call independence argument (Section 7.3) buys
 // on this machine, and alert parity confirms sharding changes nothing
 // about what is detected.
@@ -42,7 +44,7 @@ func (r *EngineResult) Render() string {
 	if !r.AlertsMatch {
 		parity = "ALERT STREAMS DIVERGE (bug!)"
 	}
-	return fmt.Sprintf(`E10: online engine scaling (internal/engine)
+	return fmt.Sprintf(`E10: online pipeline scaling (internal/ingress lanes -> internal/engine shards)
   workload:    %d packets over %d calls (benign + attack mix)
   1 shard:     %v (%.0f pkts/s)
   %d shard(s):  %v (%.0f pkts/s)
@@ -56,12 +58,18 @@ func (r *EngineResult) Render() string {
 		parity, r.Alerts)
 }
 
-// EngineScaling runs experiment E10. The workload is synthesized (not
-// captured from the testbed) so its size tracks the options: one call
+// pipelineWorkload is the synthesized traffic experiments E10 and E12
+// share, reconstructed into packets once so every run measures the
+// pipeline, not trace decoding. Its size tracks the options: one call
 // per MeanCallInterval per UA over the horizon, media packets capped
 // to keep paper-scale runs tractable.
-func EngineScaling(o Options) (*EngineResult, error) {
-	o = o.withDefaults()
+type pipelineWorkload struct {
+	calls int
+	pkts  []*sim.Packet
+	ats   []time.Duration
+}
+
+func synthWorkload(o Options) *pipelineWorkload {
 	calls := int(o.Duration/o.MeanCallInterval) * o.UAs
 	if calls < 8 {
 		calls = 8
@@ -79,42 +87,54 @@ func EngineScaling(o Options) (*EngineResult, error) {
 	entries := engine.Synthesize(engine.SynthConfig{
 		Calls: calls, RTPPerCall: rtpPerCall, Attacks: true,
 	})
-	// Reconstruct packets once so both runs measure the engine, not
-	// trace decoding.
-	pkts := make([]*sim.Packet, len(entries))
-	ats := make([]time.Duration, len(entries))
-	for i, en := range entries {
-		pkts[i] = en.Packet()
-		ats[i] = en.At()
+	w := &pipelineWorkload{
+		calls: calls,
+		pkts:  make([]*sim.Packet, len(entries)),
+		ats:   make([]time.Duration, len(entries)),
 	}
+	for i, en := range entries {
+		w.pkts[i] = en.Packet()
+		w.ats[i] = en.At()
+	}
+	return w
+}
 
-	run := func(shards int) (time.Duration, []ids.Alert, error) {
-		e := engine.New(engine.Config{Shards: shards})
-		start := time.Now()
-		for i := range pkts {
-			if err := e.Ingest(pkts[i], ats[i]); err != nil {
-				return 0, nil, err
-			}
-		}
-		if err := e.Close(); err != nil {
+// replay pushes the workload through the production path — ingress
+// lanes (one per shard) in front of the engine's shards — and returns
+// the wall time to drain it and the merged alert stream.
+func (w *pipelineWorkload) replay(cfg engine.Config) (time.Duration, []ids.Alert, error) {
+	ing := ingress.New(ingress.Config{Engine: cfg})
+	start := time.Now()
+	for i := range w.pkts {
+		if err := ing.Ingest(w.pkts[i], w.ats[i]); err != nil {
 			return 0, nil, err
 		}
-		return time.Since(start), e.Alerts(), nil
 	}
+	if err := ing.Close(); err != nil {
+		return 0, nil, err
+	}
+	return time.Since(start), ing.Alerts(), nil
+}
 
-	baseTime, baseAlerts, err := run(1)
+// EngineScaling runs experiment E10 on the synthesized workload (not
+// captured from the testbed, whose arrival rate gives far too few
+// concurrent calls to spread over shards).
+func EngineScaling(o Options) (*EngineResult, error) {
+	w := synthWorkload(o.withDefaults())
+
+	baseTime, baseAlerts, err := w.replay(engine.Config{Shards: 1})
 	if err != nil {
 		return nil, err
 	}
 	n := runtime.NumCPU()
-	scaledTime, scaledAlerts, err := run(n)
+	scaledTime, scaledAlerts, err := w.replay(engine.Config{Shards: n})
 	if err != nil {
 		return nil, err
 	}
 
 	res := &EngineResult{
-		Packets:      len(entries),
-		Calls:        calls,
+		Packets:      len(w.pkts),
+		Calls:        w.calls,
 		BaseTime:     baseTime,
 		ScaledShards: n,
 		ScaledTime:   scaledTime,

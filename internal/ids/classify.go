@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vids/internal/rtp"
-	"vids/internal/sdp"
 	"vids/internal/sim"
 	"vids/internal/sipmsg"
 )
@@ -54,26 +53,11 @@ func Classify(pkt *sim.Packet) (Classified, error) {
 	}
 }
 
-// MediaKey renders the fact-base index key for a media destination —
-// the same key the Event Distributor uses to route RTP to a call's
-// machine. Exposed so a sharding router can mirror the index.
-func MediaKey(host string, port int) string { return mediaKey(host, port) }
-
-// AppendMediaKey renders MediaKey(host, port) into b without
-// allocating, so a sharding router can probe its mirror of the index
-// through a reusable buffer.
+// AppendMediaKey renders the fact-base index key for a media
+// destination — the same key the Event Distributor uses to route RTP to
+// a call's machine — into b without allocating, so the ingestion lanes
+// and the fast-path cache can key their mirrors of the index through a
+// reusable buffer.
 func AppendMediaKey(b []byte, host string, port int) []byte {
 	return appendMediaKey(b, host, port)
-}
-
-// MediaFromSDP extracts the advertised media destination (address,
-// port, first payload type) from a SIP message's SDP body, if any.
-// Exposed so a sharding router can maintain its media-key index from
-// the same SDP observations the per-call machines use.
-func MediaFromSDP(m *sipmsg.Message) (addr string, port int, payload int, ok bool) {
-	a, p, pt, ok := sdp.MediaDest(m.Body)
-	if !ok {
-		return "", 0, 0, false
-	}
-	return string(a), p, pt, true
 }

@@ -16,17 +16,18 @@ import (
 // responses, Section 3.1) and the prevention-mode source quarantine.
 // Unlike the per-call EFSMs, these detectors aggregate over *many*
 // calls, so a sharded deployment cannot give each shard its own copy:
-// internal/engine runs exactly one FloodWatch in front of its shards
-// (with Config.ExternalFloods silencing the shard-local copies), while
-// a plain IDS embeds its own.
+// internal/ingress runs one FloodWatch per lane in front of the shards,
+// every destination hashing to exactly one lane (with
+// Config.ExternalFloods silencing the shard-local copies), while a
+// plain IDS embeds its own.
 //
 // Window timers T1 live on the bank's own timer wheel (anchored to the
 // shared clock), so opening and expiring a window is allocation-free
 // once its per-destination machine exists.
 //
 // FloodWatch is not safe for concurrent use; the embedding layer
-// serializes access (the IDS runs single-threaded, the engine feeds it
-// from its router under a lock).
+// serializes access (the IDS runs single-threaded, an ingestion lane
+// feeds its own under the lane lock).
 type FloodWatch struct {
 	sim *sim.Simulator
 	wc  *wheelClock

@@ -1,18 +1,17 @@
-// Package ingress is the production ingestion tier between packet
+// Package ingress is the pipeline's one front end, between packet
 // sources and the detection engine: M independent lanes standing in
-// front of N shard workers, with the serial work the engine's router
-// used to do — scan, classify, flood accounting, media-index
-// maintenance — spread over the lanes.
+// front of N shard workers, with the serial work of ingestion — scan,
+// classify, flood accounting, media-index maintenance — spread over
+// the lanes. One lane (Lanes: 1) is the degenerate, fully serialized
+// case; every binary, test and experiment enters here.
 //
 // A lane is a lock stripe, not a goroutine: listener goroutines call
 // Ingest concurrently, and each packet takes the lane lock (or locks —
 // a SIP packet may touch the flood lane, the call lane and a media
 // lane, always sequentially, never nested) that its keys hash to. The
 // per-packet work under a lane lock is deliberately tiny: a map probe
-// and a clock advance. The engine's single router mutex, which
-// BENCH_engine.json showed flattening shards=4 to shards=1 throughput,
-// is out of the hot path entirely: lanes hand buffers straight to
-// shard queues.
+// and a clock advance. No lock spans the tier: lanes hand buffers
+// straight to shard queues.
 //
 // Every SIP datagram is read exactly once, before any lane lock:
 // sipmsg.Scan walks it without allocating and answers with a View —
@@ -29,14 +28,15 @@
 // Cross-call detection stays exact under the partitioning because the
 // flood detectors are per-destination: every INVITE toward one AOR
 // hashes to the same lane, so that lane's FloodWatch sees the
-// destination's whole stream, exactly as the engine's shared one
-// would. Lane alerts merge into the engine's alert plane via
+// destination's whole stream, exactly as the sequential detector's
+// does. Lane alerts merge into the engine's alert plane via
 // RecordAlert.
 package ingress
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vids/internal/bufpool"
@@ -50,8 +50,9 @@ import (
 	"vids/internal/sipmsg"
 )
 
-// laneTableCap bounds each lane's string-intern table, matching the
-// engine router's sizing per serialized ingestion point.
+// laneTableCap bounds each lane's string-intern table: enough for the
+// Call-IDs, media keys and flood destinations of a large live
+// population without growing without bound.
 const laneTableCap = 4096
 
 // Config parameterizes an Ingress.
@@ -106,12 +107,16 @@ type Ingress struct {
 	lanes  []*lane
 	pool   *bufpool.Pool
 	retire func(*sim.Packet) // the chained retire hook, for lane-side disposal
-	retain time.Duration     // idle lifetime of routing entries, mirroring the engine
+	retain time.Duration     // idle lifetime of routing entries: as long as a shard keeps the call
 
 	// refreshEvery throttles the cross-lane "this call is still
 	// streaming" touch a media packet makes on its call's lane: one
 	// extra lock acquisition per quarter-retain instead of per packet.
 	refreshEvery time.Duration
+
+	// closed is set by Close before the lane clocks run out: a drained
+	// lane's clock sits at the end of time, so nothing may feed it again.
+	closed atomic.Bool
 }
 
 // New builds the tier: the buffer pool, the wrapped engine (with the
@@ -154,7 +159,7 @@ func New(cfg Config) *Ingress {
 	}
 	ing.fp = ing.e.Fastpath()
 	idsCfg := cfg.Engine.IDS
-	idsCfg.ExternalFloods = true // mirror the engine: lanes own the windows
+	idsCfg.ExternalFloods = true // as on the shards: the lanes own the windows
 	for i := range ing.lanes {
 		l := &lane{
 			clock:   sim.New(int64(1000 + i)),
@@ -173,8 +178,8 @@ func New(cfg Config) *Ingress {
 	return ing
 }
 
-// Engine exposes the wrapped engine for stats, alerts, and direct
-// (router-path) ingestion.
+// Engine exposes the wrapped shard tier (shard count, per-shard
+// stats).
 func (ing *Ingress) Engine() *engine.Engine { return ing.e }
 
 // Buffers exposes the receive-buffer free list for listeners to draw
@@ -188,15 +193,21 @@ func (ing *Ingress) Lanes() int { return len(ing.lanes) }
 // folded into them via the engine's Note hooks).
 func (ing *Ingress) Stats() engine.Stats { return ing.e.Stats() }
 
-// Alerts merges lane, router and shard alerts. Call after Close.
+// Alerts merges lane and shard alerts. Call after Close.
 func (ing *Ingress) Alerts() []ids.Alert { return ing.e.Alerts() }
 
-// Ingest routes one packet into the tier. It implements
-// engine.Sink: on error the caller keeps ownership of the payload
-// buffer; on success the tier owns it and the retire hook will recycle
-// it exactly once. Safe for concurrent use; per-call packet ordering
-// is the caller's (per-listener) responsibility.
+// Ingest routes one captured packet into the tier; at is its capture
+// timestamp on the trace clock. On error (engine.ErrClosed once Close
+// has begun) the caller keeps ownership of the payload buffer; on
+// success the tier owns it and the retire hook will recycle it exactly
+// once. Parse failures are counted, not returned: garbage on the wire
+// is an observation, not an ingest error. Safe for concurrent use;
+// per-call packet ordering is the caller's (per-listener)
+// responsibility.
 func (ing *Ingress) Ingest(pkt *sim.Packet, at time.Duration) error {
+	if ing.closed.Load() {
+		return engine.ErrClosed
+	}
 	switch pkt.Proto {
 	case sim.ProtoSIP:
 		return ing.ingestSIP(pkt, at)
@@ -396,9 +407,12 @@ func (ing *Ingress) routeSIP(pkt *sim.Packet, raw []byte, at time.Duration, r *s
 		l.calls[l.strings.Bytes(r.callID)] = at //vids:alloc-ok refreshes the slot the probe above found
 	} else if r.method == "" {
 		// A response for a call this edge never initiated: absorbed
-		// here, exactly as the engine's router absorbs it — the shards
-		// never see it. Tombstoned calls swallow their stragglers
-		// silently.
+		// here, the shards never see it — as in the sequential detector,
+		// where such packets die in handleSIP without touching any
+		// machine. The registrar's answer to a REGISTER (the request
+		// already raised its own alert) and a tombstoned call's
+		// stragglers are swallowed silently; everything else counts
+		// toward the DRDoS reflection window.
 		_, evicted := l.gone[string(r.callID)]
 		alerts := l.takePending()
 		l.mu.Unlock()
@@ -520,7 +534,7 @@ func (ing *Ingress) absorbStray(pkt *sim.Packet, raw []byte, silent bool, at tim
 // bookkeeping, shard enqueue. A known destination routes to its
 // call's shard; a destination no SDP advertised hashes by its key, so
 // an unsolicited stream still lands all its packets on one shard's
-// spam monitor — exactly the engine router's semantics.
+// spam monitor.
 //
 //vids:noalloc the per-datagram media path
 func (ing *Ingress) ingestMedia(pkt *sim.Packet, host string, port int, at time.Duration) error {
@@ -665,9 +679,12 @@ func (ing *Ingress) drain(alerts []ids.Alert) {
 }
 
 // armSweep schedules the lane's routing-index sweep on its clock,
-// mirroring the engine router's GC: entries idle longer than the shard
-// would keep their call are dropped, and forgotten Call-IDs leave
-// tombstones so straggler responses stay silent. Media entries carry
+// mirroring ids eviction and tombstones: entries idle longer than the
+// shard would keep their call (IdleEviction + CloseLinger) are dropped,
+// so the index cannot grow without bound under call churn, and
+// forgotten Call-IDs leave tombstones so straggler responses of a
+// closed dialog stay silent instead of feeding the reflection window.
+// Media entries carry
 // their own activity stamp because their owning call may live on
 // another lane, which this lane must not lock. Caller holds l.mu.
 func (ing *Ingress) armSweep(l *lane) {
@@ -704,8 +721,12 @@ func (ing *Ingress) armSweep(l *lane) {
 // flood windows expire, sweeps settle), lane alerts merge, and the
 // wrapped engine is closed — which drains the shard queues and their
 // timers. Callers must stop feeding Ingest first (listeners stop on
-// ctx cancellation before their Run returns).
+// ctx cancellation before their Run returns); afterwards Ingest reports
+// engine.ErrClosed. Close is idempotent.
 func (ing *Ingress) Close() error {
+	if !ing.closed.CompareAndSwap(false, true) {
+		return ing.e.Close()
+	}
 	var firstErr error
 	for _, l := range ing.lanes {
 		l.mu.Lock()

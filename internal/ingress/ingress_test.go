@@ -49,10 +49,12 @@ func replayIngress(t *testing.T, entries []trace.Entry, cfg Config) ([]ids.Alert
 	return ing.Alerts(), ing.Stats()
 }
 
-// TestIngressParityWithSequential is the tier's acceptance check: the
-// lane path — one scan per datagram, per-lane flood windows, view-fed
-// shards — must yield the exact alert multiset of the sequential IDS for a
-// trace that exercises every detector family, at every lane count.
+// TestIngressParityWithSequential is the pipeline's acceptance check:
+// the lane path — one scan per datagram, per-lane flood windows,
+// view-fed shards — must yield the exact alert multiset of the
+// sequential IDS (same types, same virtual timestamps, same details)
+// for a trace that exercises every detector family, whatever the lane
+// and shard counts.
 func TestIngressParityWithSequential(t *testing.T) {
 	entries := engine.Synthesize(engine.SynthConfig{Calls: 40, RTPPerCall: 10, Attacks: true})
 	if len(entries) < 1000 {
@@ -63,40 +65,58 @@ func TestIngressParityWithSequential(t *testing.T) {
 		t.Fatal("sequential replay raised no alerts; trace is not exercising the detectors")
 	}
 
-	for _, lanes := range []int{1, 2, 4} {
-		got, st := replayIngress(t, entries, Config{
-			Lanes:  lanes,
-			Engine: engine.Config{Shards: 4},
-		})
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("lanes=%d: alert streams diverge: sequential %d alerts, ingress %d",
-				lanes, len(want), len(got))
-			max := len(want)
-			if len(got) > max {
-				max = len(got)
+	// The trace must exercise every detector family for parity to mean
+	// anything.
+	byType := make(map[ids.AlertType]int)
+	for _, a := range want {
+		byType[a.Type]++
+	}
+	for _, typ := range []ids.AlertType{
+		ids.AlertInviteFlood, ids.AlertDRDoS, ids.AlertByeDoS, ids.AlertTollFraud,
+		ids.AlertRTCPBye, ids.AlertUnsolicitedRTP, ids.AlertMediaSpam,
+		ids.AlertRogueRegister, ids.AlertDeviation,
+	} {
+		if byType[typ] == 0 {
+			t.Errorf("trace raised no %s alert", typ)
+		}
+	}
+
+	// The alert stream must depend on neither count. Lanes are
+	// normalized to a divisor of the shard count, so the odd rows also
+	// cover the clamped layouts.
+	for _, shards := range []int{1, 2, 3, 4, 8} {
+		for _, lanes := range []int{1, 2, 4} {
+			row := fmt.Sprintf("shards=%d lanes=%d", shards, lanes)
+			got, st := replayIngress(t, entries, Config{
+				Lanes:  lanes,
+				Engine: engine.Config{Shards: shards},
+			})
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s: alert streams diverge: sequential %d alerts, ingress %d",
+					row, len(want), len(got))
+				for i := 0; i < max(len(want), len(got)) && i < 40; i++ {
+					var w, g ids.Alert
+					if i < len(want) {
+						w = want[i]
+					}
+					if i < len(got) {
+						g = got[i]
+					}
+					if !reflect.DeepEqual(w, g) {
+						t.Errorf("  [%d]\n    seq: %+v\n    ing: %+v", i, w, g)
+					}
+				}
 			}
-			for i := 0; i < max && i < 40; i++ {
-				var w, g ids.Alert
-				if i < len(want) {
-					w = want[i]
-				}
-				if i < len(got) {
-					g = got[i]
-				}
-				if !reflect.DeepEqual(w, g) {
-					t.Errorf("  [%d]\n    seq: %+v\n    ing: %+v", i, w, g)
-				}
+			if st.Dropped != 0 {
+				t.Errorf("%s: Block policy dropped %d packets", row, st.Dropped)
 			}
-		}
-		if st.Dropped != 0 {
-			t.Errorf("lanes=%d: Block policy dropped %d packets", lanes, st.Dropped)
-		}
-		if st.Processed+st.Absorbed+st.Ignored+st.ParseErrors != uint64(len(entries)) {
-			t.Errorf("lanes=%d: accounting mismatch: processed %d + absorbed %d + ignored %d + parse errors %d != %d entries",
-				lanes, st.Processed, st.Absorbed, st.Ignored, st.ParseErrors, len(entries))
-		}
-		if st.Ingested != uint64(len(entries)) {
-			t.Errorf("lanes=%d: ingested %d of %d entries", lanes, st.Ingested, len(entries))
+			if st.Processed+st.Absorbed+st.Ignored+st.ParseErrors != uint64(len(entries)) {
+				t.Errorf("%s: accounting mismatch: processed %d + absorbed %d + ignored %d + parse errors %d != %d entries",
+					row, st.Processed, st.Absorbed, st.Ignored, st.ParseErrors, len(entries))
+			}
+			if st.Ingested != uint64(len(entries)) {
+				t.Errorf("%s: ingested %d of %d entries", row, st.Ingested, len(entries))
+			}
 		}
 	}
 }
@@ -130,9 +150,11 @@ func TestLaneNormalization(t *testing.T) {
 
 // TestIngressConcurrentProducers hammers Ingest from several
 // goroutines, each replaying a disjoint slice of the dialog space the
-// way independent listeners would. A clean workload must stay clean —
-// no alerts, no drops, every packet accounted for. Run under -race
-// this is also the tier's lock-discipline check.
+// way independent listeners would, while a reader polls Stats. A clean
+// workload must stay clean — no alerts, no drops, every packet
+// accounted for — and a closed tier must refuse further packets and
+// tolerate a second Close. Run under -race this is also the pipeline's
+// lock-discipline check.
 func TestIngressConcurrentProducers(t *testing.T) {
 	const producers = 4
 	const callsEach = 24
@@ -146,7 +168,21 @@ func TestIngressConcurrentProducers(t *testing.T) {
 		total += len(traces[i])
 	}
 
-	ing := New(Config{Lanes: 4, Engine: engine.Config{Shards: 4}})
+	ing := New(Config{Lanes: 4, Engine: engine.Config{Shards: 4, QueueDepth: 64}})
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = ing.Stats()
+			}
+		}
+	}()
+
 	var wg sync.WaitGroup
 	errs := make(chan error, producers)
 	for i := 0; i < producers; i++ {
@@ -162,12 +198,20 @@ func TestIngressConcurrentProducers(t *testing.T) {
 		}(traces[i])
 	}
 	wg.Wait()
+	close(stop)
+	<-polled
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
 	if err := ing.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if err := ing.Ingest(traces[0][0].Packet(), 0); err != engine.ErrClosed {
+		t.Errorf("Ingest after Close: got %v, want ErrClosed", err)
+	}
+	if err := ing.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
 	}
 
 	if alerts := ing.Alerts(); len(alerts) != 0 {

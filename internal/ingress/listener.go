@@ -90,11 +90,10 @@ func (ul *UDPListeners) Run(ctx context.Context, ing *Ingress) error {
 	return err
 }
 
-// pump reads one socket until cancellation, mirroring
-// engine.UDPSource.pump but drawing from the shared tier pool: the
-// buffer travels with the packet and the tier's retire hook recycles
-// it; on any path where the packet is not handed off, the buffer goes
-// straight back.
+// pump reads one socket until cancellation, drawing from the shared
+// tier pool: the buffer travels with the packet and the tier's retire
+// hook recycles it; on any path where the packet is not handed off,
+// the buffer goes straight back.
 func (ul *UDPListeners) pump(ctx context.Context, ing *Ingress, conn net.PacketConn, start time.Time, media bool) error {
 	local, _ := conn.LocalAddr().(*net.UDPAddr)
 	toHost := ul.AdvertiseHost

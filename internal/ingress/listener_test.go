@@ -11,10 +11,11 @@ import (
 	"vids/internal/rtp"
 )
 
-// TestUDPListenersLoopback drives the tier over real loopback sockets:
-// SIP and media datagrams land in the lanes, and — the part the engine
-// listener cannot do — every receive buffer comes from and returns to
-// the tier's free list.
+// TestUDPListenersLoopback drives the live path over real loopback
+// sockets: SIP and media datagrams land in the lanes, and every receive
+// buffer comes from and returns to the tier's free list — a reader
+// that allocated per datagram, or a retire path that leaked, fails the
+// buffer-lifecycle invariant at the end.
 func TestUDPListenersLoopback(t *testing.T) {
 	ing := New(Config{Lanes: 2, Engine: engine.Config{Shards: 2}})
 

@@ -1,5 +1,5 @@
 // Package intern provides a small bounded string-interning table keyed
-// by bytes. The IDS and the engine router look up Call-IDs, media keys
+// by bytes. The IDS and the ingestion lanes look up Call-IDs, media keys
 // and flood destinations that arrive as byte slices; interning returns
 // a stable string for repeat visitors without materializing a new
 // string per packet, and without growing unboundedly under a churn of
@@ -15,7 +15,7 @@
 package intern
 
 // Table is a bounded two-generation intern table. Not safe for
-// concurrent use; each IDS instance and the engine router own one.
+// concurrent use; each IDS instance and each ingestion lane own one.
 type Table struct {
 	cap  int
 	cur  map[string]string

@@ -181,9 +181,10 @@ func Parse(data []byte) (*Description, error) {
 // section (whose payload list is never empty when Parse accepts it).
 // addr aliases data; callers that retain it must copy (or intern) it.
 //
-// The packet hot path (internal/ids, the engine router) reads each
-// SDP body through this instead of Parse: one INVITE previously paid
-// two full Parse calls — roughly 20 allocations — per message.
+// The packet path (internal/ids, and internal/ingress for the
+// datagrams its scanner bails on) reads each SDP body through this
+// instead of Parse: one INVITE previously paid two full Parse calls —
+// roughly 20 allocations — per message.
 func MediaDest(data []byte) (addr []byte, port, payload int, ok bool) {
 	if len(data) == 0 {
 		return nil, 0, 0, false

@@ -110,11 +110,12 @@ const (
 	ProtoRTCP = sim.ProtoRTCP
 )
 
-// Online engine types (internal/engine): the concurrent sharded
-// detection pipeline that runs vids against live or replayed traffic.
+// Shard-tier types (internal/engine): the concurrent detection workers
+// behind the ingestion tier. Build the pipeline with NewIngress; its
+// Engine method exposes the tier for per-shard statistics.
 type (
-	// Engine is the online pipeline: N shard workers, each owning the
-	// per-call machines of the calls hashed to it.
+	// Engine is the shard tier: N workers, each owning the per-call
+	// machines of the calls hashed to it.
 	Engine = engine.Engine
 	// EngineConfig parameterizes shards, queues and backpressure.
 	EngineConfig = engine.Config
@@ -122,15 +123,6 @@ type (
 	EngineStats = engine.Stats
 	// QueuePolicy selects the full-queue behavior.
 	QueuePolicy = engine.Policy
-	// PacketSource feeds an engine (trace replay, UDP listener).
-	PacketSource = engine.Source
-	// PacketSink accepts timestamped packets (Engine and Ingress both
-	// implement it, so sources can feed either tier).
-	PacketSink = engine.Sink
-	// TraceSource replays a captured trace file, optionally paced.
-	TraceSource = engine.TraceSource
-	// UDPSource ingests live traffic from real UDP sockets.
-	UDPSource = engine.UDPSource
 )
 
 // Queue policies.
@@ -144,31 +136,33 @@ const (
 	QueueShed = engine.Shed
 )
 
-// Ingestion-tier types (internal/ingress): the multi-lane front end
-// that moves parsing onto the shard workers and flood accounting onto
-// lock-striped lanes, with pooled receive buffers.
+// Ingestion-tier types (internal/ingress): the online pipeline's front
+// end, which scans each datagram once, keeps flood accounting on
+// lock-striped lanes, and hands packets to the shard that owns their
+// call, with pooled receive buffers.
 type (
-	// Ingress is the multi-lane ingestion tier wrapping an Engine.
+	// Ingress is the online pipeline: the multi-lane ingestion tier
+	// wrapping an Engine.
 	Ingress = ingress.Ingress
 	// IngressConfig parameterizes lanes, buffers and the wrapped engine.
 	IngressConfig = ingress.Config
+	// TraceSource replays a captured trace file into an Ingress,
+	// optionally paced.
+	TraceSource = ingress.TraceSource
 	// UDPListeners binds SO_REUSEPORT socket pairs feeding an Ingress.
 	UDPListeners = ingress.UDPListeners
 	// BufferPool is the fixed-size receive-buffer free list.
 	BufferPool = bufpool.Pool
 )
 
-// NewIngress builds the multi-lane ingestion tier. Close it to drain
-// the lanes and the wrapped engine.
+// NewIngress starts the online detection pipeline: the multi-lane
+// ingestion tier and the shard workers behind it. Close it to drain
+// the lanes and the shard queues and merge the alert logs.
 func NewIngress(cfg IngressConfig) *Ingress { return ingress.New(cfg) }
 
 // NewBufferPool creates a receive-buffer free list (size <= 0 picks
 // the default 64 KiB datagram capacity).
 func NewBufferPool(size int) *BufferPool { return bufpool.New(size) }
-
-// NewEngine starts the online sharded detection pipeline. Close it to
-// drain the shard queues and merge the alert logs.
-func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 
 // NewSimulator creates a seeded virtual clock.
 func NewSimulator(seed int64) *Simulator { return sim.New(seed) }
