@@ -13,7 +13,7 @@ CHURNTIME ?= 5000x
 # feeds BENCH_hotpath.json; the engine file merges a churn run
 # (allocation-gated) with a throughput run (timing only — engine
 # fan-out allocs vary with scheduling and are not a useful gate).
-HOTPATH_BENCH = BenchmarkSIPParse$$|BenchmarkSIPScan$$|BenchmarkRTPParse$$|BenchmarkRTCPParse$$|BenchmarkIDSProcessSIP$$|BenchmarkIDSProcessSIPCompiled$$|BenchmarkIDSProcessSIPView$$|BenchmarkIDSProcessRTP$$|BenchmarkEFSMStep$$|BenchmarkEFSMStepCompiled$$|BenchmarkFastpathLookup$$|BenchmarkWheelNextLoaded$$
+HOTPATH_BENCH = BenchmarkSIPParse$$|BenchmarkSIPScan$$|BenchmarkRTPParse$$|BenchmarkRTCPParse$$|BenchmarkIDSProcessSIP$$|BenchmarkIDSProcessSIPCompiled$$|BenchmarkIDSProcessSIPInterpreted$$|BenchmarkIDSProcessSIPView$$|BenchmarkIDSProcessRTP$$|BenchmarkIDSProcessRTPInterpreted$$|BenchmarkEFSMStep$$|BenchmarkEFSMStepCompiled$$|BenchmarkFastpathLookup$$|BenchmarkWheelNextLoaded$$
 # THROUGHPUT_BENCH pairs the SIP-heavy engine mix with the media-heavy
 # one so the fast-path absorption numbers are pinned alongside the
 # baseline fan-out numbers in BENCH_engine.json.
@@ -140,12 +140,15 @@ speccover:
 speccover-update:
 	$(GO) run ./cmd/speccover -write SPEC_COVERAGE.json
 
-# specgen regenerates internal/idsgen/tables_gen.go from the
-# interpreted EFSM specifications — run it after any spec change, then
-# commit the result. specgen-check verifies the committed file is
-# byte-identical to what the generator would emit (the CI freshness
-# gate: stale compiled tables fail instead of silently diverging from
-# the specs).
+# specgen regenerates every *_gen.go of internal/idsgen (tables, typed
+# event vectors, machine structs, Step, guard and action bodies) plus
+# the IR fixture's probe_gen_test.go from the specifications authored
+# in internal/ids — run it after any spec change, then commit the
+# result. specgen-check verifies each committed file is byte-identical
+# to what the generator would emit, and that internal/idsgen holds no
+# handwritten file beyond runtime.go, system.go and reconstruct.go (the
+# CI freshness gate: stale compiled code, or a hand mirror creeping
+# back, fails instead of silently diverging from the specs).
 specgen:
 	$(GO) run ./cmd/specgen
 

@@ -29,6 +29,12 @@ const (
 	// packet on an established call in steady state. The seed path
 	// took 12 (excluding packet marshaling).
 	maxIDSProcessRTPAllocs = 2
+	// maxIDSProcessRTPInterpretedAllocs pins the same path on the
+	// interpreted reference: the IR evaluator walks four guards and the
+	// window-advance action per packet over map-backed variables, and
+	// must do it without allocating — the end-to-end benchmark's set-up
+	// runs its verification prefix through this path. Zero, exactly.
+	maxIDSProcessRTPInterpretedAllocs = 0
 	// maxIDSProcessSIPAllocs bounds the full IDS path for one SIP
 	// packet: parse, classify, typed event, machine step. Parsing
 	// itself owns most of the budget (see maxSIPParseAllocs); the
@@ -91,11 +97,23 @@ func TestAllocBudgetSIPParse(t *testing.T) {
 // detection path — classify, typed event, media-key probe, machine
 // step — to its allocation budget.
 func TestAllocBudgetIDSProcessRTP(t *testing.T) {
+	allocBudgetProcessRTP(t, ids.BackendCompiled, maxIDSProcessRTPAllocs)
+}
+
+// TestAllocBudgetIDSProcessRTPInterpreted holds the interpreted
+// reference — the IR evaluator — to zero allocations on the same
+// steady-state stream.
+func TestAllocBudgetIDSProcessRTPInterpreted(t *testing.T) {
+	allocBudgetProcessRTP(t, ids.BackendInterpreted, maxIDSProcessRTPInterpretedAllocs)
+}
+
+func allocBudgetProcessRTP(t *testing.T, backend ids.Backend, budget float64) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	s := sim.New(1)
 	cfg := ids.DefaultConfig()
+	cfg.Backend = backend
 	// All runs land on one virtual instant, so disarm the rate window:
 	// this test measures the steady-state path, not the flood
 	// transition.
@@ -133,8 +151,8 @@ func TestAllocBudgetIDSProcessRTP(t *testing.T) {
 		binary.BigEndian.PutUint32(raw[4:], uint32(seq)*160)
 		d.Process(pkt)
 	})
-	if avg > maxIDSProcessRTPAllocs {
-		t.Errorf("ids.Process(RTP) allocates %.1f/op, budget %d", avg, maxIDSProcessRTPAllocs)
+	if avg > budget {
+		t.Errorf("%v ids.Process(RTP) allocates %.1f/op, budget %.0f", backend, avg, budget)
 	}
 	if n := len(d.Alerts()); n != 0 {
 		t.Fatalf("steady-state stream raised %d alerts", n)

@@ -242,9 +242,22 @@ func BenchmarkIDSProcessSIP(b *testing.B) {
 // this variant isolates what the compiled dispatch is responsible
 // for, and alloc_test.go pins its single-digit budget.
 func BenchmarkIDSProcessSIPCompiled(b *testing.B) {
+	benchProcessSIP(b, ids.BackendCompiled)
+}
+
+// BenchmarkIDSProcessSIPInterpreted is the same retransmitted INVITE
+// on the interpreted reference — the IR evaluator over map-backed
+// variables. The end-to-end benchmark's set-up pushes its verification
+// prefix through this path, so its cost is pinned beside the compiled
+// one.
+func BenchmarkIDSProcessSIPInterpreted(b *testing.B) {
+	benchProcessSIP(b, ids.BackendInterpreted)
+}
+
+func benchProcessSIP(b *testing.B, backend ids.Backend) {
 	s := sim.New(1)
 	cfg := ids.DefaultConfig()
-	cfg.Backend = ids.BackendCompiled
+	cfg.Backend = backend
 	// Every iteration re-sends the same INVITE with virtual time frozen,
 	// which the windowed flood counter would (correctly) flag; raise the
 	// threshold so the benchmark measures the benign path.
@@ -340,8 +353,21 @@ func BenchmarkWheelNextLoaded(b *testing.B) {
 // BenchmarkIDSProcessRTP measures the full per-RTP-packet IDS path on
 // an established call's stream.
 func BenchmarkIDSProcessRTP(b *testing.B) {
+	benchProcessRTP(b, ids.BackendCompiled)
+}
+
+// BenchmarkIDSProcessRTPInterpreted is the same stream on the
+// interpreted reference: four IR guards evaluated per packet (the
+// RTP_RCVD cell) plus the window-advance action.
+func BenchmarkIDSProcessRTPInterpreted(b *testing.B) {
+	benchProcessRTP(b, ids.BackendInterpreted)
+}
+
+func benchProcessRTP(b *testing.B, backend ids.Backend) {
 	s := sim.New(1)
-	d := ids.New(s, ids.DefaultConfig())
+	cfg := ids.DefaultConfig()
+	cfg.Backend = backend
+	d := ids.New(s, cfg)
 	// Establish one call so the stream has a live machine.
 	inv := benchInvite()
 	pa := sim.Addr{Host: "proxy.a.example.com", Port: 5060}

@@ -1,449 +1,167 @@
-// Command specgen compiles the interpreted EFSM specifications of
-// internal/ids into the dense transition tables of internal/idsgen.
+// Command specgen compiles the EFSM specifications of internal/ids
+// into internal/idsgen, the compiled detection backend.
 //
-// The generator loads ids.Specs (the SIP machine, the two RTP
-// direction machines, the two windowed flood counters and the
-// standalone spam monitor), flattens each into a [state][event] cell
-// table in the exact candidate order the interpreted core.Machine.Step
-// walks, and emits internal/idsgen/tables_gen.go: the tables plus one
-// guard/action dispatch switch per machine family. The guard and
-// action bodies themselves are handwritten in internal/idsgen; the
-// generated switches reference them by structural name
-// (<family>Guard_<FROM>_<event>_<cellIndex>), so any structural spec
-// change regenerates into names that fail to compile until the
-// handwritten semantics are brought back in line.
+// The specifications are authored once, in the guard/action IR of
+// internal/core. The interpreted reference evaluates that IR; specgen
+// emits it as Go. Per run it flattens each spec into a dense
+// [state][event] cell table in the candidate order the interpreted
+// core.Machine.Step walks, groups structurally identical specs
+// (rtp-caller/rtp-callee, invite-/response-flood) into one machine
+// family, and writes everything that is specification semantics:
 //
-// Twin machines (rtp-caller/rtp-callee, invite-flood/response-flood)
-// share one dispatch family: the generator asserts the twins are
-// isomorphic to the family representative and reuses its transition
-// indices, canonicalizing the flood twins' counted event to "data".
+//	tables_gen.go    the tables
+//	args_gen.go      the typed event vectors with their core.TypedArgs
+//	                 accessors, the δ events, and SysGlobals
+//	<family>_gen.go  the machine struct (fields, presence bits, Reset,
+//	                 Vars, varsFootprint, view accessors), Step, one
+//	                 function per distinct guard and action node, and
+//	                 the dispatch switches
+//
+// What stays handwritten in internal/idsgen names no state, variable,
+// event or guard: runtime.go (table types, lookups, the machine
+// shell), system.go (the δ-FIFO CallSystem and the constructors) and
+// reconstruct.go. A second output, internal/idsgen/probe_gen_test.go,
+// compiles internal/core/irtest's fixture machine — one transition per
+// IR primitive — so a package test can hold the emitter to the
+// evaluator primitive by primitive.
 //
 // Usage:
 //
-//	specgen [-out internal/idsgen/tables_gen.go]   regenerate
-//	specgen -check                                 fail if committed code is stale
+//	specgen [-out internal/idsgen]   regenerate
+//	specgen -check                   fail if any generated file is stale or a stray file appeared
 package main
 
 import (
 	"bytes"
 	"flag"
 	"fmt"
-	"go/format"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
 	"vids/internal/core"
+	"vids/internal/core/irtest"
 	"vids/internal/ids"
 )
 
-// family groups machines that share one dispatch switch and one set of
-// handwritten guard/action bodies.
-type family struct {
-	key     string // dispatch prefix: sip, rtp, flood, spam
-	machine string // compiled machine type in internal/idsgen
-	args    string // typed-payload type in internal/idsgen
-}
+// handwritten lists the non-generated, non-test files internal/idsgen
+// may hold. Anything else that is not specgen output is a second
+// authorship creeping back in, and fails the run.
+var handwritten = map[string]bool{"runtime.go": true, "system.go": true, "reconstruct.go": true}
 
-var families = map[string]*family{
-	"sip":   {key: "sip", machine: "SIPMachine", args: "SIPArgs"},
-	"rtp":   {key: "rtp", machine: "RTPMachine", args: "RTPArgs"},
-	"flood": {key: "flood", machine: "FloodMachine", args: "FloodArgs"},
-	"spam":  {key: "spam", machine: "SpamMachine", args: "RTPArgs"},
-}
-
-// specFamily classifies a spec by its registered name; an unknown name
-// is a hard error so a renamed or added machine cannot silently skip
-// compilation.
-func specFamily(name string) (fam string, tblVar string, rep bool, err error) {
-	switch name {
-	case "sip":
-		return "sip", "tblSIP", true, nil
-	case "rtp-caller":
-		return "rtp", "tblRTPCaller", true, nil
-	case "rtp-callee":
-		return "rtp", "tblRTPCallee", false, nil
-	case "invite-flood":
-		return "flood", "tblInviteFlood", true, nil
-	case "response-flood":
-		return "flood", "tblRespFlood", false, nil
-	case "rtp-spam":
-		return "spam", "tblSpam", true, nil
-	}
-	return "", "", false, fmt.Errorf("specgen: unknown spec %q (teach specFamily about it)", name)
-}
-
-// cell is one compiled transition before emission.
-type cell struct {
-	to      int
-	fn      int
-	guarded bool
-	action  bool
-	label   string
-}
-
-// model is one machine's flattened table.
-type model struct {
-	name    string
-	tblVar  string
-	famKey  string
-	rep     bool
-	states  []core.State
-	events  []string
-	initial int
-	final   []bool
-	attack  []bool
-	cells   [][][]cell
-}
-
-func buildModel(spec *core.Spec, tblVar, famKey string, rep bool) (*model, error) {
-	m := &model{name: spec.Name, tblVar: tblVar, famKey: famKey, rep: rep}
-	m.states = spec.States()
-	stateIx := make(map[core.State]int, len(m.states))
-	for i, st := range m.states {
-		stateIx[st] = i
-	}
-	if len(m.states) > 255 {
-		return nil, fmt.Errorf("specgen: %s: %d states overflow the uint8 table index", spec.Name, len(m.states))
-	}
-	init, ok := stateIx[spec.Initial]
-	if !ok {
-		return nil, fmt.Errorf("specgen: %s: initial state %q not in States()", spec.Name, spec.Initial)
-	}
-	m.initial = init
-
-	seen := make(map[string]bool)
-	for _, t := range spec.Transitions() {
-		if !seen[t.Event] {
-			seen[t.Event] = true
-			m.events = append(m.events, t.Event)
-		}
-	}
-	sort.Strings(m.events)
-	eventIx := make(map[string]int, len(m.events))
-	for i, ev := range m.events {
-		eventIx[ev] = i
-	}
-
-	m.final = make([]bool, len(m.states))
-	m.attack = make([]bool, len(m.states))
-	for i, st := range m.states {
-		m.final[i] = spec.IsFinal(st)
-		m.attack[i] = spec.IsAttack(st)
-	}
-
-	m.cells = make([][][]cell, len(m.states))
-	for i := range m.cells {
-		m.cells[i] = make([][]cell, len(m.events))
-	}
-	// Transitions() yields (sorted from, sorted event, insertion order):
-	// appending preserves the interpreter's in-cell candidate order.
-	for _, t := range spec.Transitions() {
-		si, ei := stateIx[t.From], eventIx[t.Event]
-		m.cells[si][ei] = append(m.cells[si][ei], cell{
-			to:      stateIx[t.To],
-			guarded: t.Guard != nil,
-			action:  t.Do != nil,
-			label:   t.Label,
-		})
-	}
-	return m, nil
-}
-
-// canonEvent maps an event to the name used in dispatch-function
-// names. The flood twins count different SIP events through one shared
-// counter shape, so their data column canonicalizes to "data".
-func canonEvent(famKey, event string) string {
-	if famKey == "flood" && event != "timer.T1" {
-		return "data"
-	}
-	return event
-}
-
-// assignFns numbers the representative's transitions family-wide in
-// table-walk order.
-func assignFns(rep *model) error {
-	fn := 0
-	for si := range rep.cells {
-		for ei := range rep.cells[si] {
-			for ci := range rep.cells[si][ei] {
-				rep.cells[si][ei][ci].fn = fn
-				fn++
-			}
-		}
-	}
-	if fn > 1<<16-1 {
-		return fmt.Errorf("specgen: %s: %d transitions overflow the uint16 dispatch index", rep.name, fn)
-	}
-	return nil
-}
-
-// copyFns asserts twin is isomorphic to its family representative
-// (same states, same canonical events, same cell shapes and flags) and
-// reuses the representative's transition indices. Labels may differ —
-// the twins carry their own alert labels.
-func copyFns(rep, twin *model) error {
-	if len(twin.states) != len(rep.states) {
-		return fmt.Errorf("specgen: %s/%s: state count mismatch (%d vs %d)", rep.name, twin.name, len(rep.states), len(twin.states))
-	}
-	for i := range rep.states {
-		if twin.states[i] != rep.states[i] {
-			return fmt.Errorf("specgen: %s/%s: state %d mismatch (%q vs %q)", rep.name, twin.name, i, rep.states[i], twin.states[i])
-		}
-	}
-	if len(twin.events) != len(rep.events) {
-		return fmt.Errorf("specgen: %s/%s: event count mismatch", rep.name, twin.name)
-	}
-	for i := range rep.events {
-		if canonEvent(twin.famKey, twin.events[i]) != canonEvent(rep.famKey, rep.events[i]) {
-			return fmt.Errorf("specgen: %s/%s: event column %d mismatch (%q vs %q)", rep.name, twin.name, i, rep.events[i], twin.events[i])
-		}
-	}
-	if twin.initial != rep.initial || !boolsEq(twin.final, rep.final) || !boolsEq(twin.attack, rep.attack) {
-		return fmt.Errorf("specgen: %s/%s: initial/final/attack marking mismatch", rep.name, twin.name)
-	}
-	for si := range rep.cells {
-		for ei := range rep.cells[si] {
-			rc, tc := rep.cells[si][ei], twin.cells[si][ei]
-			if len(rc) != len(tc) {
-				return fmt.Errorf("specgen: %s/%s: cell (%s, %s) candidate count mismatch", rep.name, twin.name, rep.states[si], rep.events[ei])
-			}
-			for ci := range rc {
-				if tc[ci].to != rc[ci].to || tc[ci].guarded != rc[ci].guarded || tc[ci].action != rc[ci].action {
-					return fmt.Errorf("specgen: %s/%s: cell (%s, %s)[%d] shape mismatch", rep.name, twin.name, rep.states[si], rep.events[ei], ci)
-				}
-				twin.cells[si][ei][ci].fn = rc[ci].fn
-			}
-		}
-	}
-	return nil
-}
-
-func boolsEq(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// sanitize turns a state or event name into a Go identifier fragment.
-func sanitize(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
-func dispatchName(kind, famKey string, state core.State, event string, ci int) string {
-	return fmt.Sprintf("%s%s_%s_%s_%d", famKey, kind, sanitize(string(state)), sanitize(event), ci)
-}
-
-func emitTable(b *bytes.Buffer, m *model) {
-	fmt.Fprintf(b, "var %s = machTable{\n", m.tblVar)
-	fmt.Fprintf(b, "name: %q,\n", m.name)
-	fmt.Fprintf(b, "initial: %d,\n", m.initial)
-	fmt.Fprintf(b, "states: []core.State{")
-	for i, st := range m.states {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(b, "%q", string(st))
-	}
-	b.WriteString("},\n")
-	fmt.Fprintf(b, "events: []string{")
-	for i, ev := range m.events {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(b, "%q", ev)
-	}
-	b.WriteString("},\n")
-	emitBools(b, "final", m.final)
-	emitBools(b, "attack", m.attack)
-	// cells is row-major flat: state si's row occupies indices
-	// [si*len(events), (si+1)*len(events)).
-	b.WriteString("cells: [][]trans{\n")
-	for si, byEvent := range m.cells {
-		fmt.Fprintf(b, "// %s\n", m.states[si])
-		for ei, cands := range byEvent {
-			if len(cands) == 0 {
-				fmt.Fprintf(b, "nil, // %s\n", m.events[ei])
-				continue
-			}
-			b.WriteString("{")
-			for ci, c := range cands {
-				if ci > 0 {
-					b.WriteString(", ")
-				}
-				fmt.Fprintf(b, "{to: %d, fn: %d", c.to, c.fn)
-				if c.guarded {
-					b.WriteString(", guarded: true")
-				}
-				if c.action {
-					b.WriteString(", action: true")
-				}
-				if c.label != "" {
-					fmt.Fprintf(b, ", label: %q", c.label)
-				}
-				b.WriteString("}")
-			}
-			fmt.Fprintf(b, "}, // %s\n", m.events[ei])
-		}
-	}
-	b.WriteString("},\n}\n\n")
-}
-
-func emitBools(b *bytes.Buffer, field string, vals []bool) {
-	fmt.Fprintf(b, "%s: []bool{", field)
-	for i, v := range vals {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(b, "%v", v)
-	}
-	b.WriteString("},\n")
-}
-
-// emitDispatch writes the guard and action switches for one family,
-// derived from the representative's table.
-func emitDispatch(b *bytes.Buffer, rep *model) {
-	fam := families[rep.famKey]
-
-	fmt.Fprintf(b, "func %sGuardFn(fn uint16, m *%s, e *core.Event, a *%s) bool {\n", fam.key, fam.machine, fam.args)
-	b.WriteString("switch fn {\n")
-	for si := range rep.cells {
-		for ei := range rep.cells[si] {
-			for ci, c := range rep.cells[si][ei] {
-				if !c.guarded {
-					continue
-				}
-				name := dispatchName("Guard", fam.key, rep.states[si], canonEvent(rep.famKey, rep.events[ei]), ci)
-				fmt.Fprintf(b, "case %d:\nreturn %s(m, e, a)\n", c.fn, name)
-			}
-		}
-	}
-	b.WriteString("}\nreturn true\n}\n\n")
-
-	fmt.Fprintf(b, "func %sActionFn(fn uint16, m *%s, e *core.Event, a *%s) {\n", fam.key, fam.machine, fam.args)
-	b.WriteString("switch fn {\n")
-	for si := range rep.cells {
-		for ei := range rep.cells[si] {
-			for ci, c := range rep.cells[si][ei] {
-				if !c.action {
-					continue
-				}
-				name := dispatchName("Action", fam.key, rep.states[si], canonEvent(rep.famKey, rep.events[ei]), ci)
-				fmt.Fprintf(b, "case %d:\n%s(m, e, a)\n", c.fn, name)
-			}
-		}
-	}
-	b.WriteString("}\n}\n\n")
-}
-
-func generate() ([]byte, error) {
-	specs := ids.Specs(ids.DefaultConfig())
-
-	var models []*model
-	reps := make(map[string]*model)
-	for _, spec := range specs {
-		famKey, tblVar, rep, err := specFamily(spec.Name)
-		if err != nil {
-			return nil, err
-		}
-		m, err := buildModel(spec, tblVar, famKey, rep)
-		if err != nil {
-			return nil, err
-		}
-		models = append(models, m)
-		if rep {
-			if prev, dup := reps[famKey]; dup {
-				return nil, fmt.Errorf("specgen: families %s: two representatives (%s, %s)", famKey, prev.name, m.name)
-			}
-			reps[famKey] = m
-			if err := assignFns(m); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, m := range models {
-		if m.rep {
-			continue
-		}
-		rep, ok := reps[m.famKey]
-		if !ok {
-			return nil, fmt.Errorf("specgen: %s: family %s has no representative", m.name, m.famKey)
-		}
-		if err := copyFns(rep, m); err != nil {
-			return nil, err
-		}
-	}
-
-	var b bytes.Buffer
-	b.WriteString("// Code generated by specgen from the ids EFSM specifications. DO NOT EDIT.\n")
-	b.WriteString("//\n")
-	b.WriteString("// Regenerate with `make specgen`; CI runs `specgen -check` and fails\n")
-	b.WriteString("// if this file drifts from internal/ids.\n\n")
-	b.WriteString("package idsgen\n\n")
-	b.WriteString("import \"vids/internal/core\"\n\n")
-	for _, m := range models {
-		emitTable(&b, m)
-	}
-	// Stable dispatch order regardless of map iteration.
-	famOrder := []string{"sip", "rtp", "flood", "spam"}
-	for _, famKey := range famOrder {
-		rep, ok := reps[famKey]
-		if !ok {
-			return nil, fmt.Errorf("specgen: no specs classified into family %s", famKey)
-		}
-		emitDispatch(&b, rep)
-	}
-
-	src, err := format.Source(b.Bytes())
+// generate compiles one set of specs. globalsType names the struct for
+// their shared g.* store; tablesVar, if set, the slice listing their
+// tables. The sections come back in emission order: tables, shared
+// declarations, then one per family.
+func generate(specs []*core.Spec, globalsType, tablesVar string) ([]*section, error) {
+	p, err := analyze(specs, globalsType)
 	if err != nil {
-		return nil, fmt.Errorf("specgen: generated code does not parse: %v", err)
+		return nil, err
 	}
-	return src, nil
+	g := &emitter{P: p, GlobalsType: globalsType}
+	shared, err := g.shared()
+	if err != nil {
+		return nil, err
+	}
+	sections := []*section{g.tables(tablesVar), shared}
+	for _, f := range p.Families {
+		s, err := g.machine(f)
+		if err != nil {
+			return nil, err
+		}
+		sections = append(sections, s)
+	}
+	return sections, nil
+}
+
+// outputs renders every generated file, keyed by base name.
+func outputs() (map[string][]byte, error) {
+	files := make(map[string][]byte)
+	sections, err := generate(ids.Specs(ids.DefaultConfig()), "SysGlobals", "specTables")
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range sections {
+		if files[s.name+"_gen.go"], err = render("idsgen", s); err != nil {
+			return nil, err
+		}
+	}
+	probe, err := generate(irtest.Specs(), "probeGlobals", "")
+	if err != nil {
+		return nil, err
+	}
+	if files["probe_gen_test.go"], err = render("idsgen", probe...); err != nil {
+		return nil, err
+	}
+	return files, nil
+}
+
+func run(dir string, check bool) error {
+	files, err := outputs()
+	if err != nil {
+		return err
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	var stale []string
+	for _, e := range entries {
+		name := e.Name()
+		_, ours := files[name]
+		switch {
+		case ours || e.IsDir() || handwritten[name] || !strings.HasSuffix(name, ".go"):
+		case strings.HasSuffix(name, "_gen.go"), strings.HasSuffix(name, "_gen_test.go"):
+			stale = append(stale, name)
+		case strings.HasSuffix(name, "_test.go"):
+		default:
+			return fmt.Errorf("%s: handwritten file in the generated package (only runtime.go, system.go, reconstruct.go and tests are): author specifications in internal/ids", filepath.Join(dir, name))
+		}
+	}
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+
+	if check {
+		for _, name := range names {
+			have, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				return fmt.Errorf("-check: %v", err)
+			}
+			if !bytes.Equal(have, files[name]) {
+				stale = append(stale, name)
+			}
+		}
+		if len(stale) > 0 {
+			return fmt.Errorf("stale in %s: %s; run `make specgen` and commit the result", dir, strings.Join(stale, ", "))
+		}
+		fmt.Printf("specgen: %d generated files in %s are current\n", len(names), dir)
+		return nil
+	}
+
+	for _, name := range stale {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			return err
+		}
+	}
+	for _, name := range names {
+		if err := os.WriteFile(filepath.Join(dir, name), files[name], 0o644); err != nil {
+			return err
+		}
+	}
+	fmt.Printf("specgen: wrote %s in %s\n", strings.Join(names, ", "), dir)
+	return nil
 }
 
 func main() {
-	out := flag.String("out", "internal/idsgen/tables_gen.go", "output path for the generated tables")
+	out := flag.String("out", "internal/idsgen", "directory of the generated package")
 	check := flag.Bool("check", false, "verify the committed generated code is current; exit nonzero on drift")
 	flag.Parse()
-
-	src, err := generate()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if err := run(*out, *check); err != nil {
+		fmt.Fprintln(os.Stderr, "specgen:", err)
 		os.Exit(1)
 	}
-
-	if *check {
-		have, err := os.ReadFile(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "specgen: -check: %v\n", err)
-			os.Exit(1)
-		}
-		if !bytes.Equal(have, src) {
-			fmt.Fprintf(os.Stderr, "specgen: %s is stale; run `make specgen` and commit the result\n", *out)
-			os.Exit(1)
-		}
-		fmt.Printf("specgen: %s is current\n", *out)
-		return
-	}
-
-	if err := os.WriteFile(*out, src, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("specgen: wrote %s\n", *out)
 }

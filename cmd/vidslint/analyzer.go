@@ -225,13 +225,15 @@ func (a *analyzer) analyzeDir(dir string) ([]finding, error) {
 	a.pkgs[importPath] = &pkgInfo{path: importPath, files: files, info: info, pkg: pkg}
 	a.analyzed[importPath] = true
 
-	// internal/idsgen holds specgen's generated dispatch tables plus the
-	// hand-written runtime they call into. The style rules (typed-accessor
-	// idiom, dropped-error discipline, guard purity) are tuned for code a
-	// human maintains transition-by-transition, not for table literals a
-	// generator rewrites wholesale, so they are skipped there. The
-	// program-wide noalloc/escape closure and the lock gate still apply:
-	// the compiled hot path gets the same allocation guarantees as the
+	// internal/idsgen is specgen's output — tables, typed vectors,
+	// machine structs, Step and every guard and action body — plus three
+	// handwritten files that name no state, variable or event. The style
+	// rules (typed-accessor idiom, dropped-error discipline, guard
+	// purity) are tuned for specifications a human authors transition by
+	// transition; those live in internal/ids and are checked there, not
+	// in the Go a generator rewrites wholesale from them. The
+	// program-wide noalloc/nopanic closures and the lock gate still
+	// apply: the compiled hot path gets the same guarantees as the
 	// interpreted one.
 	style := !strings.HasSuffix(importPath, "internal/idsgen")
 

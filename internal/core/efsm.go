@@ -348,6 +348,12 @@ type Transition struct {
 
 	// Label annotates the transition for alerts and traces.
 	Label string
+
+	// Pred and Act are the IR the closures above were lowered from
+	// (Spec.When); nil on a transition authored as closures (Spec.On).
+	// cmd/specgen compiles these; nothing on the step path reads them.
+	Pred *Expr
+	Act  *Block
 }
 
 // Spec is the immutable definition of one EFSM: shared by all of its
@@ -356,6 +362,14 @@ type Transition struct {
 type Spec struct {
 	Name    string
 	Initial State
+
+	// Family names the compiled machine type (<Family>Machine) specgen
+	// emits for this specification. Structurally identical specs — the
+	// two media directions, the two flood counters — share one type.
+	Family string
+	// Views are the variable tuples the compiled type exposes through
+	// generated accessors (see View).
+	Views []View
 
 	finals  map[State]bool
 	attacks map[State]bool

@@ -46,17 +46,20 @@ func (d *IDS) armFastpath(mon *CallMonitor, machine string) {
 	}
 	snap := fastpath.Snapshot{Gen: mon.gen}
 	var payload int
+	var seq uint32
 	if rm, isCompiled := m.(*idsgen.RTPMachine); isCompiled {
-		payload, snap.SSRC, snap.Seq, snap.TS, snap.WinStart, snap.WinCount = rm.MediaWindow()
+		payload = rm.Payload()
+		snap.SSRC, seq, snap.TS, snap.WinStart, snap.WinCount = rm.MediaWindow()
 	} else {
 		vars := m.Vars() //vids:alloc-ok interpreted-backend arm: Vars is the live store, no materialization
-		payload = vars.GetInt("l.payload")
-		snap.SSRC = vars.GetUint32("l.ssrc")
-		snap.Seq = uint16(vars.GetUint32("l.seq"))
-		snap.TS = vars.GetUint32("l.ts")
-		snap.WinStart = vars.GetDuration("l.winStart")
-		snap.WinCount = vars.GetInt("l.winCount")
+		payload = vars.GetInt(lPayload.Name)
+		snap.SSRC = vars.GetUint32(lSSRC.Name)
+		seq = vars.GetUint32(lSeq.Name)
+		snap.TS = vars.GetUint32(lTS.Name)
+		snap.WinStart = vars.GetDuration(lWinStart.Name)
+		snap.WinCount = vars.GetInt(lWinCount.Name)
 	}
+	snap.Seq = uint16(seq)
 	d.fp.Arm(d.keyBuf, uint8(payload), snap) //vids:alloc-ok fast-path hook seam: the engine closure and cache Update are independently noalloc-rooted
 }
 
@@ -80,15 +83,15 @@ func (d *IDS) ResyncMedia(host string, port int, snap fastpath.Snapshot) {
 		return
 	}
 	if rm, isCompiled := m.(*idsgen.RTPMachine); isCompiled {
-		rm.SetMediaWindow(snap.SSRC, snap.Seq, snap.TS, snap.WinStart, snap.WinCount)
+		rm.SetMediaWindow(snap.SSRC, uint32(snap.Seq), snap.TS, snap.WinStart, snap.WinCount)
 		return
 	}
 	vars := m.Vars()
-	vars.SetUint32("l.ssrc", snap.SSRC)
-	vars.SetUint32("l.seq", uint32(snap.Seq))
-	vars.SetUint32("l.ts", snap.TS)
-	vars.SetDuration("l.winStart", snap.WinStart)
-	vars.SetInt("l.winCount", snap.WinCount)
+	vars.SetUint32(lSSRC.Name, snap.SSRC)
+	vars.SetUint32(lSeq.Name, uint32(snap.Seq))
+	vars.SetUint32(lTS.Name, snap.TS)
+	vars.SetDuration(lWinStart.Name, snap.WinStart)
+	vars.SetInt(lWinCount.Name, snap.WinCount)
 }
 
 // invalidateMonitorMedia disarms every flow the monitor's call owns.

@@ -35,40 +35,48 @@ func respFloodSpec(n int) *core.Spec {
 
 const labelDRDoS = "drdos"
 
+// The flood counters' event vector and local variables. No guard reads
+// src; the vector carries it so an alert can name the sender.
+var (
+	floodVector = core.NewVector("Flood")
+
+	floodDest = floodVector.Arg("dest", core.KindString)
+	_         = floodVector.Arg("src", core.KindString)
+
+	lDest  = core.Local("l.dest", core.KindString)
+	lCount = core.Local("l.count", core.KindInt)
+)
+
 // windowCounterSpec is the generic Figure 4 machine: count occurrences
 // of event per destination, enter the attack state past n within one
 // timer window.
 func windowCounterSpec(name, event, label string, n int) *core.Spec {
 	s := core.NewSpec(name, FloodInit)
+	s.Family = "Flood"
+	limit := core.Param("N", core.IntVal(n))
 
 	// First event for destination D: initialize the packet counter
 	// and (via the IDS observing this transition) start timer T1.
-	s.On(FloodInit, event, nil, func(c *core.Ctx) {
-		c.Vars.SetString("l.dest", c.Event.StringArg("dest"))
-		c.Vars.SetInt("l.count", 1)
-	}, FloodCounting)
+	s.When(FloodInit, event, nil, core.Do(
+		core.Set(lDest, floodDest),
+		core.Set(lCount, core.Lit(1)),
+	), FloodCounting)
 
-	s.On(FloodCounting, event, func(c *core.Ctx) bool {
-		return c.Vars.GetInt("l.count") < n
-	}, func(c *core.Ctx) {
-		c.Vars.SetInt("l.count", c.Vars.GetInt("l.count")+1)
-	}, FloodCounting)
+	s.When(FloodCounting, event, core.Lt(lCount, limit), core.Do(
+		core.Set(lCount, core.Add(lCount, core.Lit(1))),
+	), FloodCounting)
 
-	s.OnLabeled(label, FloodCounting, event, func(c *core.Ctx) bool {
-		return c.Vars.GetInt("l.count") >= n
-	}, nil, FloodAttack)
+	s.WhenLabeled(label, FloodCounting, event, core.Ge(lCount, limit), nil, FloodAttack)
 
 	// Window expiry resets the detector.
-	reset := func(c *core.Ctx) {
-		delete(c.Vars, "l.count")
-	}
-	s.On(FloodCounting, EvTimerT1, nil, reset, FloodInit)
-	s.On(FloodAttack, EvTimerT1, nil, reset, FloodInit)
-	s.On(FloodInit, EvTimerT1, nil, nil, FloodInit)
+	reset := core.Do(core.Delete(lCount))
+	s.When(FloodCounting, EvTimerT1, nil, reset, FloodInit)
+	s.When(FloodAttack, EvTimerT1, nil, reset, FloodInit)
+	s.When(FloodInit, EvTimerT1, nil, nil, FloodInit)
 
 	// Further events inside an already-flagged window are part of the
 	// same attack.
-	s.On(FloodAttack, event, nil, nil, FloodAttack)
+	s.When(FloodAttack, event, nil, nil, FloodAttack)
 
 	s.Attack(FloodAttack)
 	s.Final(FloodInit)

@@ -22,8 +22,13 @@ import (
 // plain IDS embeds its own.
 //
 // Window timers T1 live on the bank's own timer wheel (anchored to the
-// shared clock), so opening and expiring a window is allocation-free
-// once its per-destination machine exists.
+// shared clock). A destination holds state only while its window is
+// open: the Figure 4 machine's INIT is its final state, and a machine
+// that reaches a final state is deleted (Section 7.3), so a T1 expiry
+// removes the destination's entry and parks it, source counts and all,
+// on a free list. A scan over ever-new destinations therefore costs memory
+// for one window's worth of them, and a busy destination's next window
+// reuses parked records without allocating.
 //
 // FloodWatch is not safe for concurrent use; the embedding layer
 // serializes access (the IDS runs single-threaded, an ingestion lane
@@ -36,10 +41,13 @@ type FloodWatch struct {
 	floodSp     *core.Spec
 	respFloodSp *core.Spec
 
-	floods     map[string]*floodEntry    // keyed by destination user@domain
-	floodSrcs  map[string]map[string]int // per-destination INVITE counts by source
-	respFloods map[string]*floodEntry    // keyed by destination host
-	quarantine map[string]time.Duration  // "dest|src" -> blocked until
+	floods     map[string]*floodEntry   // open INVITE windows by destination user@domain
+	respFloods map[string]*floodEntry   // open stray-response windows by destination host
+	quarantine map[string]time.Duration // "dest|src" -> blocked until
+
+	// Records of expired windows, reset and ready for the next one.
+	freeFloods     []*floodEntry
+	freeRespFloods []*floodEntry
 
 	args floodArgs // reusable typed event vector
 
@@ -47,9 +55,10 @@ type FloodWatch struct {
 	raise func(Alert)
 }
 
-// SetCoverage installs obs on every existing and future counter
-// machine of the bank. Like (*IDS).SetCoverage, it is a verification
-// hook: production leaves the observer nil.
+// SetCoverage installs obs on every open and future counter machine of
+// the bank (a parked one picks it up when its next window opens). Like
+// (*IDS).SetCoverage, it is a verification hook: production leaves the
+// observer nil.
 func (fw *FloodWatch) SetCoverage(obs core.CoverageObserver) {
 	fw.cover = obs
 	for _, e := range fw.floods {
@@ -60,12 +69,41 @@ func (fw *FloodWatch) SetCoverage(obs core.CoverageObserver) {
 	}
 }
 
-// floodEntry pairs one windowed counter machine with its embedded T1
-// timer so opening a window never allocates.
+// floodEntry is one open window: the counter machine, its embedded T1
+// timer and, for the INVITE detector, the window's INVITE counts by
+// source (prevention mode quarantines the major contributors).
 type floodEntry struct {
 	m     core.MachineLike
 	dest  string
+	srcs  map[string]int
 	timer timerwheel.Timer
+}
+
+// open starts dest's window record: a parked one if any, else a new
+// counter on the configured backend with its embedded T1 timer.
+//
+//vids:alloc-ok runs once per opened window, not per packet, and allocates only when more windows are open at once than ever before
+func (fw *FloodWatch) open(kind idsgen.FloodKind, dest string) *floodEntry {
+	free, timerKind := &fw.freeFloods, timerKindFloodWindow
+	if kind == idsgen.FloodResponse {
+		free, timerKind = &fw.freeRespFloods, timerKindRespFloodWindow
+	}
+	var e *floodEntry
+	if n := len(*free); n > 0 {
+		e = (*free)[n-1]
+		(*free)[n-1] = nil
+		*free = (*free)[:n-1]
+	} else {
+		e = &floodEntry{m: fw.newCounter(kind)}
+		if kind == idsgen.FloodInvite {
+			e.srcs = make(map[string]int)
+		}
+		e.timer.Kind = timerKind
+		e.timer.Owner = e
+	}
+	e.dest = dest
+	e.m.SetCoverage(fw.cover)
+	return e
 }
 
 // newCounter builds one windowed counter on the configured backend.
@@ -93,7 +131,6 @@ func NewFloodWatch(s *sim.Simulator, cfg Config, raise func(Alert)) *FloodWatch 
 		floodSp:     floodSpec(cfg.FloodN),
 		respFloodSp: respFloodSpec(cfg.ResponseFloodN),
 		floods:      make(map[string]*floodEntry),
-		floodSrcs:   make(map[string]map[string]int),
 		respFloods:  make(map[string]*floodEntry),
 		quarantine:  make(map[string]time.Duration),
 		raise:       raise,
@@ -102,23 +139,27 @@ func NewFloodWatch(s *sim.Simulator, cfg Config, raise func(Alert)) *FloodWatch 
 	return fw
 }
 
-// fire handles a T1 window expiry for either detector family.
+// fire handles a T1 window expiry for either detector family: the
+// counter returns to INIT, its final state, and the destination's
+// records are parked until a window opens again.
 func (fw *FloodWatch) fire(t *timerwheel.Timer) {
 	e := t.Owner.(*floodEntry)
+	if r, err := e.m.Step(evTimerT1); err != nil || r.To != FloodInit {
+		return
+	}
+	e.m.Reset()
+	// Cleared, not dropped: the next window reuses the map's buckets
+	// instead of reallocating them.
+	clear(e.srcs)
 	switch t.Kind {
 	case timerKindFloodWindow:
-		r, err := e.m.Step(evTimerT1)
-		if err == nil && r.To == FloodInit {
-			// Clear rather than delete: the next window for this
-			// destination reuses the map's buckets instead of
-			// reallocating them.
-			if srcs := fw.floodSrcs[e.dest]; srcs != nil {
-				clear(srcs)
-			}
-		}
+		delete(fw.floods, e.dest)
+		fw.freeFloods = append(fw.freeFloods, e)
 	case timerKindRespFloodWindow:
-		_, _ = e.m.Step(evTimerT1)
+		delete(fw.respFloods, e.dest)
+		fw.freeRespFloods = append(fw.freeRespFloods, e)
 	}
+	e.dest = ""
 }
 
 // FeedInvite counts one initial INVITE toward dest's Figure 4 window
@@ -129,18 +170,10 @@ func (fw *FloodWatch) fire(t *timerwheel.Timer) {
 func (fw *FloodWatch) FeedInvite(dest, src string, now time.Duration) {
 	e, ok := fw.floods[dest]
 	if !ok {
-		e = &floodEntry{m: fw.newCounter(idsgen.FloodInvite), dest: dest}
-		e.m.SetCoverage(fw.cover)
-		e.timer.Kind = timerKindFloodWindow
-		e.timer.Owner = e
+		e = fw.open(idsgen.FloodInvite, dest)
 		fw.floods[dest] = e
 	}
-	srcs := fw.floodSrcs[dest]
-	if srcs == nil {
-		srcs = make(map[string]int)
-		fw.floodSrcs[dest] = srcs
-	}
-	srcs[src]++
+	e.srcs[src]++
 	fw.args = floodArgs{Dest: dest, Src: src}
 	res, err := e.m.Step(core.Event{Name: EvInvite, Typed: &fw.args})
 	if err != nil {
@@ -158,7 +191,7 @@ func (fw *FloodWatch) FeedInvite(dest, src string, now time.Duration) {
 		if fw.cfg.Prevention {
 			// Quarantine the window's major contributors: the window
 			// detector alone would re-admit N INVITEs per T1.
-			for contributor, count := range srcs {
+			for contributor, count := range e.srcs {
 				if count > fw.cfg.FloodN/2 {
 					fw.quarantine[dest+"|"+contributor] = now + fw.cfg.Quarantine
 				}
@@ -177,10 +210,7 @@ func (fw *FloodWatch) FeedInvite(dest, src string, now time.Duration) {
 func (fw *FloodWatch) FeedStrayResponse(raw []byte, dest, src string, now time.Duration) {
 	e, ok := fw.respFloods[dest]
 	if !ok {
-		e = &floodEntry{m: fw.newCounter(idsgen.FloodResponse), dest: dest}
-		e.m.SetCoverage(fw.cover)
-		e.timer.Kind = timerKindRespFloodWindow
-		e.timer.Owner = e
+		e = fw.open(idsgen.FloodResponse, dest)
 		fw.respFloods[dest] = e
 	}
 	fw.args = floodArgs{Dest: dest, Src: src}

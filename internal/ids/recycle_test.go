@@ -164,3 +164,59 @@ func TestTombstoneTTLUnderChurn(t *testing.T) {
 		t.Fatalf("expired tombstone should no longer absorb stragglers: %v", h.ids.Alerts())
 	}
 }
+
+// TestFloodWatchFreesExpiredDestinations pins the bank's memory bound
+// under an INVITE scan and a reflection spray over ever-new
+// destinations: a destination holds state only while its T1 window is
+// open, so after every window both tables are empty again, the free
+// list holds one window's worth of records however many windows pass,
+// and a busy destination's next window reuses one of them.
+func TestFloodWatchFreesExpiredDestinations(t *testing.T) {
+	for _, backend := range []Backend{BackendCompiled, BackendInterpreted} {
+		t.Run(backend.String(), func(t *testing.T) {
+			s := sim.New(1)
+			cfg := DefaultConfig()
+			cfg.Backend = backend
+			fw := NewFloodWatch(s, cfg, func(Alert) {})
+			expire := func() {
+				if err := s.RunUntil(s.Now() + cfg.FloodT1 + time.Millisecond); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const perWindow, windows = 10_000, 5
+			for w := 0; w < windows; w++ {
+				for i := 0; i < perWindow; i++ {
+					n := w*perWindow + i
+					fw.FeedInvite(fmt.Sprintf("user%d@victim.example", n), "scanner.example", s.Now())
+					fw.FeedStrayResponse(nil, fmt.Sprintf("host%d.victim.example", n), "reflector.example", s.Now())
+				}
+				if len(fw.floods) != perWindow || len(fw.respFloods) != perWindow {
+					t.Fatalf("window %d open: %d INVITE and %d response entries, want %d each", w, len(fw.floods), len(fw.respFloods), perWindow)
+				}
+				expire()
+				if len(fw.floods) != 0 || len(fw.respFloods) != 0 {
+					t.Fatalf("window %d expired: %d INVITE and %d response entries still resident", w, len(fw.floods), len(fw.respFloods))
+				}
+			}
+			if len(fw.freeFloods) != perWindow || len(fw.freeRespFloods) != perWindow {
+				t.Fatalf("free lists hold %d and %d records after %d windows of %d destinations, want %d each",
+					len(fw.freeFloods), len(fw.freeRespFloods), windows, perWindow, perWindow)
+			}
+			for _, e := range fw.freeFloods {
+				if e.dest != "" || len(e.srcs) != 0 || e.m.State() != FloodInit || len(e.m.Vars()) != 0 {
+					t.Fatalf("parked record not pristine: dest=%q srcs=%v state=%s vars=%v", e.dest, e.srcs, e.m.State(), e.m.Vars())
+				}
+			}
+			// A busy destination's next window takes a parked record — the
+			// machine, the timer and the source map's buckets — instead
+			// of allocating.
+			fw.FeedInvite("busy@victim.example", "caller.example", s.Now())
+			first := fw.floods["busy@victim.example"]
+			expire()
+			fw.FeedInvite("busy@victim.example", "caller.example", s.Now())
+			if again := fw.floods["busy@victim.example"]; again != first || len(fw.freeFloods) != perWindow-1 {
+				t.Errorf("reopened window built a new record (%p, was %p; %d parked)", again, first, len(fw.freeFloods))
+			}
+		})
+	}
+}

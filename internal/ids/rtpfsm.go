@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"vids/internal/core"
-	"vids/internal/rtp"
 )
 
 // RTP machine control states (paper Figures 2(a), 5 and 6).
@@ -56,140 +55,151 @@ type RTPThresholds struct {
 	RatePackets int
 }
 
+// The RTP event vector (one rtp.packet), shared by the per-direction
+// machine and the standalone spam monitor, and their local variables.
+var (
+	rtpVector = core.NewVector("RTP")
+
+	rtpSrc         = rtpVector.Arg("src", core.KindString)
+	rtpSSRC        = rtpVector.Arg("ssrc", core.KindUint32)
+	rtpTS          = rtpVector.Arg("ts", core.KindUint32)
+	rtpSeq         = rtpVector.Arg("seq", core.KindInt)
+	rtpPayloadType = rtpVector.Arg("payloadType", core.KindInt)
+	rtpNow         = rtpVector.Arg("now", core.KindDuration)
+
+	// deltaParty is the δ open message's payload: which party's stream
+	// the opened direction carries.
+	deltaParty = core.Arg("party", core.KindString)
+
+	lParty    = core.Local("l.party", core.KindString)
+	lPayload  = core.Local("l.payload", core.KindInt)
+	lStarted  = core.Local("l.started", core.KindBool)
+	lSSRC     = core.Local("l.ssrc", core.KindUint32)
+	lSeq      = core.Local("l.seq", core.KindUint32)
+	lTS       = core.Local("l.ts", core.KindUint32)
+	lSrc      = core.Local("l.src", core.KindString)
+	lWinStart = core.Local("l.winStart", core.KindDuration)
+	lWinCount = core.Local("l.winCount", core.KindInt)
+)
+
+// rtpWindow is the media window the ingress fast path mirrors: the
+// variables the RTP_RCVD self-loop reads and advances. The compiled
+// machine exposes the tuple as MediaWindow/SetMediaWindow; fastpath.go
+// reads and writes an interpreted machine's Vars by the same nodes.
+var rtpWindow = []*core.Expr{lSSRC, lSeq, lTS, lWinStart, lWinCount}
+
+// gapOK is Figure 6's window predicate over the stream's high-water
+// pair. Backward packets (reordering) are tolerated; only forward
+// jumps beyond the thresholds indicate injection.
+func gapOK(th RTPThresholds) *core.Expr {
+	return core.WindowOK(lSeq, rtpSeq, lTS, rtpTS,
+		core.Param("SeqGap", core.IntVal(int(th.SeqGap))),
+		core.Param("TSGap", core.Uint32Val(th.TSGap)))
+}
+
 // rtpSpec builds one media-direction machine. The machine learns its
 // negotiated endpoint lazily from the globals the SIP machine wrote
 // (g.payload and the direction's media address), then tracks the
 // stream's SSRC, sequence and timestamp evolution.
 func rtpSpec(name string, th RTPThresholds) *core.Spec {
 	s := core.NewSpec(name, RTPInit)
+	s.Family = "RTP"
+	s.Views = []core.View{
+		{Name: "Payload", Vars: []*core.Expr{lPayload}},
+		{Name: "MediaWindow", Vars: rtpWindow},
+	}
 
 	// INIT --δ open--> RTP_OPEN: bind the negotiated media and
 	// remember which party's stream this machine watches.
-	s.On(RTPInit, EvDeltaOpen, nil, func(c *core.Ctx) {
-		c.Vars.SetString("l.party", c.Event.StringArg("party"))
-		c.Vars.SetInt("l.payload", c.Globals.GetInt("g.payload"))
-	}, RTPOpen)
+	s.When(RTPInit, EvDeltaOpen, nil, core.Do(
+		core.Set(lParty, deltaParty),
+		core.Set(lPayload, gPayload),
+	), RTPOpen)
 
-	payloadOK := func(c *core.Ctx) bool {
-		return c.Event.IntArg("payloadType") == c.Vars.GetInt("l.payload")
-	}
+	payloadOK := core.Eq(rtpPayloadType, lPayload)
+	badPayload := core.Not(payloadOK)
 
 	// First packet of the stream: record the source binding.
-	s.On(RTPOpen, EvRTP, payloadOK, func(c *core.Ctx) {
-		e := c.Event
-		c.Vars.SetBool("l.started", true)
-		c.Vars.SetUint32("l.ssrc", e.Uint32Arg("ssrc"))
-		c.Vars.SetUint32("l.seq", uint32(e.IntArg("seq")))
-		c.Vars.SetUint32("l.ts", e.Uint32Arg("ts"))
-		c.Vars.SetString("l.src", e.StringArg("src"))
-		c.Vars.SetDuration("l.winStart", e.DurationArg("now"))
-		c.Vars.SetInt("l.winCount", 1)
-	}, RTPRcvd)
-	s.OnLabeled(labelCodec, RTPOpen, EvRTP, func(c *core.Ctx) bool {
-		return !payloadOK(c)
-	}, nil, RTPAttackCodec)
+	s.When(RTPOpen, EvRTP, payloadOK, core.Do(
+		core.Set(lStarted, core.Lit(true)),
+		core.Set(lSSRC, rtpSSRC),
+		core.Set(lSeq, rtpSeq),
+		core.Set(lTS, rtpTS),
+		core.Set(lSrc, rtpSrc),
+		core.Set(lWinStart, rtpNow),
+		core.Set(lWinCount, core.Lit(1)),
+	), RTPRcvd)
+	s.WhenLabeled(labelCodec, RTPOpen, EvRTP, badPayload, nil, RTPAttackCodec)
 
 	// Steady state: every packet must carry the negotiated payload
 	// type, the established SSRC, and advance seq/timestamp within
 	// the spam thresholds (Figure 6's predicate).
-	sameSSRC := func(c *core.Ctx) bool {
-		return c.Event.Uint32Arg("ssrc") == c.Vars.GetUint32("l.ssrc")
-	}
-	gapOK := func(c *core.Ctx) bool {
-		prevSeq := uint16(c.Vars.GetUint32("l.seq"))
-		prevTS := c.Vars.GetUint32("l.ts")
-		seq := uint16(c.Event.IntArg("seq"))
-		ts := c.Event.Uint32Arg("ts")
-		// Backward packets (reordering) are tolerated; only forward
-		// jumps beyond the thresholds indicate injection.
-		return rtp.WindowOK(prevSeq, seq, prevTS, ts, th.SeqGap, th.TSGap)
-	}
-	rateOK := func(c *core.Ctx) bool {
-		now := c.Event.DurationArg("now")
-		winStart := c.Vars.GetDuration("l.winStart")
-		if now-winStart > th.RateWindow {
-			return true // window rolls over; reset happens in action
-		}
-		return c.Vars.GetInt("l.winCount") < th.RatePackets
-	}
+	sameSSRC := core.Eq(rtpSSRC, lSSRC)
+	gap := gapOK(th)
+	// The rate window rolls over once RateWindow has passed since it
+	// opened (the action resets it); inside it the packet count is
+	// bounded.
+	rollover := core.Gt(core.Sub(rtpNow, lWinStart), core.Param("RateWindow", core.DurationVal(th.RateWindow)))
+	rateOK := core.Or(rollover, core.Lt(lWinCount, core.Param("RatePackets", core.IntVal(th.RatePackets))))
 
-	normal := func(c *core.Ctx) bool {
-		return payloadOK(c) && sameSSRC(c) && gapOK(c) && rateOK(c)
-	}
-	s.On(RTPRcvd, EvRTP, normal, func(c *core.Ctx) {
-		e := c.Event
+	s.When(RTPRcvd, EvRTP, core.And(payloadOK, sameSSRC, gap, rateOK), core.Do(
 		// Advance-only: a tolerated reordered packet must not rewind
 		// the window high-water mark (rtp.WindowAdvance), or the next
 		// in-order packet reads as a spurious gap across the seq wrap.
-		seq, ts := rtp.WindowAdvance(
-			uint16(c.Vars.GetUint32("l.seq")), uint16(e.IntArg("seq")),
-			c.Vars.GetUint32("l.ts"), e.Uint32Arg("ts"))
-		c.Vars.SetUint32("l.seq", uint32(seq))
-		c.Vars.SetUint32("l.ts", ts)
-		now := e.DurationArg("now")
-		if now-c.Vars.GetDuration("l.winStart") > th.RateWindow {
-			c.Vars.SetDuration("l.winStart", now)
-			c.Vars.SetInt("l.winCount", 1)
-			return
-		}
-		c.Vars.SetInt("l.winCount", c.Vars.GetInt("l.winCount")+1)
-	}, RTPRcvd)
+		core.WindowAdvance(lSeq, lTS, rtpSeq, rtpTS),
+		core.If(rollover,
+			core.Set(lWinStart, rtpNow),
+			core.Set(lWinCount, core.Lit(1)),
+		).OrElse(
+			core.Set(lWinCount, core.Add(lWinCount, core.Lit(1)))),
+	), RTPRcvd)
 
 	// Attack branches, most specific first; the guards are mutually
 	// disjoint by construction.
-	s.OnLabeled(labelCodec, RTPRcvd, EvRTP, func(c *core.Ctx) bool {
-		return !payloadOK(c)
-	}, nil, RTPAttackCodec)
-	s.OnLabeled(labelMediaSpam, RTPRcvd, EvRTP, func(c *core.Ctx) bool {
-		return payloadOK(c) && (!sameSSRC(c) || !gapOK(c))
-	}, nil, RTPAttackSpam)
-	s.OnLabeled(labelRTPFlood, RTPRcvd, EvRTP, func(c *core.Ctx) bool {
-		return payloadOK(c) && sameSSRC(c) && gapOK(c) && !rateOK(c)
-	}, nil, RTPAttackFlood)
+	s.WhenLabeled(labelCodec, RTPRcvd, EvRTP, badPayload, nil, RTPAttackCodec)
+	s.WhenLabeled(labelMediaSpam, RTPRcvd, EvRTP,
+		core.And(payloadOK, core.Or(core.Not(sameSSRC), core.Not(gap))), nil, RTPAttackSpam)
+	s.WhenLabeled(labelRTPFlood, RTPRcvd, EvRTP,
+		core.And(payloadOK, sameSSRC, gap, core.Not(rateOK)), nil, RTPAttackFlood)
 
 	// δ bye: arm the in-flight grace period (timer T, Figure 5). The
 	// IDS schedules the timer event when it sees this transition.
-	s.On(RTPRcvd, EvDeltaBye, nil, nil, RTPAfterBye)
-	s.On(RTPOpen, EvDeltaBye, nil, nil, RTPClose) // stream never started
-	s.On(RTPInit, EvDeltaBye, nil, nil, RTPClose) // direction never opened
+	s.When(RTPRcvd, EvDeltaBye, nil, nil, RTPAfterBye)
+	s.When(RTPOpen, EvDeltaBye, nil, nil, RTPClose) // stream never started
+	s.When(RTPInit, EvDeltaBye, nil, nil, RTPClose) // direction never opened
 
 	// In-flight packets are tolerated until the timer fires.
-	s.On(RTPAfterBye, EvRTP, nil, nil, RTPAfterBye)
-	s.On(RTPAfterBye, EvTimerT, nil, nil, RTPClose)
-	s.On(RTPOpen, EvTimerT, nil, nil, RTPOpen)
-	s.On(RTPClose, EvTimerT, nil, nil, RTPClose)
-	s.On(RTPRcvd, EvTimerT, nil, nil, RTPRcvd) // stale timer after a reopen
+	s.When(RTPAfterBye, EvRTP, nil, nil, RTPAfterBye)
+	s.When(RTPAfterBye, EvTimerT, nil, nil, RTPClose)
+	s.When(RTPOpen, EvTimerT, nil, nil, RTPOpen)
+	s.When(RTPClose, EvTimerT, nil, nil, RTPClose)
+	s.When(RTPRcvd, EvTimerT, nil, nil, RTPRcvd) // stale timer after a reopen
 
 	// δ reopen: a BYE drew a 401 challenge, so nothing was torn down
 	// (authenticated deployments) — the stream is still legitimate.
-	started := func(c *core.Ctx) bool { return c.Vars.GetBool("l.started") }
-	notStarted := func(c *core.Ctx) bool { return !started(c) }
+	notStarted := core.Not(lStarted)
 	for _, from := range []core.State{RTPAfterBye, RTPClose} {
-		s.On(from, EvDeltaReopen, started, nil, RTPRcvd)
-		s.On(from, EvDeltaReopen, notStarted, nil, RTPOpen)
+		s.When(from, EvDeltaReopen, lStarted, nil, RTPRcvd)
+		s.When(from, EvDeltaReopen, notStarted, nil, RTPOpen)
 	}
-	s.On(RTPOpen, EvDeltaReopen, nil, nil, RTPOpen)
-	s.On(RTPRcvd, EvDeltaReopen, nil, nil, RTPRcvd)
-	s.On(RTPInit, EvDeltaReopen, nil, nil, RTPInit)
+	s.When(RTPOpen, EvDeltaReopen, nil, nil, RTPOpen)
+	s.When(RTPRcvd, EvDeltaReopen, nil, nil, RTPRcvd)
+	s.When(RTPInit, EvDeltaReopen, nil, nil, RTPInit)
 
 	// Packets after RTP_CLOSE are the cross-protocol detections of
 	// Figure 5: if the party that sent the BYE is still talking it is
 	// toll fraud (billing stopped, media continues); if the *other*
 	// party is still talking, it never learned about the BYE — the
 	// BYE was spoofed (BYE DoS).
-	fraud := func(c *core.Ctx) bool {
-		return c.Vars.GetString("l.party") == c.Globals.GetString("g.byeSender")
-	}
-	s.OnLabeled(labelTollFraud, RTPClose, EvRTP, fraud, nil, RTPAttackTollFraud)
-	s.OnLabeled(labelByeDoS, RTPClose, EvRTP, func(c *core.Ctx) bool {
-		return !fraud(c)
-	}, nil, RTPAttackByeDoS)
+	fraud := core.Eq(lParty, gByeSender)
+	s.WhenLabeled(labelTollFraud, RTPClose, EvRTP, fraud, nil, RTPAttackTollFraud)
+	s.WhenLabeled(labelByeDoS, RTPClose, EvRTP, core.Not(fraud), nil, RTPAttackByeDoS)
 
 	// Attack states absorb further traffic.
 	for _, attack := range []core.State{RTPAttackSpam, RTPAttackCodec,
 		RTPAttackByeDoS, RTPAttackTollFraud, RTPAttackFlood} {
 		for _, ev := range []string{EvRTP, EvDeltaOpen, EvDeltaBye, EvDeltaReopen, EvTimerT} {
-			s.On(attack, ev, nil, nil, attack)
+			s.When(attack, ev, nil, nil, attack)
 		}
 	}
 
@@ -204,38 +214,25 @@ func rtpSpec(name string, th RTPThresholds) *core.Spec {
 // starting from the first observed packet.
 func spamSpec(th RTPThresholds) *core.Spec {
 	s := core.NewSpec("rtp-spam", RTPInit)
-	s.On(RTPInit, EvRTP, nil, func(c *core.Ctx) {
-		e := c.Event
-		c.Vars.SetUint32("l.ssrc", e.Uint32Arg("ssrc"))
-		c.Vars.SetUint32("l.seq", uint32(e.IntArg("seq")))
-		c.Vars.SetUint32("l.ts", e.Uint32Arg("ts"))
-	}, RTPRcvd)
+	s.Family = "Spam"
+	s.When(RTPInit, EvRTP, nil, core.Do(
+		core.Set(lSSRC, rtpSSRC),
+		core.Set(lSeq, rtpSeq),
+		core.Set(lTS, rtpTS),
+	), RTPRcvd)
 
-	gapOK := func(c *core.Ctx) bool {
-		prevSeq := uint16(c.Vars.GetUint32("l.seq"))
-		prevTS := c.Vars.GetUint32("l.ts")
-		seq := uint16(c.Event.IntArg("seq"))
-		ts := c.Event.Uint32Arg("ts")
-		if !rtp.SeqLess(prevSeq, seq) && seq != prevSeq {
-			return true // reordered behind the window: tolerated, SSRC unchecked
-		}
-		return rtp.WindowOK(prevSeq, seq, prevTS, ts, th.SeqGap, th.TSGap) &&
-			c.Event.Uint32Arg("ssrc") == c.Vars.GetUint32("l.ssrc")
-	}
-	s.On(RTPRcvd, EvRTP, gapOK, func(c *core.Ctx) {
+	// A packet reordered behind the window is tolerated with its SSRC
+	// unchecked; anything else must sit inside the gap thresholds and
+	// carry the stream's SSRC (there is no separate same-SSRC branch on
+	// this machine).
+	behind := core.And(core.Not(core.SeqLess(lSeq, rtpSeq)), core.Ne(rtpSeq, lSeq))
+	inProfile := core.Or(behind, core.And(gapOK(th), core.Eq(rtpSSRC, lSSRC)))
+	s.When(RTPRcvd, EvRTP, inProfile, core.Do(
 		// Advance-only, mirroring the negotiated-stream machine.
-		seq, ts := rtp.WindowAdvance(
-			uint16(c.Vars.GetUint32("l.seq")), uint16(c.Event.IntArg("seq")),
-			c.Vars.GetUint32("l.ts"), c.Event.Uint32Arg("ts"))
-		c.Vars.SetUint32("l.seq", uint32(seq))
-		c.Vars.SetUint32("l.ts", ts)
-	}, RTPRcvd)
-	s.OnLabeled(labelMediaSpam, RTPRcvd, EvRTP, func(c *core.Ctx) bool {
-		return !gapOK(c)
-	}, nil, RTPAttackSpam)
-	for _, ev := range []string{EvRTP} {
-		s.On(RTPAttackSpam, ev, nil, nil, RTPAttackSpam)
-	}
+		core.WindowAdvance(lSeq, lTS, rtpSeq, rtpTS),
+	), RTPRcvd)
+	s.WhenLabeled(labelMediaSpam, RTPRcvd, EvRTP, core.Not(inProfile), nil, RTPAttackSpam)
+	s.When(RTPAttackSpam, EvRTP, nil, nil, RTPAttackSpam)
 	s.Attack(RTPAttackSpam)
 	return s
 }

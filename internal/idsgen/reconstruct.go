@@ -10,12 +10,8 @@ import "vids/internal/core"
 // their DOT output is byte-identical to the interpreted specs', which
 // pins the generated tables to the spec structure.
 func ReconstructSpecs() []*core.Spec {
-	tables := []*machTable{
-		&tblSIP, &tblRTPCaller, &tblRTPCallee,
-		&tblInviteFlood, &tblRespFlood, &tblSpam,
-	}
-	specs := make([]*core.Spec, 0, len(tables))
-	for _, t := range tables {
+	specs := make([]*core.Spec, 0, len(specTables))
+	for _, t := range specTables {
 		specs = append(specs, reconstructSpec(t))
 	}
 	return specs

@@ -1,54 +1,6 @@
 package idsgen
 
-import (
-	"time"
-
-	"vids/internal/core"
-)
-
-// Machine names inside one call's communicating system, matching the
-// spec names internal/ids registers. cmd/specgen classifies the specs
-// by these names when assigning transitions to dispatch families, so a
-// renamed spec fails generation rather than silently drifting.
-const (
-	MachineSIP       = "sip"
-	MachineRTPCaller = "rtp-caller"
-	MachineRTPCallee = "rtp-callee"
-	MachineSpam      = "rtp-spam"
-)
-
-// Event names shared with the interpreted specs.
-const (
-	evDeltaOpen   = "delta.open"
-	evDeltaBye    = "delta.bye"
-	evDeltaReopen = "delta.reopen"
-)
-
-// Pre-built δ synchronization events, value-identical to the ones the
-// interpreted sipSpec emits (same Args maps, shared across calls and
-// never mutated) so both backends enqueue indistinguishable SyncMsgs.
-var (
-	deltaOpenCallee = core.Event{Name: evDeltaOpen, Args: map[string]any{"party": "callee"}}
-	deltaOpenCaller = core.Event{Name: evDeltaOpen, Args: map[string]any{"party": "caller"}}
-	deltaBye        = core.Event{Name: evDeltaBye}
-	deltaReopen     = core.Event{Name: evDeltaReopen}
-)
-
-// Params carries the configuration the compiled guards and actions
-// close over: the Figure 6 media thresholds and the cross-protocol
-// ablation switch. It is a value copy of the relevant ids.Config
-// fields (idsgen cannot import internal/ids — ids imports idsgen).
-type Params struct {
-	// SeqGap / TSGap are the paper's Δn and Δt spam thresholds.
-	SeqGap uint16
-	TSGap  uint32
-	// RateWindow / RatePackets bound the legitimate packet rate.
-	RateWindow  time.Duration
-	RatePackets int
-	// CrossProtocol enables the δ teardown/reopen notifications from
-	// the SIP machine to the RTP machines (ablation A1 disables it).
-	CrossProtocol bool
-}
+import "vids/internal/core"
 
 // trans is one compiled transition: a dense-table cell entry. fn is
 // the family-wide transition index the generated guard/action switch
@@ -67,8 +19,8 @@ type trans struct {
 // exact order the interpreted Machine.Step walks. cells is flattened
 // row-major (cells[state*len(events)+event]) so the per-step lookup is
 // one bounds check and no intermediate slice-header chase. The tables
-// live in tables_gen.go (written by cmd/specgen); everything that
-// interprets them is handwritten here.
+// live in tables_gen.go (written by cmd/specgen); what interprets them
+// here knows no state, event or variable of any specification.
 type machTable struct {
 	name    string
 	initial uint8
@@ -121,77 +73,58 @@ func (t *machTable) eventID(name string) int {
 	return -1
 }
 
-// SysGlobals is the compiled form of one call system's shared variable
-// store: the g.* keys the SIP machine writes and the RTP machines
-// read, as struct fields plus a presence bitmask so the Vars view and
-// the memory accounting match the interpreted map exactly.
-type SysGlobals struct {
-	set             uint8
-	callerMediaAddr string
-	callerMediaPort int
-	payload         int
-	calleeMediaAddr string
-	calleeMediaPort int
-	byeSender       string
+// machBase is the shell every compiled machine embeds: its table, the
+// control state, the presence mask of its l.* fields (bit assignments
+// are generated per machine type), and the bookkeeping behind the
+// parts of core.MachineLike that do not depend on the specification.
+type machBase struct {
+	tbl   *machTable
+	state uint8
+	set   uint16
+	cover core.CoverageObserver
+	steps uint64
 }
 
-// Presence bits of SysGlobals.set.
-const (
-	gSetCallerMediaAddr = 1 << iota
-	gSetCallerMediaPort
-	gSetPayload
-	gSetCalleeMediaAddr
-	gSetCalleeMediaPort
-	gSetByeSender
-)
+func newBase(tbl *machTable) machBase { return machBase{tbl: tbl, state: tbl.initial} }
 
-func (g *SysGlobals) reset() { *g = SysGlobals{} }
+// Name returns the machine's name.
+func (m *machBase) Name() string { return m.tbl.name }
 
-// vars materializes the map view (cold path: tooling and tests).
-func (g *SysGlobals) vars() core.Vars {
-	v := make(core.Vars)
-	if g.set&gSetCallerMediaAddr != 0 {
-		v.SetString("g.callerMediaAddr", g.callerMediaAddr)
-	}
-	if g.set&gSetCallerMediaPort != 0 {
-		v.SetInt("g.callerMediaPort", g.callerMediaPort)
-	}
-	if g.set&gSetPayload != 0 {
-		v.SetInt("g.payload", g.payload)
-	}
-	if g.set&gSetCalleeMediaAddr != 0 {
-		v.SetString("g.calleeMediaAddr", g.calleeMediaAddr)
-	}
-	if g.set&gSetCalleeMediaPort != 0 {
-		v.SetInt("g.calleeMediaPort", g.calleeMediaPort)
-	}
-	if g.set&gSetByeSender != 0 {
-		v.SetString("g.byeSender", g.byeSender)
-	}
-	return v
+// State returns the current control state.
+func (m *machBase) State() core.State { return m.tbl.stateName(m.state) }
+
+// Steps reports transitions taken since the last Reset.
+func (m *machBase) Steps() uint64 { return m.steps }
+
+// InAttack reports whether the machine sits in an attack state.
+func (m *machBase) InAttack() bool { return stateFlag(m.tbl.attack, m.state) }
+
+// InFinal reports whether the machine reached a final state.
+func (m *machBase) InFinal() bool { return stateFlag(m.tbl.final, m.state) }
+
+// SetCoverage installs (or, with nil, removes) a coverage observer.
+// Like the interpreted machine, Reset keeps it.
+func (m *machBase) SetCoverage(obs core.CoverageObserver) { m.cover = obs }
+
+func (m *machBase) reset() {
+	m.state = m.tbl.initial
+	m.set = 0
+	m.steps = 0
 }
 
-// footprint mirrors core.varsFootprint over the present keys: len(key)
-// plus len(string value) or 8 bytes per numeric.
-func (g *SysGlobals) footprint() int {
-	total := 0
-	if g.set&gSetCallerMediaAddr != 0 {
-		total += len("g.callerMediaAddr") + len(g.callerMediaAddr)
+// observe reports one taken transition to the coverage observer in
+// the interpreter's order: the transition, its δ emissions, then the
+// attack entry. Step calls it only with an observer installed.
+func (m *machBase) observe(from, to core.State, event, label string, emits []core.SyncMsg, enteredAttack bool) {
+	name := m.tbl.name
+	//vids:panic-ok coverage observers are in-repo recorders (nil on the packet path); the interface call cannot be resolved statically
+	m.cover.TransitionFired(name, from, event, to, label) //vids:alloc-ok coverage observers take word-sized args; nil in production
+	for i := range emits {
+		//vids:panic-ok coverage observers are in-repo recorders (nil on the packet path); the interface call cannot be resolved statically
+		m.cover.DeltaEmitted(name, emits[i].Target, emits[i].Event.Name) //vids:alloc-ok coverage observers take word-sized args; nil in production
 	}
-	if g.set&gSetCallerMediaPort != 0 {
-		total += len("g.callerMediaPort") + 8
+	if enteredAttack {
+		//vids:panic-ok coverage observers are in-repo recorders (nil on the packet path); the interface call cannot be resolved statically
+		m.cover.AttackEntered(name, to) //vids:alloc-ok coverage observers take word-sized args; nil in production
 	}
-	if g.set&gSetPayload != 0 {
-		total += len("g.payload") + 8
-	}
-	if g.set&gSetCalleeMediaAddr != 0 {
-		total += len("g.calleeMediaAddr") + len(g.calleeMediaAddr)
-	}
-	if g.set&gSetCalleeMediaPort != 0 {
-		total += len("g.calleeMediaPort") + 8
-	}
-	if g.set&gSetByeSender != 0 {
-		total += len("g.byeSender") + len(g.byeSender)
-	}
-	return total
 }

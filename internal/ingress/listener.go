@@ -76,15 +76,19 @@ func (ul *UDPListeners) Run(ctx context.Context, ing *Ingress) error {
 	}
 
 	var err error
+	exited := 0
 	select {
 	case err = <-errc:
+		exited = 1
 	case <-ctx.Done():
 	}
-	// Unblock the remaining readers and wait them all out.
+	// Unblock the remaining readers and wait them all out: a pump still
+	// running after Run returns would hand its prefetched buffers back
+	// to a pool the caller believes is quiescent.
 	for _, c := range conns {
 		c.Close()
 	}
-	for i := 1; i < len(conns); i++ {
+	for ; exited < len(conns); exited++ {
 		<-errc
 	}
 	return err
