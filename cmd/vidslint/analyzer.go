@@ -13,12 +13,13 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // finding is one diagnostic anchored to a source position. kind
 // classifies it for the machine-readable output ("noalloc",
-// "nopanic", "directive"); the per-package style and concurrency
-// rules leave it empty and render as "lint".
+// "nopanic", "directive"); the per-package style rules and the lock
+// gate leave it empty and render as "lint".
 type finding struct {
 	pos  token.Position
 	msg  string
@@ -29,55 +30,89 @@ func (f finding) String() string {
 	return fmt.Sprintf("%s: %s", f.pos, f.msg)
 }
 
+// sortFindings is the one ordering of diagnostics: by file, offset,
+// then text.
+func sortFindings(out []finding) {
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].pos.Filename != out[j].pos.Filename {
+			return out[i].pos.Filename < out[j].pos.Filename
+		}
+		if out[i].pos.Offset != out[j].pos.Offset {
+			return out[i].pos.Offset < out[j].pos.Offset
+		}
+		return out[i].msg < out[j].msg
+	})
+}
+
 // pkgInfo retains one typechecked module package — syntax, type
-// information and the package object — so the whole-program passes
-// (the escape gate and the alloc-ceiling drift check) can traverse
-// call graphs across package boundaries after the per-package rules
-// ran.
+// information, the package object and, once indexed, its functions in
+// source order.
 type pkgInfo struct {
 	path  string
 	files []*ast.File
 	info  *types.Info
 	pkg   *types.Package
+	funcs []*funcNode
 }
 
-// analyzer loads, typechecks and lints packages of one module using
-// only the standard library: go/parser for syntax, go/types for
-// semantics, and a module-aware importer that resolves in-module
-// import paths against the repo tree and everything else through the
-// compiler source importer. Test files are skipped (they exercise the
-// APIs loosely on purpose); `go vet` still covers them in CI.
+// in reports whether the package's import path ends in one of the
+// given suffixes ("internal/ids"): how the rule table names packages.
+func (pi *pkgInfo) in(suffixes ...string) bool {
+	for _, s := range suffixes {
+		if strings.HasSuffix(pi.path, s) {
+			return true
+		}
+	}
+	return false
+}
+
+// stdlib is the source importer for everything outside the module and
+// the file set its positions live in. It is shared by every analyzer
+// of the process, so the standard library is typechecked once however
+// many runs a test makes; nothing in it changes after a package is
+// loaded.
+var stdlib = sync.OnceValues(func() (*token.FileSet, types.ImporterFrom) {
+	fset := token.NewFileSet()
+	return fset, importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+})
+
+// analyzer loads and typechecks packages of one module using only the
+// standard library: go/parser for syntax, go/types for semantics, and
+// a module-aware importer that resolves in-module import paths against
+// the repo tree and everything else through the compiler source
+// importer. Test files are skipped (they exercise the APIs loosely on
+// purpose); `go vet` still covers them in CI.
 type analyzer struct {
 	fset       *token.FileSet
 	moduleRoot string
 	modulePath string
 	corePath   string // <module>/internal/core
 	std        types.ImporterFrom
-	cache      map[string]*types.Package
 
-	// pkgs retains every module package loaded in this run (explicitly
-	// analyzed or pulled in as an import), keyed by import path.
-	// analyzed marks the subset that analyzeDir was pointed at: the
-	// whole-program passes report directive staleness only there, so
+	// pkgs retains every module package loaded in this run (named on
+	// the command line or pulled in as an import), keyed by import
+	// path. analyzed marks the subset load was pointed at: roots,
+	// per-package rules and directive hygiene apply only there, so
 	// linting one fixture directory never blames annotations in
 	// packages it merely imports.
 	pkgs     map[string]*pkgInfo
 	analyzed map[string]bool
 
-	// prog is the whole-program index of the latest programFindings
-	// run, kept for the -json waiver inventory.
-	prog *program
+	// overlay replaces the content of the named files (absolute paths)
+	// before parsing. Only the mutation self-test sets it.
+	overlay map[string][]byte
+
+	ix *index
 }
 
 func newAnalyzer(moduleRoot, modulePath string) *analyzer {
-	fset := token.NewFileSet()
+	fset, std := stdlib()
 	return &analyzer{
 		fset:       fset,
 		moduleRoot: moduleRoot,
 		modulePath: modulePath,
 		corePath:   modulePath + "/internal/core",
-		std:        importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		cache:      make(map[string]*types.Package),
+		std:        std,
 		pkgs:       make(map[string]*pkgInfo),
 		analyzed:   make(map[string]bool),
 	}
@@ -98,37 +133,48 @@ func (a *analyzer) Import(path string) (*types.Package, error) {
 }
 
 // ImportFrom resolves module-internal packages from source under the
-// module root and delegates everything else (the standard library) to
-// the source importer.
+// module root, each typechecked once, and delegates everything else
+// (the standard library) to the source importer.
 func (a *analyzer) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if pkg, ok := a.cache[path]; ok {
-		return pkg, nil
-	}
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if path == a.modulePath || strings.HasPrefix(path, a.modulePath+"/") {
-		files, err := a.parseDir(a.dirFor(path))
-		if err != nil {
-			return nil, err
-		}
-		info := newTypesInfo()
-		conf := types.Config{Importer: a}
-		pkg, err := conf.Check(path, a.fset, files, info)
-		if err != nil {
-			return nil, err
-		}
-		a.cache[path] = pkg
-		if _, ok := a.pkgs[path]; !ok {
-			a.pkgs[path] = &pkgInfo{path: path, files: files, info: info, pkg: pkg}
-		}
-		return pkg, nil
+	if !a.inModule(path) {
+		return a.std.ImportFrom(path, dir, mode)
 	}
-	pkg, err := a.std.ImportFrom(path, dir, mode)
-	if err == nil {
-		a.cache[path] = pkg
+	if pi, ok := a.pkgs[path]; ok {
+		return pi.pkg, nil
 	}
-	return pkg, err
+	files, err := a.parseDir(a.dirFor(path), false)
+	if err != nil {
+		return nil, err
+	}
+	info := newTypesInfo()
+	conf := types.Config{Importer: a}
+	pkg, err := conf.Check(path, a.fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	a.pkgs[path] = &pkgInfo{path: path, files: files, info: info, pkg: pkg}
+	return pkg, nil
+}
+
+func (a *analyzer) inModule(path string) bool {
+	return path == a.modulePath || strings.HasPrefix(path, a.modulePath+"/")
+}
+
+// sortedPkgs returns the loaded module packages in import-path order.
+func (a *analyzer) sortedPkgs() []*pkgInfo {
+	paths := make([]string, 0, len(a.pkgs))
+	for p := range a.pkgs {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	out := make([]*pkgInfo, len(paths))
+	for i, p := range paths {
+		out[i] = a.pkgs[p]
+	}
+	return out
 }
 
 func (a *analyzer) dirFor(importPath string) string {
@@ -154,8 +200,9 @@ func (a *analyzer) importPathFor(dir string) (string, error) {
 	return a.modulePath + "/" + filepath.ToSlash(rel), nil
 }
 
-// parseDir parses every non-test .go file of one directory.
-func (a *analyzer) parseDir(dir string) ([]*ast.File, error) {
+// parseDir parses the .go files of one directory whose build
+// constraints hold: the package's own files, or its _test.go files.
+func (a *analyzer) parseDir(dir string, tests bool) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -163,10 +210,15 @@ func (a *analyzer) parseDir(dir string) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") != tests {
 			continue
 		}
-		f, err := parser.ParseFile(a.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		path := filepath.Join(dir, name)
+		var src any
+		if b, ok := a.overlay[path]; ok {
+			src = b
+		}
+		f, err := parser.ParseFile(a.fset, path, src, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -203,66 +255,88 @@ func buildConstraintSatisfied(f *ast.File) bool {
 	return true
 }
 
-// analyzeDir typechecks one package directory and runs every rule.
-func (a *analyzer) analyzeDir(dir string) ([]finding, error) {
+// load typechecks one package directory and marks it analyzed. A
+// directory with no buildable Go file yields (nil, nil).
+func (a *analyzer) load(dir string) (*pkgInfo, error) {
 	importPath, err := a.importPathFor(dir)
 	if err != nil {
 		return nil, err
 	}
-	files, err := a.parseDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, nil
-	}
-	info := newTypesInfo()
-	conf := types.Config{Importer: a}
-	pkg, err := conf.Check(importPath, a.fset, files, info)
-	if err != nil {
+	if _, err := a.ImportFrom(importPath, "", 0); err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", importPath, err)
 	}
-	a.pkgs[importPath] = &pkgInfo{path: importPath, files: files, info: info, pkg: pkg}
+	pi := a.pkgs[importPath]
+	if len(pi.files) == 0 {
+		return nil, nil
+	}
 	a.analyzed[importPath] = true
+	return pi, nil
+}
 
-	// internal/idsgen is specgen's output — tables, typed vectors,
-	// machine structs, Step and every guard and action body — plus three
-	// handwritten files that name no state, variable or event. The style
-	// rules (typed-accessor idiom, dropped-error discipline, guard
-	// purity) are tuned for specifications a human authors transition by
-	// transition; those live in internal/ids and are checked there, not
-	// in the Go a generator rewrites wholesale from them. The
-	// program-wide noalloc/nopanic closures and the lock gate still
-	// apply: the compiled hot path gets the same guarantees as the
-	// interpreted one.
-	style := !strings.HasSuffix(importPath, "internal/idsgen")
+// packageRules is the applicability table of the per-package rules:
+// each runs over an analyzed package its predicate accepts.
+//
+// internal/idsgen is specgen's output — tables, typed vectors, machine
+// structs, Step and every guard and action body — plus three
+// handwritten files that name no state, variable or event. The style
+// rules (typed-accessor idiom, dropped-error discipline, guard purity)
+// are tuned for specifications a human authors transition by
+// transition; those live in internal/ids and are checked there, not in
+// the Go a generator rewrites wholesale from them. The program-wide
+// noalloc/nopanic closures and the lock gate still apply there: the
+// compiled hot path gets the same guarantees as the interpreted one.
+var packageRules = []struct {
+	applies func(*pkgInfo) bool
+	check   func(*index, *pkgInfo) []finding
+}{
+	{func(pi *pkgInfo) bool { return !pi.in("internal/idsgen") }, checkDroppedErrors},
+	// internal/core owns the typed accessors and indexes Args itself.
+	{func(pi *pkgInfo) bool { return !pi.in("internal/idsgen", "internal/core") }, checkArgsIndexing},
+	// internal/sipmsg is where the parser lives: it alone may
+	// materialize payload strings.
+	{func(pi *pkgInfo) bool { return !pi.in("internal/idsgen", "internal/sipmsg") }, checkPayloadStringConv},
+	{func(pi *pkgInfo) bool { return pi.in("internal/ids") }, checkSpecRegistry},
+	{func(pi *pkgInfo) bool { return !pi.in("internal/idsgen") }, checkGuardPurity},
+	// The simulation-driven packages: detection time there comes from
+	// the virtual clock.
+	{func(pi *pkgInfo) bool { return pi.in("internal/ids", "internal/engine", "internal/ingress") }, checkWallClock},
+}
 
+// packageFindings runs every per-package rule that applies to pi.
+func (a *analyzer) packageFindings(pi *pkgInfo) []finding {
+	ix := a.index()
 	var out []finding
-	if style {
-		out = append(out, a.checkDroppedErrors(files, info)...)
-		out = append(out, a.checkArgsIndexing(importPath, files, info)...)
-		if !strings.HasSuffix(importPath, "internal/sipmsg") {
-			out = append(out, a.checkPayloadStringConv(files, info)...)
-		}
-		if strings.HasSuffix(importPath, "internal/ids") {
-			out = append(out, a.checkSpecRegistry(importPath, files, info)...)
-		}
-		out = append(out, a.checkGuardPurity(files, info)...)
-		if strings.HasSuffix(importPath, "internal/ids") || strings.HasSuffix(importPath, "internal/engine") ||
-			strings.HasSuffix(importPath, "internal/ingress") {
-			out = append(out, a.checkWallClock(files, info)...)
+	for _, r := range packageRules {
+		if r.applies(pi) {
+			out = append(out, r.check(ix, pi)...)
 		}
 	}
-	if strings.HasSuffix(importPath, "internal/engine") || strings.HasSuffix(importPath, "internal/timerwheel") ||
-		strings.HasSuffix(importPath, "internal/ingress") || strings.HasSuffix(importPath, "internal/idsgen") {
-		out = append(out, a.checkLockDiscipline(files, info)...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].pos.Filename != out[j].pos.Filename {
-			return out[i].pos.Filename < out[j].pos.Filename
+	sortFindings(out)
+	return out
+}
+
+// programFindings runs the whole-program rule sets over everything
+// loaded so far: the noalloc and nopanic gates over their root
+// closures, the lock gate, directive freshness, and — when the real
+// internal/ids package was among the analyzed directories (a
+// module-wide lint, not a fixture run) — the alloc-ceiling drift gate
+// against alloc_test.go. It comes after packageFindings: the wall-clock
+// rule there is what marks a //vidslint:allow used.
+func (a *analyzer) programFindings() ([]finding, error) {
+	ix := a.index()
+	noalloc := checkNoalloc(ix)
+	nopanic := checkNopanic(ix)
+	locks := checkLocks(ix)
+	out := append(append(noalloc.findings, nopanic.findings...), locks.findings...)
+	if a.analyzed[a.modulePath+"/internal/ids"] {
+		fs, err := checkAllocDrift(ix, noalloc.cl)
+		if err != nil {
+			return nil, err
 		}
-		return out[i].pos.Offset < out[j].pos.Offset
-	})
+		out = append(out, fs...)
+	}
+	out = append(out, ix.sweep(map[string]*closure{dirNoalloc: noalloc.cl, dirNopanic: nopanic.cl}, locks)...)
+	sortFindings(out)
 	return out, nil
 }
 

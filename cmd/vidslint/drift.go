@@ -3,12 +3,8 @@ package main
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/types"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // The alloc-ceiling drift gate ties the two halves of the hot-path
@@ -19,226 +15,84 @@ import (
 // adds a new ceiling without annotating the code path — or removes an
 // annotation the ceilings still depend on — `make lint` fails.
 
-// checkAllocDrift parses the module root's *_test.go files, finds
-// every testing.AllocsPerRun call, resolves the module functions its
-// closure invokes (following test-local helper closures), and reports
-// any that the noalloc traversal never reached.
-func (a *analyzer) checkAllocDrift(prog *program) ([]finding, error) {
-	groups, err := a.parseRootTests()
-	if err != nil {
-		return nil, err
-	}
-	var out []finding
-	reported := make(map[string]bool)
-	paths := make([]string, 0, len(groups))
-	for p := range groups {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, pkgName := range paths {
-		g := groups[pkgName]
-		info := newTypesInfo()
-		conf := types.Config{Importer: a}
-		if _, err := conf.Check(pkgName, a.fset, g, info); err != nil {
-			return nil, fmt.Errorf("typecheck root test package %s: %w", pkgName, err)
-		}
-		d := &driftScan{a: a, prog: prog, info: info, reported: reported}
-		d.indexHelpers(g)
-		for _, f := range g {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || len(call.Args) != 2 {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "AllocsPerRun" {
-					return true
-				}
-				fn, ok := info.Uses[sel.Sel].(*types.Func)
-				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "testing" {
-					return true
-				}
-				d.scanMeasured(call.Args[1], make(map[ast.Node]bool))
-				return true
-			})
-		}
-		out = append(out, d.findings...)
-	}
-	return out, nil
-}
-
-// parseRootTests parses the module root's test files, grouped by
-// package clause. Files carrying a `//go:build race` constraint are
-// skipped: the analyzer does not evaluate build tags and the race
-// variants exist only to toggle one boolean.
-func (a *analyzer) parseRootTests() (map[string][]*ast.File, error) {
-	entries, err := os.ReadDir(a.moduleRoot)
+// checkAllocDrift typechecks the module root's *_test.go files into
+// the index, finds every testing.AllocsPerRun call, resolves the module
+// functions its closure invokes (following test-local helpers and
+// closures bound to locals), and reports any that the noalloc walk
+// never reached.
+func checkAllocDrift(ix *index, noalloc *closure) ([]finding, error) {
+	a := ix.a
+	// The root test files, grouped by package clause. The build
+	// constraints drop the `race` variant of the one file pair that
+	// exists to toggle a boolean.
+	files, err := a.parseDir(a.moduleRoot, true)
 	if err != nil {
 		return nil, err
 	}
 	groups := make(map[string][]*ast.File)
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(a.fset, filepath.Join(a.moduleRoot, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		if hasBuildTag(f, "race") {
-			continue
-		}
+	for _, f := range files {
 		groups[f.Name.Name] = append(groups[f.Name.Name], f)
 	}
-	return groups, nil
-}
-
-// hasBuildTag reports whether the file carries `//go:build <tag>`
-// (the bare tag, not a negation or larger expression).
-func hasBuildTag(f *ast.File, tag string) bool {
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if rest, ok := strings.CutPrefix(c.Text, "//go:build"); ok {
-				if strings.TrimSpace(rest) == tag {
-					return true
+	names := make([]string, 0, len(groups))
+	for name := range groups {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	d := &driftScan{ix: ix, noalloc: noalloc, reported: make(map[*funcNode]bool), visited: make(map[*ast.BlockStmt]bool)}
+	for _, name := range names {
+		info := newTypesInfo()
+		conf := types.Config{Importer: a}
+		pkg, err := conf.Check(name, a.fset, groups[name], info)
+		if err != nil {
+			return nil, fmt.Errorf("typecheck root test package %s: %w", name, err)
+		}
+		d.tests = &pkgInfo{path: name, files: groups[name], info: info, pkg: pkg}
+		ix.add(d.tests)
+		for _, f := range d.tests.files {
+			ix.eachCall(f, func(site *callSite) {
+				if site.kind == callStatic && site.fn.FullName() == "testing.AllocsPerRun" && len(site.call.Args) == 2 {
+					d.scan(ix.bodyOf(info, site.call.Args[1]))
 				}
-			}
+			})
 		}
 	}
-	return false
+	return d.findings, nil
 }
 
 // driftScan resolves the functions a measured closure calls.
 type driftScan struct {
-	a        *analyzer
-	prog     *program
-	info     *types.Info
-	reported map[string]bool
+	ix       *index
+	noalloc  *closure
+	tests    *pkgInfo // the root test package being scanned
+	reported map[*funcNode]bool
+	visited  map[*ast.BlockStmt]bool
 	findings []finding
-
-	helperDecls map[string]*ast.FuncDecl // test-package funcKey → decl
-	closureVars map[types.Object]*ast.FuncLit
 }
 
-// indexHelpers records the test package's own declarations and every
-// `name := func() {...}` closure binding, so AllocsPerRun(n, run)
-// resolves through the local variable to the measured body.
-func (d *driftScan) indexHelpers(files []*ast.File) {
-	d.helperDecls = make(map[string]*ast.FuncDecl)
-	d.closureVars = make(map[types.Object]*ast.FuncLit)
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				if fn, ok := d.info.Defs[fd.Name].(*types.Func); ok {
-					d.helperDecls[funcKey(fn)] = fd
-				}
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				lit, ok := ast.Unparen(as.Rhs[i]).(*ast.FuncLit)
-				if !ok {
-					continue
-				}
-				if obj := d.info.Defs[id]; obj != nil {
-					d.closureVars[obj] = lit
-				} else if obj := d.info.Uses[id]; obj != nil {
-					d.closureVars[obj] = lit
-				}
-			}
-			return true
-		})
+// scan collects the module functions a measured body calls, recursing
+// through the test package's own helpers and closures, and reports any
+// that are outside every //vids:noalloc closure.
+func (d *driftScan) scan(body *ast.BlockStmt) {
+	if body == nil || d.visited[body] {
+		return
 	}
-}
-
-// scanMeasured walks the expression handed to AllocsPerRun: a function
-// literal is scanned directly; an identifier resolves through a local
-// closure binding or a declared helper.
-func (d *driftScan) scanMeasured(expr ast.Expr, visited map[ast.Node]bool) {
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.FuncLit:
-		d.scanBody(e.Body, visited)
-	case *ast.Ident:
-		if obj := d.info.Uses[e]; obj != nil {
-			if lit, ok := d.closureVars[obj]; ok && !visited[lit] {
-				visited[lit] = true
-				d.scanBody(lit.Body, visited)
-				return
+	d.visited[body] = true
+	d.ix.eachCall(body, func(site *callSite) {
+		switch {
+		case site.kind == callValue:
+			if lit := d.ix.litVars[site.obj]; lit != nil {
+				d.scan(lit.Body)
 			}
-			if fn, ok := obj.(*types.Func); ok {
-				if decl, ok := d.helperDecls[funcKey(fn)]; ok && !visited[decl] {
-					visited[decl] = true
-					d.scanBody(decl.Body, visited)
-				}
-			}
-		}
-	}
-}
-
-// scanBody collects the module functions a measured body calls,
-// recursing through test-package helpers, and reports any that are
-// outside every //vids:noalloc closure.
-func (d *driftScan) scanBody(body *ast.BlockStmt, visited map[ast.Node]bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var fn *types.Func
-		switch fx := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			fn, _ = d.info.Uses[fx].(*types.Func)
-			if fn == nil {
-				if obj := d.info.Uses[fx]; obj != nil {
-					if lit, ok := d.closureVars[obj]; ok && !visited[lit] {
-						visited[lit] = true
-						d.scanBody(lit.Body, visited)
-					}
-				}
-				return true
-			}
-		case *ast.SelectorExpr:
-			if sel := d.info.Selections[fx]; sel != nil && sel.Kind() == types.MethodVal {
-				fn, _ = sel.Obj().(*types.Func)
-			} else {
-				fn, _ = d.info.Uses[fx.Sel].(*types.Func)
-			}
-		}
-		if fn == nil || fn.Pkg() == nil {
-			return true
-		}
-		key := funcKey(fn)
-		if decl, ok := d.helperDecls[key]; ok {
-			if !visited[decl] {
-				visited[decl] = true
-				d.scanBody(decl.Body, visited)
-			}
-			return true
-		}
-		path := fn.Pkg().Path()
-		if path != d.a.modulePath && !strings.HasPrefix(path, d.a.modulePath+"/") {
-			return true
-		}
-		node := d.prog.funcs[key]
-		if node == nil {
-			return true // no body in the index (interface method decl, etc.)
-		}
-		if !node.noalloc && !node.reached && !d.reported[key] {
-			d.reported[key] = true
+		case site.callee == nil:
+			// not a module function with a body in the index
+		case site.callee.pkg == d.tests:
+			d.scan(site.callee.decl.Body)
+		case site.callee.dirs[dirNoalloc] == nil && !d.noalloc.reached[site.callee] && !d.reported[site.callee]:
+			d.reported[site.callee] = true
 			d.findings = append(d.findings, finding{
-				pos: d.a.fset.Position(call.Pos()),
-				msg: fmt.Sprintf("alloc-ceiling drift: %s is measured by testing.AllocsPerRun here but is not covered by any //vids:noalloc root — annotate it (or a caller) so the escape gate polices what the budget measures", node.name()),
+				pos: d.ix.a.fset.Position(site.call.Pos()),
+				msg: fmt.Sprintf("alloc-ceiling drift: %s is measured by testing.AllocsPerRun here but is not covered by any //vids:noalloc root — annotate it (or a caller) so the escape gate polices what the budget measures", site.callee.name()),
 			})
 		}
-		return true
 	})
 }

@@ -5,8 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
-	"strings"
 )
 
 // The escape gate's model of the Go allocator, tuned for this
@@ -87,86 +85,40 @@ var noallocFuncs = map[string]bool{
 	"sort.Search":         true,
 }
 
-// escapePass walks the static call closure of every //vids:noalloc
-// root and reports potential heap-allocation sites with the call path
-// from the root, so a reviewer sees *why* a function is hot before
-// judging the justification.
+// escapePass is the noalloc rule set: the allocation model above over
+// the static call closure of every //vids:noalloc root. Each finding
+// carries the call path from the root, so a reviewer sees *why* a
+// function is hot before judging the justification.
 type escapePass struct {
-	a        *analyzer
-	prog     *program
-	findings []finding
+	*gate
 }
 
-// checkEscape runs the allocation/escape gate: BFS over the static
-// call graph from the annotated roots, scanning each function body
-// once, then the directive-freshness sweep.
-func (a *analyzer) checkEscape(prog *program) []finding {
-	ep := &escapePass{a: a, prog: prog}
-	var roots []string
-	for k, n := range prog.funcs {
-		if n.noalloc && a.analyzed[n.pkg.path] {
-			roots = append(roots, k)
-		}
-	}
-	sort.Strings(roots)
-	queue := make([]string, 0, len(roots))
-	for _, r := range roots {
-		prog.rootOf[r] = r
-		queue = append(queue, r)
-	}
-	seen := make(map[string]bool)
-	for len(queue) > 0 {
-		key := queue[0]
-		queue = queue[1:]
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		node := prog.funcs[key]
-		if node == nil {
-			continue
-		}
-		node.reached = true
-		callees := ep.scanFunc(node)
-		sort.Strings(callees)
-		for _, c := range callees {
-			if seen[c] {
-				continue
-			}
-			if _, known := prog.parent[c]; !known {
-				prog.parent[c] = key
-				prog.rootOf[c] = prog.rootOf[key]
-			}
-			queue = append(queue, c)
-		}
-	}
-	ep.findings = append(ep.findings, prog.waivers.staleness(a, prog)...)
-	return ep.findings
+// checkNoalloc runs the allocation/escape gate: one walk from the
+// annotated roots that stops at //vids:coldpath callees, scanning each
+// reached body once.
+func checkNoalloc(ix *index) *gate {
+	ep := &escapePass{&gate{
+		ix: ix, kind: "noalloc", root: dirNoalloc, waiver: dirAllocOK,
+		format: "noalloc: %s [hot path: %s]; justify with //vids:alloc-ok <reason> or restructure",
+	}}
+	ep.run(staysHot, ep.scanFunc)
+	return ep.gate
 }
 
-// site records one potential allocation finding, honoring line-level
-// waivers first and the enclosing function-level alloc-ok second.
-func (ep *escapePass) site(node *funcNode, pos token.Pos, what string) {
-	p := ep.a.fset.Position(pos)
-	if w := ep.prog.waivers.lookup(p); w != nil {
-		return
+// staysHot is the noalloc walk's edge rule: a //vids:coldpath callee
+// is off the per-packet path, so the walk stops there (and the
+// directive has earned its keep).
+func staysHot(site *callSite) bool {
+	if cold := site.callee.dirs[dirColdpath]; cold != nil {
+		cold.used = true
+		return false
 	}
-	if node.hasAllocOK {
-		node.suppressed++
-		return
-	}
-	ep.findings = append(ep.findings, finding{
-		pos:  p,
-		msg:  fmt.Sprintf("noalloc: %s [hot path: %s]; justify with //vids:alloc-ok <reason> or restructure", what, ep.prog.pathTo(node.key)),
-		kind: "noalloc",
-	})
+	return true
 }
 
-// scanFunc scans one function body for allocation sites and returns
-// the keys of module functions it statically calls.
-func (ep *escapePass) scanFunc(node *funcNode) []string {
+// scanFunc scans one function body for allocation sites.
+func (ep *escapePass) scanFunc(node *funcNode) {
 	info := node.pkg.info
-	var callees []string
 	selfAppend := make(map[ast.Expr]bool)
 	var stack []ast.Node
 	var sigs []*types.Signature
@@ -233,12 +185,11 @@ func (ep *escapePass) scanFunc(node *funcNode) []string {
 			}
 
 		case *ast.CallExpr:
-			ep.classifyCall(node, x, parent, info, &callees, selfAppend)
+			ep.scanCall(node, ep.ix.calls[x], parent, info, selfAppend)
 		}
 		stack = append(stack, n)
 		return true
 	})
-	return callees
 }
 
 // scanAssign handles the assignment-borne rules: self-append
@@ -250,11 +201,9 @@ func (ep *escapePass) scanAssign(node *funcNode, as *ast.AssignStmt, info *types
 			if !ok || len(call.Args) == 0 {
 				continue
 			}
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" {
-				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin &&
-					types.ExprString(as.Lhs[i]) == types.ExprString(appendBase(call.Args[0])) {
-					selfAppend[call] = true
-				}
+			if site := ep.ix.calls[call]; site.kind == callBuiltin && site.name == "append" &&
+				types.ExprString(as.Lhs[i]) == types.ExprString(appendBase(call.Args[0])) {
+				selfAppend[call] = true
 			}
 		}
 	}
@@ -298,107 +247,50 @@ func (ep *escapePass) scanReturn(node *funcNode, ret *ast.ReturnStmt, sig *types
 	}
 }
 
-// classifyCall dispatches one call expression: conversions, builtins,
-// static module/stdlib calls, and the dynamic calls the analysis
-// cannot follow.
-func (ep *escapePass) classifyCall(node *funcNode, call *ast.CallExpr, parent ast.Node, info *types.Info, callees *[]string, selfAppend map[ast.Expr]bool) {
-	funExpr := ast.Unparen(call.Fun)
-
-	if tv, ok := info.Types[funExpr]; ok && tv.IsType() {
-		ep.checkConversion(node, call, tv.Type, parent, info)
-		return
-	}
-	if _, ok := funExpr.(*ast.FuncLit); ok {
-		return // the literal itself was flagged; its body is scanned inline
-	}
-
-	switch fx := funExpr.(type) {
-	case *ast.Ident:
-		switch obj := info.Uses[fx].(type) {
-		case *types.Builtin:
-			switch obj.Name() {
-			case "make":
-				ep.site(node, call.Pos(), "make allocates")
-			case "new":
-				ep.site(node, call.Pos(), "new allocates")
-			case "append":
-				if !selfAppend[call] {
-					ep.site(node, call.Pos(), "append whose result is not reassigned to its own operand allocates or copies")
-				}
-			}
-			return
-		case *types.Func:
-			ep.staticCall(node, call, obj, info, callees)
-			return
-		case *types.Var:
-			ep.site(node, call.Pos(), fmt.Sprintf("dynamic call through function value %s cannot be proven allocation-free", fx.Name))
-			return
-		}
-	case *ast.SelectorExpr:
-		if sel := info.Selections[fx]; sel != nil {
-			switch sel.Kind() {
-			case types.MethodVal:
-				if types.IsInterface(sel.Recv()) {
-					ep.site(node, call.Pos(), fmt.Sprintf("interface method call %s cannot be statically resolved", fx.Sel.Name))
-					return
-				}
-				if fn, ok := sel.Obj().(*types.Func); ok {
-					ep.staticCall(node, call, fn, info, callees)
-					return
-				}
-			case types.FieldVal:
-				ep.site(node, call.Pos(), fmt.Sprintf("dynamic call through function field %s cannot be proven allocation-free", fx.Sel.Name))
-				return
-			case types.MethodExpr:
-				// T.Method used as a call target: resolves statically.
-				if fn, ok := sel.Obj().(*types.Func); ok {
-					ep.staticCall(node, call, fn, info, callees)
-					return
-				}
+// scanCall applies the call rules to one classified call: conversions
+// and builtins that allocate, dynamic calls the analysis cannot follow,
+// module callees without a body, and non-module callees off the
+// allowlist; interface-typed parameters are checked for boxing.
+func (ep *escapePass) scanCall(node *funcNode, site *callSite, parent ast.Node, info *types.Info, selfAppend map[ast.Expr]bool) {
+	call := site.call
+	switch site.kind {
+	case callConversion:
+		ep.checkConversion(node, call, site.typ, parent, info)
+	case callFuncLit:
+		// the literal itself was flagged; its body is scanned inline
+	case callBuiltin:
+		switch site.name {
+		case "make":
+			ep.site(node, call.Pos(), "make allocates")
+		case "new":
+			ep.site(node, call.Pos(), "new allocates")
+		case "append":
+			if !selfAppend[call] {
+				ep.site(node, call.Pos(), "append whose result is not reassigned to its own operand allocates or copies")
 			}
 		}
-		if fn, ok := info.Uses[fx.Sel].(*types.Func); ok {
-			ep.staticCall(node, call, fn, info, callees)
-			return
+	case callInterface:
+		ep.site(node, call.Pos(), fmt.Sprintf("interface method call %s cannot be statically resolved", site.name))
+	case callValue:
+		ep.site(node, call.Pos(), fmt.Sprintf("dynamic call through %s cannot be proven allocation-free", site.name))
+	case callComputed:
+		ep.site(node, call.Pos(), "dynamic call through a computed function value cannot be proven allocation-free")
+	case callStatic:
+		fn := site.fn
+		if fn.Pkg() == nil {
+			return // error.Error and friends from the universe scope
 		}
-		if _, ok := info.Uses[fx.Sel].(*types.Var); ok {
-			ep.site(node, call.Pos(), fmt.Sprintf("dynamic call through function variable %s cannot be proven allocation-free", fx.Sel.Name))
-			return
-		}
-	}
-	ep.site(node, call.Pos(), "dynamic call through a computed function value cannot be proven allocation-free")
-}
-
-// staticCall handles a statically resolved callee: module functions
-// join the traversal (unless //vids:coldpath cuts them), non-module
-// callees must be allowlisted, and interface-typed parameters are
-// checked for boxing.
-func (ep *escapePass) staticCall(node *funcNode, call *ast.CallExpr, fn *types.Func, info *types.Info, callees *[]string) {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return // error.Error and friends from the universe scope
-	}
-	path := pkg.Path()
-	sig, _ := fn.Type().(*types.Signature)
-	if path == ep.a.modulePath || strings.HasPrefix(path, ep.a.modulePath+"/") {
-		key := funcKey(fn)
-		callee := ep.prog.funcs[key]
+		path := fn.Pkg().Path()
 		switch {
-		case callee == nil:
+		case site.module && site.callee == nil:
 			ep.site(node, call.Pos(), fmt.Sprintf("call to %s has no body in the module index (generated or assembly?)", fn.FullName()))
-		case callee.hasColdpath:
-			callee.cut = true
-		default:
-			*callees = append(*callees, key)
+		case !site.module && !noallocPackages[path] && !noallocFuncs[path+"."+fn.Name()]:
+			ep.site(node, call.Pos(), fmt.Sprintf("call into %s.%s is not on the allocation-free allowlist", path, fn.Name()))
+			return
 		}
+		sig, _ := fn.Type().(*types.Signature)
 		ep.checkArgBoxing(node, call, sig, info)
-		return
 	}
-	if noallocPackages[path] || noallocFuncs[path+"."+fn.Name()] {
-		ep.checkArgBoxing(node, call, sig, info)
-		return
-	}
-	ep.site(node, call.Pos(), fmt.Sprintf("call into %s.%s is not on the allocation-free allowlist", path, fn.Name()))
 }
 
 // checkArgBoxing flags arguments boxed into interface-typed

@@ -5,17 +5,20 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
 
-// The concurrency-discipline gate, run over internal/engine and
-// internal/timerwheel (and their fixtures). It models the repo's
-// locking vocabulary:
+// The lock-discipline gate. It is whole-program and self-selecting: it
+// walks every function of every loaded module package, so it applies
+// wherever a sync.Mutex, RWMutex or Cond is used, with no package list.
+// It models the repo's locking vocabulary:
 //
-//   - A lock is identified by (owning struct type, mutex field) —
-//     "Engine.mu", "shard.mu" — so every instance of a struct shares
-//     one discipline.
+//   - A lock is identified by (package, owning struct type, mutex
+//     field) — "engine.shard.mu", "fastpath.Cache.byCallMu" — so every
+//     instance of a struct shares one discipline. A package-level
+//     mutex is "pkg.name"; any other operand keeps its expression text.
 //   - A *queue lock* is a mutex declared in a struct that also carries
 //     sync.Cond fields (the shard ring buffer). Queue locks guard
 //     bounded hand-off state, so while one is held the gate forbids
@@ -23,11 +26,13 @@ import (
 //     (callbacks) — any of which can stall every producer parked on
 //     the condition variable.
 //   - Lock-order edges are observed whenever a mutex is acquired while
-//     another is held (directly or through a same-package callee's
-//     transitive acquire summary). `//vids:lockorder A -> B` declares
-//     an edge the analysis cannot see — e.g. a callback registered at
-//     construction time that runs under A and takes B. Cycles in the
-//     combined graph are deadlocks-in-waiting and are reported.
+//     another is held, directly or through a static callee in any
+//     package: the callee's acquire summary is the set of locks its
+//     call closure takes, read off the index's call edges.
+//     `//vids:lockorder A -> B <reason>` declares an edge the walk
+//     cannot see — a callback registered at construction time that runs
+//     under A and takes B. Cycles in the combined graph are
+//     deadlocks-in-waiting and are reported.
 //   - sync.Cond.Wait must sit inside a for statement: Wait's contract
 //     allows spurious wakeups, so an if-guarded Wait is a latent race.
 //   - No goroutine may be launched while any lock is held.
@@ -36,67 +41,74 @@ import (
 // branch-local approximation: Lock/Unlock effects inside a branch do
 // not leak past it, and a deferred Unlock keeps the lock held to the
 // end of the function. Function literals are analyzed as separate
-// bodies with an empty held set (they run at an unknown later time).
+// bodies with an empty held set (they run at an unknown later time),
+// and for the same reason contribute nothing to an acquire summary.
+// A function that returns with a lock held, and a lock reached only
+// through a function value or an interface, are not modelled.
 type lockPass struct {
-	a     *analyzer
-	info  *types.Info
-	files []*ast.File
+	ix   *index
+	info *types.Info // of the body being walked
+	// quiet suppresses the body-local findings while walking a package
+	// that was loaded only as an import: its edges still count.
+	quiet bool
 
 	findings   []finding
+	known      map[string]bool // every mutex field or package-level mutex of a loaded package
 	queueLocks map[string]bool
 	// edges[from][to] is the position where the ordering from→to was
-	// first observed or declared.
+	// first observed or declared; observed holds the walk's own.
 	edges     map[string]map[string]token.Position
-	summaries map[string]map[string]bool // funcKey → locks (transitively) acquired
-	decls     map[string]*ast.FuncDecl   // same-package funcKey → decl
-	pending   []*ast.FuncLit             // literals queued for separate walks
+	observed  map[[2]string]bool
+	summaries map[*funcNode]map[string]bool // locks a call to the function may acquire
+	pending   []pendingLit                  // literals queued for separate walks
 }
 
-// checkLockDiscipline runs the concurrency gate over one package.
-func (a *analyzer) checkLockDiscipline(files []*ast.File, info *types.Info) []finding {
+type pendingLit struct {
+	lit  *ast.FuncLit
+	info *types.Info
+}
+
+// checkLocks runs the lock gate over the program.
+func checkLocks(ix *index) *lockPass {
 	lp := &lockPass{
-		a:          a,
-		info:       info,
-		files:      files,
+		ix:         ix,
+		known:      make(map[string]bool),
 		queueLocks: make(map[string]bool),
 		edges:      make(map[string]map[string]token.Position),
-		summaries:  make(map[string]map[string]bool),
-		decls:      make(map[string]*ast.FuncDecl),
+		observed:   make(map[[2]string]bool),
+		summaries:  make(map[*funcNode]map[string]bool),
 	}
-	lp.findQueueLocks()
-	lp.collectDeclaredEdges()
-	lp.buildSummaries()
-	for _, f := range files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			lp.walkBody(fd.Body, make(map[string]token.Position), 0)
+	pkgs := ix.a.sortedPkgs()
+	for _, pi := range pkgs {
+		lp.findLocks(pi)
+	}
+	for _, d := range ix.directives {
+		if from, to, _ := lockorderEdge(d.payload); d.kind == dirLockorder && from != "" {
+			lp.addEdge(from, to, d.pos)
 		}
 	}
-	for len(lp.pending) > 0 {
-		lit := lp.pending[0]
-		lp.pending = lp.pending[1:]
-		lp.walkBody(lit.Body, make(map[string]token.Position), 0)
+	for _, pi := range pkgs {
+		lp.info, lp.quiet = pi.info, !ix.a.analyzed[pi.path]
+		for _, node := range pi.funcs {
+			lp.walkBody(node.decl.Body, make(map[string]token.Position), 0)
+		}
+		for len(lp.pending) > 0 {
+			lit := lp.pending[0]
+			lp.pending = lp.pending[1:]
+			lp.info = lit.info
+			lp.walkBody(lit.lit.Body, make(map[string]token.Position), 0)
+		}
 	}
 	lp.detectCycles()
-	sort.Slice(lp.findings, func(i, j int) bool {
-		if lp.findings[i].pos.Filename != lp.findings[j].pos.Filename {
-			return lp.findings[i].pos.Filename < lp.findings[j].pos.Filename
-		}
-		if lp.findings[i].pos.Offset != lp.findings[j].pos.Offset {
-			return lp.findings[i].pos.Offset < lp.findings[j].pos.Offset
-		}
-		return lp.findings[i].msg < lp.findings[j].msg
-	})
-	return lp.findings
+	return lp
 }
 
-// findQueueLocks marks every mutex field declared in a struct that
-// also carries sync.Cond state.
-func (lp *lockPass) findQueueLocks() {
-	for _, f := range lp.files {
+// findLocks records every mutex the package declares — struct fields
+// and package-level variables — and marks as queue locks the fields of
+// structs that also carry sync.Cond state.
+func (lp *lockPass) findLocks(pi *pkgInfo) {
+	isMutex := func(t types.Type) bool { return isSyncNamed(t, "Mutex") || isSyncNamed(t, "RWMutex") }
+	for _, f := range pi.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
 			if !ok {
@@ -109,146 +121,61 @@ func (lp *lockPass) findQueueLocks() {
 			var mutexes []string
 			hasCond := false
 			for _, field := range st.Fields.List {
-				t := lp.info.TypeOf(field.Type)
-				if t == nil {
-					continue
-				}
+				t := pi.info.TypeOf(field.Type)
 				if isSyncNamed(t, "Cond") {
 					hasCond = true
 				}
-				if isSyncNamed(t, "Mutex") || isSyncNamed(t, "RWMutex") {
+				if isMutex(t) {
 					for _, name := range field.Names {
-						mutexes = append(mutexes, ts.Name.Name+"."+name.Name)
+						mutexes = append(mutexes, pi.pkg.Name()+"."+ts.Name.Name+"."+name.Name)
 					}
 				}
 			}
-			if hasCond {
-				for _, m := range mutexes {
+			for _, m := range mutexes {
+				lp.known[m] = true
+				if hasCond {
 					lp.queueLocks[m] = true
 				}
 			}
 			return true
 		})
 	}
-}
-
-// collectDeclaredEdges harvests `//vids:lockorder A -> B` directives.
-func (lp *lockPass) collectDeclaredEdges() {
-	for _, f := range lp.files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				payload, ok := directiveText(c.Text, "vids:lockorder")
-				if !ok {
-					continue
-				}
-				from, to, found := strings.Cut(payload, "->")
-				from, to = strings.TrimSpace(from), strings.TrimSpace(to)
-				if !found || from == "" || to == "" {
-					lp.findings = append(lp.findings, finding{
-						pos: lp.a.fset.Position(c.Pos()),
-						msg: "//vids:lockorder needs the form `//vids:lockorder Type.field -> Type.field`",
-					})
-					continue
-				}
-				lp.addEdge(from, to, lp.a.fset.Position(c.Pos()))
-			}
+	scope := pi.pkg.Scope()
+	for _, name := range scope.Names() {
+		if v, ok := scope.Lookup(name).(*types.Var); ok && isMutex(v.Type()) {
+			lp.known[pi.pkg.Name()+"."+name] = true
 		}
 	}
 }
 
-// buildSummaries computes, per function, the set of locks it may
-// acquire directly or through same-package static callees (fixpoint).
-// Function literals are excluded: they run at an unknown time, not at
-// their creation site.
-func (lp *lockPass) buildSummaries() {
-	calls := make(map[string]map[string]bool) // caller key → callee keys
-	for _, f := range lp.files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := lp.info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			key := funcKey(fn)
-			lp.decls[key] = fd
-			direct := make(map[string]bool)
-			callees := make(map[string]bool)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if _, isLit := n.(*ast.FuncLit); isLit {
-					return false
-				}
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if id, method, ok := lp.lockOp(call); ok && (method == "Lock" || method == "RLock") {
-					direct[id] = true
-				}
-				if callee := lp.staticCalleeKey(call); callee != "" {
-					callees[callee] = true
-				}
-				return true
-			})
-			lp.summaries[key] = direct
-			calls[key] = callees
-		}
+// acquires returns the locks a call to node may take: the Lock/RLock
+// operations of its static call closure, literals excluded.
+func (lp *lockPass) acquires(node *funcNode) map[string]bool {
+	if sum, ok := lp.summaries[node]; ok {
+		return sum
 	}
-	for changed := true; changed; {
-		changed = false
-		for caller, callees := range calls {
-			sum := lp.summaries[caller]
-			for callee := range callees {
-				for l := range lp.summaries[callee] {
-					if !sum[l] {
-						sum[l] = true
-						changed = true
-					}
-				}
+	sum := make(map[string]bool)
+	outsideLits := func(site *callSite) bool { return !site.inLit }
+	lp.ix.walk([]*funcNode{node}, outsideLits, func(_ *closure, n *funcNode) {
+		for _, site := range n.sites {
+			if id, method, ok := lockOp(n.pkg.info, site.call); ok && !site.inLit && (method == "Lock" || method == "RLock") {
+				sum[id] = true
 			}
 		}
-	}
-}
-
-// staticCalleeKey resolves a call to a same-package function or
-// method declared in the files under analysis, else "".
-func (lp *lockPass) staticCalleeKey(call *ast.CallExpr) string {
-	var obj types.Object
-	switch fx := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = lp.info.Uses[fx]
-	case *ast.SelectorExpr:
-		if sel := lp.info.Selections[fx]; sel != nil && sel.Kind() == types.MethodVal {
-			obj = sel.Obj()
-		} else {
-			obj = lp.info.Uses[fx.Sel]
-		}
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return ""
-	}
-	key := funcKey(fn)
-	if _, samePkg := lp.summaries[key]; samePkg {
-		return key
-	}
-	if _, samePkg := lp.decls[key]; samePkg {
-		return key
-	}
-	return ""
+	})
+	lp.summaries[node] = sum
+	return sum
 }
 
 // lockOp classifies a call as a mutex or condition-variable operation:
-// it returns the lock/cond identity ("Type.field") and the method name
-// (Lock, Unlock, RLock, RUnlock, Wait, Signal, Broadcast).
-func (lp *lockPass) lockOp(call *ast.CallExpr) (string, string, bool) {
+// it returns the lock/cond identity and the method name (Lock, Unlock,
+// RLock, RUnlock, Wait, Signal, Broadcast).
+func lockOp(info *types.Info, call *ast.CallExpr) (string, string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", "", false
 	}
-	fn, ok := lp.info.Uses[sel.Sel].(*types.Func)
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return "", "", false
 	}
@@ -256,26 +183,21 @@ func (lp *lockPass) lockOp(call *ast.CallExpr) (string, string, bool) {
 	if !ok || sig.Recv() == nil {
 		return "", "", false
 	}
-	recv := sig.Recv().Type()
-	if p, isPtr := recv.(*types.Pointer); isPtr {
-		recv = p.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok {
-		return "", "", false
-	}
-	switch named.Obj().Name() {
-	case "Mutex", "RWMutex", "Cond":
-		return lp.lockIdent(sel.X), fn.Name(), true
+	for _, name := range [...]string{"Mutex", "RWMutex", "Cond"} {
+		if isSyncNamed(sig.Recv().Type(), name) {
+			return lockIdent(info, sel.X), fn.Name(), true
+		}
 	}
 	return "", "", false
 }
 
-// lockIdent names the mutex/cond operand: "Type.field" when it is a
-// struct field, otherwise the expression text (local locks).
-func (lp *lockPass) lockIdent(expr ast.Expr) string {
-	if sel, ok := ast.Unparen(expr).(*ast.SelectorExpr); ok {
-		if s := lp.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+// lockIdent names the mutex/cond operand: "pkg.Type.field" when it is
+// a struct field, "pkg.name" for a package-level variable, otherwise
+// the expression text (local locks).
+func lockIdent(info *types.Info, expr ast.Expr) string {
+	switch e := ast.Unparen(expr).(type) {
+	case *ast.SelectorExpr:
+		if s := info.Selections[e]; s != nil && s.Kind() == types.FieldVal {
 			t := s.Recv()
 			if p, isPtr := t.Underlying().(*types.Pointer); isPtr {
 				t = p.Elem()
@@ -283,9 +205,13 @@ func (lp *lockPass) lockIdent(expr ast.Expr) string {
 			if p, isPtr := t.(*types.Pointer); isPtr {
 				t = p.Elem()
 			}
-			if named, ok := t.(*types.Named); ok {
-				return named.Obj().Name() + "." + sel.Sel.Name
+			if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
+				return named.Obj().Pkg().Name() + "." + named.Obj().Name() + "." + e.Sel.Name
 			}
+		}
+	case *ast.Ident:
+		if v, ok := info.Uses[e].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+			return v.Pkg().Name() + "." + e.Name
 		}
 	}
 	return types.ExprString(expr)
@@ -303,7 +229,9 @@ func (lp *lockPass) addEdge(from, to string, pos token.Position) {
 }
 
 func (lp *lockPass) report(pos token.Pos, format string, args ...any) {
-	lp.findings = append(lp.findings, finding{pos: lp.a.fset.Position(pos), msg: fmt.Sprintf(format, args...)})
+	if !lp.quiet {
+		lp.findings = append(lp.findings, finding{pos: lp.ix.a.fset.Position(pos), msg: fmt.Sprintf(format, args...)})
+	}
 }
 
 // heldQueueLock returns the name of a held queue lock, if any.
@@ -333,14 +261,6 @@ func anyHeld(held map[string]token.Position) string {
 	return strings.Join(names, ", ")
 }
 
-func copyHeld(held map[string]token.Position) map[string]token.Position {
-	cp := make(map[string]token.Position, len(held))
-	for k, v := range held {
-		cp[k] = v
-	}
-	return cp
-}
-
 // walkBody walks one function (or literal) body in source order,
 // threading the held-lock set through straight-line code and giving
 // each branch its own copy.
@@ -357,9 +277,8 @@ func (lp *lockPass) walkStmt(stmt ast.Stmt, held map[string]token.Position, loop
 	case *ast.ExprStmt:
 		lp.scanExpr(s.X, held, loopDepth, true)
 	case *ast.DeferStmt:
-		if id, method, ok := lp.lockOp(s.Call); ok && (method == "Unlock" || method == "RUnlock") {
-			_ = id // deferred unlock: the lock stays held to the end of the walk
-			return
+		if _, method, ok := lockOp(lp.info, s.Call); ok && (method == "Unlock" || method == "RUnlock") {
+			return // deferred unlock: the lock stays held to the end of the walk
 		}
 		lp.scanExpr(s.Call, held, loopDepth, false)
 	case *ast.GoStmt:
@@ -371,7 +290,7 @@ func (lp *lockPass) walkStmt(stmt ast.Stmt, held map[string]token.Position, loop
 			lp.scanExpr(arg, held, loopDepth, false)
 		}
 		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			lp.pending = append(lp.pending, lit)
+			lp.pending = append(lp.pending, pendingLit{lit, lp.info})
 		}
 	case *ast.SendStmt:
 		if q := heldQueueLock(held, lp.queueLocks); q != "" {
@@ -385,7 +304,7 @@ func (lp *lockPass) walkStmt(stmt ast.Stmt, held map[string]token.Position, loop
 		}
 		for _, clause := range s.Body.List {
 			if cc, ok := clause.(*ast.CommClause); ok {
-				branch := copyHeld(held)
+				branch := maps.Clone(held)
 				for _, st := range cc.Body {
 					lp.walkStmt(st, branch, loopDepth)
 				}
@@ -396,9 +315,9 @@ func (lp *lockPass) walkStmt(stmt ast.Stmt, held map[string]token.Position, loop
 			lp.walkStmt(s.Init, held, loopDepth)
 		}
 		lp.scanExpr(s.Cond, held, loopDepth, false)
-		lp.walkBody(s.Body, copyHeld(held), loopDepth)
+		lp.walkBody(s.Body, maps.Clone(held), loopDepth)
 		if s.Else != nil {
-			lp.walkStmt(s.Else, copyHeld(held), loopDepth)
+			lp.walkStmt(s.Else, maps.Clone(held), loopDepth)
 		}
 	case *ast.ForStmt:
 		if s.Init != nil {
@@ -407,14 +326,14 @@ func (lp *lockPass) walkStmt(stmt ast.Stmt, held map[string]token.Position, loop
 		if s.Cond != nil {
 			lp.scanExpr(s.Cond, held, loopDepth, false)
 		}
-		body := copyHeld(held)
+		body := maps.Clone(held)
 		lp.walkBody(s.Body, body, loopDepth+1)
 		if s.Post != nil {
 			lp.walkStmt(s.Post, body, loopDepth+1)
 		}
 	case *ast.RangeStmt:
 		lp.scanExpr(s.X, held, loopDepth, false)
-		lp.walkBody(s.Body, copyHeld(held), loopDepth+1)
+		lp.walkBody(s.Body, maps.Clone(held), loopDepth+1)
 	case *ast.SwitchStmt:
 		if s.Init != nil {
 			lp.walkStmt(s.Init, held, loopDepth)
@@ -424,7 +343,7 @@ func (lp *lockPass) walkStmt(stmt ast.Stmt, held map[string]token.Position, loop
 		}
 		for _, clause := range s.Body.List {
 			if cc, ok := clause.(*ast.CaseClause); ok {
-				branch := copyHeld(held)
+				branch := maps.Clone(held)
 				for _, st := range cc.Body {
 					lp.walkStmt(st, branch, loopDepth)
 				}
@@ -436,7 +355,7 @@ func (lp *lockPass) walkStmt(stmt ast.Stmt, held map[string]token.Position, loop
 		}
 		for _, clause := range s.Body.List {
 			if cc, ok := clause.(*ast.CaseClause); ok {
-				branch := copyHeld(held)
+				branch := maps.Clone(held)
 				for _, st := range cc.Body {
 					lp.walkStmt(st, branch, loopDepth)
 				}
@@ -458,7 +377,7 @@ func (lp *lockPass) walkStmt(stmt ast.Stmt, held map[string]token.Position, loop
 	case *ast.DeclStmt:
 		ast.Inspect(s, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
-				lp.pending = append(lp.pending, lit)
+				lp.pending = append(lp.pending, pendingLit{lit, lp.info})
 				return false
 			}
 			return true
@@ -473,7 +392,7 @@ func (lp *lockPass) walkStmt(stmt ast.Stmt, held map[string]token.Position, loop
 func (lp *lockPass) scanExpr(expr ast.Expr, held map[string]token.Position, loopDepth int, asStmt bool) {
 	switch e := ast.Unparen(expr).(type) {
 	case *ast.FuncLit:
-		lp.pending = append(lp.pending, e)
+		lp.pending = append(lp.pending, pendingLit{e, lp.info})
 		return
 	case *ast.UnaryExpr:
 		if e.Op == token.ARROW {
@@ -516,8 +435,8 @@ func (lp *lockPass) scanCall(call *ast.CallExpr, held map[string]token.Position,
 	for _, arg := range call.Args {
 		lp.scanExpr(arg, held, loopDepth, false)
 	}
-	if id, method, ok := lp.lockOp(call); ok {
-		pos := lp.a.fset.Position(call.Pos())
+	pos := lp.ix.a.fset.Position(call.Pos())
+	if id, method, ok := lockOp(lp.info, call); ok {
 		switch method {
 		case "Lock", "RLock":
 			for h := range held {
@@ -525,7 +444,7 @@ func (lp *lockPass) scanCall(call *ast.CallExpr, held map[string]token.Position,
 					lp.report(call.Pos(), "%s acquired while already held (self-deadlock)", id)
 					continue
 				}
-				lp.addEdge(h, id, pos)
+				lp.observe(h, id, pos)
 			}
 			if asStmt {
 				held[id] = pos
@@ -541,62 +460,30 @@ func (lp *lockPass) scanCall(call *ast.CallExpr, held map[string]token.Position,
 		}
 		return
 	}
-	if callee := lp.staticCalleeKey(call); callee != "" {
-		pos := lp.a.fset.Position(call.Pos())
+	site := lp.ix.calls[call]
+	if site.callee != nil && len(held) > 0 {
 		for h := range held {
-			for l := range lp.summaries[callee] {
+			for l := range lp.acquires(site.callee) {
 				if h == l {
-					lp.report(call.Pos(), "call may re-acquire %s already held here (self-deadlock through %s)", h, callee)
+					lp.report(call.Pos(), "call may re-acquire %s already held here (self-deadlock through %s)", h, site.callee.key)
 					continue
 				}
-				lp.addEdge(h, l, pos)
+				lp.observe(h, l, pos)
 			}
 		}
 		return
 	}
-	if lp.isDynamicCall(call) {
+	if site.dynamic() {
 		if q := heldQueueLock(held, lp.queueLocks); q != "" {
 			lp.report(call.Pos(), "callback invoked while holding queue lock %s: the callee can block or re-enter the shard", q)
 		}
 	}
 }
 
-// isDynamicCall reports whether the call target is a function value,
-// interface method, or struct function field — anything the analysis
-// cannot resolve to a declaration.
-func (lp *lockPass) isDynamicCall(call *ast.CallExpr) bool {
-	funExpr := ast.Unparen(call.Fun)
-	if tv, ok := lp.info.Types[funExpr]; ok && tv.IsType() {
-		return false // conversion
-	}
-	switch fx := funExpr.(type) {
-	case *ast.Ident:
-		switch lp.info.Uses[fx].(type) {
-		case *types.Builtin, *types.Func, *types.TypeName:
-			return false
-		case *types.Var:
-			return true
-		}
-	case *ast.SelectorExpr:
-		if sel := lp.info.Selections[fx]; sel != nil {
-			switch sel.Kind() {
-			case types.MethodVal:
-				return types.IsInterface(sel.Recv())
-			case types.FieldVal:
-				return true
-			}
-			return false
-		}
-		switch lp.info.Uses[fx.Sel].(type) {
-		case *types.Func, *types.TypeName, *types.Builtin:
-			return false
-		case *types.Var:
-			return true
-		}
-	case *ast.FuncLit:
-		return false // body walked separately; the call itself is direct
-	}
-	return true
+// observe records an order the walk saw for itself.
+func (lp *lockPass) observe(from, to string, pos token.Position) {
+	lp.observed[[2]string{from, to}] = true
+	lp.addEdge(from, to, pos)
 }
 
 // detectCycles finds cycles in the combined observed+declared

@@ -1,13 +1,18 @@
 // Command vidslint is vids' repo-specific static analyzer, built on
-// the standard library's go/parser, go/ast and go/types only. It
-// enforces the source-level contracts that keep the EFSM engine
-// honest:
+// the standard library's go/parser, go/ast and go/types only. It loads
+// the requested package directories, builds one program index over
+// them (index.go: the function table, every call classified once,
+// every directive comment in one table) and runs its rule sets over
+// that index. Per package, where the rule table in analyzer.go says a
+// rule applies:
 //
 //   - results of (*core.Machine).Step / (*core.System).Deliver /
 //     DeliverSync must not be discarded outright — ErrNoTransition is
 //     the specification-deviation signal (paper Section 4);
 //   - core.Event.Args must not be indexed directly outside
 //     internal/core — the typed accessors own the wire-type handling;
+//   - a packet Payload must not be converted to a string outside
+//     internal/sipmsg — that copies the body once per packet;
 //   - every spec builder in internal/ids must declare Final or Attack
 //     states and be reachable from the ids.Specs registry, so
 //     cmd/fsmdump and internal/speclint actually verify it;
@@ -15,16 +20,34 @@
 //     OnLabeled) must be side-effect free — no Ctx.Emit, no writes to
 //     Vars or Globals — because Step evaluates every guard to prove
 //     disjointness and speclint re-runs them under synthetic probes;
-//   - simulation-driven packages (internal/ids, internal/engine) must
-//     not call time.Now or time.Sleep: detection time comes from the
-//     virtual clock so trace replay reproduces live runs exactly.
-//     Deliberate wall-clock sites carry //vidslint:allow wallclock.
+//   - simulation-driven packages (internal/ids, internal/engine,
+//     internal/ingress) must not call time.Now or time.Sleep: detection
+//     time comes from the virtual clock so trace replay reproduces live
+//     runs exactly. Deliberate wall-clock sites carry
+//     //vidslint:allow wallclock.
+//
+// Over the whole program:
+//
+//   - the static call closure of every //vids:noalloc root — the
+//     per-packet path — must be free of heap-allocation sites, up to
+//     //vids:coldpath callees and justified //vids:alloc-ok waivers
+//     (escape.go), and must cover whatever alloc_test.go measures
+//     (drift.go);
 //   - the static call closure of every //vids:nopanic root — the
 //     parsers and dispatchers that consume raw network bytes — must be
 //     free of potential runtime panics: every index, slice, type
 //     assertion, map write, pointer dereference, division and shift
 //     must be dominated by a proving guard, or carry a justified
-//     //vids:panic-ok waiver (freshness-checked like alloc-ok).
+//     //vids:panic-ok waiver (nopanic.go, bounds.go);
+//   - wherever a sync.Mutex, RWMutex or Cond is used, in any package:
+//     no lock-order cycle (callees in other packages contribute the
+//     locks they take), no blocking operation or callback under a
+//     queue lock, no if-guarded Cond.Wait, no goroutine launched under
+//     a lock (locks.go);
+//   - every directive must still do something: a waiver that excuses
+//     nothing, a coldpath no hot path reaches, a lockorder the walk
+//     observes for itself, an allow with no wall-clock read beside it
+//     are findings themselves.
 //
 // Usage:
 //
@@ -32,10 +55,14 @@
 //	vidslint ./internal/ids # lint one package directory
 //	vidslint -json ./...    # {findings, waivers} JSON on stdout
 //
-// The -json document carries each finding's owning gate in kind and a
-// full inventory of alloc-ok/panic-ok waivers (file, line, scope,
-// justification, whether it suppressed anything), so CI artifacts
-// expose the complete suppression surface for audit.
+// The -json document carries each finding's kind and the inventory of
+// every suppression — alloc-ok, panic-ok, coldpath, lockorder,
+// vidslint:allow — with file, line, scope, function, justification and
+// whether it did anything, so CI artifacts expose the complete
+// suppression surface for audit. cmd/vidslint/WAIVERS.json is that
+// inventory without line numbers, committed: a tier-1 test fails when
+// a waiver is added, dropped or reworded without refreshing it
+// (`make waivers`).
 //
 // Exit status: 0 clean, 1 findings, 2 operational error.
 package main
@@ -48,7 +75,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -66,10 +92,10 @@ func main() {
 	}
 }
 
-// jsonFinding is the machine-readable shape of one diagnostic. kind
-// names the owning gate ("lint" for per-package style rules, "escape",
-// "nopanic", "lockorder", "directive" for waiver hygiene), so CI
-// artifacts can be filtered per gate.
+// jsonFinding is the machine-readable shape of one diagnostic. kind is
+// "noalloc" or "nopanic" for the two closure gates, "directive" for
+// directive hygiene and "lint" for everything else (the per-package
+// rules, the lock gate, drift), so CI artifacts can be filtered.
 type jsonFinding struct {
 	File string `json:"file"`
 	Line int    `json:"line"`
@@ -78,18 +104,20 @@ type jsonFinding struct {
 	Kind string `json:"kind"`
 }
 
-// jsonWaiver is one entry of the waiver inventory: every
-// //vids:alloc-ok and //vids:panic-ok in the analyzed packages, line
-// or function scoped, with its justification and whether it
-// suppressed anything this run. The inventory makes the suppression
-// surface auditable from the CI artifact alone.
+// jsonWaiver is one entry of the waiver inventory: every suppression
+// in the analyzed packages — //vids:alloc-ok, //vids:panic-ok,
+// //vids:coldpath, //vids:lockorder and //vidslint:allow — with its
+// scope, the function it sits on or in, its justification and whether
+// it did anything this run. The inventory makes the suppression
+// surface auditable from the CI artifact alone; cmd/vidslint/WAIVERS.json
+// is the same list without line numbers, committed and diffed.
 type jsonWaiver struct {
 	File      string `json:"file"`
 	Line      int    `json:"line"`
 	Directive string `json:"directive"`
 	Reason    string `json:"reason"`
 	Used      bool   `json:"used"`
-	Scope     string `json:"scope"` // "line" or "function"
+	Scope     string `json:"scope"` // "line", "function" or "declaration"
 	Func      string `json:"func,omitempty"`
 }
 
@@ -98,57 +126,6 @@ type jsonWaiver struct {
 type jsonReport struct {
 	Findings []jsonFinding `json:"findings"`
 	Waivers  []jsonWaiver  `json:"waivers"`
-}
-
-// waiverInventory collects every alloc-ok/panic-ok waiver of the
-// analyzed packages from the whole-program state.
-func waiverInventory(a *analyzer) []jsonWaiver {
-	out := []jsonWaiver{}
-	if a.prog == nil {
-		return out
-	}
-	for _, set := range []*waiverSet{a.prog.waivers, a.prog.panicWaivers} {
-		for _, w := range set.all {
-			if !a.analyzed[w.pkg.path] {
-				continue
-			}
-			out = append(out, jsonWaiver{
-				File: w.pos.Filename, Line: w.pos.Line,
-				Directive: "//" + set.directive, Reason: w.reason,
-				Used: w.used, Scope: "line",
-			})
-		}
-	}
-	for _, node := range sortedFuncs(a.prog) {
-		if !a.analyzed[node.pkg.path] {
-			continue
-		}
-		pos := a.fset.Position(node.decl.Pos())
-		if node.hasAllocOK {
-			out = append(out, jsonWaiver{
-				File: pos.Filename, Line: pos.Line,
-				Directive: "//" + dirAllocOK, Reason: node.allocOK,
-				Used: node.suppressed > 0, Scope: "function", Func: node.name(),
-			})
-		}
-		if node.hasPanicOK {
-			out = append(out, jsonWaiver{
-				File: pos.Filename, Line: pos.Line,
-				Directive: "//" + dirPanicOK, Reason: node.panicOK,
-				Used: node.npSuppressed > 0, Scope: "function", Func: node.name(),
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		if out[i].Line != out[j].Line {
-			return out[i].Line < out[j].Line
-		}
-		return out[i].Directive < out[j].Directive
-	})
-	return out
 }
 
 func run(patterns []string, jsonOut bool, out io.Writer) (int, error) {
@@ -168,24 +145,29 @@ func run(patterns []string, jsonOut bool, out io.Writer) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	all := make([]finding, 0, 8)
+	// Load every requested directory first: the program index is built
+	// once, over all of them, and every rule set reads it.
+	var loaded []*pkgInfo
 	for _, dir := range dirs {
-		findings, err := a.analyzeDir(dir)
+		pi, err := a.load(dir)
 		if err != nil {
-			return len(all), err
+			return 0, err
 		}
-		all = append(all, findings...)
+		if pi != nil {
+			loaded = append(loaded, pi)
+		}
 	}
-	// Whole-program passes run after every requested directory is
-	// loaded: the escape gate over the //vids:noalloc closure, the
-	// directive-freshness sweep, and the alloc-ceiling drift check.
+	all := make([]finding, 0, 8)
+	for _, pi := range loaded {
+		all = append(all, a.packageFindings(pi)...)
+	}
 	progFindings, err := a.programFindings()
 	if err != nil {
 		return len(all), err
 	}
 	all = append(all, progFindings...)
 	if jsonOut {
-		report := jsonReport{Findings: make([]jsonFinding, len(all)), Waivers: waiverInventory(a)}
+		report := jsonReport{Findings: make([]jsonFinding, len(all)), Waivers: a.index().inventory()}
 		for i, f := range all {
 			kind := f.kind
 			if kind == "" {

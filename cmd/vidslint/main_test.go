@@ -22,6 +22,17 @@ func newTestAnalyzer(t *testing.T) *analyzer {
 	return newAnalyzer(root, module)
 }
 
+// analyzeDir loads one package directory and returns the findings of
+// the per-package rules; the whole-program rule sets over everything
+// loaded so far are programFindings.
+func (a *analyzer) analyzeDir(dir string) ([]finding, error) {
+	pi, err := a.load(dir)
+	if pi == nil {
+		return nil, err
+	}
+	return a.packageFindings(pi), nil
+}
+
 func countContaining(fs []finding, substr string) int {
 	n := 0
 	for _, f := range fs {
@@ -150,38 +161,30 @@ func TestJSONOutput(t *testing.T) {
 }
 
 // TestJSONWaiverInventory checks the suppression surface is exported:
-// over the real module, the -json document lists the repo's panic-ok
-// and alloc-ok waivers with non-empty justifications, all used.
+// over the real module, the -json document lists the repo's waivers of
+// every kind it carries, with non-empty justifications, all used.
 func TestJSONWaiverInventory(t *testing.T) {
-	root := newTestAnalyzer(t).moduleRoot
-	var buf bytes.Buffer
-	if _, err := run([]string{filepath.Join(root, "...")}, true, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var report jsonReport
-	if err := json.Unmarshal(buf.Bytes(), &report); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
+	report := repoReport(t)
 	if len(report.Findings) != 0 {
 		t.Errorf("repo findings = %d, want 0", len(report.Findings))
 	}
-	sawPanicOK := false
+	saw := make(map[string]bool)
 	for _, w := range report.Waivers {
-		if w.Directive == "//"+dirPanicOK {
-			sawPanicOK = true
-		}
+		saw[w.Directive] = true
 		if w.Reason == "" {
 			t.Errorf("%s:%d: waiver with empty reason in inventory", w.File, w.Line)
 		}
 		if !w.Used {
 			t.Errorf("%s:%d: unused waiver %s survived the freshness sweep", w.File, w.Line, w.Directive)
 		}
-		if w.Scope != "line" && w.Scope != "function" {
+		if w.Scope != scopeLine && w.Scope != scopeFunc {
 			t.Errorf("%s:%d: bad scope %q", w.File, w.Line, w.Scope)
 		}
 	}
-	if !sawPanicOK {
-		t.Error("inventory lists no //vids:panic-ok waivers; the repo carries several")
+	for _, kind := range []string{dirAllocOK, dirPanicOK, dirColdpath, dirWallclock} {
+		if !saw["//"+kind] {
+			t.Errorf("inventory lists no //%s; the repo carries several", kind)
+		}
 	}
 }
 
@@ -295,7 +298,14 @@ func TestEscapeGateExitsNonzero(t *testing.T) {
 // The disciplined ok() shapes must stay clean.
 func TestLockDisciplineFixture(t *testing.T) {
 	a := newTestAnalyzer(t)
-	fs, err := a.analyzeDir(filepath.Join("testdata", "src", "internal", "timerwheel"))
+	perPkg, err := a.analyzeDir(filepath.Join("testdata", "src", "internal", "timerwheel"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(perPkg) != 0 {
+		t.Errorf("per-package findings = %d, want 0 (the lock gate is whole-program)", len(perPkg))
+	}
+	fs, err := a.programFindings()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,6 +327,54 @@ func TestLockDisciplineFixture(t *testing.T) {
 	}
 	if len(fs) != 6 {
 		t.Errorf("total findings = %d, want 6 (ok() must not be flagged)", len(fs))
+	}
+}
+
+// TestLockGateIsWholeProgram pins the three holes the lock gate and the
+// directive readers had while the gate ran on a list of package paths
+// with same-package summaries: a lock-order cycle that exists only
+// through another package's acquire summary, an if-guarded Wait in a
+// package on no list, and lockorder/allow directives nothing checked.
+func TestLockGateIsWholeProgram(t *testing.T) {
+	a := newTestAnalyzer(t)
+	for _, dir := range []string{"lockcycle/a", "lockcycle/b", "lockhygiene"} {
+		perPkg, err := a.analyzeDir(filepath.Join("testdata", "src", filepath.FromSlash(dir)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(perPkg) != 0 {
+			t.Errorf("%s: per-package findings = %d, want 0", dir, len(perPkg))
+		}
+	}
+	fs, err := a.programFindings()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fs {
+		t.Log(f)
+	}
+	want := []struct {
+		substr, kind string
+	}{
+		{"lock-order cycle: a.T.mu → b.U.Mu → a.T.mu", ""},
+		{"sync.Cond.Wait on lockhygiene.queue.ready outside a for loop", ""},
+		{"//vids:lockorder needs the form", "directive"},
+		{"stale //vids:lockorder lockhygiene.queue.mu -> lockhygiene.stats.mu", "directive"},
+		{"stale //vidslint:allow wallclock", "directive"},
+	}
+	for _, w := range want {
+		n := 0
+		for _, f := range fs {
+			if strings.Contains(f.msg, w.substr) && f.kind == w.kind {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("findings containing %q of kind %q = %d, want 1", w.substr, w.kind, n)
+		}
+	}
+	if len(fs) != len(want) {
+		t.Errorf("total findings = %d, want %d", len(fs), len(want))
 	}
 }
 

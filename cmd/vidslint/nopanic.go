@@ -5,8 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
-	"strings"
 )
 
 // The nopanic gate proves the untrusted-input path free of runtime
@@ -81,132 +79,34 @@ var binaryWidths = map[string]int64{
 	"PutUint64": 8,
 }
 
-// panicPass drives the nopanic closure traversal.
-type panicPass struct {
-	a        *analyzer
-	prog     *program
-	findings []finding
-}
-
-// checkNopanic runs the panic-freedom gate: BFS over the static call
-// graph from the //vids:nopanic roots, a flow-sensitive scan of each
-// reached body, then the panic-ok freshness sweep.
-func (a *analyzer) checkNopanic(prog *program) []finding {
-	pp := &panicPass{a: a, prog: prog}
-	var roots []string
-	for k, n := range prog.funcs {
-		if n.nopanic && a.analyzed[n.pkg.path] {
-			roots = append(roots, k)
-		}
+// checkNopanic runs the panic-freedom gate: one walk from the
+// //vids:nopanic roots that cuts nowhere, with a flow-sensitive scan
+// of each reached body.
+func checkNopanic(ix *index) *gate {
+	g := &gate{
+		ix: ix, kind: "nopanic", root: dirNopanic, waiver: dirPanicOK,
+		format: "nopanic: %s [untrusted path: %s]; add a dominating guard or justify with //vids:panic-ok <reason>",
 	}
-	sort.Strings(roots)
-	queue := make([]string, 0, len(roots))
-	for _, r := range roots {
-		prog.npRootOf[r] = r
-		queue = append(queue, r)
-	}
-	seen := make(map[string]bool)
-	for len(queue) > 0 {
-		key := queue[0]
-		queue = queue[1:]
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		node := prog.funcs[key]
-		if node == nil {
-			continue
-		}
-		node.npReached = true
-		callees := pp.scanFunc(node)
-		sort.Strings(callees)
-		for _, c := range callees {
-			if seen[c] {
-				continue
-			}
-			if _, known := prog.npParent[c]; !known {
-				prog.npParent[c] = key
-				prog.npRootOf[c] = prog.npRootOf[key]
-			}
-			queue = append(queue, c)
-		}
-	}
-	pp.findings = append(pp.findings, pp.staleness()...)
-	return pp.findings
-}
-
-// staleness freshness-checks the panic-ok directives, mirroring the
-// alloc-ok sweep: empty reasons, line waivers that suppressed
-// nothing, and function-level waivers off every untrusted path or
-// with nothing left to justify.
-func (pp *panicPass) staleness() []finding {
-	out := pp.prog.panicWaivers.lineStaleness(pp.a,
-		"//vids:panic-ok needs a non-empty justification (why can this site not panic at runtime?)",
-		"stale //vids:panic-ok: no nopanic finding on this or the next line — delete the waiver or move it to the site it justifies")
-	for _, node := range sortedFuncs(pp.prog) {
-		if !pp.a.analyzed[node.pkg.path] || !node.hasPanicOK {
-			continue
-		}
-		pos := pp.a.fset.Position(node.decl.Pos())
-		switch {
-		case node.panicOK == "":
-			out = append(out, finding{pos: pos, msg: fmt.Sprintf("//vids:panic-ok on %s needs a non-empty justification", node.name()), kind: "directive"})
-		case !node.npReached:
-			out = append(out, finding{pos: pos, msg: fmt.Sprintf("stale //vids:panic-ok on %s: the function is not reached from any //vids:nopanic root", node.name()), kind: "directive"})
-		case node.npSuppressed == 0:
-			out = append(out, finding{pos: pos, msg: fmt.Sprintf("stale //vids:panic-ok on %s: the function body has no potential panic site left to justify", node.name()), kind: "directive"})
-		}
-	}
-	return out
-}
-
-// site records one potential panic finding, honoring line-level
-// panic-ok waivers first and the enclosing function-level waiver
-// second.
-func (pp *panicPass) site(node *funcNode, pos token.Pos, what string) {
-	p := pp.a.fset.Position(pos)
-	if w := pp.prog.panicWaivers.lookup(p); w != nil {
-		return
-	}
-	if node.hasPanicOK {
-		node.npSuppressed++
-		return
-	}
-	pp.findings = append(pp.findings, finding{
-		pos:  p,
-		msg:  fmt.Sprintf("nopanic: %s [untrusted path: %s]; add a dominating guard or justify with //vids:panic-ok <reason>", what, pp.prog.npPathTo(node.key)),
-		kind: "nopanic",
+	g.run(everyEdge, func(node *funcNode) {
+		sc := &panicScan{gate: g, node: node, info: node.pkg.info, skipAsserts: make(map[*ast.TypeAssertExpr]bool)}
+		sc.block(node.decl.Body.List, newFacts(sc.info))
 	})
+	return g
 }
+
+// everyEdge is the nopanic walk's edge rule: a crash has no cold path.
+func everyEdge(*callSite) bool { return true }
 
 // panicScan is the per-function flow-sensitive walk.
 type panicScan struct {
-	pp          *panicPass
+	gate        *gate
 	node        *funcNode
 	info        *types.Info
-	callees     map[string]bool
 	skipAsserts map[*ast.TypeAssertExpr]bool
 }
 
-func (pp *panicPass) scanFunc(node *funcNode) []string {
-	sc := &panicScan{
-		pp:          pp,
-		node:        node,
-		info:        node.pkg.info,
-		callees:     make(map[string]bool),
-		skipAsserts: make(map[*ast.TypeAssertExpr]bool),
-	}
-	env := newFacts(sc.info)
-	sc.block(node.decl.Body.List, env)
-	out := make([]string, 0, len(sc.callees))
-	for k := range sc.callees {
-		out = append(out, k)
-	}
-	return out
-}
-
 func (sc *panicScan) site(pos token.Pos, what string) {
-	sc.pp.site(sc.node, pos, what)
+	sc.gate.site(sc.node, pos, what)
 }
 
 // block walks a statement list, threading the facts environment and
@@ -924,76 +824,37 @@ func (sc *panicScan) slice(x *ast.SliceExpr, env *facts) {
 }
 
 func (sc *panicScan) isPanicCall(call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := sc.info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "panic"
+	site := sc.gate.ix.calls[call]
+	return site.kind == callBuiltin && site.name == "panic"
 }
 
-// call classifies one call expression: conversions, builtins, static
-// module/stdlib calls, and the dynamic calls the analysis cannot
-// follow.
+// call applies the call rules to one classified call: conversions and
+// builtins that can panic, static module/stdlib callees, and the
+// dynamic calls the analysis cannot follow.
 func (sc *panicScan) call(call *ast.CallExpr, env *facts) {
-	funExpr := ast.Unparen(call.Fun)
 	for _, a := range call.Args {
 		sc.expr(a, env)
 	}
-	if tv, ok := sc.info.Types[funExpr]; ok && tv.IsType() {
-		sc.checkConversionPanic(call, tv.Type, env)
-		return
-	}
-	if lit, ok := funExpr.(*ast.FuncLit); ok {
-		sc.block(lit.Body.List, newFacts(sc.info))
-		return
-	}
-	switch fx := funExpr.(type) {
-	case *ast.Ident:
-		switch obj := sc.info.Uses[fx].(type) {
-		case *types.Builtin:
-			sc.builtin(obj.Name(), call, env)
-			return
-		case *types.Func:
-			sc.staticCallee(call, obj, env)
-			return
-		case *types.Var:
-			sc.site(call.Pos(), fmt.Sprintf("dynamic call through function value %s cannot be statically proven panic-free", fx.Name))
-			return
-		}
-	case *ast.SelectorExpr:
+	site := sc.gate.ix.calls[call]
+	if fx, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && site.kind != callConversion {
 		sc.expr(fx.X, env)
-		if sel := sc.info.Selections[fx]; sel != nil {
-			switch sel.Kind() {
-			case types.MethodVal:
-				if types.IsInterface(sel.Recv()) {
-					sc.site(call.Pos(), fmt.Sprintf("interface method call %s cannot be statically resolved to a panic-free body", fx.Sel.Name))
-					return
-				}
-				if fn, ok := sel.Obj().(*types.Func); ok {
-					sc.staticCallee(call, fn, env)
-					return
-				}
-			case types.FieldVal:
-				sc.site(call.Pos(), fmt.Sprintf("dynamic call through function field %s cannot be statically proven panic-free", fx.Sel.Name))
-				return
-			case types.MethodExpr:
-				if fn, ok := sel.Obj().(*types.Func); ok {
-					sc.staticCallee(call, fn, env)
-					return
-				}
-			}
-		}
-		if fn, ok := sc.info.Uses[fx.Sel].(*types.Func); ok {
-			sc.staticCallee(call, fn, env)
-			return
-		}
-		if _, ok := sc.info.Uses[fx.Sel].(*types.Var); ok {
-			sc.site(call.Pos(), fmt.Sprintf("dynamic call through function variable %s cannot be statically proven panic-free", fx.Sel.Name))
-			return
-		}
 	}
-	sc.site(call.Pos(), "dynamic call through a computed function value cannot be statically proven panic-free")
+	switch site.kind {
+	case callConversion:
+		sc.checkConversionPanic(call, site.typ, env)
+	case callFuncLit:
+		sc.block(ast.Unparen(call.Fun).(*ast.FuncLit).Body.List, newFacts(sc.info))
+	case callBuiltin:
+		sc.builtin(site.name, call, env)
+	case callStatic:
+		sc.staticCallee(site, env)
+	case callInterface:
+		sc.site(call.Pos(), fmt.Sprintf("interface method call %s cannot be statically resolved to a panic-free body", site.name))
+	case callValue:
+		sc.site(call.Pos(), fmt.Sprintf("dynamic call through %s cannot be statically proven panic-free", site.name))
+	case callComputed:
+		sc.site(call.Pos(), "dynamic call through a computed function value cannot be statically proven panic-free")
+	}
 }
 
 func (sc *panicScan) builtin(name string, call *ast.CallExpr, env *facts) {
@@ -1013,21 +874,18 @@ func (sc *panicScan) builtin(name string, call *ast.CallExpr, env *facts) {
 }
 
 // staticCallee handles a statically resolved callee: module functions
-// join the traversal, encoding/binary codecs get a length proof,
-// other externals must be allowlisted.
-func (sc *panicScan) staticCallee(call *ast.CallExpr, fn *types.Func, env *facts) {
-	pkg := fn.Pkg()
-	if pkg == nil {
+// need a body in the index (the walk follows them), encoding/binary
+// codecs get a length proof, other externals must be allowlisted.
+func (sc *panicScan) staticCallee(site *callSite, env *facts) {
+	call, fn := site.call, site.fn
+	if fn.Pkg() == nil {
 		return // error.Error and friends from the universe scope
 	}
-	path := pkg.Path()
-	if path == sc.pp.a.modulePath || strings.HasPrefix(path, sc.pp.a.modulePath+"/") {
-		key := funcKey(fn)
-		if sc.pp.prog.funcs[key] == nil {
+	path := fn.Pkg().Path()
+	if site.module {
+		if site.callee == nil {
 			sc.site(call.Pos(), fmt.Sprintf("call to %s has no body in the module index (generated or assembly?)", fn.FullName()))
-			return
 		}
-		sc.callees[key] = true
 		return
 	}
 	if path == "encoding/binary" {
@@ -1080,18 +938,25 @@ func (sc *panicScan) invalidateSideEffects(e ast.Expr, env *facts) {
 				env.invalidate(baseIdent(x.X))
 			}
 		case *ast.CallExpr:
-			if fx, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
-				if sel := sc.info.Selections[fx]; sel != nil && sel.Kind() == types.MethodVal {
-					if sig, ok := sel.Obj().Type().(*types.Signature); ok && sig.Recv() != nil {
-						if _, ptr := sig.Recv().Type().(*types.Pointer); ptr {
-							env.invalidateContents(baseIdent(fx.X))
-						}
-					}
-				}
-			}
+			env.invalidateContents(sc.mutatedReceiver(x))
 		}
 		return true
 	})
+}
+
+// mutatedReceiver returns the base identifier of x in a call x.m(…)
+// whose method has a pointer receiver — the callee may write through
+// it — and "" for any other call.
+func (sc *panicScan) mutatedReceiver(call *ast.CallExpr) string {
+	fx, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if site := sc.gate.ix.calls[call]; ok && site.kind == callStatic {
+		if sig, ok := site.fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+			if _, ptr := sig.Recv().Type().(*types.Pointer); ptr {
+				return baseIdent(fx.X)
+			}
+		}
+	}
+	return ""
 }
 
 // writeSets gathers every identifier a statement tree may write,
@@ -1140,16 +1005,8 @@ func (sc *panicScan) writeSets(n ast.Node) (binds, conts map[string]bool) {
 				}
 			}
 		case *ast.CallExpr:
-			if fx, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
-				if sel := sc.info.Selections[fx]; sel != nil && sel.Kind() == types.MethodVal {
-					if sig, ok := sel.Obj().Type().(*types.Signature); ok && sig.Recv() != nil {
-						if _, ptr := sig.Recv().Type().(*types.Pointer); ptr {
-							if b := baseIdent(fx.X); b != "" {
-								conts[b] = true
-							}
-						}
-					}
-				}
+			if b := sc.mutatedReceiver(x); b != "" {
+				conts[b] = true
 			}
 		}
 		return true

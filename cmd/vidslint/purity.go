@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // checkGuardPurity flags transition guards — the Predicate arguments
@@ -18,110 +17,32 @@ import (
 // an impure guard runs its side effects even when its transition is
 // not taken, and speclint's probe-based discovery replays guards
 // under synthetic contexts where stray writes corrupt the analysis.
-// Guards written as function literals, locals bound to literals, or
-// package-level functions are all resolved.
-func (a *analyzer) checkGuardPurity(files []*ast.File, info *types.Info) []finding {
-	onName := "(*" + a.corePath + ".Spec).On"
-	onLabeledName := "(*" + a.corePath + ".Spec).OnLabeled"
-
-	// Resolve guard identifiers package-wide: locals bound to a
-	// function literal, package-level function declarations, and
-	// methods (guards may be bound method values like f.guard).
-	lits := make(map[types.Object]*ast.FuncLit)
-	decls := make(map[types.Object]*ast.FuncDecl)
-	for _, f := range files {
-		for _, d := range f.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && fn.Body != nil {
-				if obj := info.Defs[fn.Name]; obj != nil {
-					decls[obj] = fn
-				}
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				lit, ok := as.Rhs[i].(*ast.FuncLit)
-				if !ok {
-					continue
-				}
-				if obj := info.Defs[id]; obj != nil {
-					lits[obj] = lit
-				} else if obj := info.Uses[id]; obj != nil {
-					lits[obj] = lit
-				}
-			}
-			return true
-		})
+// Guards written as function literals, locals bound to literals,
+// declared functions or method values are all resolved (index.bodyOf).
+func checkGuardPurity(ix *index, pi *pkgInfo) []finding {
+	guardArg := map[string]int{
+		"(*" + ix.a.corePath + ".Spec).On":        2,
+		"(*" + ix.a.corePath + ".Spec).OnLabeled": 3,
 	}
-
 	var out []finding
 	flagged := make(map[token.Pos]bool) // one finding per guard body
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+	for _, f := range pi.files {
+		ix.eachCall(f, func(site *callSite) {
+			if site.kind != callStatic {
+				return
 			}
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
+			guardIdx, ok := guardArg[site.fn.FullName()]
+			if !ok || len(site.call.Args) <= guardIdx {
+				return
 			}
-			fn, ok := info.Uses[sel.Sel].(*types.Func)
-			if !ok {
-				return true
-			}
-			guardIdx := -1
-			switch fn.FullName() {
-			case onName:
-				guardIdx = 2
-			case onLabeledName:
-				guardIdx = 3
-			default:
-				return true
-			}
-			if len(call.Args) <= guardIdx {
-				return true
-			}
-			var body *ast.BlockStmt
-			switch g := ast.Unparen(call.Args[guardIdx]).(type) {
-			case *ast.FuncLit:
-				body = g.Body
-			case *ast.Ident:
-				if obj := info.Uses[g]; obj != nil {
-					if lit, ok := lits[obj]; ok {
-						body = lit.Body
-					} else if fd, ok := decls[obj]; ok {
-						body = fd.Body
-					}
-				}
-			case *ast.SelectorExpr:
-				// Bound method value (f.guard) or package-qualified
-				// function used as the predicate.
-				var obj types.Object
-				if sel := info.Selections[g]; sel != nil && sel.Kind() == types.MethodVal {
-					obj = sel.Obj()
-				} else {
-					obj = info.Uses[g.Sel]
-				}
-				if fd, ok := decls[obj]; ok {
-					body = fd.Body
-				}
-			}
+			body := ix.bodyOf(pi.info, site.call.Args[guardIdx])
 			if body == nil || flagged[body.Pos()] {
-				return true
+				return
 			}
-			if msg, pos, impure := a.guardImpurity(body, info, decls); impure {
+			if msg, pos, impure := guardImpurity(ix, pi, body); impure {
 				flagged[body.Pos()] = true
 				out = append(out, finding{pos: pos, msg: msg})
 			}
-			return true
 		})
 	}
 	return out
@@ -130,17 +51,17 @@ func (a *analyzer) checkGuardPurity(files []*ast.File, info *types.Info) []findi
 // guardImpurity scans one guard body for side effects on machine
 // state and reports the first one found. Same-package helpers the
 // guard calls (directly, through a method value, or under a defer) are
-// scanned transitively: delegating the write does not purify the
-// guard.
-func (a *analyzer) guardImpurity(body *ast.BlockStmt, info *types.Info, decls map[types.Object]*ast.FuncDecl) (msg string, pos token.Position, impure bool) {
-	emitName := "(*" + a.corePath + ".Ctx).Emit"
+// scanned at the call: delegating the write does not purify the guard.
+func guardImpurity(ix *index, pi *pkgInfo, body *ast.BlockStmt) (msg string, pos token.Position, impure bool) {
+	corePath := ix.a.corePath
+	emitName := "(*" + corePath + ".Ctx).Emit"
 	mutators := map[string]bool{
-		"(" + a.corePath + ".Vars).Set":         true,
-		"(" + a.corePath + ".Vars).SetString":   true,
-		"(" + a.corePath + ".Vars).SetInt":      true,
-		"(" + a.corePath + ".Vars).SetUint32":   true,
-		"(" + a.corePath + ".Vars).SetBool":     true,
-		"(" + a.corePath + ".Vars).SetDuration": true,
+		"(" + corePath + ".Vars).Set":         true,
+		"(" + corePath + ".Vars).SetString":   true,
+		"(" + corePath + ".Vars).SetInt":      true,
+		"(" + corePath + ".Vars).SetUint32":   true,
+		"(" + corePath + ".Vars).SetBool":     true,
+		"(" + corePath + ".Vars).SetDuration": true,
 	}
 	visited := make(map[*ast.BlockStmt]bool)
 	var scan func(b *ast.BlockStmt)
@@ -155,34 +76,21 @@ func (a *analyzer) guardImpurity(body *ast.BlockStmt, info *types.Info, decls ma
 			}
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				var callee types.Object
-				switch fx := ast.Unparen(n.Fun).(type) {
-				case *ast.Ident:
-					callee = info.Uses[fx]
-				case *ast.SelectorExpr:
-					if sel := info.Selections[fx]; sel != nil && sel.Kind() == types.MethodVal {
-						callee = sel.Obj()
-					} else {
-						callee = info.Uses[fx.Sel]
-					}
-				}
-				fn, ok := callee.(*types.Func)
-				if !ok {
+				site := ix.calls[n]
+				if site == nil || site.kind != callStatic {
 					return true
 				}
-				switch full := fn.FullName(); {
+				switch full := site.fn.FullName(); {
 				case full == emitName:
 					msg = "impure guard: calls (*core.Ctx).Emit — predicates are evaluated for every candidate transition, so a guard-side emission fires even when the transition is not taken; move the Emit into the Action"
-					pos = a.fset.Position(n.Pos())
+					pos = ix.a.fset.Position(n.Pos())
 					impure = true
 				case mutators[full]:
-					msg = fmt.Sprintf("impure guard: %s mutates machine variables — guards must be side-effect free (speclint probes re-run them under synthetic contexts); move the write into the Action", fn.Name())
-					pos = a.fset.Position(n.Pos())
+					msg = fmt.Sprintf("impure guard: %s mutates machine variables — guards must be side-effect free (speclint probes re-run them under synthetic contexts); move the write into the Action", site.fn.Name())
+					pos = ix.a.fset.Position(n.Pos())
 					impure = true
-				default:
-					if fd, samePkg := decls[callee]; samePkg {
-						scan(fd.Body)
-					}
+				case site.callee != nil && site.callee.pkg == pi:
+					scan(site.callee.decl.Body)
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
@@ -190,9 +98,9 @@ func (a *analyzer) guardImpurity(body *ast.BlockStmt, info *types.Info, decls ma
 					if !ok {
 						continue
 					}
-					if a.isCoreVars(info.Types[idx.X].Type) {
+					if isCoreNamed(pi.info.Types[idx.X].Type, corePath, "Vars") {
 						msg = "impure guard: assigns into a core.Vars map — guards must be side-effect free (speclint probes re-run them under synthetic contexts); move the write into the Action"
-						pos = a.fset.Position(idx.Pos())
+						pos = ix.a.fset.Position(idx.Pos())
 						impure = true
 						break
 					}
@@ -205,79 +113,44 @@ func (a *analyzer) guardImpurity(body *ast.BlockStmt, info *types.Info, decls ma
 	return msg, pos, impure
 }
 
-func (a *analyzer) isCoreVars(t types.Type) bool {
-	if t == nil {
-		return false
-	}
+// isCoreNamed reports whether t is the named type internal/core.<name>.
+func isCoreNamed(t types.Type, corePath, name string) bool {
 	named, ok := t.(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == "Vars" && obj.Pkg() != nil && obj.Pkg().Path() == a.corePath
+	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == corePath
 }
 
 // checkWallClock flags time.Now and time.Sleep in simulation-driven
-// packages (internal/ids and internal/engine; analyzeDir applies the
-// gate). Detection logic there must derive time from the virtual
-// clock (sim.Sim.Now) so that replaying a recorded trace reproduces
-// the live run bit-for-bit; a wall-clock read silently decouples the
-// two. Deliberate wall-clock sites (self-instrumentation counters, OS
-// socket deadlines) are annotated with a `//vidslint:allow wallclock`
-// comment on the same line or the line above.
-func (a *analyzer) checkWallClock(files []*ast.File, info *types.Info) []finding {
+// packages (the rule table says which). Detection logic there must
+// derive time from the virtual clock (sim.Sim.Now) so that replaying a
+// recorded trace reproduces the live run bit-for-bit; a wall-clock read
+// silently decouples the two. Deliberate wall-clock sites
+// (self-instrumentation counters, OS socket deadlines) are annotated
+// with a `//vidslint:allow wallclock` comment on the same line or the
+// line above.
+func checkWallClock(ix *index, pi *pkgInfo) []finding {
 	var out []finding
-	for _, f := range files {
-		allowed := a.allowedLines(f, "wallclock")
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+	for _, f := range pi.files {
+		ix.eachCall(f, func(site *callSite) {
+			if site.kind != callStatic {
+				return
 			}
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fn, ok := info.Uses[sel.Sel].(*types.Func)
-			if !ok {
-				return true
-			}
-			full := fn.FullName()
+			full := site.fn.FullName()
 			if full != "time.Now" && full != "time.Sleep" {
-				return true
+				return
 			}
-			pos := a.fset.Position(call.Pos())
-			if allowed[pos.Line] {
-				return true
+			pos := ix.a.fset.Position(site.call.Pos())
+			if ix.waived(dirWallclock, pos) {
+				return
 			}
 			out = append(out, finding{
 				pos: pos,
 				msg: fmt.Sprintf("%s in a simulation-driven package breaks virtual-clock determinism and trace-replay parity: use the simulator clock, or annotate a deliberate site with //vidslint:allow wallclock", full),
 			})
-			return true
 		})
 	}
 	return out
-}
-
-// allowedLines collects the source lines covered by
-// `//vidslint:allow <what>` directives: the directive's own line (for
-// end-of-line annotations) and the line after it (for annotations on
-// the preceding line). parseDir retains comments for this.
-func (a *analyzer) allowedLines(f *ast.File, what string) map[int]bool {
-	allowed := make(map[int]bool)
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			directive := "vidslint:allow " + what
-			// A justification may follow the directive after a space.
-			if text != directive && !strings.HasPrefix(text, directive+" ") {
-				continue
-			}
-			line := a.fset.Position(c.Pos()).Line
-			allowed[line] = true
-			allowed[line+1] = true
-		}
-	}
-	return allowed
 }

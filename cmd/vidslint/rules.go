@@ -13,32 +13,29 @@ import (
 // signal of the paper — dropping it silently turns a detection into a
 // no-op. An explicit `_, _ =` assignment is accepted as a deliberate,
 // reviewable discard.
-func (a *analyzer) checkDroppedErrors(files []*ast.File, info *types.Info) []finding {
+func checkDroppedErrors(ix *index, pi *pkgInfo) []finding {
+	corePath := ix.a.corePath
 	droppable := map[string]string{
-		"(*" + a.corePath + ".Machine).Step":       "(*core.Machine).Step",
-		"(*" + a.corePath + ".System).Deliver":     "(*core.System).Deliver",
-		"(*" + a.corePath + ".System).DeliverSync": "(*core.System).DeliverSync",
+		"(*" + corePath + ".Machine).Step":       "(*core.Machine).Step",
+		"(*" + corePath + ".System).Deliver":     "(*core.System).Deliver",
+		"(*" + corePath + ".System).DeliverSync": "(*core.System).DeliverSync",
 	}
 	var out []finding
 	flag := func(call *ast.CallExpr) {
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
+		site := ix.calls[call]
+		if site.kind != callStatic {
 			return
 		}
-		fn, ok := info.Uses[sel.Sel].(*types.Func)
-		if !ok {
-			return
-		}
-		short, ok := droppable[fn.FullName()]
+		short, ok := droppable[site.fn.FullName()]
 		if !ok {
 			return
 		}
 		out = append(out, finding{
-			pos: a.fset.Position(call.Pos()),
+			pos: ix.a.fset.Position(call.Pos()),
 			msg: fmt.Sprintf("result of %s discarded: its error is the specification-deviation signal — handle it or assign it explicitly", short),
 		})
 	}
-	for _, f := range files {
+	for _, f := range pi.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
@@ -61,12 +58,9 @@ func (a *analyzer) checkDroppedErrors(files []*ast.File, info *types.Info) []fin
 // DurationArg) centralize the nil-map and type-assertion handling;
 // raw map indexing reintroduces per-call-site assumptions about the
 // wire types.
-func (a *analyzer) checkArgsIndexing(importPath string, files []*ast.File, info *types.Info) []finding {
-	if importPath == a.corePath {
-		return nil
-	}
+func checkArgsIndexing(ix *index, pi *pkgInfo) []finding {
 	var out []finding
-	for _, f := range files {
+	for _, f := range pi.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			idx, ok := n.(*ast.IndexExpr)
 			if !ok {
@@ -76,11 +70,18 @@ func (a *analyzer) checkArgsIndexing(importPath string, files []*ast.File, info 
 			if !ok || sel.Sel.Name != "Args" {
 				return true
 			}
-			if !a.isCoreEvent(info.Types[sel.X].Type) {
+			t := pi.info.Types[sel.X].Type
+			if t == nil {
+				return true
+			}
+			if ptr, ok := t.Underlying().(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			if !isCoreNamed(t, ix.a.corePath, "Event") {
 				return true
 			}
 			out = append(out, finding{
-				pos: a.fset.Position(idx.Pos()),
+				pos: ix.a.fset.Position(idx.Pos()),
 				msg: "direct index into core.Event.Args: use the typed accessors (Arg, StringArg, IntArg, Uint32Arg, DurationArg) instead",
 			})
 			return true
@@ -93,32 +94,25 @@ func (a *analyzer) checkArgsIndexing(importPath string, files []*ast.File, info 
 // is a byte slice derived from a packet Payload field. Materializing
 // the whole packet body as a string copies it once per packet — the
 // exact allocation the single-pass parser removed from the hot path.
-// Only internal/sipmsg (where the parser lives) may do it; the
-// analyzer skips that package in analyzeDir.
-func (a *analyzer) checkPayloadStringConv(files []*ast.File, info *types.Info) []finding {
+// Only internal/sipmsg (where the parser lives) may do it.
+func checkPayloadStringConv(ix *index, pi *pkgInfo) []finding {
 	var out []finding
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 1 {
-				return true
+	for _, f := range pi.files {
+		ix.eachCall(f, func(site *callSite) {
+			if site.kind != callConversion || len(site.call.Args) != 1 {
+				return
 			}
-			tv, ok := info.Types[call.Fun]
-			if !ok || !tv.IsType() {
-				return true
+			if b, ok := site.typ.Underlying().(*types.Basic); !ok || b.Kind() != types.String {
+				return
 			}
-			if b, ok := tv.Type.Underlying().(*types.Basic); !ok || b.Kind() != types.String {
-				return true
-			}
-			arg := call.Args[0]
-			if !isByteSlice(info.Types[arg].Type) || !mentionsPayload(arg) {
-				return true
+			arg := site.call.Args[0]
+			if !isByteSlice(pi.info.Types[arg].Type) || !mentionsPayload(arg) {
+				return
 			}
 			out = append(out, finding{
-				pos: a.fset.Position(call.Pos()),
+				pos: ix.a.fset.Position(site.call.Pos()),
 				msg: "string conversion of a packet Payload copies the body per packet: parse the bytes in place (only internal/sipmsg materializes payload strings)",
 			})
-			return true
 		})
 	}
 	return out
@@ -147,118 +141,70 @@ func mentionsPayload(e ast.Expr) bool {
 	return found
 }
 
-func (a *analyzer) isCoreEvent(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Event" && obj.Pkg() != nil && obj.Pkg().Path() == a.corePath
-}
-
 // checkSpecRegistry enforces the package contract of internal/ids:
 // every function that constructs a core.Spec must (a) mark at least
 // one Final or Attack state — a spec with neither can never evict a
 // call nor raise an alert — and (b) be reachable from the Specs
-// registry, so cmd/fsmdump and speclint actually verify it.
-func (a *analyzer) checkSpecRegistry(importPath string, files []*ast.File, info *types.Info) []finding {
-	newSpecName := a.corePath + ".NewSpec"
-	finalName := "(*" + a.corePath + ".Spec).Final"
-	attackName := "(*" + a.corePath + ".Spec).Attack"
+// registry over the package's own call edges, so cmd/fsmdump and
+// speclint actually verify it.
+func checkSpecRegistry(ix *index, pi *pkgInfo) []finding {
+	corePath := ix.a.corePath
+	newSpecName := corePath + ".NewSpec"
+	finalName := "(*" + corePath + ".Spec).Final"
+	attackName := "(*" + corePath + ".Spec).Attack"
 
-	type builderInfo struct {
-		decl          *ast.FuncDecl
-		declaresState bool
-	}
-	builders := make(map[string]*builderInfo)
-	calls := make(map[string][]string) // function -> called package-level functions
-	var specsDecl *ast.FuncDecl
-
-	for _, f := range files {
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || fn.Recv != nil {
+	var builders, stateless []*funcNode
+	var specs *funcNode
+	for _, node := range pi.funcs {
+		if node.decl.Recv != nil {
+			continue
+		}
+		if node.decl.Name.Name == "Specs" {
+			specs = node
+		}
+		isBuilder, declaresState := false, false
+		for _, site := range node.sites {
+			if site.kind != callStatic {
 				continue
 			}
-			if fn.Name.Name == "Specs" {
-				specsDecl = fn
+			switch site.fn.FullName() {
+			case newSpecName:
+				isBuilder = true
+			case finalName, attackName:
+				declaresState = true
 			}
-			b := &builderInfo{decl: fn}
-			isBuilder := false
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				switch fun := ast.Unparen(call.Fun).(type) {
-				case *ast.SelectorExpr:
-					if obj, ok := info.Uses[fun.Sel].(*types.Func); ok {
-						switch obj.FullName() {
-						case newSpecName:
-							isBuilder = true
-						case finalName, attackName:
-							b.declaresState = true
-						}
-					}
-				case *ast.Ident:
-					if obj, ok := info.Uses[fun].(*types.Func); ok &&
-						obj.Pkg() != nil && obj.Pkg().Path() == importPath && obj.Parent() == obj.Pkg().Scope() {
-						calls[fn.Name.Name] = append(calls[fn.Name.Name], fun.Name)
-					}
-				}
-				return true
-			})
-			if isBuilder {
-				builders[fn.Name.Name] = b
+		}
+		if isBuilder {
+			builders = append(builders, node)
+			if !declaresState {
+				stateless = append(stateless, node)
 			}
 		}
 	}
-
-	var out []finding
 	if len(builders) == 0 {
 		return nil
 	}
-	if specsDecl == nil {
+
+	var out []finding
+	for _, b := range stateless {
 		out = append(out, finding{
-			pos: a.fset.Position(files[0].Pos()),
+			pos: ix.a.fset.Position(b.decl.Pos()),
+			msg: fmt.Sprintf("spec builder %s declares neither Final nor Attack states: the machine can never be evicted or raise an alert", b.decl.Name.Name),
+		})
+	}
+	if specs == nil {
+		return append(out, finding{
+			pos: ix.a.fset.Position(pi.files[0].Pos()),
 			msg: "package constructs core.Spec values but declares no Specs registry function",
 		})
 	}
-
-	// Reachability from Specs over the intra-package call graph.
-	reachable := make(map[string]bool)
-	if specsDecl != nil {
-		frontier := []string{"Specs"}
-		reachable["Specs"] = true
-		for len(frontier) > 0 {
-			cur := frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-			for _, callee := range calls[cur] {
-				if !reachable[callee] {
-					reachable[callee] = true
-					frontier = append(frontier, callee)
-				}
-			}
-		}
-	}
-
-	for name, b := range builders {
-		if !b.declaresState {
+	samePkg := func(site *callSite) bool { return site.callee.pkg == pi && site.callee.decl.Recv == nil }
+	registered := ix.walk([]*funcNode{specs}, samePkg, nil)
+	for _, b := range builders {
+		if !registered.reached[b] {
 			out = append(out, finding{
-				pos: a.fset.Position(b.decl.Pos()),
-				msg: fmt.Sprintf("spec builder %s declares neither Final nor Attack states: the machine can never be evicted or raise an alert", name),
-			})
-		}
-		if specsDecl != nil && !reachable[name] {
-			out = append(out, finding{
-				pos: a.fset.Position(b.decl.Pos()),
-				msg: fmt.Sprintf("spec builder %s is not reachable from the Specs registry: fsmdump and speclint never verify it", name),
+				pos: ix.a.fset.Position(b.decl.Pos()),
+				msg: fmt.Sprintf("spec builder %s is not reachable from the Specs registry: fsmdump and speclint never verify it", b.decl.Name.Name),
 			})
 		}
 	}

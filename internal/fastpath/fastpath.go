@@ -186,10 +186,9 @@ type Stats struct {
 // Lock ordering: stripe mutexes are leaves of the ingress lane locks
 // (Lookup/Install/Disarm run under a lane's mutex) and are never held
 // across calls out of this package. byCallMu is acquired on its own,
-// never nested with a stripe mutex.
-//
-//vids:lockorder ingress.lane.mu -> fastpath.stripe.mu
-//vids:lockorder ingress.lane.mu -> fastpath.Cache.byCallMu
+// never nested with a stripe mutex. vidslint's lock gate observes both
+// lane.mu orders from ingress's calls into this package and rejects
+// any cycle with them.
 type Cache struct {
 	cfg     Config
 	stripes []stripe
