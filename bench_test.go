@@ -12,6 +12,7 @@ import (
 	"vids"
 	"vids/internal/attack"
 	"vids/internal/core"
+	"vids/internal/dialog"
 	"vids/internal/engine"
 	"vids/internal/fastpath"
 	"vids/internal/ids"
@@ -412,60 +413,17 @@ type churnStep struct {
 // INVITE, 180, 200 (SDP answer), ACK, BYE, 200 — pre-parsed, so the
 // churn benchmark measures monitor lifecycle cost, not the parser.
 func churnDialog(i int) []churnStep {
-	caller := sim.Addr{Host: "ua1.a.example.com", Port: 5060}
-	callee := sim.Addr{Host: "ua2.b.example.com", Port: 5060}
-	pa := sim.Addr{Host: "proxy.a.example.com", Port: 5060}
-	pb := sim.Addr{Host: "proxy.b.example.com", Port: 5060}
-	cid := fmt.Sprintf("churn-%d@ua1.a.example.com", i)
-
-	inv := sipmsg.NewRequest(sipmsg.INVITE, sipmsg.URI{User: "bob", Host: "b.example.com"})
-	inv.Via = []sipmsg.Via{{Transport: "UDP", Host: pa.Host, Port: 5060,
-		Params: map[string]string{"branch": fmt.Sprintf("z9hG4bKchurn%d", i)}}}
-	inv.From = sipmsg.NameAddr{URI: sipmsg.URI{User: "alice", Host: "a.example.com"}}.WithTag("t1")
-	inv.To = sipmsg.NameAddr{URI: sipmsg.URI{User: "bob", Host: "b.example.com"}}
-	inv.CallID = cid
-	inv.CSeq = sipmsg.CSeq{Seq: 1, Method: sipmsg.INVITE}
-	contact := sipmsg.NameAddr{URI: sipmsg.URI{User: "alice", Host: caller.Host}}
-	inv.Contact = &contact
-	inv.ContentType = "application/sdp"
-	inv.Body = sdp.New("alice", caller.Host, 20000+2*i, sdp.PayloadG729).Marshal()
-
-	ringing := sipmsg.NewResponse(inv, sipmsg.StatusRinging)
-	ringing.To = ringing.To.WithTag("t2")
-
-	okInv := sipmsg.NewResponse(inv, sipmsg.StatusOK)
-	okInv.To = okInv.To.WithTag("t2")
-	okContact := sipmsg.NameAddr{URI: sipmsg.URI{User: "bob", Host: callee.Host}}
-	okInv.Contact = &okContact
-	okInv.ContentType = "application/sdp"
-	okInv.Body = sdp.New("bob", callee.Host, 30000+2*i, sdp.PayloadG729).Marshal()
-
-	ack := sipmsg.NewRequest(sipmsg.ACK, sipmsg.URI{User: "bob", Host: callee.Host})
-	ack.From = inv.From
-	ack.To = okInv.To
-	ack.Via = []sipmsg.Via{{Transport: "UDP", Host: caller.Host, Port: 5060,
-		Params: map[string]string{"branch": fmt.Sprintf("z9hG4bKchurnack%d", i)}}}
-	ack.CallID = cid
-	ack.CSeq = sipmsg.CSeq{Seq: 1, Method: sipmsg.ACK}
-
-	bye := sipmsg.NewRequest(sipmsg.BYE, sipmsg.URI{User: "bob", Host: callee.Host})
-	bye.From = inv.From
-	bye.To = okInv.To
-	bye.Via = []sipmsg.Via{{Transport: "UDP", Host: caller.Host, Port: 5060,
-		Params: map[string]string{"branch": fmt.Sprintf("z9hG4bKchurnbye%d", i)}}}
-	bye.CallID = cid
-	bye.CSeq = sipmsg.CSeq{Seq: 2, Method: sipmsg.BYE}
-
-	okBye := sipmsg.NewResponse(bye, sipmsg.StatusOK)
-
-	return []churnStep{
-		{inv, &sim.Packet{From: pa, To: pb, Proto: sim.ProtoSIP, Size: 500}},
-		{ringing, &sim.Packet{From: pb, To: pa, Proto: sim.ProtoSIP, Size: 400}},
-		{okInv, &sim.Packet{From: pb, To: pa, Proto: sim.ProtoSIP, Size: 500}},
-		{ack, &sim.Packet{From: caller, To: callee, Proto: sim.ProtoSIP, Size: 300}},
-		{bye, &sim.Packet{From: caller, To: callee, Proto: sim.ProtoSIP, Size: 300}},
-		{okBye, &sim.Packet{From: callee, To: caller, Proto: sim.ProtoSIP, Size: 300}},
+	c := dialog.TestbedCall(fmt.Sprintf("churn-%d@ua1.a.example.com", i), i)
+	var s dialog.Script
+	c.Establish(&s, 0, 0, true)
+	c.Hangup(&s, 0, 0)
+	steps := make([]churnStep, len(s))
+	for k, st := range s {
+		m := st.Msg.(dialog.SIP)
+		steps[k] = churnStep{m.Message(),
+			&sim.Packet{From: st.From, To: st.To, Proto: sim.ProtoSIP, Size: len(m.Bytes())}}
 	}
+	return steps
 }
 
 // BenchmarkCallChurn measures the full monitor lifecycle — create on
@@ -731,7 +689,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 			parts := make([]partition, lanes)
 			total := 0
 			for i := range parts {
-				entries := engine.Synthesize(engine.SynthConfig{
+				entries := dialog.Synthesize(dialog.SynthConfig{
 					Calls: totalCalls / lanes, RTPPerCall: 40,
 					FirstCall: i * (totalCalls / lanes),
 				})
@@ -896,7 +854,7 @@ func benchMediaThroughput(b *testing.B, totalCalls, shards int, disable bool) {
 	parts := make([]mediaPart, lanes)
 	blastTotal := 0
 	for i := range parts {
-		entries := engine.Synthesize(engine.SynthConfig{
+		entries := dialog.Synthesize(dialog.SynthConfig{
 			Calls: totalCalls / lanes, RTPPerCall: 30,
 			FirstCall: i * (totalCalls / lanes),
 		})

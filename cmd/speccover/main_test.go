@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"vids/internal/scenario"
 	"vids/internal/trace"
 )
 
@@ -187,21 +188,21 @@ func TestWrittenTracesReplayable(t *testing.T) {
 		t.Fatalf("computeReport: %v", err)
 	}
 	rec := newRecorder()
-	for _, gt := range gapTraces() {
-		f, err := os.Open(filepath.Join(dir, gt.name+".jsonl"))
+	for _, w := range scenario.Witnesses() {
+		f, err := os.Open(filepath.Join(dir, w.Name+".jsonl"))
 		if err != nil {
 			t.Fatalf("trace not written: %v", err)
 		}
 		entries, err := trace.Read(f)
 		f.Close()
 		if err != nil {
-			t.Fatalf("read %s: %v", gt.name, err)
+			t.Fatalf("read %s: %v", w.Name, err)
 		}
-		if len(entries) != len(gt.entries) {
-			t.Errorf("%s: wrote %d entries, read %d", gt.name, len(gt.entries), len(entries))
+		if len(entries) != len(w.Script) {
+			t.Errorf("%s: wrote %d entries, read %d", w.Name, len(w.Script), len(entries))
 		}
-		if err := replayEntries(entries, rec, "trace:"+gt.name+".jsonl"); err != nil {
-			t.Fatalf("replay %s: %v", gt.name, err)
+		if err := replayEntries(entries, rec, "trace:"+w.Name+".jsonl"); err != nil {
+			t.Fatalf("replay %s: %v", w.Name, err)
 		}
 	}
 	for _, r := range rep.Transitions {

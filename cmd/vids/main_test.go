@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"vids"
-	"vids/internal/engine"
+	"vids/internal/dialog"
 	"vids/internal/rtp"
 	"vids/internal/sipmsg"
 	"vids/internal/trace"
@@ -135,7 +135,7 @@ func TestShardedReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := trace.NewWriter(f)
-	for _, en := range engine.Synthesize(engine.SynthConfig{Calls: 12, RTPPerCall: 6, Attacks: true}) {
+	for _, en := range dialog.Synthesize(dialog.SynthConfig{Calls: 12, RTPPerCall: 6, Attacks: true}) {
 		if err := w.Record(en.Packet(), en.At()); err != nil {
 			t.Fatal(err)
 		}

@@ -9,12 +9,13 @@ import (
 	"strings"
 	"testing"
 
+	"vids/internal/dialog"
 	"vids/internal/engine"
 	"vids/internal/ids"
 	"vids/internal/trace"
 )
 
-func writeSynthTrace(t *testing.T, cfg engine.SynthConfig) string {
+func writeSynthTrace(t *testing.T, cfg dialog.SynthConfig) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "synth.trace")
 	f, err := os.Create(path)
@@ -22,7 +23,7 @@ func writeSynthTrace(t *testing.T, cfg engine.SynthConfig) string {
 		t.Fatal(err)
 	}
 	w := trace.NewWriter(f)
-	for _, en := range engine.Synthesize(cfg) {
+	for _, en := range dialog.Synthesize(cfg) {
 		if err := w.Record(en.Packet(), en.At()); err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +38,7 @@ func writeSynthTrace(t *testing.T, cfg engine.SynthConfig) string {
 // attack trace at maximum pace: it must detect, drain, report and
 // exit on its own.
 func TestTraceRunToCompletion(t *testing.T) {
-	path := writeSynthTrace(t, engine.SynthConfig{Calls: 10, RTPPerCall: 5, Attacks: true})
+	path := writeSynthTrace(t, dialog.SynthConfig{Calls: 10, RTPPerCall: 5, Attacks: true})
 	report := filepath.Join(t.TempDir(), "alerts.json")
 
 	var stdout, stderr bytes.Buffer
@@ -72,7 +73,7 @@ func TestTraceRunToCompletion(t *testing.T) {
 // still announce the drain, print the final statistics line, and
 // write the JSON report.
 func TestEOFDrainFlushesStatsAndReport(t *testing.T) {
-	path := writeSynthTrace(t, engine.SynthConfig{Calls: 4, RTPPerCall: 3})
+	path := writeSynthTrace(t, dialog.SynthConfig{Calls: 4, RTPPerCall: 3})
 	report := filepath.Join(t.TempDir(), "alerts.json")
 
 	var stdout, stderr bytes.Buffer
@@ -121,7 +122,7 @@ func TestEOFDrainFlushesStatsAndReport(t *testing.T) {
 // from the daemon: same trace, -lanes 2, shed policy and the widened
 // report. The attack trace must still be fully detected.
 func TestLanesRunToCompletion(t *testing.T) {
-	path := writeSynthTrace(t, engine.SynthConfig{Calls: 10, RTPPerCall: 5, Attacks: true})
+	path := writeSynthTrace(t, dialog.SynthConfig{Calls: 10, RTPPerCall: 5, Attacks: true})
 	report := filepath.Join(t.TempDir(), "alerts.json")
 
 	var stdout, stderr bytes.Buffer
@@ -165,7 +166,7 @@ func TestLanesRunToCompletion(t *testing.T) {
 // the JSON report must record them. The same trace with -fastpath=false
 // must absorb nothing — and detect identically.
 func TestFastpathCountersSurfaced(t *testing.T) {
-	path := writeSynthTrace(t, engine.SynthConfig{Calls: 4, RTPPerCall: 40})
+	path := writeSynthTrace(t, dialog.SynthConfig{Calls: 4, RTPPerCall: 40})
 
 	type reportDoc struct {
 		Alerts []ids.Alert  `json:"alerts"`
@@ -221,7 +222,7 @@ func TestFastpathCountersSurfaced(t *testing.T) {
 // TestSRTPFlag: header-only mode must run clean end to end and stay
 // silent on a benign trace.
 func TestSRTPFlag(t *testing.T) {
-	path := writeSynthTrace(t, engine.SynthConfig{Calls: 3, RTPPerCall: 4})
+	path := writeSynthTrace(t, dialog.SynthConfig{Calls: 3, RTPPerCall: 4})
 	var stdout, stderr bytes.Buffer
 	err := run([]string{
 		"-source", "trace", "-trace", path, "-pace", "0",
@@ -237,7 +238,7 @@ func TestSRTPFlag(t *testing.T) {
 
 // TestDropPolicyFlag exercises the drop-oldest configuration path.
 func TestDropPolicyFlag(t *testing.T) {
-	path := writeSynthTrace(t, engine.SynthConfig{Calls: 2, RTPPerCall: 2})
+	path := writeSynthTrace(t, dialog.SynthConfig{Calls: 2, RTPPerCall: 2})
 	var stdout, stderr bytes.Buffer
 	err := run([]string{
 		"-source", "trace", "-trace", path, "-pace", "0",

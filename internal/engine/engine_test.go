@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"vids/internal/dialog"
 	"vids/internal/fastpath"
 	"vids/internal/ids"
 	"vids/internal/rtp"
@@ -46,13 +47,10 @@ func parkWorker(t *testing.T, cfg Config) (e *Engine, release func()) {
 	}
 	e = New(cfg)
 
-	reg := sipmsg.NewRequest(sipmsg.REGISTER, sipmsg.URI{Host: "a.example.com"})
-	reg.Via = []sipmsg.Via{{Transport: "UDP", Host: "x.example.net", Port: 5060,
-		Params: map[string]string{"branch": "z9hG4bKpark"}}}
-	reg.From = sipmsg.NameAddr{URI: sipmsg.URI{User: "a", Host: "a.example.com"}}.WithTag("p1")
-	reg.To = sipmsg.NameAddr{URI: sipmsg.URI{User: "a", Host: "a.example.com"}}
-	reg.CallID = "park@example.net"
-	reg.CSeq = sipmsg.CSeq{Seq: 1, Method: sipmsg.REGISTER}
+	aor := sipmsg.URI{User: "a", Host: "a.example.com"}
+	reg := dialog.SIP{Method: sipmsg.REGISTER, RequestURI: sipmsg.URI{Host: aor.Host},
+		Via: sim.Addr{Host: "x.example.net", Port: 5060}, Branch: "z9hG4bKpark",
+		CallID: "park@example.net", From: aor, FromTag: "p1", To: aor, CSeq: 1}
 	enqueueRaw(t, e, 0, &sim.Packet{
 		From:  sim.Addr{Host: "x.example.net", Port: 5060},
 		To:    sim.Addr{Host: "reg.a.example.com", Port: 5060},
@@ -68,7 +66,7 @@ func senderReport(i int) *sim.Packet {
 		From:    sim.Addr{Host: "m.example.net", Port: 40001},
 		To:      sim.Addr{Host: "n.example.net", Port: 40001},
 		Proto:   sim.ProtoRTCP,
-		Payload: rtcpBytes(rtp.RTCPSenderReport, uint32(i)),
+		Payload: dialog.RTCP{Type: rtp.RTCPSenderReport, SSRC: uint32(i)}.Bytes(),
 	}
 }
 
@@ -120,10 +118,10 @@ func TestShedPolicyMediaFirst(t *testing.T) {
 	// media packets (tier 1), the 5th finds all-signaling and evicts
 	// the oldest INVITE (tier 2).
 	for i := 0; i < 5; i++ {
-		d := newDialog(i, "shedsip")
+		c := dialog.SynthCall(i, "shedsip")
 		enqueueRaw(t, e, 0, &sim.Packet{
-			From: d.callerAddr, To: d.calleeAddr,
-			Proto: sim.ProtoSIP, Payload: d.inv.Bytes(),
+			From: c.Caller.UA, To: c.Callee.UA,
+			Proto: sim.ProtoSIP, Payload: c.Invite(true).Bytes(),
 		}, time.Duration(10+i)*time.Millisecond)
 	}
 	release()
@@ -157,7 +155,7 @@ func TestShedPolicyMediaFirst(t *testing.T) {
 // a closed engine must refuse further work and tolerate a second Close.
 func TestConcurrentIngestionStress(t *testing.T) {
 	const producers = 8
-	perProducer := Synthesize(SynthConfig{Calls: 12, RTPPerCall: 8})
+	perProducer := dialog.Synthesize(dialog.SynthConfig{Calls: 12, RTPPerCall: 8})
 	e := New(Config{Shards: 4, QueueDepth: 64, OnAlert: func(ids.Alert) {}})
 
 	stop := make(chan struct{})
@@ -221,7 +219,7 @@ func TestConcurrentIngestionStress(t *testing.T) {
 // TestStatsThroughput sanity-checks the derived rate.
 func TestStatsThroughput(t *testing.T) {
 	e := New(Config{Shards: 1})
-	for _, en := range Synthesize(SynthConfig{Calls: 2, RTPPerCall: 2}) {
+	for _, en := range dialog.Synthesize(dialog.SynthConfig{Calls: 2, RTPPerCall: 2}) {
 		enqueueRaw(t, e, 0, en.Packet(), en.At())
 	}
 	if err := e.Close(); err != nil {
@@ -263,7 +261,7 @@ func TestEnqueueMediaReleasesFlowOnce(t *testing.T) {
 		return e.EnqueueMedia(0, &sim.Packet{
 			From:  sim.Addr{Host: "m.example.net", Port: 30000},
 			To:    sim.Addr{Host: dst.Host, Port: port},
-			Proto: sim.ProtoRTP, Payload: rtpBytes(7, 1, 160),
+			Proto: sim.ProtoRTP, Payload: dialog.G729(7, 1).Bytes(),
 		}, 0, res.Flow, res.Epoch, res.Snap, res.HasSnap)
 	}
 	settled := func(port int) bool {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"time"
 
+	"vids/internal/dialog"
 	"vids/internal/engine"
 	"vids/internal/ids"
 	"vids/internal/ingress"
@@ -84,7 +85,7 @@ func synthWorkload(o Options) *pipelineWorkload {
 	if rtpPerCall < 4 {
 		rtpPerCall = 4
 	}
-	entries := engine.Synthesize(engine.SynthConfig{
+	entries := dialog.Synthesize(dialog.SynthConfig{
 		Calls: calls, RTPPerCall: rtpPerCall, Attacks: true,
 	})
 	w := &pipelineWorkload{

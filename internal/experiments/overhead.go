@@ -6,10 +6,9 @@ import (
 	"time"
 
 	"vids/internal/core"
+	"vids/internal/dialog"
 	"vids/internal/ids"
-	"vids/internal/sdp"
 	"vids/internal/sim"
-	"vids/internal/sipmsg"
 )
 
 // CPUResult reproduces Section 7.3's CPU accounting: the paper
@@ -169,40 +168,17 @@ func expCallID(i int) string {
 	return fmt.Sprintf("expcall-%d@ua1.a.example.com", i)
 }
 
-// driveEstablishedCall pushes one synthetic call through INVITE, 180,
-// 200 and ACK plus the first RTP packets of each direction, leaving
-// its monitor in steady state.
+// driveEstablishedCall pushes one synthetic testbed call through
+// INVITE, 180 and 200, both sides offering media, leaving its monitor
+// resident with every machine instantiated.
 func driveEstablishedCall(d *ids.IDS, i int) {
-	callerPort := 20000 + 2*i
-	calleePort := 30000 + 2*i
-
-	inv := sipmsg.NewRequest(sipmsg.INVITE, sipmsg.URI{User: "bob", Host: "b.example.com"})
-	inv.Via = []sipmsg.Via{{Transport: "UDP", Host: "proxy.a.example.com", Port: 5060,
-		Params: map[string]string{"branch": fmt.Sprintf("z9hG4bKexp%d", i)}}}
-	inv.From = sipmsg.NameAddr{URI: sipmsg.URI{User: "alice", Host: "a.example.com"}}.WithTag("tagA")
-	inv.To = sipmsg.NameAddr{URI: sipmsg.URI{User: "bob", Host: "b.example.com"}}
-	inv.CallID = expCallID(i)
-	inv.CSeq = sipmsg.CSeq{Seq: 1, Method: sipmsg.INVITE}
-	contact := sipmsg.NameAddr{URI: sipmsg.URI{User: "alice", Host: "ua1.a.example.com"}}
-	inv.Contact = &contact
-	inv.ContentType = "application/sdp"
-	inv.Body = sdp.New("alice", "ua1.a.example.com", callerPort, sdp.PayloadG729).Marshal()
-
-	pa := sim.Addr{Host: "proxy.a.example.com", Port: 5060}
-	pb := sim.Addr{Host: "proxy.b.example.com", Port: 5060}
-	d.Process(&sim.Packet{From: pa, To: pb, Proto: sim.ProtoSIP, Size: 500, Payload: inv.Bytes()})
-
-	ringing := sipmsg.NewResponse(inv, sipmsg.StatusRinging)
-	ringing.To = ringing.To.WithTag("tagB")
-	d.Process(&sim.Packet{From: pb, To: pa, Proto: sim.ProtoSIP, Size: 400, Payload: ringing.Bytes()})
-
-	ok := sipmsg.NewResponse(inv, sipmsg.StatusOK)
-	ok.To = ok.To.WithTag("tagB")
-	okContact := sipmsg.NameAddr{URI: sipmsg.URI{User: "bob", Host: "ua2.b.example.com"}}
-	ok.Contact = &okContact
-	ok.ContentType = "application/sdp"
-	ok.Body = sdp.New("bob", "ua2.b.example.com", calleePort, sdp.PayloadG729).Marshal()
-	d.Process(&sim.Packet{From: pb, To: pa, Proto: sim.ProtoSIP, Size: 500, Payload: ok.Bytes()})
+	c := dialog.TestbedCall(expCallID(i), i)
+	c.Caller.Tag, c.Callee.Tag = "tagA", "tagB"
+	var s dialog.Script
+	c.Establish(&s, 0, 0, true)
+	for _, e := range dialog.Render(s[:3]) { // the ACK stays unsent
+		d.Process(e.Packet())
+	}
 }
 
 // varBytes approximates the byte footprint of one variable vector the

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"vids/internal/dialog"
 	"vids/internal/engine"
 	"vids/internal/ids"
 	"vids/internal/rtp"
@@ -56,7 +57,7 @@ func replayIngress(t *testing.T, entries []trace.Entry, cfg Config) ([]ids.Alert
 // for a trace that exercises every detector family, whatever the lane
 // and shard counts.
 func TestIngressParityWithSequential(t *testing.T) {
-	entries := engine.Synthesize(engine.SynthConfig{Calls: 40, RTPPerCall: 10, Attacks: true})
+	entries := dialog.Synthesize(dialog.SynthConfig{Calls: 40, RTPPerCall: 10, Attacks: true})
 	if len(entries) < 1000 {
 		t.Fatalf("suspiciously small trace: %d entries", len(entries))
 	}
@@ -162,7 +163,7 @@ func TestIngressConcurrentProducers(t *testing.T) {
 	traces := make([][]trace.Entry, producers)
 	total := 0
 	for i := range traces {
-		traces[i] = engine.Synthesize(engine.SynthConfig{
+		traces[i] = dialog.Synthesize(dialog.SynthConfig{
 			Calls: callsEach, RTPPerCall: 8, FirstCall: i * callsEach,
 		})
 		total += len(traces[i])
@@ -368,7 +369,7 @@ func TestIngressShedsMediaBeforeSignaling(t *testing.T) {
 // untouched — the alert multiset may only lose RTCP-payload alerts
 // (forged RTCP BYE rides encrypted SRTCP).
 func TestIngressHeaderOnlyMediaParity(t *testing.T) {
-	entries := engine.Synthesize(engine.SynthConfig{Calls: 20, RTPPerCall: 10, Attacks: true})
+	entries := dialog.Synthesize(dialog.SynthConfig{Calls: 20, RTPPerCall: 10, Attacks: true})
 	idsCfg := ids.DefaultConfig()
 	idsCfg.MediaHeaderOnly = true
 	want := replaySequential(t, entries, idsCfg)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"vids/internal/dialog"
 	"vids/internal/engine"
 	"vids/internal/sim"
 	"vids/internal/sipmsg"
@@ -17,7 +18,7 @@ import (
 // on agrees exactly with the full parser. The field-by-field contract
 // on hostile bytes is internal/ids' FuzzScanParse.
 func TestExtractMatchesFullParse(t *testing.T) {
-	entries := engine.Synthesize(engine.SynthConfig{Calls: 30, RTPPerCall: 4, Attacks: true})
+	entries := dialog.Synthesize(dialog.SynthConfig{Calls: 30, RTPPerCall: 4, Attacks: true})
 	sipSeen := 0
 	for i, en := range entries {
 		pkt := en.Packet()

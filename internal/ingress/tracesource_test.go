@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"vids/internal/dialog"
 	"vids/internal/engine"
 	"vids/internal/trace"
 )
@@ -13,7 +14,7 @@ import (
 // TestTraceSourceFromFile round-trips a synthetic trace through disk
 // and the paced replay path (pace high enough to finish instantly).
 func TestTraceSourceFromFile(t *testing.T) {
-	entries := engine.Synthesize(engine.SynthConfig{Calls: 3, RTPPerCall: 3})
+	entries := dialog.Synthesize(dialog.SynthConfig{Calls: 3, RTPPerCall: 3})
 	path := filepath.Join(t.TempDir(), "synth.trace")
 	f, err := os.Create(path)
 	if err != nil {
