@@ -19,7 +19,7 @@ HOTPATH_BENCH = BenchmarkSIPParse$$|BenchmarkSIPScan$$|BenchmarkRTPParse$$|Bench
 # baseline fan-out numbers in BENCH_engine.json.
 THROUGHPUT_BENCH = BenchmarkEngineThroughput$$|BenchmarkEngineThroughputMedia$$
 
-.PHONY: all build test race fmt lint waivers ci golden bench bench-smoke bench-compare bench-e2e fuzz-smoke speccover speccover-update specgen specgen-check
+.PHONY: all build test race fmt lint waivers ci golden bench bench-smoke bench-compare bench-e2e fuzz-smoke speccover speccover-update specgen specgen-check torture-check
 
 all: build
 
@@ -122,7 +122,8 @@ bench-e2e:
 
 # fuzz-smoke briefly runs the native fuzz targets that hammer the
 # //vids:nopanic roots with hostile bytes — the dynamic cross-check of
-# the static panic-freedom gate. Each target also replays its
+# the static panic-freedom gate — and the decode → encode → decode
+# round trips of URIs, trace JSONL and SDP. Each target also replays its
 # committed corpus (testdata/fuzz/) as regression cases under plain
 # `go test`. FUZZTIME paces the smoke; raise it for a deeper local run
 # (e.g. `make fuzz-smoke FUZZTIME=2m`).
@@ -132,6 +133,8 @@ fuzz-smoke:
 	$(GO) test ./internal/sipmsg -run '^$$' -fuzz 'FuzzURIParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rtp -run '^$$' -fuzz 'FuzzRTPParseInto$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ids -run '^$$' -fuzz 'FuzzScanParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzJSONLRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sdp -run '^$$' -fuzz 'FuzzSDPRoundTrip$$' -fuzztime $(FUZZTIME)
 
 # speccover measures specification transition coverage (scenario
 # suite + synthesized witness traces, merged with static product
@@ -161,8 +164,17 @@ specgen:
 specgen-check:
 	$(GO) run ./cmd/specgen -check
 
+# torture-check regenerates the committed hostile replay traces
+# (cmd/vids/testdata/torture.jsonl and via-evasion.jsonl) from
+# gen_torture.go and fails if either differs from the committed bytes:
+# a change to the dialog grammar or its encoders that moves them must
+# land with the regenerated traces.
+torture-check:
+	$(GO) run cmd/vids/gen_torture.go
+	git diff --exit-code -- cmd/vids/testdata/torture.jsonl cmd/vids/testdata/via-evasion.jsonl
+
 # ci reproduces .github/workflows/ci.yml locally.
-ci: lint specgen-check build race bench-smoke bench-e2e fuzz-smoke speccover
+ci: lint specgen-check torture-check build race bench-smoke bench-e2e fuzz-smoke speccover
 
 # golden regenerates the spec-graph golden files after a reviewed
 # specification change.

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"vids/internal/dialog"
 	"vids/internal/engine"
 	"vids/internal/ids"
 	"vids/internal/scenario"
@@ -99,28 +100,16 @@ func TestFastpathScenarioParity(t *testing.T) {
 	}
 }
 
-// TestFastpathWitnessTraceParity pins alert parity across the
-// hand-authored speccover witness traces — the packet sequences built
-// to reach transitions the scenarios do not, including the reorder,
+// TestFastpathWitnessTraceParity pins alert parity across the coverage
+// witness traces of scenario.Witnesses — the packet sequences built to
+// reach transitions the scenarios do not, including the reorder,
 // absorb and post-close corners most likely to disagree with a cache.
-// The traces are build outputs (`make speccover` writes them), so a
-// tree that has not generated them yet skips.
 func TestFastpathWitnessTraceParity(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "coverage-traces", "*.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) == 0 {
-		t.Skip("no witness traces in coverage-traces/; run `make speccover` to generate them")
-	}
-	if len(paths) < 14 {
-		t.Fatalf("found %d witness traces, want at least 14", len(paths))
-	}
-	for _, path := range paths {
-		path := path
-		t.Run(filepath.Base(path), func(t *testing.T) {
+	for _, w := range scenario.Witnesses() {
+		w := w
+		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			assertFastpathParity(t, filepath.Base(path), readTrace(t, path))
+			assertFastpathParity(t, w.Name, dialog.Render(w.Script))
 		})
 	}
 }

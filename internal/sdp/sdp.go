@@ -73,7 +73,11 @@ func New(user, address string, port, payload int) *Description {
 func (d *Description) Marshal() []byte {
 	var b strings.Builder
 	b.WriteString("v=0\r\n")
-	fmt.Fprintf(&b, "o=%s %d %d IN IP4 %s\r\n", d.Origin, d.SessionID, d.Version, d.Address)
+	origin := d.Origin
+	if origin == "" {
+		origin = "-" // RFC 4566 §5.2: no user ID; an empty field would drop out of the o= line
+	}
+	fmt.Fprintf(&b, "o=%s %d %d IN IP4 %s\r\n", origin, d.SessionID, d.Version, d.Address)
 	name := d.SessionName
 	if name == "" {
 		name = "-"
