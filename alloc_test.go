@@ -2,13 +2,18 @@ package vids_test
 
 import (
 	"encoding/binary"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"vids/internal/core"
+	"vids/internal/dialog"
+	"vids/internal/engine"
 	"vids/internal/fastpath"
 	"vids/internal/ids"
 	"vids/internal/idsgen"
+	"vids/internal/ingress"
 	"vids/internal/rtp"
 	"vids/internal/sdp"
 	"vids/internal/sim"
@@ -75,6 +80,11 @@ const (
 	// and a recurring dialog has none left; the headroom is
 	// maxCallChurnAllocs' (incidental map rehashing).
 	maxIDSProcessSIPViewAllocs = 4
+	// maxIngestMediaAllocs pins one media packet through the pipeline —
+	// flow-table probe, then absorption or the shard's machine step —
+	// for every kind of media packet. Zero, exactly: media is most of
+	// the traffic.
+	maxIngestMediaAllocs = 0
 )
 
 // TestAllocBudgetSIPParse holds the parser to its allocation budget.
@@ -420,7 +430,6 @@ func TestAllocBudgetFastpathConsult(t *testing.T) {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	c := fastpath.New(fastpath.Config{
-		Stripes:     8,
 		SeqGap:      50,
 		TSGap:       8000,
 		RateWindow:  time.Second,
@@ -432,17 +441,17 @@ func TestAllocBudgetFastpathConsult(t *testing.T) {
 	c.Install(key, "alloc-budget-call", 0)
 	// Arm the way a shard worker would: first consult escalates with
 	// the flow pinned, then Update publishes the machine snapshot.
-	v, f, epoch, _, _ := c.Lookup(key, 18, 42, 100, 1600, 0)
-	if v != fastpath.Miss || f == nil {
-		t.Fatalf("priming lookup = %v, want Miss with flow", v)
+	var res fastpath.Consult
+	c.ConsultKey(key, 18, 42, 100, 1600, 0, &res)
+	if res.Verdict != fastpath.Miss || res.Flow == nil {
+		t.Fatalf("priming consult = %v, want Miss with flow", res.Verdict)
 	}
-	if !c.Update(key, epoch, 18, fastpath.Snapshot{Gen: 1, SSRC: 42, Seq: 100, TS: 1600, WinCount: 1}) {
+	if !c.Update(key, res.Epoch, 18, fastpath.Snapshot{Gen: 1, SSRC: 42, Seq: 100, TS: 1600, WinCount: 1}) {
 		t.Fatal("arm refused")
 	}
-	f.Release()
+	res.Flow.Release()
 
 	seq, ts, at := uint16(100), uint32(1600), time.Duration(0)
-	var res fastpath.Consult
 	avg := testing.AllocsPerRun(200, func() {
 		seq++
 		ts += 160
@@ -455,5 +464,83 @@ func TestAllocBudgetFastpathConsult(t *testing.T) {
 	})
 	if avg > maxFastpathConsultAllocs {
 		t.Errorf("fastpath consult allocates %.1f/packet, budget %d", avg, maxFastpathConsultAllocs)
+	}
+}
+
+// TestAllocBudgetIngestMedia holds Ingress.Ingest to zero allocations
+// for each kind of media packet on an established call: an RTP packet
+// the fast path absorbs, one it escalates (the same stream with
+// absorption off: the flow routes it and pins it, and the shard's
+// machine steps on it), and an RTCP report, which the flow routes
+// without consulting. Every packet is waited out through the retire
+// hook, so the shard's share of the work is measured with it.
+func TestAllocBudgetIngestMedia(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	for _, tc := range []struct {
+		name    string
+		disable bool
+		proto   sim.Proto
+	}{
+		{"absorbed RTP", false, sim.ProtoRTP},
+		{"escalated RTP", true, sim.ProtoRTP},
+		{"RTCP", false, sim.ProtoRTCP},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var retired atomic.Uint64
+			ing := ingress.New(ingress.Config{Lanes: 1, Engine: engine.Config{
+				Shards: 1, DisableFastpath: tc.disable,
+				OnRetire: func(*sim.Packet) { retired.Add(1) },
+			}})
+			defer ing.Close()
+			feed := func(pkt *sim.Packet, at time.Duration) {
+				want := retired.Load() + 1
+				if err := ing.Ingest(pkt, at); err != nil {
+					t.Fatal(err)
+				}
+				for retired.Load() < want {
+					runtime.Gosched()
+				}
+			}
+
+			// Establish a call and let its media arm, then replay the
+			// caller's last packet of the wanted kind, advanced in place.
+			var s dialog.Script
+			dialog.SynthCall(0, "alloc").Converse(&s, 0, 20, false)
+			var pkt *sim.Packet
+			var at time.Duration
+			for _, en := range dialog.Render(s) {
+				feed(en.Packet(), en.At())
+				if p := en.Packet(); p.Proto == tc.proto && p.From.Host == s[0].From.Host {
+					pkt, at = p, en.At()
+				}
+			}
+			if st := ing.Stats(); (st.FastpathHits == 0) != tc.disable {
+				t.Fatalf("fast path hits = %d with absorption disabled=%v", st.FastpathHits, tc.disable)
+			}
+			raw := pkt.Payload.([]byte)
+			before := ing.Stats()
+			avg := testing.AllocsPerRun(200, func() {
+				at += 20 * time.Millisecond
+				if tc.proto == sim.ProtoRTP {
+					binary.BigEndian.PutUint16(raw[2:], binary.BigEndian.Uint16(raw[2:])+1)
+					binary.BigEndian.PutUint32(raw[4:], binary.BigEndian.Uint32(raw[4:])+160)
+				}
+				feed(pkt, at)
+			})
+			if avg > maxIngestMediaAllocs {
+				t.Errorf("Ingest(%s) allocates %.1f/packet, budget %d", tc.name, avg, maxIngestMediaAllocs)
+			}
+			// The packets took the path the row names: absorbed, consulted
+			// and escalated, or routed without a consult.
+			after := ing.Stats()
+			hits := after.FastpathHits - before.FastpathHits
+			misses := after.FastpathMisses - before.FastpathMisses
+			absorbed, escalated := tc.proto == sim.ProtoRTP && !tc.disable, tc.proto == sim.ProtoRTP && tc.disable
+			if (hits > 0) != absorbed || (misses > 0) != escalated {
+				t.Errorf("%s: %d hits, %d misses", tc.name, hits, misses)
+			}
+		})
 	}
 }

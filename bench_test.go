@@ -750,23 +750,23 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // allocation is a gated regression.
 func BenchmarkFastpathLookup(b *testing.B) {
 	c := fastpath.New(fastpath.Config{
-		Stripes: 8, SeqGap: 50, TSGap: 8000,
+		SeqGap: 50, TSGap: 8000,
 		RateWindow: time.Second, RatePackets: 1 << 30,
 	})
 	key := []byte("m|ua2.b.example.com|30000")
 	c.Install(key, "bench-call", 0)
-	v, f, epoch, _, _ := c.Lookup(key, 18, 42, 0, 0, 0)
-	if v != fastpath.Miss || f == nil {
-		b.Fatalf("priming lookup = %v, want Miss with flow", v)
+	var res fastpath.Consult
+	c.ConsultKey(key, 18, 42, 0, 0, 0, &res)
+	if res.Verdict != fastpath.Miss || res.Flow == nil {
+		b.Fatalf("priming consult = %v, want Miss with flow", res.Verdict)
 	}
-	if !c.Update(key, epoch, 18, fastpath.Snapshot{Gen: 1, SSRC: 42, WinCount: 1}) {
+	if !c.Update(key, res.Epoch, 18, fastpath.Snapshot{Gen: 1, SSRC: 42, WinCount: 1}) {
 		b.Fatal("arm refused")
 	}
-	f.Release()
+	res.Flow.Release()
 	b.ReportAllocs()
 	b.ResetTimer()
 	seq, ts := uint16(0), uint32(0)
-	var res fastpath.Consult
 	for i := 0; i < b.N; i++ {
 		seq++
 		ts += 160

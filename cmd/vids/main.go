@@ -15,8 +15,8 @@
 //
 // With -shards N > 0 the replay runs through the multi-lane ingestion
 // tier feeding the concurrent sharded engine (internal/ingress,
-// internal/engine) — including the per-flow RTP validation cache
-// unless -fastpath=false — and the resulting alert set is verified
+// internal/engine) — including the fast path's absorption of
+// in-profile RTP unless -fastpath=false — and the resulting alert set is verified
 // against a single-threaded replay of the same trace.
 package main
 
@@ -52,7 +52,7 @@ func run(args []string) error {
 		report       = fs.String("report", "", "write the alert report (JSON) to this file")
 		shards       = fs.Int("shards", 0, "replay through the concurrent engine with N shard workers (0 = single-threaded)")
 		compiled     = fs.Bool("compiled", true, "run the specgen-compiled EFSM backend (false = interpreted reference walker)")
-		fastpath     = fs.Bool("fastpath", true, "per-flow RTP validation cache in the sharded replay (shards>0); false = every packet takes the slow path")
+		fastpath     = fs.Bool("fastpath", true, "absorb in-profile RTP at ingress in the sharded replay (shards>0); false = every packet takes the slow path (media is still routed by the flow table)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -19,9 +19,10 @@
 // once there, the cross-call flood windows live there, and the lanes
 // hand packets to the shard that owns their call. -lanes sets the
 // stripe count (0, the default, is one lane per shard; 1 serializes
-// ingestion). The lanes consult the per-flow RTP validation cache and
-// absorb in-profile media before shard enqueue; -fastpath=false
-// disables the cache so every packet takes the slow path.
+// ingestion). Media is routed by the engine's flow table, which also
+// validates RTP and absorbs in-profile media before shard enqueue;
+// -fastpath=false turns absorption off, so every packet takes the slow
+// path (the flow table still routes it).
 //
 // Usage:
 //
@@ -69,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		lanes     = fs.Int("lanes", 0, "ingestion lanes, rounded down to a divisor of the shard count (0 = one per shard)")
 		listeners = fs.Int("listeners", 1, "UDP socket pairs, SO_REUSEPORT permitting (source=udp)")
 		srtp      = fs.Bool("srtp", false, "SRTP-degraded mode: inspect only cleartext RTP headers, skip media payloads and RTCP")
-		fastpath  = fs.Bool("fastpath", true, "per-flow RTP validation cache the lanes consult before shard enqueue; false = every packet takes the slow path")
+		fastpath  = fs.Bool("fastpath", true, "absorb in-profile RTP at ingress, validated against the flow table; false = every packet takes the slow path (media is still routed by the flow table)")
 		compiled  = fs.Bool("compiled", true, "run the specgen-compiled EFSM backend (false = interpreted reference walker)")
 		source    = fs.String("source", "trace", "packet source: trace or udp")
 		tracePath = fs.String("trace", "", "trace file to replay (source=trace)")

@@ -10,17 +10,19 @@
 // virtual clock behind a bounded ring with a backpressure policy
 // (Block, DropOldest, Shed). The tier in front decides which shard
 // owns a packet — SIP by FNV hash of the Call-ID (ShardIndexFor*),
-// media through its own media key → Call-ID index — and hands it over
-// with EnqueueSIP, EnqueueMedia or EnqueueRaw. Both machines of a call
-// and their δ channels therefore always live on one shard, and a
-// worker analyzes its packets without taking any cross-shard lock.
+// media through the flow table the engine builds for it (Fastpath) —
+// and hands it over with EnqueueSIP, EnqueueMedia or EnqueueRaw. Both
+// machines of a call and their δ channels therefore always live on one
+// shard, and a worker analyzes its packets without taking any
+// cross-shard lock.
 //
-// The engine holds no routing state and no cross-call detector. The
-// per-destination INVITE flood (Figure 4) and the DRDoS
+// The engine routes nothing itself and holds no cross-call detector.
+// The per-destination INVITE flood (Figure 4) and the DRDoS
 // response-reflection counter deliberately spread over many Call-IDs,
 // so they run on the ingestion lanes, and every shard is configured
 // with ExternalFloods so its local copies stay silent. What the engine
-// keeps beside the workers is the shared alert-and-census plane: the
+// keeps beside the workers is the flow table, whose flows its workers
+// arm, disarm and remove, and the shared alert-and-census plane: the
 // lanes report their alerts through RecordAlert and their dispositions
 // through the Note* counters, so Alerts and Stats cover the whole
 // pipeline. Engine.mu guards only the log of lane-raised alerts.
@@ -92,9 +94,10 @@ type Config struct {
 	// means ids.DefaultConfig(). ExternalFloods is forced on: the
 	// cross-call flood windows run on the ingestion lanes.
 	IDS ids.Config
-	// DisableFastpath turns off the per-flow RTP validation cache the
-	// ingress tier consults before shard enqueue (the -fastpath=false
-	// escape hatch). The zero value keeps it on.
+	// DisableFastpath turns off absorption (the -fastpath=false escape
+	// hatch): the flow table is still built and still routes every media
+	// packet, but the shards never arm a flow, so every RTP packet takes
+	// the full shard path. The zero value keeps absorption on.
 	DisableFastpath bool
 	// OnAlert, when set, observes every alert as it is raised. The
 	// engine serializes the calls (alerts originate on shard workers
@@ -168,10 +171,12 @@ type shard struct {
 	closing bool
 	batch   []item // worker-owned detach buffer, reused every pickup
 
-	// fpEpoch is the fast-path epoch of the item the worker is
-	// currently processing; the detector's Arm hook closes over it.
-	// Written and read only on the worker goroutine.
+	// fpEpoch and fpFlow are the fast-path epoch and flow of the item
+	// the worker is currently processing; the detector's Arm and
+	// Armable hooks close over them. Written and read only on the
+	// worker goroutine.
 	fpEpoch uint64
+	fpFlow  *fastpath.Flow
 
 	queued     atomic.Int64 // mirrors n for lock-free Stats
 	processed  atomic.Uint64
@@ -188,8 +193,8 @@ type Engine struct {
 	cfg    Config
 	shards []*shard
 
-	// fp is the per-flow RTP validation cache the ingress tier consults
-	// before shard enqueue; nil when Config.DisableFastpath is set.
+	// fp is the media flow table the ingress tier routes and validates
+	// RTP against before shard enqueue.
 	fp *fastpath.Cache
 
 	// mu guards fwAlerts, the log of alerts the ingestion lanes raised
@@ -229,17 +234,15 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:   cfg,
 		start: time.Now(), //vidslint:allow wallclock — uptime display only
-	}
-	if !cfg.DisableFastpath {
-		e.fp = fastpath.New(fastpath.Config{
+		fp: fastpath.New(fastpath.Config{
 			SeqGap:      cfg.IDS.RTP.SeqGap,
 			TSGap:       cfg.IDS.RTP.TSGap,
 			RateWindow:  cfg.IDS.RTP.RateWindow,
 			RatePackets: cfg.IDS.RTP.RatePackets,
-			// One Touch per quarter of the routing-entry lifetime keeps
-			// the ingress sweeps fed without per-packet bookkeeping.
+			// One Touch per quarter of the lanes' call-slot lifetime
+			// keeps their sweeps fed without per-packet bookkeeping.
 			RefreshEvery: (cfg.IDS.IdleEviction + cfg.IDS.CloseLinger) / 4,
-		})
+		}),
 	}
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
@@ -260,27 +263,33 @@ func New(cfg Config) *Engine {
 			e.alertCount.Add(1)
 			e.deliver(a)
 		}
-		if e.fp != nil {
-			sh.ids.SetMediaFastpath(ids.MediaFastpath{
-				Arm: func(key []byte, payload uint8, snap fastpath.Snapshot) {
-					// sh.fpEpoch is the epoch of the packet this worker is
-					// processing right now — the Arm hook fires inside
-					// Process, on the worker goroutine.
-					e.fp.Update(key, sh.fpEpoch, payload, snap)
-				},
-				Invalidate: e.fp.Invalidate,
-				Remove:     e.fp.Remove,
-				Activity:   e.fp.LastSeen,
-			})
+		hooks := ids.MediaFastpath{
+			Invalidate: e.fp.Invalidate,
+			Remove:     e.fp.Remove,
+			Activity:   e.fp.LastSeen,
 		}
+		if !cfg.DisableFastpath {
+			hooks.Arm = func(key []byte, payload uint8, snap fastpath.Snapshot) {
+				// sh.fpEpoch is the epoch of the packet this worker is
+				// processing right now — the Arm hook fires inside
+				// Process, on the worker goroutine.
+				e.fp.Update(key, sh.fpEpoch, payload, snap)
+			}
+			// A producer that runs ahead of the worker keeps several
+			// packets of a flow queued, and Update refuses every arm
+			// until the worker reaches the last of them: skip building
+			// snapshots it would refuse.
+			hooks.Armable = func() bool { return sh.fpFlow != nil && sh.fpFlow.Alone() }
+		}
+		sh.ids.SetMediaFastpath(hooks)
 		e.shards[i] = sh
 		go sh.run()
 	}
 	return e
 }
 
-// Fastpath exposes the per-flow RTP validation cache to the ingress
-// tier; nil when disabled.
+// Fastpath exposes the media flow table to the ingress tier. It is
+// never nil: with DisableFastpath set it routes without absorbing.
 func (e *Engine) Fastpath() *fastpath.Cache { return e.fp }
 
 // deliver hands an alert to the user's OnAlert callback, serializing
@@ -354,9 +363,9 @@ func (sh *shard) run() {
 					// up to date before it judges this packet.
 					sh.ids.ResyncMedia(it.pkt.To.Host, it.pkt.To.Port, it.fpSnap)
 				}
-				sh.fpEpoch = it.fpEpoch
+				sh.fpEpoch, sh.fpFlow = it.fpEpoch, it.fpFlow
 				sh.ids.Process(it.pkt)
-				sh.fpEpoch = 0
+				sh.fpEpoch, sh.fpFlow = 0, nil
 				sh.processed.Add(1)
 			}
 			if it.fpFlow != nil {
@@ -718,9 +727,9 @@ type Stats struct {
 	Absorbed         uint64 // stray responses consumed by an ingress lane
 	Ignored          uint64 // non-VoIP packets
 
-	// Fast-path cache outcomes (all zero when the cache is disabled).
-	// Hits are in-profile packets absorbed before shard enqueue (also
-	// counted in Processed); Misses took the slow path with no armed
+	// Fast-path cache outcomes. Hits are in-profile packets absorbed
+	// before shard enqueue (also counted in Processed; zero when
+	// DisableFastpath is set); Misses took the slow path with no armed
 	// entry; Escalations are armed-entry predicate failures; and
 	// Invalidations count armed entries flipped by signaling, RTCP, or
 	// monitor eviction.
@@ -746,13 +755,11 @@ func (e *Engine) Stats() Stats {
 		Ignored:     e.ignored.Load(),
 		Elapsed:     time.Since(e.start),
 	}
-	if e.fp != nil {
-		fs := e.fp.Counters()
-		st.FastpathHits = fs.Hits
-		st.FastpathMisses = fs.Misses
-		st.FastpathEscalations = fs.Escalations
-		st.FastpathInvalidations = fs.Invalidations
-	}
+	fs := e.fp.Counters()
+	st.FastpathHits = fs.Hits
+	st.FastpathMisses = fs.Misses
+	st.FastpathEscalations = fs.Escalations
+	st.FastpathInvalidations = fs.Invalidations
 	for i, sh := range e.shards {
 		// Absorbed packets are accounted once, in fpHits; the shard's
 		// Processed and the pipeline's Ingested include them by

@@ -1,5 +1,12 @@
-// Package fastpath is the per-flow RTP validation cache consulted by
-// the ingress lanes before shard enqueue. The observation (paper
+// Package fastpath is the ingress tier's media flow table. It is both
+// the one route index — advertised media destination → owning call and
+// that call's shard, consulted for every RTP and RTCP packet — and the
+// per-flow RTP validation cache that absorbs in-profile packets before
+// shard enqueue. Ingress installs a flow for each destination an SDP
+// body advertises; the detector disarms a call's flows when it evicts
+// the call and removes them when it forgets the call.
+//
+// The validation observation (paper
 // Section 3.2, and the SecSip/stateful-firewall line of related work)
 // is that every RTP-triggered alert is a *predicate violation*: an
 // in-profile packet — negotiated payload type, established SSRC,
@@ -17,7 +24,7 @@
 // window variables. Three counters keep the mirror honest:
 //
 //   - epoch: bumped by every invalidation (signaling for the owning
-//     call at ingress, RTCP toward the flow, worker-side monitor
+//     call at ingress, an RTCP BYE toward the flow, worker-side monitor
 //     transitions, SDP re-install). An arm request carries the epoch
 //     its packet was enqueued under and is rejected if the entry has
 //     since been invalidated — a stale arm cannot resurrect a flow a
@@ -46,23 +53,24 @@ import (
 	"vids/internal/rtp"
 )
 
-// Config carries the mirrored detector thresholds (ids.RTPThresholds)
-// and the stripe count. Zero thresholds are safe: the window predicate
-// then rejects every advancing packet and traffic simply escalates.
+// Config carries the mirrored detector thresholds (ids.RTPThresholds).
+// Zero thresholds are safe: the window predicate then rejects every
+// advancing packet and traffic simply escalates.
 type Config struct {
-	// Stripes is the lock-stripe count, rounded up to a power of two.
-	// Zero means 64.
-	Stripes     int
 	SeqGap      uint16
 	TSGap       uint32
 	RateWindow  time.Duration
 	RatePackets int
-	// RefreshEvery throttles Consult's Touch signal: at most one
-	// absorbed packet per interval per flow asks the caller to refresh
-	// its routing/liveness bookkeeping. Zero disables the signal (for
+	// RefreshEvery throttles the Touch signal: at most one packet per
+	// interval per flow hands the caller the owning Call-ID to refresh
+	// its liveness bookkeeping with. Zero disables the signal (for
 	// callers with no sweeps to feed).
 	RefreshEvery time.Duration
 }
+
+// stripeCount is the lock-stripe count, a power of two for mask
+// indexing.
+const stripeCount = 64
 
 // Snapshot is the mirrored window state handed between the cache and
 // the shard worker: machine→cache at arm time, cache→machine on the
@@ -76,7 +84,7 @@ type Snapshot struct {
 	WinCount int
 }
 
-// Verdict is the outcome of a Lookup.
+// Verdict is the outcome of a consult.
 type Verdict uint8
 
 const (
@@ -105,9 +113,13 @@ type Flow struct {
 	needSync atomic.Bool
 	inflight atomic.Int64
 
-	callID string // interned by the installer; indexes byCall
-	key    string // interned media key; lets the hot-slot probe verify a match
-	hash   uint32 // FNV-1a of key, as computed by stripeHash
+	key  string // interned media key; lets the hot-slot probe verify a match
+	hash uint32 // FNV-1a of key, as computed by stripeHash
+
+	// Guarded by the owning stripe's mutex, and written (by Install)
+	// only with byCallMu held as well.
+	callID   string // interned by the installer; indexes byCall
+	shardIdx int    // the owning call's shard: where every packet of the flow goes
 
 	// Guarded by the owning stripe's mutex.
 	gen      uint32
@@ -118,10 +130,8 @@ type Flow struct {
 	winStart time.Duration
 	winCount int
 	lastSeen time.Duration
-	// shardIdx mirrors the owning call's shard so Consult can hand the
-	// routing decision back without a second table; lastRefresh is the
-	// last time a Hit carried the Touch signal.
-	shardIdx    int
+	// lastRefresh is the last time a packet of the flow carried the
+	// Touch signal.
 	lastRefresh time.Duration
 }
 
@@ -131,6 +141,13 @@ type Flow struct {
 //
 //vids:noalloc single atomic add per retired escalated packet
 func (f *Flow) Release() { f.inflight.Add(-1) }
+
+// Alone reports whether exactly one escalated packet of the flow is in
+// flight — the condition Update arms under, so a worker processing
+// that packet can tell beforehand whether an arm could succeed.
+//
+//vids:noalloc single atomic load per escalated packet
+func (f *Flow) Alone() bool { return f.inflight.Load() == 1 }
 
 func (f *Flow) snapshotLocked() Snapshot {
 	return Snapshot{
@@ -173,22 +190,25 @@ type stripe struct {
 // stripe, so the slot uses high bits to stay independent of it.
 func hotIndex(h uint32) uint32 { return (h >> 16) & (hotSlots - 1) }
 
-// Stats are the cache's lifetime counters.
+// Stats are the cache's lifetime counters, plus the table's size.
 type Stats struct {
 	Hits          uint64
 	Misses        uint64
 	Escalations   uint64
 	Invalidations uint64
+	// Flows is a gauge, not a count: the flows installed right now.
+	Flows uint64
 }
 
 // Cache is the lock-striped flow table.
 //
-// Lock ordering: stripe mutexes are leaves of the ingress lane locks
-// (Lookup/Install/Disarm run under a lane's mutex) and are never held
-// across calls out of this package. byCallMu is acquired on its own,
-// never nested with a stripe mutex. vidslint's lock gate observes both
-// lane.mu orders from ingress's calls into this package and rejects
-// any cycle with them.
+// Lock ordering: no caller holds a lock of its own across a call into
+// this package, and no lock of this package is held across a call out
+// of it. Install and Remove take byCallMu and then a stripe mutex, so
+// that a flow's owner and its byCall entry change together even when
+// two lanes install one destination at once; no path takes a stripe
+// mutex and then byCallMu. vidslint's lock gate observes that order and
+// rejects any cycle with it.
 type Cache struct {
 	cfg     Config
 	stripes []stripe
@@ -199,28 +219,21 @@ type Cache struct {
 	invalidations metrics.Counter
 
 	// byCall maps an owning Call-ID to its flows so the per-SIP-packet
-	// ingress invalidation (DisarmCall) finds them without knowing the
-	// media keys. Mutated only on install/remove (SDP observation and
-	// monitor eviction — cold); the disarm itself is atomics-only.
+	// ingress invalidation (DisarmCall) and the detector's forgetting
+	// of the call (Remove) find them without knowing the media keys. Every installed flow is in
+	// exactly one list, its owner's. Mutated only on install/remove (SDP
+	// observation and tombstone expiry — cold); the disarm itself is
+	// atomics-only.
 	byCallMu sync.RWMutex
 	byCall   map[string][]*Flow
 }
 
 // New builds a cache for the given thresholds.
 func New(cfg Config) *Cache {
-	n := cfg.Stripes
-	if n <= 0 {
-		n = 64
-	}
-	// Round up to a power of two for mask indexing.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
 	c := &Cache{
 		cfg:     cfg,
-		stripes: make([]stripe, p),
-		mask:    uint32(p - 1),
+		stripes: make([]stripe, stripeCount),
+		mask:    stripeCount - 1,
 		byCall:  make(map[string][]*Flow),
 	}
 	for i := range c.stripes {
@@ -238,6 +251,21 @@ func (c *Cache) stripeHash(key []byte) (*stripe, uint32) {
 	return &c.stripes[h&c.mask], h //vids:panic-ok mask is len(stripes)-1 with len a power of two, both fixed at New
 }
 
+// findLocked returns the flow at key (hash h), or nil when none is
+// installed there, keeping st's hot slot pointed at what it found.
+// Caller holds st.mu.
+func (st *stripe) findLocked(key []byte, h uint32) *Flow {
+	slot := &st.hot[hotIndex(h)] //vids:panic-ok hotIndex masks with hotSlots-1 and hot has exactly hotSlots entries
+	f := slot.f
+	if f == nil || slot.h != h || f.key != string(key) {
+		if f = st.flows[string(key)]; f == nil {
+			return nil
+		}
+		slot.h, slot.f = h, f
+	}
+	return f
+}
+
 func (c *Cache) stripeHashString(key string) (*stripe, uint32) {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
@@ -247,76 +275,102 @@ func (c *Cache) stripeHashString(key string) (*stripe, uint32) {
 }
 
 // Consult bundles everything the ingress tier needs to dispose of one
-// RTP packet from a single cache probe: the verdict, the slow-path
+// media packet from a single cache probe: the verdict, the slow-path
 // enqueue arguments, the owning call's shard, and the amortized
 // liveness signal.
 type Consult struct {
 	Verdict Verdict
-	// Flow is non-nil whenever an entry exists for the key; on
-	// Miss/Escalate its in-flight count was incremented and the engine
-	// must Release it exactly once.
+	// Flow is non-nil whenever ConsultKey found an entry for the key
+	// and did not absorb the packet; its in-flight count was then
+	// incremented and the engine must Release it exactly once.
 	Flow    *Flow
 	Epoch   uint64
 	Snap    Snapshot
 	HasSnap bool
-	// ShardIdx is the owning call's shard, mirrored at install time —
-	// meaningful whenever Flow is non-nil or the verdict is Hit.
+	// ShardIdx is the owning call's shard, mirrored at install time, or
+	// -1 when no flow is installed at the key.
 	ShardIdx int
-	// Touch is set on at most one Hit per RefreshEvery per flow: the
-	// caller should refresh whatever routing/liveness bookkeeping the
-	// absorbed stream no longer refreshes per packet.
-	Touch bool
+	// Touch is the owning Call-ID on at most one packet per
+	// RefreshEvery per flow, whatever the verdict, and empty otherwise:
+	// the caller refreshes the call's liveness bookkeeping with it, which
+	// media no longer refreshes per packet.
+	Touch string
 }
 
-// Lookup consults the cache for one RTP packet. On Hit the packet was
-// absorbed: flow state advanced, nothing to enqueue. On Miss/Escalate
-// the caller must enqueue the packet to the owning shard carrying
-// (flow, epoch, snap, hasSnap); flow is non-nil whenever an entry
-// exists and its in-flight count was incremented — the engine must
-// Release it exactly once.
-//
-//vids:noalloc the keyed consult: map probe, predicate, window update under one stripe lock
-//vids:nopanic per-packet consult keyed by attacker-controlled header fields
-func (c *Cache) Lookup(key []byte, pt uint8, ssrc uint32, seq uint16, ts uint32, at time.Duration) (v Verdict, f *Flow, epoch uint64, snap Snapshot, hasSnap bool) {
-	var res Consult
-	c.ConsultKey(key, pt, ssrc, seq, ts, at, &res)
-	return res.Verdict, res.Flow, res.Epoch, res.Snap, res.HasSnap
-}
-
-// ConsultKey is Lookup writing the full ingress-facing bundle into
-// res — shard routing and the Touch signal ride along, so an absorbed
-// packet's whole disposition costs one stripe lock, no second table
-// probe, and no 70-byte struct copy per return. Every field except
-// Snap is overwritten; Snap is meaningful only when HasSnap is set.
+// ConsultKey consults the cache for one RTP packet, writing the
+// ingress-facing bundle into res — shard routing and the Touch signal
+// ride along, so a packet's whole disposition costs one stripe lock and
+// no second table probe. On Hit the packet was absorbed: flow state
+// advanced, nothing to enqueue. On Miss/Escalate the caller enqueues
+// the packet to res.ShardIdx carrying (Flow, Epoch, Snap, HasSnap), or,
+// when no flow is installed, routes it by its own key. Every field
+// except Snap is overwritten; Snap is meaningful only when HasSnap is
+// set.
 //
 //vids:noalloc the fast-path hit root: one stripe lock per RTP packet
 //vids:nopanic per-packet consult keyed by attacker-controlled header fields
 func (c *Cache) ConsultKey(key []byte, pt uint8, ssrc uint32, seq uint16, ts uint32, at time.Duration, res *Consult) {
 	st, h := c.stripeHash(key)
-	slot := &st.hot[hotIndex(h)] //vids:panic-ok hotIndex masks with hotSlots-1 and hot has exactly hotSlots entries
 	st.mu.Lock()
-	f := slot.f
-	if f == nil || slot.h != h || f.key != string(key) {
-		f = st.flows[string(key)]
-		if f == nil {
-			st.misses++
-			st.mu.Unlock()
-			res.Verdict, res.Flow, res.Epoch = Miss, nil, 0
-			res.HasSnap, res.ShardIdx, res.Touch = false, 0, false
-			return
-		}
-		slot.h, slot.f = h, f
+	f := st.findLocked(key, h)
+	if f == nil {
+		st.misses++
+		st.mu.Unlock()
+		res.unrouted()
+		return
 	}
 	c.consultLocked(st, f, pt, ssrc, seq, ts, at, res)
+}
+
+// Route is the probe for the media the cache does not validate — RTCP,
+// and RTP whose header the lite extractor cannot read. It writes the
+// flow's shard and the Touch signal into res (Verdict Miss, no Flow:
+// nothing is pinned and no outcome is counted). bye disarms the flow on
+// the way: an RTCP BYE starts the media-plane teardown clock on the
+// worker, and absorption must stop before the worker gets there.
+//
+//vids:noalloc per-datagram route probe on the ingestion path
+//vids:nopanic per-datagram probe keyed by attacker-controlled bytes
+func (c *Cache) Route(key []byte, bye bool, at time.Duration, res *Consult) {
+	st, h := c.stripeHash(key)
+	st.mu.Lock()
+	f := st.findLocked(key, h)
+	if f == nil {
+		st.mu.Unlock()
+		res.unrouted()
+		return
+	}
+	c.routeLocked(f, at, res)
+	st.mu.Unlock()
+	res.Verdict, res.Flow, res.Epoch, res.HasSnap = Miss, nil, 0, false
+	if bye {
+		c.disarmFlow(f, true)
+	}
+}
+
+// unrouted is the answer for a key no flow is installed at.
+func (res *Consult) unrouted() {
+	res.Verdict, res.Flow, res.Epoch = Miss, nil, 0
+	res.HasSnap, res.ShardIdx, res.Touch = false, -1, ""
+}
+
+// routeLocked writes f's shard and, once per RefreshEvery, its owner
+// into res. Caller holds f's stripe mutex.
+func (c *Cache) routeLocked(f *Flow, at time.Duration, res *Consult) {
+	res.ShardIdx, res.Touch = f.shardIdx, ""
+	if c.cfg.RefreshEvery > 0 && at-f.lastRefresh > c.cfg.RefreshEvery {
+		f.lastRefresh = at
+		res.Touch = f.callID
+	}
 }
 
 // consultLocked evaluates the fast-path predicate for f with st.mu
 // held; it unlocks st.mu on every path.
 //
-//vids:noalloc shared predicate body of Lookup and ConsultKey
+//vids:noalloc predicate body of ConsultKey, entered with the stripe lock held
 func (c *Cache) consultLocked(st *stripe, f *Flow, pt uint8, ssrc uint32, seq uint16, ts uint32, at time.Duration, res *Consult) {
-	res.ShardIdx = f.shardIdx
-	res.HasSnap, res.Touch = false, false
+	c.routeLocked(f, at, res)
+	res.HasSnap = false
 	state := f.state.Load()
 	res.Epoch = state >> 1
 	if state&1 == 0 {
@@ -364,10 +418,6 @@ func (c *Cache) consultLocked(st *stripe, f *Flow, pt uint8, ssrc uint32, seq ui
 	}
 	f.seq, f.ts = rtp.WindowAdvance(f.seq, seq, f.ts, ts)
 	f.lastSeen = at
-	if c.cfg.RefreshEvery > 0 && at-f.lastRefresh > c.cfg.RefreshEvery {
-		f.lastRefresh = at
-		res.Touch = true
-	}
 	st.hits++
 	st.mu.Unlock()
 	res.Verdict, res.Flow = Hit, nil
@@ -436,55 +486,38 @@ func (c *Cache) disarmFlow(f *Flow, markSync bool) {
 
 // Install registers an advertised media destination for callID,
 // creating a disarmed entry (or invalidating the existing one — an
-// SDP renegotiation changes what in-profile means). shardIdx is the
-// owning call's shard, handed back from every Consult so the absorb
-// path needs no routing table of its own. callID must be an
-// interned/stable string; the cache aliases it. The returned record is
-// stable for the entry's lifetime.
+// SDP renegotiation changes what in-profile means — and handing it to
+// callID if another call owned it). shardIdx is the owning call's
+// shard, handed back from every consult so no other table routes the
+// flow's packets. callID must be an interned/stable string; the cache
+// aliases it. The returned record is stable for the entry's lifetime.
 func (c *Cache) Install(key []byte, callID string, shardIdx int) *Flow {
 	st, h := c.stripeHash(key)
+	c.byCallMu.Lock()
 	st.mu.Lock()
 	f := st.flows[string(key)]
-	if f != nil {
-		prevCall := f.callID
-		f.callID = callID
-		f.shardIdx = shardIdx
-		st.hot[hotIndex(h)] = hotSlot{h: h, f: f}
-		st.mu.Unlock()
-		c.disarmFlow(f, true)
-		if prevCall != callID {
-			c.byCallMu.Lock()
-			c.byCallRemove(prevCall, f)
-			c.byCall[callID] = append(c.byCall[callID], f) //vids:alloc-ok ownership reassignment is per-SDP-observation, cold next to the stream it validates
-			c.byCallMu.Unlock()
-		}
-		return f
+	fresh := f == nil
+	if fresh {
+		ks := string(key)           //vids:alloc-ok interns the key once per flow lifetime
+		f = &Flow{key: ks, hash: h} //vids:alloc-ok one flow record per advertised destination, allocated per SDP observation
+		f.state.Store(1 << 1)
+		st.flows[ks] = f //vids:alloc-ok per-SDP-observation insert
 	}
-	ks := string(key)                                               //vids:alloc-ok interns the key once per flow lifetime
-	f = &Flow{callID: callID, key: ks, hash: h, shardIdx: shardIdx} //vids:alloc-ok one flow record per advertised destination, allocated per SDP observation
-	f.state.Store(1 << 1)
-	st.flows[ks] = f //vids:alloc-ok per-SDP-observation insert
+	prevCall := f.callID
+	f.callID, f.shardIdx = callID, shardIdx
 	st.hot[hotIndex(h)] = hotSlot{h: h, f: f}
 	st.mu.Unlock()
-	c.byCallMu.Lock()
-	c.byCall[callID] = append(c.byCall[callID], f) //vids:alloc-ok per-SDP-observation index append, cold next to the stream it validates
+	if !fresh {
+		c.disarmFlow(f, true)
+		if prevCall != callID {
+			c.byCallRemove(prevCall, f)
+		}
+	}
+	if fresh || prevCall != callID {
+		c.byCall[callID] = append(c.byCall[callID], f) //vids:alloc-ok per-SDP-observation index append, cold next to the stream it validates
+	}
 	c.byCallMu.Unlock()
 	return f
-}
-
-// Disarm invalidates the flow at key (ingress RTCP path). No-op for
-// unknown keys.
-//
-//vids:noalloc per-RTCP-datagram invalidation on the ingestion path
-//vids:nopanic per-datagram invalidation keyed by attacker-controlled bytes
-func (c *Cache) Disarm(key []byte) {
-	st, _ := c.stripeHash(key)
-	st.mu.Lock()
-	f := st.flows[string(key)]
-	st.mu.Unlock()
-	if f != nil {
-		c.disarmFlow(f, true)
-	}
 }
 
 // Invalidate invalidates the flow at key (worker-side monitor
@@ -516,26 +549,24 @@ func (c *Cache) DisarmCall(callID []byte) {
 	c.byCallMu.RUnlock()
 }
 
-// Remove deletes the flow at key (monitor eviction/recycle: the call
-// is gone, so is the mirror). The record is disarmed as it goes, so a
-// handle a routing tier cached keeps failing closed — escalation, not
-// absorption — until its own entry is torn down too.
-func (c *Cache) Remove(key string) {
-	st, h := c.stripeHashString(key)
-	st.mu.Lock()
-	f := st.flows[key]
-	if f == nil {
-		st.mu.Unlock()
-		return
-	}
-	delete(st.flows, key)
-	if slot := &st.hot[hotIndex(h)]; slot.f == f {
-		slot.f = nil
-	}
-	st.mu.Unlock()
-	c.disarmFlow(f, false)
+// Remove deletes every flow callID owns (the detector has forgotten the
+// call: its tombstone expired, so are its mirrors and its routes). A
+// destination another call has since re-advertised belongs to that
+// call and stays. Each record is disarmed as it goes, so a handle an
+// in-flight escalation still pins keeps failing closed.
+func (c *Cache) Remove(callID string) {
 	c.byCallMu.Lock()
-	c.byCallRemove(f.callID, f)
+	for _, f := range c.byCall[callID] {
+		st := &c.stripes[f.hash&c.mask]
+		st.mu.Lock()
+		delete(st.flows, f.key)
+		if slot := &st.hot[hotIndex(f.hash)]; slot.f == f {
+			slot.f = nil
+		}
+		st.mu.Unlock()
+		c.disarmFlow(f, false)
+	}
+	delete(c.byCall, callID)
 	c.byCallMu.Unlock()
 }
 
@@ -573,9 +604,9 @@ func (c *Cache) LastSeen(key string) (time.Duration, bool) {
 	return seen, true
 }
 
-// Counters reports the lifetime outcome counts, summing the
-// stripe-local tallies (one lock hop per stripe — reporting is cold
-// next to the stream it counts).
+// Counters reports the lifetime outcome counts and the table's size,
+// summing the stripe-local tallies (one lock hop per stripe —
+// reporting is cold next to the stream it counts).
 func (c *Cache) Counters() Stats {
 	st := Stats{Invalidations: c.invalidations.Load()}
 	for i := range c.stripes {
@@ -584,6 +615,7 @@ func (c *Cache) Counters() Stats {
 		st.Hits += s.hits
 		st.Misses += s.misses
 		st.Escalations += s.escalations
+		st.Flows += uint64(len(s.flows))
 		s.mu.Unlock()
 	}
 	return st

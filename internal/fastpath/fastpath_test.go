@@ -1,13 +1,14 @@
 package fastpath
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
 
 func testConfig() Config {
 	return Config{
-		Stripes:     4,
 		SeqGap:      50,
 		TSGap:       8000,
 		RateWindow:  time.Second,
@@ -15,19 +16,27 @@ func testConfig() Config {
 	}
 }
 
+// lookup consults c for one RTP packet the way the ingress does and
+// returns the bundle.
+func lookup(c *Cache, key []byte, pt uint8, ssrc uint32, seq uint16, ts uint32, at time.Duration) Consult {
+	var res Consult
+	c.ConsultKey(key, pt, ssrc, seq, ts, at, &res)
+	return res
+}
+
 func arm(t *testing.T, c *Cache, key []byte, callID string) {
 	t.Helper()
 	c.Install(key, callID, 0)
 	// First packet escalates (never armed) ...
-	v, f, epoch, _, _ := c.Lookup(key, 0, 1, 100, 1600, 0)
-	if v != Miss || f == nil {
-		t.Fatalf("first lookup = %v, want Miss with flow", v)
+	res := lookup(c, key, 0, 1, 100, 1600, 0)
+	if res.Verdict != Miss || res.Flow == nil {
+		t.Fatalf("first lookup = %v, want Miss with flow", res.Verdict)
 	}
 	// ... and the worker arms from machine state.
-	if !c.Update(key, epoch, 0, Snapshot{Gen: 1, SSRC: 1, Seq: 100, TS: 1600, WinStart: 0, WinCount: 1}) {
+	if !c.Update(key, res.Epoch, 0, Snapshot{Gen: 1, SSRC: 1, Seq: 100, TS: 1600, WinStart: 0, WinCount: 1}) {
 		t.Fatal("arm refused")
 	}
-	f.Release()
+	res.Flow.Release()
 }
 
 func TestLookupHitAbsorbsInProfile(t *testing.T) {
@@ -36,8 +45,7 @@ func TestLookupHitAbsorbsInProfile(t *testing.T) {
 	arm(t, c, key, "call-1")
 
 	for i := 1; i <= 10; i++ {
-		v, _, _, _, _ := c.Lookup(key, 0, 1, uint16(100+i), uint32(1600+160*i), time.Duration(i)*20*time.Millisecond)
-		if v != Hit {
+		if v := lookup(c, key, 0, 1, uint16(100+i), uint32(1600+160*i), time.Duration(i)*20*time.Millisecond).Verdict; v != Hit {
 			t.Fatalf("packet %d: verdict %v, want Hit", i, v)
 		}
 	}
@@ -68,21 +76,21 @@ func TestLookupEscalatesAnomalies(t *testing.T) {
 			c := New(testConfig())
 			key := []byte("m|10.0.0.2|20000")
 			arm(t, c, key, "call-1")
-			v, f, _, snap, hasSnap := c.Lookup(key, tc.pt, tc.ssrc, tc.seq, tc.ts, 20*time.Millisecond)
-			if v != Escalate || !hasSnap {
-				t.Fatalf("verdict = %v hasSnap=%v, want Escalate with snapshot", v, hasSnap)
+			res := lookup(c, key, tc.pt, tc.ssrc, tc.seq, tc.ts, 20*time.Millisecond)
+			if res.Verdict != Escalate || !res.HasSnap {
+				t.Fatalf("verdict = %v hasSnap=%v, want Escalate with snapshot", res.Verdict, res.HasSnap)
 			}
-			if snap.Seq != 100 || snap.WinCount != 1 || snap.Gen != 1 {
+			if snap := res.Snap; snap.Seq != 100 || snap.WinCount != 1 || snap.Gen != 1 {
 				t.Fatalf("snapshot = %+v, want pre-escalation window", snap)
 			}
-			f.Release()
+			res.Flow.Release()
 			// Disarmed now: the next packet misses without a snapshot
 			// (the escalated packet carried it).
-			v, f2, _, _, hasSnap := c.Lookup(key, 0, 1, 102, 1920, 40*time.Millisecond)
-			if v != Miss || hasSnap {
-				t.Fatalf("post-escalation lookup = %v hasSnap=%v, want plain Miss", v, hasSnap)
+			res = lookup(c, key, 0, 1, 102, 1920, 40*time.Millisecond)
+			if res.Verdict != Miss || res.HasSnap {
+				t.Fatalf("post-escalation lookup = %v hasSnap=%v, want plain Miss", res.Verdict, res.HasSnap)
 			}
-			f2.Release()
+			res.Flow.Release()
 		})
 	}
 }
@@ -94,16 +102,15 @@ func TestLookupEscalatesRateFlood(t *testing.T) {
 	key := []byte("m|10.0.0.2|20000")
 	arm(t, c, key, "call-1") // winCount = 1
 	for i := 1; i <= 4; i++ {
-		v, _, _, _, _ := c.Lookup(key, 0, 1, uint16(100+i), uint32(1600+160*i), time.Millisecond*time.Duration(i))
-		if v != Hit {
+		if v := lookup(c, key, 0, 1, uint16(100+i), uint32(1600+160*i), time.Millisecond*time.Duration(i)).Verdict; v != Hit {
 			t.Fatalf("packet %d: verdict %v, want Hit", i, v)
 		}
 	}
-	v, f, _, snap, hasSnap := c.Lookup(key, 0, 1, 105, 2400, 5*time.Millisecond)
-	if v != Escalate || !hasSnap || snap.WinCount != 5 {
-		t.Fatalf("flood lookup = %v hasSnap=%v snap=%+v, want Escalate at winCount 5", v, hasSnap, snap)
+	res := lookup(c, key, 0, 1, 105, 2400, 5*time.Millisecond)
+	if res.Verdict != Escalate || !res.HasSnap || res.Snap.WinCount != 5 {
+		t.Fatalf("flood lookup = %v hasSnap=%v snap=%+v, want Escalate at winCount 5", res.Verdict, res.HasSnap, res.Snap)
 	}
-	f.Release()
+	res.Flow.Release()
 }
 
 func TestRateWindowRollsOver(t *testing.T) {
@@ -115,8 +122,7 @@ func TestRateWindowRollsOver(t *testing.T) {
 	for i := 1; i <= 40; i++ {
 		// 4 packets per window: always under budget as windows roll.
 		at := time.Duration(i) * 300 * time.Millisecond
-		v, _, _, _, _ := c.Lookup(key, 0, 1, uint16(100+i), uint32(1600+160*i), at)
-		if v != Hit {
+		if v := lookup(c, key, 0, 1, uint16(100+i), uint32(1600+160*i), at).Verdict; v != Hit {
 			t.Fatalf("packet %d: verdict %v, want Hit", i, v)
 		}
 	}
@@ -129,14 +135,14 @@ func TestDisarmCallStopsAbsorption(t *testing.T) {
 
 	c.DisarmCall([]byte("call-1"))
 
-	v, f, _, snap, hasSnap := c.Lookup(key, 0, 1, 101, 1760, 20*time.Millisecond)
-	if v != Miss || !hasSnap {
-		t.Fatalf("post-BYE lookup = %v hasSnap=%v, want Miss carrying resync snapshot", v, hasSnap)
+	res := lookup(c, key, 0, 1, 101, 1760, 20*time.Millisecond)
+	if res.Verdict != Miss || !res.HasSnap {
+		t.Fatalf("post-BYE lookup = %v hasSnap=%v, want Miss carrying resync snapshot", res.Verdict, res.HasSnap)
 	}
-	if snap.Seq != 100 {
-		t.Fatalf("snapshot seq = %d, want 100", snap.Seq)
+	if res.Snap.Seq != 100 {
+		t.Fatalf("snapshot seq = %d, want 100", res.Snap.Seq)
 	}
-	f.Release()
+	res.Flow.Release()
 	if st := c.Counters(); st.Invalidations != 1 {
 		t.Fatalf("invalidations = %d, want 1", st.Invalidations)
 	}
@@ -146,37 +152,37 @@ func TestStaleArmRejectedAfterInvalidation(t *testing.T) {
 	c := New(testConfig())
 	key := []byte("m|10.0.0.2|20000")
 	c.Install(key, "call-1", 0)
-	v, f, epoch, _, _ := c.Lookup(key, 0, 1, 100, 1600, 0)
-	if v != Miss {
+	res := lookup(c, key, 0, 1, 100, 1600, 0)
+	if res.Verdict != Miss {
 		t.Fatal("expected Miss")
 	}
 	// A BYE lands at ingress before the worker processes the packet.
 	c.DisarmCall([]byte("call-1"))
-	if c.Update(key, epoch, 0, Snapshot{Gen: 1, SSRC: 1, Seq: 100, TS: 1600}) {
+	if c.Update(key, res.Epoch, 0, Snapshot{Gen: 1, SSRC: 1, Seq: 100, TS: 1600}) {
 		t.Fatal("stale arm accepted after invalidation")
 	}
-	f.Release()
+	res.Flow.Release()
 }
 
 func TestArmRefusedWithQueuedPackets(t *testing.T) {
 	c := New(testConfig())
 	key := []byte("m|10.0.0.2|20000")
 	c.Install(key, "call-1", 0)
-	_, f1, epoch, _, _ := c.Lookup(key, 0, 1, 100, 1600, 0)
-	_, f2, _, _, _ := c.Lookup(key, 0, 1, 101, 1760, time.Millisecond)
-	if f1 != f2 {
+	first := lookup(c, key, 0, 1, 100, 1600, 0)
+	second := lookup(c, key, 0, 1, 101, 1760, time.Millisecond)
+	if first.Flow != second.Flow {
 		t.Fatal("expected one flow entry")
 	}
 	// Worker processes the first packet while the second still queues:
 	// arming now would let the mirror miss the queued packet.
-	if c.Update(key, epoch, 0, Snapshot{Gen: 1, SSRC: 1, Seq: 100, TS: 1600}) {
+	if c.Update(key, first.Epoch, 0, Snapshot{Gen: 1, SSRC: 1, Seq: 100, TS: 1600}) {
 		t.Fatal("arm accepted with a queued slow-path packet in flight")
 	}
-	f1.Release()
-	if !c.Update(key, epoch, 0, Snapshot{Gen: 1, SSRC: 1, Seq: 101, TS: 1760}) {
+	first.Flow.Release()
+	if !c.Update(key, first.Epoch, 0, Snapshot{Gen: 1, SSRC: 1, Seq: 101, TS: 1760}) {
 		t.Fatal("arm refused for the last in-flight packet")
 	}
-	f2.Release()
+	second.Flow.Release()
 }
 
 func TestInstallRenegotiationInvalidates(t *testing.T) {
@@ -185,48 +191,63 @@ func TestInstallRenegotiationInvalidates(t *testing.T) {
 	arm(t, c, key, "call-1")
 	// Re-advertised destination (SDP renegotiation): must invalidate.
 	c.Install(key, "call-1", 0)
-	v, f, _, _, hasSnap := c.Lookup(key, 0, 1, 101, 1760, 20*time.Millisecond)
-	if v != Miss || !hasSnap {
-		t.Fatalf("post-renegotiation lookup = %v, want Miss with snapshot", v)
+	res := lookup(c, key, 0, 1, 101, 1760, 20*time.Millisecond)
+	if res.Verdict != Miss || !res.HasSnap {
+		t.Fatalf("post-renegotiation lookup = %v, want Miss with snapshot", res.Verdict)
 	}
-	f.Release()
+	res.Flow.Release()
 }
 
 func TestInstallReassignsCallOwnership(t *testing.T) {
 	c := New(testConfig())
 	key := []byte("m|10.0.0.2|20000")
 	arm(t, c, key, "call-1")
-	c.Install(key, "call-2", 0)
+	c.Install(key, "call-2", 3)
 	// The old call no longer owns the flow ...
 	c.DisarmCall([]byte("call-1"))
-	// ... the new one does: re-arm under the new epoch and check that
-	// call-2's signaling disarms it.
-	v, f, epoch, _, _ := c.Lookup(key, 0, 1, 101, 1760, 20*time.Millisecond)
-	if v != Miss {
-		t.Fatal("expected Miss")
+	// ... the new one does, and routes it: re-arm under the new epoch
+	// and check that call-2's signaling disarms it.
+	res := lookup(c, key, 0, 1, 101, 1760, 20*time.Millisecond)
+	if res.Verdict != Miss || res.ShardIdx != 3 {
+		t.Fatalf("lookup = %v shard %d, want Miss routed to shard 3", res.Verdict, res.ShardIdx)
 	}
-	if !c.Update(key, epoch, 0, Snapshot{Gen: 2, SSRC: 1, Seq: 101, TS: 1760, WinCount: 1}) {
+	if !c.Update(key, res.Epoch, 0, Snapshot{Gen: 2, SSRC: 1, Seq: 101, TS: 1760, WinCount: 1}) {
 		t.Fatal("re-arm refused")
 	}
-	f.Release()
+	res.Flow.Release()
 	c.DisarmCall([]byte("call-2"))
-	if v, f, _, _, _ := c.Lookup(key, 0, 1, 102, 1920, 40*time.Millisecond); v != Miss {
-		t.Fatalf("lookup after new-owner disarm = %v, want Miss", v)
+	if res := lookup(c, key, 0, 1, 102, 1920, 40*time.Millisecond); res.Verdict != Miss {
+		t.Fatalf("lookup after new-owner disarm = %v, want Miss", res.Verdict)
 	} else {
-		f.Release()
+		res.Flow.Release()
+	}
+	// Evicting the old owner leaves the route the new one installed.
+	c.Remove("call-1")
+	if res := lookup(c, key, 0, 1, 103, 2080, 60*time.Millisecond); res.Flow == nil || res.ShardIdx != 3 {
+		t.Fatalf("old owner's eviction removed call-2's flow: %+v", res)
+	} else {
+		res.Flow.Release()
 	}
 }
 
 func TestRemoveDeletesFlow(t *testing.T) {
 	c := New(testConfig())
 	key := []byte("m|10.0.0.2|20000")
+	other := []byte("m|10.0.0.3|20000")
 	arm(t, c, key, "call-1")
-	c.Remove(string(key))
+	c.Install(other, "call-1", 0)
+	if n := c.Counters().Flows; n != 2 {
+		t.Fatalf("flows = %d after two installs, want 2", n)
+	}
+	c.Remove("call-1")
 	if _, ok := c.LastSeen(string(key)); ok {
 		t.Fatal("flow survived Remove")
 	}
-	if v, f, _, _, _ := c.Lookup(key, 0, 1, 101, 1760, 0); v != Miss || f != nil {
-		t.Fatalf("lookup after Remove = %v flow=%v, want entry-less Miss", v, f)
+	if res := lookup(c, key, 0, 1, 101, 1760, 0); res.Verdict != Miss || res.Flow != nil || res.ShardIdx != -1 {
+		t.Fatalf("lookup after Remove = %+v, want entry-less, unrouted Miss", res)
+	}
+	if n := c.Counters().Flows; n != 0 {
+		t.Fatalf("flows = %d after Remove, want 0", n)
 	}
 	// The call index is cleaned too: DisarmCall finds nothing to count.
 	before := c.Counters().Invalidations
@@ -240,18 +261,137 @@ func TestReorderedPacketDoesNotRewindWindow(t *testing.T) {
 	c := New(testConfig())
 	key := []byte("m|10.0.0.2|20000")
 	c.Install(key, "call-1", 0)
-	_, f, epoch, _, _ := c.Lookup(key, 0, 1, 65533, 1600, 0)
-	if !c.Update(key, epoch, 0, Snapshot{Gen: 1, SSRC: 1, Seq: 65533, TS: 1600, WinCount: 1}) {
+	res := lookup(c, key, 0, 1, 65533, 1600, 0)
+	if !c.Update(key, res.Epoch, 0, Snapshot{Gen: 1, SSRC: 1, Seq: 65533, TS: 1600, WinCount: 1}) {
 		t.Fatal("arm refused")
 	}
-	f.Release()
+	res.Flow.Release()
 	// In-order across the wrap with one late straggler.
 	seqs := []uint16{65534, 0, 65535, 1, 2}
 	for i, s := range seqs {
-		v, _, _, _, _ := c.Lookup(key, 0, 1, s, uint32(1600+160*(i+1)), time.Duration(i+1)*20*time.Millisecond)
-		if v != Hit {
+		if v := lookup(c, key, 0, 1, s, uint32(1600+160*(i+1)), time.Duration(i+1)*20*time.Millisecond).Verdict; v != Hit {
 			t.Fatalf("seq %d: verdict %v, want Hit", s, v)
 		}
+	}
+}
+
+// TestRouteDisarmsOnBye pins the probe RTCP takes: it routes by the
+// flow without pinning it or counting an outcome, answers -1 for a key
+// no SDP advertised, and an RTCP BYE stops absorption.
+func TestRouteDisarmsOnBye(t *testing.T) {
+	c := New(testConfig())
+	key := []byte("m|10.0.0.2|20000")
+	arm(t, c, key, "call-1")
+	c.Install([]byte("m|10.0.0.2|20002"), "call-2", 5)
+	before := c.Counters()
+
+	var res Consult
+	c.Route([]byte("m|10.0.0.9|1"), false, 0, &res)
+	if res.Verdict != Miss || res.Flow != nil || res.ShardIdx != -1 {
+		t.Fatalf("route to an unadvertised key = %+v, want unrouted Miss", res)
+	}
+	c.Route([]byte("m|10.0.0.2|20002"), false, 0, &res)
+	if res.Flow != nil || res.ShardIdx != 5 {
+		t.Fatalf("route = %+v, want shard 5 and no pinned flow", res)
+	}
+	c.Route(key, false, 0, &res)
+	if v := lookup(c, key, 0, 1, 101, 1760, 20*time.Millisecond).Verdict; v != Hit {
+		t.Fatalf("a sender report disarmed the flow: verdict %v", v)
+	}
+	if st := c.Counters(); st.Misses != before.Misses || st.Invalidations != before.Invalidations {
+		t.Fatalf("route probes counted outcomes: %+v -> %+v", before, st)
+	}
+
+	c.Route(key, true, 40*time.Millisecond, &res)
+	res = lookup(c, key, 0, 1, 102, 1920, 60*time.Millisecond)
+	if res.Verdict != Miss || !res.HasSnap {
+		t.Fatalf("after RTCP BYE: %v hasSnap=%v, want Miss carrying resync snapshot", res.Verdict, res.HasSnap)
+	}
+	res.Flow.Release()
+}
+
+// TestTouchCarriesOwnerOncePerInterval: every probe of a flow, whatever
+// its verdict, may carry the owner's Call-ID, but at most once per
+// RefreshEvery.
+func TestTouchCarriesOwnerOncePerInterval(t *testing.T) {
+	cfg := testConfig()
+	cfg.RefreshEvery = time.Second
+	c := New(cfg)
+	key := []byte("m|10.0.0.2|20000")
+	arm(t, c, key, "call-1") // the arming consult at 0 is within the first interval
+
+	var touches []time.Duration
+	var res Consult
+	for i := 1; i <= 150; i++ {
+		at := time.Duration(i) * 20 * time.Millisecond
+		if i == 51 {
+			c.Route(key, false, at, &res) // an RTCP report, due the first touch
+		} else {
+			c.ConsultKey(key, 0, 1, uint16(100+i), uint32(1600+160*i), at, &res)
+			if res.Flow != nil {
+				res.Flow.Release()
+			}
+		}
+		if res.Touch != "" {
+			if res.Touch != "call-1" {
+				t.Fatalf("touch carries %q, want the owner", res.Touch)
+			}
+			touches = append(touches, at)
+		}
+	}
+	// Packets span 20 ms..3 s: the refresh fires once the first full
+	// second has passed (on the RTCP probe), then on the first hit a
+	// full second after that.
+	if len(touches) != 2 || touches[0] != 51*20*time.Millisecond {
+		t.Fatalf("touches at %v, want 2", touches)
+	}
+	for i := 1; i < len(touches); i++ {
+		if touches[i]-touches[i-1] <= time.Second {
+			t.Fatalf("touches %v closer than RefreshEvery", touches)
+		}
+	}
+	c.ConsultKey([]byte("m|10.0.0.9|1"), 0, 1, 1, 1, time.Hour, &res)
+	if res.Touch != "" {
+		t.Fatalf("unknown key touched %q", res.Touch)
+	}
+}
+
+// TestConcurrentInstallsKeepOneOwner races installs of one destination
+// for different calls, as lanes without a shared lock do: afterwards the
+// flow belongs to exactly one call, that call's Remove deletes it, and
+// every other call's Remove leaves the table untouched.
+func TestConcurrentInstallsKeepOneOwner(t *testing.T) {
+	c := New(testConfig())
+	key := []byte("m|10.0.0.2|20000")
+	const calls = 8
+	var wg sync.WaitGroup
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				c.Install(key, fmt.Sprintf("call-%d", i), i)
+			}
+		}(i)
+	}
+	wg.Wait()
+	owner := lookup(c, key, 0, 1, 1, 1, 0)
+	owner.Flow.Release()
+	for i := 0; i < calls; i++ {
+		if i == owner.ShardIdx {
+			continue
+		}
+		c.Remove(fmt.Sprintf("call-%d", i))
+	}
+	if n := c.Counters().Flows; n != 1 {
+		t.Fatalf("non-owners' eviction left %d flows, want 1", n)
+	}
+	c.Remove(fmt.Sprintf("call-%d", owner.ShardIdx))
+	if n := c.Counters().Flows; n != 0 {
+		t.Fatalf("owner's eviction left %d flows, want 0", n)
+	}
+	if len(c.byCall) != 0 {
+		t.Fatalf("call index holds %d stale entries", len(c.byCall))
 	}
 }
 
@@ -265,12 +405,13 @@ func TestLookupHitAllocsZero(t *testing.T) {
 	arm(t, c, key, "call-1")
 
 	seq, ts, at := uint16(100), uint32(1600), time.Duration(0)
+	var res Consult
 	allocs := testing.AllocsPerRun(500, func() {
 		seq++
 		ts += 160
 		at += 20 * time.Millisecond
-		if v, _, _, _, _ := c.Lookup(key, 0, 1, seq, ts, at); v != Hit {
-			t.Fatalf("verdict %v, want Hit", v)
+		if c.ConsultKey(key, 0, 1, seq, ts, at, &res); res.Verdict != Hit {
+			t.Fatalf("verdict %v, want Hit", res.Verdict)
 		}
 	})
 	if allocs != 0 {

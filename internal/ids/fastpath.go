@@ -11,21 +11,30 @@ import (
 // IDS instance to the shared per-flow RTP validation cache
 // (internal/fastpath). Every hook may be nil; a zero MediaFastpath
 // turns the whole feature off. The detector calls Arm after a clean
-// steady-state RTP packet, Invalidate/Remove on monitor transitions
-// that change what the flow's traffic means, and Activity from the
-// idle sweep so absorbed media keeps its call alive.
+// steady-state RTP packet (when Armable allows), Invalidate/Remove on
+// monitor transitions that change what the flow's traffic means, and
+// Activity from the idle sweep so absorbed media keeps its call alive.
 type MediaFastpath struct {
 	// Arm publishes the machine's window variables for the media key
 	// currently in the detector's scratch; the engine forwards it to
 	// fastpath.Cache.Update under the epoch the packet was enqueued
 	// with.
 	Arm func(key []byte, payload uint8, snap fastpath.Snapshot)
+	// Armable reports whether the packet being processed could arm its
+	// flow at all: the cache refuses an arm while later packets of the
+	// flow are still queued for the shard, so the detector need not
+	// build the snapshot. Nil means always.
+	Armable func() bool
 	// Invalidate disarms the flow at key before the worker acks the
 	// signaling event that made the mirror stale.
 	Invalidate func(key string)
-	// Remove deletes the flow at key (monitor eviction: the call is
-	// gone, so is the mirror).
-	Remove func(key string)
+	// Remove deletes every flow a forgotten call owns, when its
+	// tombstone expires. Until then the evicted call's flows, disarmed
+	// at eviction, keep routing its straggling media to this shard, as
+	// they did while it lived. The flow table knows which destinations
+	// the call still owns: one a newer call re-advertised, on this shard
+	// or another, is not the forgotten call's to remove.
+	Remove func(callID string)
 	// Activity reports when the flow last absorbed a packet, so the
 	// idle sweep sees media the monitor never did.
 	Activity func(key string) (time.Duration, bool)
@@ -101,16 +110,6 @@ func (d *IDS) ResyncMedia(host string, port int, snap fastpath.Snapshot) {
 func (d *IDS) invalidateMonitorMedia(mon *CallMonitor) {
 	for _, key := range mon.mediaKeys {
 		d.fp.Invalidate(key) //vids:alloc-ok signaling-path hook: fires per SIP event, not per media packet
-	}
-}
-
-// removeMonitorMedia deletes the evicted monitor's flows from the
-// cache, skipping keys a newer call has since overwritten.
-func (d *IDS) removeMonitorMedia(mon *CallMonitor, callID string) {
-	for _, key := range mon.mediaKeys {
-		if ref, ok := d.mediaIndex[key]; ok && ref.callID == callID {
-			d.fp.Remove(key) //vids:alloc-ok eviction-path hook: fires per monitor teardown, not per media packet
-		}
 	}
 }
 

@@ -29,7 +29,7 @@ func (r *fpRecorder) hooks() MediaFastpath {
 			r.arms = append(r.arms, fpArm{key: string(key), payload: payload, snap: snap})
 		},
 		Invalidate: func(key string) { r.invalidated = append(r.invalidated, key) },
-		Remove:     func(key string) { r.removed = append(r.removed, key) },
+		Remove:     func(callID string) { r.removed = append(r.removed, callID) },
 		Activity: func(key string) (time.Duration, bool) {
 			d, ok := r.activity[key]
 			return d, ok
@@ -139,18 +139,23 @@ func TestIdleSweepConsultsFastpathActivity(t *testing.T) {
 		t.Fatal("sweep evicted a call whose media the cache was absorbing")
 	}
 
-	// Absorption stops (activity stays at 90s): idle eviction resumes,
-	// and the evicted monitor's flows are removed from the cache.
+	// Absorption stops (activity stays at 90s): idle eviction resumes
+	// and disarms the call's flows; once the tombstone expires, they are
+	// removed from the cache, once.
+	rec.invalidated = nil
 	h.run(t, 10*time.Minute)
 	if h.ids.ActiveCalls() != 0 {
 		t.Fatal("sweep never reclaimed the call after absorption went quiet")
 	}
-	removed := map[string]bool{}
-	for _, key := range rec.removed {
-		removed[key] = true
+	invalidated := map[string]bool{}
+	for _, key := range rec.invalidated {
+		invalidated[key] = true
 	}
-	if !removed[mediaKeyOf(calleeHost, calleeRTPPort)] || !removed[mediaKeyOf(callerHost, callerRTPPort)] {
-		t.Errorf("eviction did not remove the call's flows from the cache (removed: %v)", rec.removed)
+	if !invalidated[mediaKeyOf(calleeHost, calleeRTPPort)] || !invalidated[mediaKeyOf(callerHost, callerRTPPort)] {
+		t.Errorf("eviction did not disarm the call's flows (invalidated: %v)", rec.invalidated)
+	}
+	if len(rec.removed) != 1 || rec.removed[0] != callID {
+		t.Errorf("tombstone expiry removed flows of %v, want those of %q only", rec.removed, callID)
 	}
 }
 

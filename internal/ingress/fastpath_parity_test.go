@@ -47,7 +47,8 @@ func captureScenario(t *testing.T, name string) []trace.Entry {
 // assertFastpathParity replays entries three ways — the sequential
 // interpreted IDS parsing every datagram (the reference), the lane
 // tier feeding compiled shards from the one scan with the validation
-// cache, and the same without — and requires the exact alert multiset
+// cache absorbing, and the same with absorption off (the flow table
+// still routes; no flow may ever arm) — and requires the exact alert multiset
 // from all three. This is the correctness contract of every fast
 // path: scanning once, compiling the machines and absorbing media may
 // change *work*, never *alerts*.
@@ -77,8 +78,8 @@ func assertFastpathParity(t *testing.T, name string, entries []trace.Entry) {
 				}
 			}
 		}
-		if disable && st.FastpathHits+st.FastpathMisses+st.FastpathEscalations != 0 {
-			t.Errorf("%s: disabled cache was consulted: %+v", name, st)
+		if disable && st.FastpathHits+st.FastpathEscalations+st.FastpathInvalidations != 0 {
+			t.Errorf("%s: a flow armed with absorption disabled: %+v", name, st)
 		}
 		if sum := st.Processed + st.Absorbed + st.Ignored + st.ParseErrors; sum != uint64(len(entries)) {
 			t.Errorf("%s: fastpath=%v: accounting mismatch: %d accounted of %d entries",

@@ -1,16 +1,19 @@
 // Package ingress is the pipeline's one front end, between packet
 // sources and the detection engine: M independent lanes standing in
-// front of N shard workers, with the serial work of ingestion — scan,
-// classify, flood accounting, media-index maintenance — spread over
-// the lanes. One lane (Lanes: 1) is the degenerate, fully serialized
-// case; every binary, test and experiment enters here.
+// front of N shard workers, with the serial work of signaling
+// ingestion — scan, classify, flood accounting, call bookkeeping —
+// spread over the lanes. One lane (Lanes: 1) is the degenerate, fully
+// serialized case; every binary, test and experiment enters here.
 //
 // A lane is a lock stripe, not a goroutine: listener goroutines call
-// Ingest concurrently, and each packet takes the lane lock (or locks —
-// a SIP packet may touch the flood lane, the call lane and a media
-// lane, always sequentially, never nested) that its keys hash to. The
-// per-packet work under a lane lock is deliberately tiny: a map probe
-// and a clock advance. No lock spans the tier: lanes hand buffers
+// Ingest concurrently, and each SIP packet takes the lane lock (or
+// locks — it may touch the flood lane and the call lane, always
+// sequentially, never nested) that its keys hash to. The per-packet
+// work under a lane lock is deliberately tiny: a map probe and a clock
+// advance. Lanes hold signaling state only. Media is routed by the
+// engine's flow table (internal/fastpath), one stripe lock and no lane
+// lock per packet; a media packet visits its call's lane only for the
+// amortized liveness touch. No lock spans the tier: lanes hand buffers
 // straight to shard queues.
 //
 // Every SIP datagram is read exactly once, before any lane lock:
@@ -51,7 +54,7 @@ import (
 )
 
 // laneTableCap bounds each lane's string-intern table: enough for the
-// Call-IDs, media keys and flood destinations of a large live
+// Call-IDs, SDP hosts and flood destinations of a large live
 // population without growing without bound.
 const laneTableCap = 4096
 
@@ -71,28 +74,18 @@ type Config struct {
 	Engine engine.Config
 }
 
-// mediaEntry is one lane's routing record for an advertised media
-// destination.
-type mediaEntry struct {
-	callID      string        // interned owning Call-ID
-	shardIdx    int           // the owning call's shard, resolved at install time
-	lastSeen    time.Duration // last packet toward this destination
-	lastRefresh time.Duration // last cross-lane refresh of the owning call
-}
-
 // lane is one lock stripe of the ingestion tier. All fields after mu
-// are guarded by it. Lane locks never nest with each other or with the
-// engine's: a packet acquires each lane it needs in sequence, and
-// everything engine-facing (Enqueue*, RecordAlert, Note*) happens
-// after the lane lock is released.
+// are guarded by it. Lane locks never nest with each other or with any
+// other lock: a packet acquires each lane it needs in sequence, and
+// everything engine-facing (Enqueue*, RecordAlert, Note*) and every
+// flow-table call happens after the lane lock is released.
 type lane struct {
 	mu      sync.Mutex
-	clock   *sim.Simulator           // per-lane virtual clock: flood windows, sweeps
+	clock   *sim.Simulator           // per-lane virtual clock: flood windows, sweeps; advanced by SIP only
 	fw      *ids.FloodWatch          // per-destination detectors for keys hashed here
 	pending []ids.Alert              // alerts raised under mu, drained outside it
 	calls   map[string]time.Duration // Call-ID -> last activity
 	gone    map[string]time.Duration // Call-ID -> when the sweep forgot it
-	media   map[string]*mediaEntry   // media key -> routing record
 	keyBuf  []byte                   // reusable key scratch
 	strings *intern.Table
 	swept   bool // a sweep is scheduled on clock
@@ -103,16 +96,11 @@ type lane struct {
 // engine.
 type Ingress struct {
 	e      *engine.Engine
-	fp     *fastpath.Cache // the engine's RTP validation cache; nil when disabled
+	fp     *fastpath.Cache // the engine's flow table: every media route
 	lanes  []*lane
 	pool   *bufpool.Pool
 	retire func(*sim.Packet) // the chained retire hook, for lane-side disposal
-	retain time.Duration     // idle lifetime of routing entries: as long as a shard keeps the call
-
-	// refreshEvery throttles the cross-lane "this call is still
-	// streaming" touch a media packet makes on its call's lane: one
-	// extra lock acquisition per quarter-retain instead of per packet.
-	refreshEvery time.Duration
+	retain time.Duration     // idle lifetime of a lane's call slot: as long as a shard keeps the call
 
 	// closed is set by Close before the lane clocks run out: a drained
 	// lane's clock sits at the end of time, so nothing may feed it again.
@@ -150,12 +138,11 @@ func New(cfg Config) *Ingress {
 	}
 
 	ing := &Ingress{
-		e:            engine.New(cfg.Engine),
-		lanes:        make([]*lane, lanes),
-		pool:         pool,
-		retire:       cfg.Engine.OnRetire,
-		retain:       cfg.Engine.IDS.IdleEviction + cfg.Engine.IDS.CloseLinger,
-		refreshEvery: (cfg.Engine.IDS.IdleEviction + cfg.Engine.IDS.CloseLinger) / 4,
+		e:      engine.New(cfg.Engine),
+		lanes:  make([]*lane, lanes),
+		pool:   pool,
+		retire: cfg.Engine.OnRetire,
+		retain: cfg.Engine.IDS.IdleEviction + cfg.Engine.IDS.CloseLinger,
 	}
 	ing.fp = ing.e.Fastpath()
 	idsCfg := cfg.Engine.IDS
@@ -165,7 +152,6 @@ func New(cfg Config) *Ingress {
 			clock:   sim.New(int64(1000 + i)),
 			calls:   make(map[string]time.Duration),
 			gone:    make(map[string]time.Duration),
-			media:   make(map[string]*mediaEntry),
 			strings: intern.New(laneTableCap),
 		}
 		l.fw = ids.NewFloodWatch(l.clock, idsCfg, func(a ids.Alert) {
@@ -204,6 +190,8 @@ func (ing *Ingress) Alerts() []ids.Alert { return ing.e.Alerts() }
 // is an observation, not an ingest error. Safe for concurrent use;
 // per-call packet ordering is the caller's (per-listener)
 // responsibility.
+//
+//vids:noalloc the per-datagram entry point: protocol dispatch into the SIP and media paths
 func (ing *Ingress) Ingest(pkt *sim.Packet, at time.Duration) error {
 	if ing.closed.Load() {
 		return engine.ErrClosed
@@ -235,22 +223,6 @@ func (ing *Ingress) retirePkt(pkt *sim.Packet) {
 // shard count, so shard s belongs to lane s mod M.
 func (ing *Ingress) laneForShard(shardIdx int) *lane {
 	return ing.lanes[shardIdx%len(ing.lanes)]
-}
-
-// laneForMedia stripes media destinations over lanes independently of
-// the shard mapping, so a media flood at one host spreads its lock
-// pressure away from the victim's signaling lane. Install (host from
-// an SDP body) and lookup (host from a packet) hash identical strings.
-func (ing *Ingress) laneForMedia(host string, port int) *lane {
-	h := fnvString(host)
-	h ^= uint32(port) * 2654435761 // Knuth multiplicative mix
-	return ing.lanes[int(h%uint32(len(ing.lanes)))]
-}
-
-func (ing *Ingress) laneForMediaBytes(host []byte, port int) *lane {
-	h := fnvBytes(fnvOffset, host)
-	h ^= uint32(port) * 2654435761
-	return ing.lanes[int(h%uint32(len(ing.lanes)))]
 }
 
 // laneForDest stripes flood destinations (user@host AORs for INVITE
@@ -383,7 +355,7 @@ func (ing *Ingress) ingestSIPSlow(pkt *sim.Packet, raw []byte, at time.Duration)
 
 // routeSIP makes the lane's decisions for one well-formed SIP
 // datagram: feed the flood window for initial INVITEs, maintain the
-// call/tombstone maps, absorb stray responses, install media routes
+// call/tombstone maps, absorb stray responses, install media flows
 // from SDP, disarm the call's fast-path flows, and hand the packet to
 // the owning shard.
 func (ing *Ingress) routeSIP(pkt *sim.Packet, raw []byte, at time.Duration, r *sipRoute) error {
@@ -393,18 +365,24 @@ func (ing *Ingress) routeSIP(pkt *sim.Packet, raw []byte, at time.Duration, r *s
 		// the destination's lane.
 		ing.feedInvite(r.ruriUser, r.ruriHost, pkt.From.Host, at)
 	}
+	// Mirror ids.indexMedia: the INVITE's SDP names where the callee's
+	// stream will land, the 2xx answer's where the caller's will.
+	advertises := len(r.sdpAddr) > 0 && (isInvite || (r.method == "" &&
+		r.status >= 200 && r.status < 300 && r.cseq == sipmsg.INVITE))
 
 	shardIdx := ing.e.ShardIndexForBytes(r.callID)
 	l := ing.laneForShard(shardIdx)
+	var cid, sdpHost string
 	l.mu.Lock()
 	_ = l.clock.RunUntil(at)
 	if isInvite {
-		cid := l.strings.Bytes(r.callID)
+		cid = l.strings.Bytes(r.callID)
 		l.calls[cid] = at //vids:alloc-ok one dialog slot per INVITE; the sweep bounds the table
 		delete(l.gone, cid)
 		ing.armSweep(l)
 	} else if _, known := l.calls[string(r.callID)]; known {
-		l.calls[l.strings.Bytes(r.callID)] = at //vids:alloc-ok refreshes the slot the probe above found
+		cid = l.strings.Bytes(r.callID)
+		l.calls[cid] = at //vids:alloc-ok refreshes the slot the probe above found
 	} else if r.method == "" {
 		// A response for a call this edge never initiated: absorbed
 		// here, the shards never see it — as in the sequential detector,
@@ -419,24 +397,26 @@ func (ing *Ingress) routeSIP(pkt *sim.Packet, raw []byte, at time.Duration, r *s
 		ing.drain(alerts)
 		return ing.absorbStray(pkt, raw, evicted || r.cseq == sipmsg.REGISTER, at)
 	}
+	if advertises {
+		// The flow outlives the datagram: it keeps interned strings.
+		sdpHost = l.strings.Bytes(r.sdpAddr)
+	}
 	alerts := l.takePending()
 	l.mu.Unlock()
 	ing.drain(alerts)
 
-	// Mirror ids.indexMedia: the INVITE's SDP names where the callee's
-	// stream will land, the 2xx answer's where the caller's will.
-	if len(r.sdpAddr) > 0 && (isInvite || (r.method == "" &&
-		r.status >= 200 && r.status < 300 && r.cseq == sipmsg.INVITE)) {
-		ing.installMedia(r.sdpAddr, r.sdpPort, r.callID, at)
+	if advertises {
+		// Register (or, on SDP renegotiation, invalidate and re-own) the
+		// flow: from here on it routes the destination's media to this
+		// call's shard.
+		var kb [96]byte
+		ing.fp.Install(ids.AppendMediaKey(kb[:0], sdpHost, r.sdpPort), cid, shardIdx)
 	}
-
-	if ing.fp != nil {
-		// Signaling can change what this call's RTP means (BYE, CANCEL,
-		// renegotiation): disarm its flows before the event is enqueued,
-		// so an RTP packet racing this datagram on another lane can no
-		// longer be absorbed against pre-transition state.
-		ing.fp.DisarmCall(r.callID)
-	}
+	// Signaling can change what this call's RTP means (BYE, CANCEL,
+	// renegotiation): disarm its flows before the event is enqueued, so
+	// an RTP packet racing this datagram on another lane can no longer
+	// be absorbed against pre-transition state.
+	ing.fp.DisarmCall(r.callID)
 	var err error
 	if r.view != nil {
 		err = ing.e.EnqueueSIP(shardIdx, pkt, at, r.view)
@@ -465,43 +445,6 @@ func (ing *Ingress) feedInvite(user, host []byte, src string, at time.Duration) 
 	ing.drain(alerts)
 }
 
-// installMedia records an advertised media destination on its lane.
-// The install is per-SDP-observation (cold next to the media stream it
-// routes), so interning the host and key here is fine.
-func (ing *Ingress) installMedia(addr []byte, port int, callID []byte, at time.Duration) {
-	l := ing.laneForMediaBytes(addr, port)
-	l.mu.Lock()
-	_ = l.clock.RunUntil(at)
-	host := l.strings.Bytes(addr)
-	l.keyBuf = ids.AppendMediaKey(l.keyBuf[:0], host, port)
-	key := l.strings.Bytes(l.keyBuf)
-	cid := l.strings.Bytes(callID)
-	ent, ok := l.media[key]
-	if ok {
-		ent.callID = cid
-		ent.shardIdx = ing.e.ShardIndexFor(cid)
-		ent.lastSeen = at
-		ent.lastRefresh = at
-	} else {
-		ent = &mediaEntry{ //vids:alloc-ok one routing record per advertised destination
-			callID: cid, shardIdx: ing.e.ShardIndexFor(cid),
-			lastSeen: at, lastRefresh: at,
-		}
-		l.media[key] = ent //vids:alloc-ok per-SDP-observation insert, cold next to the stream it routes
-	}
-	if ing.fp != nil {
-		// Register (or, on SDP renegotiation, invalidate) the flow in
-		// the validation cache under the interned owner. The cache
-		// mirrors the shard index so its consult can route absorbed
-		// packets without touching this lane again.
-		ing.fp.Install(l.keyBuf, cid, ent.shardIdx)
-	}
-	ing.armSweep(l)
-	alerts := l.takePending()
-	l.mu.Unlock()
-	ing.drain(alerts)
-}
-
 // absorbStray retires a response for an unknown call at the lane,
 // feeding the destination host's reflection window unless the response
 // is silent (a tombstoned call's straggler, a registrar's answer). raw
@@ -525,119 +468,51 @@ func (ing *Ingress) absorbStray(pkt *sim.Packet, raw []byte, silent bool, at tim
 	return nil
 }
 
-// ingestMedia is the media hot path. An RTP packet consults the
-// validation cache first — key rendered into a stack buffer, one
-// stripe lock, no lane lock — and an in-profile packet is absorbed
-// right there: one hit-counter add, buffer back to the pool, done.
-// Everything else (predicate miss, unknown flow, RTCP, cache
-// disabled) takes the lane path: clock advance, routing-map
-// bookkeeping, shard enqueue. A known destination routes to its
-// call's shard; a destination no SDP advertised hashes by its key, so
-// an unsolicited stream still lands all its packets on one shard's
-// spam monitor.
+// ingestMedia is the media hot path: one flow-table probe, one stripe
+// lock, no lane lock. An RTP packet is consulted against its flow, and
+// an in-profile packet is absorbed right there: one hit-counter add,
+// buffer back to the pool, done. RTCP, and RTP whose header the lite
+// extractor cannot read, only ask the table for the route (an RTCP BYE
+// disarms the flow on the way). Everything not absorbed goes to the
+// owning call's shard; a destination no SDP advertised hashes by its
+// key, so an unsolicited stream still lands all its packets on one
+// shard's spam monitor.
 //
 //vids:noalloc the per-datagram media path
 func (ing *Ingress) ingestMedia(pkt *sim.Packet, host string, port int, at time.Duration) error {
-	var (
-		res       fastpath.Consult
-		consulted bool
-	)
-	if ing.fp != nil && pkt.Proto == sim.ProtoRTP {
-		if raw, isRaw := pkt.Payload.([]byte); isRaw {
-			if ssrc, pt, seq, ts, extracted := rtp.ExtractLite(raw); extracted {
-				var kb [96]byte // media keys are "m|host|port"; hosts are DNS labels, never near 96 bytes
-				ing.fp.ConsultKey(ids.AppendMediaKey(kb[:0], host, port), pt, ssrc, seq, ts, at, &res)
-				consulted = true
-				if res.Verdict == fastpath.Hit {
-					if res.Touch {
-						// Amortized liveness: the absorbed stream no
-						// longer walks the lanes, so once per refresh
-						// interval a hit pays the bookkeeping the slow
-						// path pays per packet.
-						ing.touchMedia(host, port, at)
-					}
-					ing.e.NoteFastpathHit(res.ShardIdx)
-					ing.retirePkt(pkt)
-					return nil
-				}
-			}
-		}
-	}
-
-	l := ing.laneForMedia(host, port)
-	var (
-		shardIdx int
-		touchCID string
-	)
-	l.mu.Lock()
-	_ = l.clock.RunUntil(at)
-	l.keyBuf = ids.AppendMediaKey(l.keyBuf[:0], host, port)
-	if ent, ok := l.media[string(l.keyBuf)]; ok {
-		ent.lastSeen = at
-		shardIdx = ent.shardIdx
-		if at-ent.lastRefresh > ing.refreshEvery {
-			// Amortized cross-lane touch: keep the owning call alive on
-			// its signaling lane without paying a second lock per packet.
-			ent.lastRefresh = at
-			touchCID = ent.callID
-		}
-		if ing.fp != nil && pkt.Proto == sim.ProtoRTCP {
-			if raw, isRaw := pkt.Payload.([]byte); isRaw &&
-				len(raw) >= 2 && raw[1] == rtp.RTCPBye {
-				// An RTCP BYE starts the media-plane teardown clock on
-				// the worker: stop absorbing before it gets there.
-				ing.fp.Disarm(l.keyBuf)
-			}
-		}
-	} else if consulted && res.Flow != nil {
-		// The lane's routing entry was swept but the cache still knows
-		// the flow: route by its mirrored shard, keeping the packet on
-		// the owning call's monitor.
-		shardIdx = res.ShardIdx
+	var kb [96]byte // media keys are "host:port"; hosts are DNS labels, never near 96 bytes
+	key := ids.AppendMediaKey(kb[:0], host, port)
+	raw, _ := pkt.Payload.([]byte) // nil for a structured payload: routed, never consulted
+	var res fastpath.Consult
+	if ssrc, pt, seq, ts, ok := rtp.ExtractLite(raw); ok && pkt.Proto == sim.ProtoRTP {
+		ing.fp.ConsultKey(key, pt, ssrc, seq, ts, at, &res)
 	} else {
-		shardIdx = ing.e.ShardIndexForBytes(l.keyBuf)
+		ing.fp.Route(key, pkt.Proto == sim.ProtoRTCP && len(raw) >= 2 && raw[1] == rtp.RTCPBye, at, &res)
 	}
-	alerts := l.takePending()
-	l.mu.Unlock()
-	ing.drain(alerts)
-
-	ing.touchCall(touchCID, at)
-	if consulted && res.Flow != nil {
-		if err := ing.e.EnqueueMedia(shardIdx, pkt, at, res.Flow, res.Epoch, res.Snap, res.HasSnap); err != nil {
-			return err
-		}
-		ing.e.NoteIngested()
+	// Amortized liveness: media no longer walks the lanes, so once per
+	// refresh interval per flow a packet pays the call-slot refresh.
+	ing.touchCall(res.Touch, at)
+	if res.Verdict == fastpath.Hit {
+		ing.e.NoteFastpathHit(res.ShardIdx)
+		ing.retirePkt(pkt)
 		return nil
 	}
-	if err := ing.e.EnqueueRaw(shardIdx, pkt, at); err != nil {
+
+	shardIdx := res.ShardIdx
+	if shardIdx < 0 {
+		shardIdx = ing.e.ShardIndexForBytes(key)
+	}
+	var err error
+	if res.Flow != nil {
+		err = ing.e.EnqueueMedia(shardIdx, pkt, at, res.Flow, res.Epoch, res.Snap, res.HasSnap)
+	} else {
+		err = ing.e.EnqueueRaw(shardIdx, pkt, at)
+	}
+	if err != nil {
 		return err
 	}
 	ing.e.NoteIngested()
 	return nil
-}
-
-// touchMedia refreshes the lane bookkeeping for an absorbed flow: the
-// routing entry's activity stamp (its lane's sweep) and the owning
-// call's slot (the signaling lane's sweep). The cache's Touch signal
-// rates this at once per quarter-retain per flow, so absorption never
-// looks like idleness to either sweep.
-//
-//vids:coldpath one refresh per quarter-retain per absorbed flow, not per packet
-func (ing *Ingress) touchMedia(host string, port int, at time.Duration) {
-	l := ing.laneForMedia(host, port)
-	var touchCID string
-	l.mu.Lock()
-	_ = l.clock.RunUntil(at)
-	l.keyBuf = ids.AppendMediaKey(l.keyBuf[:0], host, port)
-	if ent, ok := l.media[string(l.keyBuf)]; ok {
-		ent.lastSeen = at
-		ent.lastRefresh = at
-		touchCID = ent.callID
-	}
-	alerts := l.takePending()
-	l.mu.Unlock()
-	ing.drain(alerts)
-	ing.touchCall(touchCID, at)
 }
 
 // touchCall refreshes a live call's activity slot on its signaling
@@ -678,15 +553,13 @@ func (ing *Ingress) drain(alerts []ids.Alert) {
 	}
 }
 
-// armSweep schedules the lane's routing-index sweep on its clock,
-// mirroring ids eviction and tombstones: entries idle longer than the
-// shard would keep their call (IdleEviction + CloseLinger) are dropped,
-// so the index cannot grow without bound under call churn, and
-// forgotten Call-IDs leave tombstones so straggler responses of a
-// closed dialog stay silent instead of feeding the reflection window.
-// Media entries carry
-// their own activity stamp because their owning call may live on
-// another lane, which this lane must not lock. Caller holds l.mu.
+// armSweep schedules the lane's call-table sweep on its clock,
+// mirroring ids eviction and tombstones: calls idle longer than the
+// shard would keep them (IdleEviction + CloseLinger) are dropped, so
+// the table cannot grow without bound under call churn, and forgotten
+// Call-IDs leave tombstones so straggler responses of a closed dialog
+// stay silent instead of feeding the reflection window. Caller holds
+// l.mu.
 func (ing *Ingress) armSweep(l *lane) {
 	if l.swept || ing.retain <= 0 {
 		return
@@ -706,12 +579,7 @@ func (ing *Ingress) armSweep(l *lane) {
 				delete(l.gone, id)
 			}
 		}
-		for key, ent := range l.media {
-			if now-ent.lastSeen > ing.retain {
-				delete(l.media, key)
-			}
-		}
-		if len(l.calls)+len(l.gone)+len(l.media) > 0 {
+		if len(l.calls)+len(l.gone) > 0 {
 			ing.armSweep(l)
 		}
 	})

@@ -71,7 +71,8 @@ func TestExtractMatchesFullParse(t *testing.T) {
 // not route on — malformed ones it rejects on the spot, legal-but-rare
 // ones it defers to the full parser — and checks where each ends up: a
 // datagram the full parser rejects is one parse error and leaves no
-// trace in any lane table, one it accepts reaches the shard.
+// trace in a lane table or the flow table, one it accepts reaches the
+// shard.
 func TestExtractBailsToSlowPath(t *testing.T) {
 	const (
 		via    = "Via: SIP/2.0/UDP ua1.a.example.com:5060\r\n"
@@ -115,15 +116,16 @@ func TestExtractBailsToSlowPath(t *testing.T) {
 		}
 		l := ing.lanes[0]
 		l.mu.Lock()
-		planted := len(l.calls) + len(l.media)
+		planted := uint64(len(l.calls))
 		l.mu.Unlock()
+		planted += ing.fp.Counters().Flows
 		if err := ing.Close(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		st := ing.Stats()
 		if perr != nil {
 			if st.ParseErrors != 1 || st.Processed != 0 || planted != 0 || st.FastpathMisses != 0 {
-				t.Errorf("%s: malformed datagram: parse-errors=%d processed=%d lane entries=%d, want 1/0/0",
+				t.Errorf("%s: malformed datagram: parse-errors=%d processed=%d lane and flow entries=%d, want 1/0/0",
 					name, st.ParseErrors, st.Processed, planted)
 			}
 		} else if st.ParseErrors != 0 || st.Processed != 1 {
