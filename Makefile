@@ -19,7 +19,7 @@ HOTPATH_BENCH = BenchmarkSIPParse$$|BenchmarkSIPScan$$|BenchmarkRTPParse$$|Bench
 # baseline fan-out numbers in BENCH_engine.json.
 THROUGHPUT_BENCH = BenchmarkEngineThroughput$$|BenchmarkEngineThroughputMedia$$
 
-.PHONY: all build test race fmt lint waivers ci golden bench bench-smoke bench-compare bench-e2e fuzz-smoke speccover speccover-update specgen specgen-check torture-check
+.PHONY: all build test race alloc-budgets fmt lint waivers ci golden bench bench-smoke bench-compare bench-e2e fuzz-smoke speccover speccover-update specgen specgen-check torture-check
 
 all: build
 
@@ -31,6 +31,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# alloc-budgets runs the allocation budgets without the race detector:
+# under -race every TestAllocBudget* skips (race_on_test.go).
+alloc-budgets:
+	$(GO) test -run 'TestAllocBudget' -v .
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -174,7 +179,7 @@ torture-check:
 	git diff --exit-code -- cmd/vids/testdata/torture.jsonl cmd/vids/testdata/via-evasion.jsonl
 
 # ci reproduces .github/workflows/ci.yml locally.
-ci: lint specgen-check torture-check build race bench-smoke bench-e2e fuzz-smoke speccover
+ci: lint specgen-check torture-check build race alloc-budgets bench-smoke bench-e2e fuzz-smoke speccover
 
 # golden regenerates the spec-graph golden files after a reviewed
 # specification change.

@@ -15,19 +15,17 @@ import (
 
 // kinds is what the emitter knows about each IR kind: the Go type a
 // value is held in, its zero literal, its size (for field ordering),
-// the bytes core.varsFootprint charges a present variable beyond its
-// key, and the core.Vars setter and core.Event accessor that move it.
+// and the core.Vars setter and core.Event accessor that move it.
 var kinds = map[core.Kind]struct {
 	goType, zero string
 	size         int
-	footprint    string // %s is the field
 	setter, arg  string
 }{
-	core.KindString:   {"string", `""`, 16, "len(%s)", "SetString", "StringArg"},
-	core.KindInt:      {"int", "0", 8, "8", "SetInt", "IntArg"},
-	core.KindUint32:   {"uint32", "0", 4, "8", "SetUint32", "Uint32Arg"},
-	core.KindBool:     {"bool", "false", 1, "1", "SetBool", ""},
-	core.KindDuration: {"time.Duration", "0", 8, "8", "SetDuration", "DurationArg"},
+	core.KindString:   {"string", `""`, 16, "SetString", "StringArg"},
+	core.KindInt:      {"int", "0", 8, "SetInt", "IntArg"},
+	core.KindUint32:   {"uint32", "0", 4, "SetUint32", "Uint32Arg"},
+	core.KindBool:     {"bool", "false", 1, "SetBool", ""},
+	core.KindDuration: {"time.Duration", "0", 8, "SetDuration", "DurationArg"},
 }
 
 func goType(k core.Kind) string { return kinds[k].goType }
@@ -44,11 +42,8 @@ var funcs = template.FuncMap{
 	"zero":      func(k core.Kind) string { return kinds[k].zero },
 	"setter":    func(k core.Kind) string { return kinds[k].setter },
 	"argMethod": func(k core.Kind) string { return kinds[k].arg },
-	"footprint": func(x *core.Expr, recv string) string {
-		return strings.ReplaceAll(kinds[x.Kind].footprint, "%s", recv+"."+field(x))
-	},
-	"store":    func(recv, prefix string, vars []*core.Expr) store { return store{recv, prefix, vars} },
-	"deltaVar": deltaVar,
+	"store":     func(recv, prefix string, vars []*core.Expr) store { return store{recv, prefix, vars} },
+	"deltaVar":  deltaVar,
 	"eventLit": func(e core.Event) string {
 		if len(e.Args) == 0 {
 			return fmt.Sprintf("core.Event{Name: %q}", e.Name)
@@ -88,9 +83,9 @@ var funcs = template.FuncMap{
 }
 
 // tmpl holds the three templates everything but tables and bodies is
-// rendered from: "bits"/"view"/"footprint" (shared by both kinds of
-// store), "shared" (vectors, δ events, the globals struct) and
-// "machine" (one family's shell). The machine's Step fills the ~14-word
+// rendered from: "bits"/"view" (shared by both kinds of store),
+// "shared" (vectors, δ events, the globals struct) and "machine" (one
+// family's shell). The machine's Step fills the ~14-word
 // StepResult through the named result via plain field stores of
 // pre-computed locals: measured against composite literals on every
 // path, this keeps the compiler writing straight into the result slot
@@ -104,11 +99,6 @@ const (
 
 {{define "view"}}{{range .Vars}}	if {{$.Recv}}.set&{{bit $.Prefix .}} != 0 {
 		v.{{setter .Kind}}({{quote .Name}}, {{$.Recv}}.{{field .}})
-	}
-{{end}}{{end}}
-
-{{define "footprint"}}{{range .Vars}}	if {{$.Recv}}.set&{{bit $.Prefix .}} != 0 {
-		total += len({{quote .Name}}) + {{footprint . $.Recv}}
 	}
 {{end}}{{end}}
 
@@ -151,27 +141,22 @@ var (
 {{end}}
 {{if .P.Globals}}{{$g := store "g" .GlobalsPrefix .P.Globals}}
 // {{.GlobalsType}} is the compiled form of a system's shared variable
-// store: the g.* variables as struct fields plus a presence bitmask, so
-// the Vars view and the memory accounting match the interpreted map
-// exactly.
+// store (a core.Store): the g.* variables as struct fields plus a
+// presence bitmask, so the Vars view — and the memory accounting core
+// computes from it — matches the interpreted map exactly.
 type {{.GlobalsType}} struct {
 	set {{maskType (len .P.Globals)}}
 {{range .P.Globals}}	{{field .}} {{goType .Kind}}
 {{end}}}
 
 {{template "bits" store (print .GlobalsType ".set") .GlobalsPrefix .P.Globals}}
-func (g *{{.GlobalsType}}) reset() { *g = {{.GlobalsType}}{} }
+// Reset clears every variable.
+func (g *{{.GlobalsType}}) Reset() { *g = {{.GlobalsType}}{} }
 
-// vars materializes the map view (cold path: tooling and tests).
-func (g *{{.GlobalsType}}) vars() core.Vars {
+// Vars materializes the map view (cold path: tooling and tests).
+func (g *{{.GlobalsType}}) Vars() core.Vars {
 	v := make(core.Vars)
 {{template "view" $g}}	return v
-}
-
-// footprint mirrors core.varsFootprint over the present keys.
-func (g *{{.GlobalsType}}) footprint() int {
-	total := 0
-{{template "footprint" $g}}	return total
 }
 {{end}}{{end}}
 
@@ -179,9 +164,8 @@ func (g *{{.GlobalsType}}) footprint() int {
 // {{$typ}} is the compiled form of
 // {{specNames .F.Members}}:
 // the l.* vector as struct fields (presence bits in machBase.set feed
-// the Vars view and the memory accounting). Field zero values mirror
-// the interpreted read-of-an-absent-key semantics, so guards read
-// fields directly.
+// the Vars view). Field zero values mirror the interpreted
+// read-of-an-absent-key semantics, so guards read fields directly.
 type {{$typ}} struct {
 	machBase
 {{range .F.Locals}}	{{field .}} {{goType .Kind}}
@@ -208,12 +192,6 @@ func (m *{{$typ}}) Reset() {
 func (m *{{$typ}}) Vars() core.Vars {
 	v := make(core.Vars)
 {{template "view" $m}}	return v
-}
-
-// varsFootprint mirrors core.varsFootprint over the present keys.
-func (m *{{$typ}}) varsFootprint() int {
-	total := 0
-{{template "footprint" $m}}	return total
 }
 {{range views .F}}
 // {{.Name}} reads the specification's {{.Name}} view.

@@ -13,17 +13,18 @@
 //	args_gen.go      the typed event vectors with their core.TypedArgs
 //	                 accessors, the δ events, and SysGlobals
 //	<family>_gen.go  the machine struct (fields, presence bits, Reset,
-//	                 Vars, varsFootprint, view accessors), Step, one
+//	                 Vars, view accessors), Step, one
 //	                 function per distinct guard and action node, and
 //	                 the dispatch switches
 //
 // What stays handwritten in internal/idsgen names no state, variable,
 // event or guard: runtime.go (table types, lookups, the machine
-// shell), system.go (the δ-FIFO CallSystem and the constructors) and
-// reconstruct.go. A second output, internal/idsgen/probe_gen_test.go,
-// compiles internal/core/irtest's fixture machine — one transition per
-// IR primitive — so a package test can hold the emitter to the
-// evaluator primitive by primitive.
+// shell), system.go (the constructors, which hand the machines to
+// core.System, the one δ-FIFO runtime) and reconstruct.go. A second
+// output, internal/idsgen/probe_gen_test.go, compiles
+// internal/core/irtest's fixture machine — one transition per IR
+// primitive — so a package test can hold the emitter to the evaluator
+// primitive by primitive.
 //
 // Usage:
 //

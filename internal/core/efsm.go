@@ -628,7 +628,7 @@ type StepResult struct {
 // signals a specification deviation, ErrNondeterministic a broken
 // spec.
 //
-//vids:noalloc interpreted EFSM step — reference-backend hot path behind the core.Stepper seam
+//vids:noalloc interpreted EFSM step — the reference backend's hot path, dispatched by core.System
 func (m *Machine) Step(e Event) (StepResult, error) {
 	byEvent := m.spec.transitions[m.state]
 	candidates := byEvent[e.Name]

@@ -1,16 +1,61 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 )
+
+// ErrUnknownMachine reports a delivery to a machine the System does
+// not run: a wiring bug, never a property of the traffic.
+var ErrUnknownMachine = errors.New("core: unknown machine")
+
+// MachineLike is the behavioral surface of one running EFSM instance,
+// implemented both by the interpreted Machine and by the compiled
+// machines of internal/idsgen. A System holds its members behind it,
+// so one δ-FIFO runtime runs either backend; everything here is either
+// cold-path introspection or the Step hot path, which both backends
+// keep allocation-free.
+type MachineLike interface {
+	Name() string
+	State() State
+	// Vars exposes the local variable vector. The interpreted machine
+	// returns its live store; a compiled machine materializes an
+	// equivalent map on demand (cold path — tooling and tests only).
+	Vars() Vars
+	Steps() uint64
+	InAttack() bool
+	InFinal() bool
+	Step(e Event) (StepResult, error)
+	Reset()
+	SetCoverage(obs CoverageObserver)
+}
+
+// Store is a System's shared g.* variable store: a Vars map for the
+// interpreted backend, a generated struct (idsgen.SysGlobals) for the
+// compiled one. The members read and write it directly; the System
+// only clears it and reads its map view.
+type Store interface {
+	// Reset clears every variable, keeping allocated capacity.
+	Reset()
+	// Vars is the map view. A Vars store is its own view; a compiled
+	// store materializes one (cold path — tooling and tests only).
+	Vars() Vars
+}
+
+// Reset clears the map, keeping its buckets.
+func (v Vars) Reset() { clear(v) }
+
+// Vars returns v: an interpreted store is its own map view.
+func (v Vars) Vars() Vars { return v }
 
 // System is a set of communicating EFSMs sharing a global variable
 // store, joined by reliable FIFO synchronization queues
 // (paper Figure 2(b)). One System monitors one call.
 type System struct {
-	machines map[string]*Machine
-	order    []string
-	globals  Vars
+	// members in insertion order; a call system has three, so a
+	// linear scan over the cached names beats a map probe.
+	members []member
+	store   Store
 
 	// queue holds pending δ messages in arrival order. The paper
 	// models one FIFO queue per machine pair; a single global FIFO
@@ -33,52 +78,83 @@ type System struct {
 	results []StepResult
 }
 
-// NewSystem creates an empty communicating system.
-//
-//vids:coldpath system construction happens on monitor-pool miss only; steady-state churn recycles monitors
-func NewSystem() *System {
-	return &System{
-		machines: make(map[string]*Machine),
-		globals:  make(Vars),
-	}
+type member struct {
+	name string
+	m    MachineLike
 }
 
-// Globals exposes the shared variable store (v.g_* in the paper).
-func (sys *System) Globals() Vars { return sys.globals }
+// NewSystem creates an empty communicating system over an interpreted
+// store; Add instantiates specs in it.
+func NewSystem() *System {
+	return &System{store: make(Vars)}
+}
+
+// Compose builds a system from machines already wired to the shared
+// store g — the compiled backend's members, whose g.* variables are
+// fields of g. Member names must be distinct; Compose panics on a
+// duplicate, a wiring bug.
+func Compose(g Store, members ...MachineLike) *System {
+	sys := &System{store: g, members: make([]member, 0, len(members))}
+	for _, m := range members {
+		if err := sys.join(m); err != nil {
+			panic(err)
+		}
+	}
+	return sys
+}
+
+// Globals exposes the shared variable store (v.g_* in the paper)
+// through its map view.
+func (sys *System) Globals() Vars { return sys.store.Vars() }
 
 // Add instantiates spec inside the system. Machine names must be
-// unique.
+// unique, and the system must hold an interpreted store (NewSystem).
 func (sys *System) Add(spec *Spec) (*Machine, error) {
-	if _, dup := sys.machines[spec.Name]; dup {
-		return nil, fmt.Errorf("core: duplicate machine %q", spec.Name) //vids:alloc-ok unknown-machine registration is a wiring bug; error path only
+	g, ok := sys.store.(Vars)
+	if !ok {
+		return nil, fmt.Errorf("core: cannot add interpreted machine %q to a system over a compiled store", spec.Name)
 	}
-	m := NewMachine(spec, sys.globals)
-	m.cover = sys.cover
-	sys.machines[spec.Name] = m //vids:alloc-ok one entry per machine, bound at monitor construction
-	sys.order = append(sys.order, spec.Name)
+	m := NewMachine(spec, g)
+	if err := sys.join(m); err != nil {
+		return nil, err
+	}
 	return m, nil
+}
+
+func (sys *System) join(m MachineLike) error {
+	name := m.Name()
+	if _, dup := sys.Find(name); dup {
+		return fmt.Errorf("core: duplicate machine %q", name)
+	}
+	m.SetCoverage(sys.cover)
+	sys.members = append(sys.members, member{name: name, m: m})
+	return nil
 }
 
 // SetCoverage installs (or, with nil, removes) a coverage observer on
 // every member machine, including machines added later.
 func (sys *System) SetCoverage(obs CoverageObserver) {
 	sys.cover = obs
-	for _, m := range sys.machines {
-		m.cover = obs
+	for _, mb := range sys.members {
+		mb.m.SetCoverage(obs)
 	}
 }
 
-// Machine returns a member machine by name.
-func (sys *System) Machine(name string) (*Machine, bool) {
-	m, ok := sys.machines[name]
-	return m, ok
+// Find returns a member machine by name (ok=false if absent).
+func (sys *System) Find(name string) (MachineLike, bool) {
+	for i := range sys.members {
+		if sys.members[i].name == name {
+			return sys.members[i].m, true
+		}
+	}
+	return nil, false
 }
 
 // Machines lists member machines in insertion order.
-func (sys *System) Machines() []*Machine {
-	out := make([]*Machine, 0, len(sys.order))
-	for _, name := range sys.order {
-		out = append(out, sys.machines[name])
+func (sys *System) Machines() []MachineLike {
+	out := make([]MachineLike, 0, len(sys.members))
+	for _, mb := range sys.members {
+		out = append(out, mb.m)
 	}
 	return out
 }
@@ -107,10 +183,10 @@ func (sys *System) noteBacklog() {
 // all allocated capacity. Monitor pooling (internal/ids) recycles a
 // whole per-call system through this between calls.
 func (sys *System) Reset() {
-	for _, m := range sys.machines {
-		m.Reset()
+	for _, mb := range sys.members {
+		mb.m.Reset() //vids:alloc-ok member dispatch: both backends' Reset clear fields and reslice, keeping capacity
 	}
-	clear(sys.globals)
+	sys.store.Reset() //vids:alloc-ok member dispatch: both stores clear in place
 	sys.queue = sys.queue[:0]
 	sys.qhead = 0
 	sys.maxPending = 0
@@ -133,11 +209,12 @@ func (sys *System) Reset() {
 // path consumes it synchronously; callers that need to retain results
 // must copy them.
 //
-//vids:noalloc interpreted per-packet delivery path behind the core.Stepper seam
+//vids:noalloc per-packet delivery path of every call system, either backend
+//vids:nopanic dispatches attacker-driven events through the call system
 func (sys *System) Deliver(machine string, e Event) ([]StepResult, error) {
-	m, ok := sys.machines[machine]
+	m, ok := sys.Find(machine)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown machine %q", machine) //vids:alloc-ok unknown-machine delivery is a wiring bug; error path only
+		return nil, ErrUnknownMachine
 	}
 	sys.results = sys.results[:0]
 
@@ -145,7 +222,7 @@ func (sys *System) Deliver(machine string, e Event) ([]StepResult, error) {
 		return sys.results, err
 	}
 
-	res, err := m.Step(e)
+	res, err := step(m, e)
 	if err != nil {
 		return sys.results, err
 	}
@@ -164,10 +241,11 @@ func (sys *System) Deliver(machine string, e Event) ([]StepResult, error) {
 // returned slice is reused by the System and valid only until the
 // next Deliver/DeliverSync call.
 //
-//vids:noalloc interpreted timer/sync delivery path behind the core.Stepper seam
+//vids:noalloc timer/sync delivery path of every call system, either backend
+//vids:nopanic dispatches attacker-driven events through the call system
 func (sys *System) DeliverSync(machine string, e Event) ([]StepResult, error) {
-	if _, ok := sys.machines[machine]; !ok {
-		return nil, fmt.Errorf("core: unknown machine %q", machine) //vids:alloc-ok unknown-machine delivery is a wiring bug; error path only
+	if _, ok := sys.Find(machine); !ok {
+		return nil, ErrUnknownMachine
 	}
 	sys.results = sys.results[:0]
 	sys.queue = append(sys.queue, SyncMsg{Target: machine, Event: e})
@@ -176,16 +254,19 @@ func (sys *System) DeliverSync(machine string, e Event) ([]StepResult, error) {
 	return sys.results, err
 }
 
-// drain processes the sync queue to exhaustion in FIFO order.
+// drain processes the sync queue to exhaustion in FIFO order. The
+// cursor starts at 0 and only ever advances, so the >= 0 arm of the
+// loop condition is dead; it states the invariant the queue read
+// depends on.
 func (sys *System) drain() error {
-	for sys.qhead < len(sys.queue) {
+	for sys.qhead >= 0 && sys.qhead < len(sys.queue) {
 		msg := sys.queue[sys.qhead]
 		sys.qhead++
-		m, ok := sys.machines[msg.Target]
+		m, ok := sys.Find(msg.Target)
 		if !ok {
 			continue // emitted to a machine this system doesn't run
 		}
-		res, err := m.Step(msg.Event)
+		res, err := step(m, msg.Event)
 		if err != nil {
 			if err == ErrNoTransition {
 				continue // peer no longer cares; not a deviation
@@ -203,10 +284,17 @@ func (sys *System) drain() error {
 	return nil
 }
 
+// step is the System's one dispatch into a member's Step, whichever
+// backend built it.
+func step(m MachineLike, e Event) (StepResult, error) {
+	//vids:panic-ok member dispatch: every generated Step is a nopanic root of its own
+	return m.Step(e) //vids:alloc-ok member dispatch: Machine.Step and every generated Step are noalloc roots of their own
+}
+
 // InAttack reports whether any member machine sits in an attack state.
 func (sys *System) InAttack() bool {
-	for _, m := range sys.machines {
-		if m.InAttack() {
+	for _, mb := range sys.members {
+		if mb.m.InAttack() {
 			return true
 		}
 	}
@@ -215,25 +303,27 @@ func (sys *System) InAttack() bool {
 
 // AllFinal reports whether every member machine reached a final state.
 func (sys *System) AllFinal() bool {
-	for _, m := range sys.machines {
-		if !m.InFinal() {
+	for _, mb := range sys.members {
+		if !mb.m.InFinal() { //vids:alloc-ok member dispatch: both backends read a flag of the current state
 			return false
 		}
 	}
-	return len(sys.machines) > 0
+	return len(sys.members) > 0
 }
 
 // MemoryFootprint estimates the bytes held by the per-call
 // configuration — the state variables and control states — mirroring
 // the paper's per-call memory accounting (Section 7.3). Spec graphs
-// are shared and excluded.
+// are shared and excluded. A compiled member or store is charged
+// through its map view, so both backends account identically (cold
+// path: the view is materialized).
 func (sys *System) MemoryFootprint() int {
 	total := 0
-	for _, m := range sys.machines {
-		total += len(m.state)
-		total += varsFootprint(m.vars)
+	for _, mb := range sys.members {
+		total += len(mb.m.State())
+		total += varsFootprint(mb.m.Vars())
 	}
-	total += varsFootprint(sys.globals)
+	total += varsFootprint(sys.store.Vars())
 	return total
 }
 

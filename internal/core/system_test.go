@@ -56,7 +56,7 @@ func TestSyncMessageCrossesMachines(t *testing.T) {
 	if results[0].Machine != "ping" || results[1].Machine != "pong" {
 		t.Fatalf("order = %v, %v", results[0].Machine, results[1].Machine)
 	}
-	pong, _ := sys.Machine("pong")
+	pong, _ := sys.Find("pong")
 	if pong.State() != "OPEN" {
 		t.Fatalf("pong state = %q", pong.State())
 	}
@@ -128,11 +128,11 @@ func TestDeliverSyncTimerEvent(t *testing.T) {
 
 func TestDeliverUnknownMachine(t *testing.T) {
 	sys := NewSystem()
-	if _, err := sys.Deliver("ghost", Event{Name: "x"}); err == nil {
-		t.Fatal("unknown machine accepted")
+	if _, err := sys.Deliver("ghost", Event{Name: "x"}); err != ErrUnknownMachine {
+		t.Fatalf("unknown machine: err = %v", err)
 	}
-	if _, err := sys.DeliverSync("ghost", Event{Name: "x"}); err == nil {
-		t.Fatal("unknown machine accepted for sync")
+	if _, err := sys.DeliverSync("ghost", Event{Name: "x"}); err != ErrUnknownMachine {
+		t.Fatalf("unknown machine for sync: err = %v", err)
 	}
 }
 
@@ -160,6 +160,41 @@ func TestEmitToUnknownMachineIgnored(t *testing.T) {
 	}
 }
 
+// storeOf is a Store that is not a Vars map, as a compiled store is
+// not: it counts the resets the System asks of it.
+type storeOf struct {
+	v      Vars
+	resets int
+}
+
+func (s *storeOf) Reset()     { s.resets++; clear(s.v) }
+func (s *storeOf) Vars() Vars { return s.v }
+
+func TestComposeRunsMembersOverForeignStore(t *testing.T) {
+	g := &storeOf{v: make(Vars)}
+	sys := Compose(g, NewMachine(pingSpec(), g.v), NewMachine(pongSpec(), g.v))
+	if _, err := sys.Deliver("ping", Event{Name: "data", Args: map[string]any{"media": "h:1"}}); err != nil {
+		t.Fatal(err)
+	}
+	pong, _ := sys.Find("pong")
+	if pong.State() != "OPEN" || pong.Vars().GetString("l.media") != "h:1" || sys.Globals().GetString("g.media") != "h:1" {
+		t.Fatalf("pong %s, l.media %q, globals %v", pong.State(), pong.Vars().GetString("l.media"), sys.Globals())
+	}
+	sys.Reset()
+	if g.resets != 1 || len(sys.Globals()) != 0 || pong.State() != "INIT" {
+		t.Fatalf("after Reset: %d store resets, globals %v, pong %s", g.resets, sys.Globals(), pong.State())
+	}
+	if _, err := sys.Add(pingSpec()); err == nil {
+		t.Fatal("Add accepted an interpreted machine over a foreign store")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Compose accepted two members named ping")
+		}
+	}()
+	Compose(g, NewMachine(pingSpec(), g.v), NewMachine(pingSpec(), g.v))
+}
+
 func TestSystemFlags(t *testing.T) {
 	sys := newPingPong(t)
 	if sys.InAttack() {
@@ -174,7 +209,7 @@ func TestSystemFlags(t *testing.T) {
 	if !sys.AllFinal() {
 		t.Fatal("both machines final, AllFinal false")
 	}
-	if (&System{machines: map[string]*Machine{}}).AllFinal() {
+	if (&System{}).AllFinal() {
 		t.Fatal("empty system must not be all-final")
 	}
 }

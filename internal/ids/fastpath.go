@@ -49,7 +49,7 @@ func (d *IDS) SetMediaFastpath(h MediaFastpath) { d.fp = h }
 // from here on the cache can absorb in-profile packets itself.
 // d.keyBuf still holds the packet's media key.
 func (d *IDS) armFastpath(mon *CallMonitor, machine string) {
-	m, ok := mon.System.Find(machine) //vids:alloc-ok backend seam: both Stepper backends are independently noalloc-rooted
+	m, ok := mon.System.Find(machine)
 	if !ok {
 		return
 	}

@@ -20,10 +20,11 @@ import (
 // Backend selects how the per-call and cross-call EFSMs execute: the
 // compiled tables of internal/idsgen (generated by cmd/specgen; the
 // default) or the interpreted core.Machine walking the spec graphs.
-// Both implement the core.Stepper/core.MachineLike seam and are
-// alert-multiset equivalent (asserted by the backend parity tests);
-// the interpreted backend remains the executable reference the
-// compiled one is generated from.
+// Both backends' machines implement core.MachineLike, a call's three
+// run inside one core.System either way — the backend only picks which
+// machines it holds — and the two are alert-multiset equivalent
+// (asserted by the backend parity tests); the interpreted backend
+// remains the executable reference the compiled one is generated from.
 type Backend uint8
 
 // Backend values. The zero value is the compiled backend so a
@@ -186,7 +187,7 @@ const (
 // record can never act on (or alert about) the call that now owns it.
 type CallMonitor struct {
 	CallID    string
-	System    core.Stepper
+	System    *core.System
 	SIP       core.MachineLike
 	RTPCaller core.MachineLike
 	RTPCallee core.MachineLike
@@ -225,9 +226,8 @@ type IDS struct {
 	sim *sim.Simulator
 	cfg Config
 
-	sipSpec  *core.Spec
-	rtpSpecs map[string]*core.Spec
-	spamSp   *core.Spec
+	callSpecs []*core.Spec // SystemSpecs: what an interpreted monitor runs
+	spamSp    *core.Spec
 
 	calls      map[string]*CallMonitor
 	mediaIndex map[string]mediaRef
@@ -301,7 +301,7 @@ func New(s *sim.Simulator, cfg Config) *IDS {
 	d := &IDS{
 		sim:        s,
 		cfg:        cfg,
-		sipSpec:    sipSpec(cfg.CrossProtocol),
+		callSpecs:  SystemSpecs(cfg),
 		spamSp:     spamSpec(cfg.RTP),
 		calls:      make(map[string]*CallMonitor),
 		mediaIndex: make(map[string]mediaRef),
@@ -313,10 +313,6 @@ func New(s *sim.Simulator, cfg Config) *IDS {
 	d.wc = newWheelClock(s, d.fire)
 	d.sweepTimer.Kind = timerKindSweep
 	d.fw = NewFloodWatch(s, cfg, func(a Alert) { d.raise(a, nil) })
-	d.rtpSpecs = map[string]*core.Spec{
-		MachineRTPCaller: rtpSpec(MachineRTPCaller, cfg.RTP),
-		MachineRTPCallee: rtpSpec(MachineRTPCallee, cfg.RTP),
-	}
 	return d
 }
 
@@ -744,7 +740,7 @@ func (d *IDS) handleSIP(in *sipInput, pkt *sim.Packet) {
 	// delivering, so RTP routing is ready the moment SDP crosses.
 	d.indexMedia(mon, in)
 
-	results, err := mon.System.Deliver(MachineSIP, ev) //vids:alloc-ok backend seam: both Stepper backends are independently noalloc-rooted
+	results, err := mon.System.Deliver(MachineSIP, ev)
 	d.consumeResults(mon, results, pkt)
 	if d.fp.Invalidate != nil {
 		// Signaling can change what the call's RTP means (BYE, CANCEL,
@@ -767,7 +763,7 @@ func (d *IDS) handleSIP(in *sipInput, pkt *sim.Packet) {
 		}
 	}
 
-	if mon.System.AllFinal() { //vids:alloc-ok backend seam: both Stepper backends are independently noalloc-rooted
+	if mon.System.AllFinal() {
 		d.scheduleEvict(mon)
 	}
 }
@@ -882,7 +878,7 @@ func (d *IDS) handleRTP(p *rtp.Packet, pkt *sim.Packet) {
 	}
 	mon.LastActivity = now
 
-	results, err := mon.System.Deliver(ref.machine, ev) //vids:alloc-ok backend seam: both Stepper backends are independently noalloc-rooted
+	results, err := mon.System.Deliver(ref.machine, ev)
 	d.consumeResults(mon, results, pkt)
 	if err == core.ErrNoTransition {
 		d.deviations++
@@ -930,7 +926,7 @@ func (d *IDS) handleRTCP(p *rtp.RTCP, pkt *sim.Packet) {
 		return
 	}
 	mon.LastActivity = now
-	switch mon.SIP.State() { //vids:alloc-ok backend seam: both Stepper backends are independently noalloc-rooted
+	switch mon.SIP.State() { //vids:alloc-ok backend seam: both backends' machines are independently noalloc-rooted
 	case SIPTeardown, SIPClosed:
 		return // legitimate: the call is ending on the signaling plane too
 	}
@@ -952,10 +948,10 @@ func (d *IDS) handleRTCP(p *rtp.RTCP, pkt *sim.Packet) {
 // if the signaling plane still has the dialog established, the
 // media-plane teardown was injected.
 func (d *IDS) fireRTCPGrace(mon *CallMonitor) {
-	if mon.SIP.InAttack() { //vids:alloc-ok backend seam: both Stepper backends are independently noalloc-rooted
+	if mon.SIP.InAttack() { //vids:alloc-ok backend seam: both backends' machines are independently noalloc-rooted
 		return
 	}
-	switch mon.SIP.State() { //vids:alloc-ok backend seam: both Stepper backends are independently noalloc-rooted
+	switch mon.SIP.State() { //vids:alloc-ok backend seam: both backends' machines are independently noalloc-rooted
 	case SIPTeardown, SIPClosed:
 		return
 	}
@@ -979,7 +975,7 @@ func (d *IDS) handleUnsolicitedRTP(ev core.Event, pkt *sim.Packet, now time.Dura
 		} else {
 			mon = idsgen.NewSpamMachine(d.params)
 		}
-		mon.SetCoverage(d.cover) //vids:alloc-ok backend seam: both Stepper backends are independently noalloc-rooted
+		mon.SetCoverage(d.cover) //vids:alloc-ok backend seam: both backends' machines are independently noalloc-rooted
 		d.spamMons[key] = mon    //vids:alloc-ok one machine per unsolicited stream; swept on idle
 		d.armSweep()
 		d.raise(Alert{
@@ -988,7 +984,7 @@ func (d *IDS) handleUnsolicitedRTP(ev core.Event, pkt *sim.Packet, now time.Dura
 			Detail: "RTP stream with no negotiated session",
 		}, nil)
 	}
-	res, err := mon.Step(ev) //vids:alloc-ok backend seam: both Stepper backends are independently noalloc-rooted
+	res, err := mon.Step(ev) //vids:alloc-ok backend seam: both backends' machines are independently noalloc-rooted
 	if err == nil && res.EnteredAttack {
 		d.raise(Alert{
 			At: now, Type: AlertMediaSpam,
@@ -1009,30 +1005,7 @@ func (d *IDS) newMonitor(callID string, now time.Duration) *CallMonitor {
 		d.monPool[n-1] = nil
 		d.monPool = d.monPool[:n-1]
 	} else {
-		var sys core.Stepper
-		var sipM, caller, callee core.MachineLike
-		if d.cfg.Backend == BackendInterpreted {
-			is := core.NewSystem()
-			sipM, _ = is.Add(d.sipSpec)
-			caller, _ = is.Add(d.rtpSpecs[MachineRTPCaller])
-			callee, _ = is.Add(d.rtpSpecs[MachineRTPCallee])
-			sys = is
-		} else {
-			cs := idsgen.NewCallSystem(d.params)
-			sys, sipM, caller, callee = cs, cs.SIP(), cs.Caller(), cs.Callee()
-		}
-		mon = &CallMonitor{ //vids:alloc-ok monitor-pool miss only; steady-state churn recycles
-			System:    sys,
-			SIP:       sipM,
-			RTPCaller: caller,
-			RTPCallee: callee,
-			raised:    make(map[string]bool), //vids:alloc-ok pool miss only; cleared and reused on recycle
-		}
-		mon.timerTCaller = timerwheel.Timer{Kind: timerKindTCaller, Owner: mon}
-		mon.timerTCallee = timerwheel.Timer{Kind: timerKindTCallee, Owner: mon}
-		mon.rtcpTimer = timerwheel.Timer{Kind: timerKindRTCPGrace, Owner: mon}
-		mon.evictTimer = timerwheel.Timer{Kind: timerKindEvict, Owner: mon}
-		sys.SetCoverage(d.cover) //vids:alloc-ok backend seam: both Stepper backends are independently noalloc-rooted
+		mon = d.buildMonitor()
 	}
 	mon.CallID = d.strings.String(callID)
 	mon.Created = now
@@ -1040,6 +1013,34 @@ func (d *IDS) newMonitor(callID string, now time.Duration) *CallMonitor {
 	d.calls[mon.CallID] = mon //vids:alloc-ok one entry per live call; deleted on eviction
 	delete(d.tombstones, mon.CallID)
 	d.armSweep()
+	return mon
+}
+
+// buildMonitor allocates a monitor record. The backend choice only
+// picks which machines its core.System runs.
+//
+//vids:coldpath monitor-pool miss only; steady-state churn recycles monitors
+func (d *IDS) buildMonitor() *CallMonitor {
+	var sys *core.System
+	if d.cfg.Backend == BackendInterpreted {
+		sys = core.NewSystem()
+		for _, spec := range d.callSpecs {
+			if _, err := sys.Add(spec); err != nil {
+				panic(err) // the three names are distinct constants
+			}
+		}
+	} else {
+		sys = idsgen.NewCallSystem(d.params)
+	}
+	sys.SetCoverage(d.cover)
+	mon := &CallMonitor{System: sys, raised: make(map[string]bool)}
+	mon.SIP, _ = sys.Find(MachineSIP)
+	mon.RTPCaller, _ = sys.Find(MachineRTPCaller)
+	mon.RTPCallee, _ = sys.Find(MachineRTPCallee)
+	mon.timerTCaller = timerwheel.Timer{Kind: timerKindTCaller, Owner: mon}
+	mon.timerTCallee = timerwheel.Timer{Kind: timerKindTCallee, Owner: mon}
+	mon.rtcpTimer = timerwheel.Timer{Kind: timerKindRTCPGrace, Owner: mon}
+	mon.evictTimer = timerwheel.Timer{Kind: timerKindEvict, Owner: mon}
 	return mon
 }
 
@@ -1085,8 +1086,8 @@ func (d *IDS) armTimerT(mon *CallMonitor, machine string) {
 // media after a BYE was tolerated for the grace window; whatever state
 // the machine moves to now decides between clean closure and attack.
 func (d *IDS) fireTimerT(mon *CallMonitor, machine string) {
-	_, _ = mon.System.DeliverSync(machine, evTimerT) //vids:alloc-ok backend seam: both Stepper backends are independently noalloc-rooted
-	if mon.System.AllFinal() {                       //vids:alloc-ok backend seam: both Stepper backends are independently noalloc-rooted
+	_, _ = mon.System.DeliverSync(machine, evTimerT)
+	if mon.System.AllFinal() {
 		d.scheduleEvict(mon)
 	}
 }
@@ -1194,7 +1195,7 @@ func (d *IDS) recycle(mon *CallMonitor) {
 	mon.timerTCallee.Gen = mon.gen
 	mon.rtcpTimer.Gen = mon.gen
 	mon.evictTimer.Gen = mon.gen
-	mon.System.Reset() //vids:alloc-ok backend seam: both Stepper backends are independently noalloc-rooted
+	mon.System.Reset()
 	clear(mon.raised)
 	mon.CallID = ""
 	mon.rtcpSrc, mon.rtcpKey = "", ""
@@ -1323,8 +1324,8 @@ func (d *IDS) MemoryFootprint() int {
 func (mon *CallMonitor) PerCallMemory() int { return mon.System.MemoryFootprint() }
 
 // SystemSpecs returns the communicating per-call triple — the SIP
-// machine and the two RTP direction machines — exactly as newMonitor
-// assembles them into one core.System. Tooling that verifies the
+// machine and the two RTP direction machines — exactly as an
+// interpreted monitor assembles them into one core.System. Tooling that verifies the
 // δ-synchronization contract (internal/speclint) lints this set as a
 // product.
 func SystemSpecs(cfg Config) []*core.Spec {

@@ -317,9 +317,9 @@ var (
 )
 
 // SysGlobals is the compiled form of a system's shared variable
-// store: the g.* variables as struct fields plus a presence bitmask, so
-// the Vars view and the memory accounting match the interpreted map
-// exactly.
+// store (a core.Store): the g.* variables as struct fields plus a
+// presence bitmask, so the Vars view — and the memory accounting core
+// computes from it — matches the interpreted map exactly.
 type SysGlobals struct {
 	set             uint8
 	byeSender       string
@@ -340,10 +340,11 @@ const (
 	sysGlobalsSetCalleeMediaPort
 )
 
-func (g *SysGlobals) reset() { *g = SysGlobals{} }
+// Reset clears every variable.
+func (g *SysGlobals) Reset() { *g = SysGlobals{} }
 
-// vars materializes the map view (cold path: tooling and tests).
-func (g *SysGlobals) vars() core.Vars {
+// Vars materializes the map view (cold path: tooling and tests).
+func (g *SysGlobals) Vars() core.Vars {
 	v := make(core.Vars)
 	if g.set&sysGlobalsSetByeSender != 0 {
 		v.SetString("g.byeSender", g.byeSender)
@@ -364,28 +365,4 @@ func (g *SysGlobals) vars() core.Vars {
 		v.SetInt("g.calleeMediaPort", g.calleeMediaPort)
 	}
 	return v
-}
-
-// footprint mirrors core.varsFootprint over the present keys.
-func (g *SysGlobals) footprint() int {
-	total := 0
-	if g.set&sysGlobalsSetByeSender != 0 {
-		total += len("g.byeSender") + len(g.byeSender)
-	}
-	if g.set&sysGlobalsSetCallerMediaAddr != 0 {
-		total += len("g.callerMediaAddr") + len(g.callerMediaAddr)
-	}
-	if g.set&sysGlobalsSetCallerMediaPort != 0 {
-		total += len("g.callerMediaPort") + 8
-	}
-	if g.set&sysGlobalsSetPayload != 0 {
-		total += len("g.payload") + 8
-	}
-	if g.set&sysGlobalsSetCalleeMediaAddr != 0 {
-		total += len("g.calleeMediaAddr") + len(g.calleeMediaAddr)
-	}
-	if g.set&sysGlobalsSetCalleeMediaPort != 0 {
-		total += len("g.calleeMediaPort") + 8
-	}
-	return total
 }

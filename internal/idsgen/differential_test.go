@@ -293,13 +293,14 @@ func stepBoth(mi, mc core.MachineLike, e core.Event) error {
 	return nil
 }
 
-// systemPair is one call system on both backends. With direct set it
-// steps the addressed member itself (a family walk: the δ a SIP step
-// emits is not delivered); otherwise it goes through Deliver and
+// systemPair is one core.System over interpreted members and one over
+// compiled members (idsgen.NewCallSystem). With direct set it steps
+// the addressed member itself (a family walk: the δ a SIP step emits
+// is not delivered); otherwise it goes through Deliver and
 // DeliverSync, δ FIFO included.
 type systemPair struct {
 	interp   *core.System
-	compiled *idsgen.CallSystem
+	compiled *core.System
 	direct   bool
 	obs      *observers
 }
@@ -334,9 +335,7 @@ func (p *systemPair) apply(o op) error {
 		}
 		ri, ei := deliverI(o.machine, o.event)
 		rc, ec := deliverC(o.machine, o.event)
-		// An unknown member is a wiring error each backend words its own
-		// way; the step sentinels must match exactly.
-		if (ei == nil) != (ec == nil) || (ei != ec && (ei == core.ErrNoTransition || ei == core.ErrNondeterministic)) {
+		if ei != ec { // sentinels only, ErrUnknownMachine included
 			return fmt.Errorf("error: interpreted %v, compiled %v", ei, ec)
 		}
 		if len(ri) != len(rc) {

@@ -50,7 +50,7 @@ func (p *probePair) step(e core.Event) error {
 	if iv, cv := p.interp.Vars(), p.compiled.Vars(); !reflect.DeepEqual(iv, cv) {
 		return fmt.Errorf("vars: interpreted %v, compiled %v", iv, cv)
 	}
-	if cg := p.g.vars(); !reflect.DeepEqual(p.globals, cg) {
+	if cg := p.g.Vars(); !reflect.DeepEqual(p.globals, cg) {
 		return fmt.Errorf("globals: interpreted %v, compiled %v", p.globals, cg)
 	}
 	return nil
@@ -183,11 +183,12 @@ func TestProbeViewAndReset(t *testing.T) {
 	p.interp.Reset()
 	clear(p.globals)
 	p.compiled.Reset()
-	p.g.reset()
+	p.g.Reset()
 	if err := p.step(probeEvent("set", ProbeArgs{S: "again"}, "map")); err != nil {
 		t.Fatalf("after Reset: %v", err)
 	}
-	if p.compiled.varsFootprint() == 0 || p.g.footprint() == 0 {
-		t.Fatal("footprint of a populated machine is zero")
+	fi := core.Compose(p.globals, p.interp).MemoryFootprint()
+	if fc := core.Compose(p.g, p.compiled).MemoryFootprint(); fi == 0 || fi != fc {
+		t.Fatalf("footprint of a populated machine: interpreted %d, compiled %d", fi, fc)
 	}
 }

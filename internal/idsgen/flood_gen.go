@@ -12,9 +12,8 @@ import (
 // FloodMachine is the compiled form of
 // invite-flood, response-flood:
 // the l.* vector as struct fields (presence bits in machBase.set feed
-// the Vars view and the memory accounting). Field zero values mirror
-// the interpreted read-of-an-absent-key semantics, so guards read
-// fields directly.
+// the Vars view). Field zero values mirror the interpreted
+// read-of-an-absent-key semantics, so guards read fields directly.
 type FloodMachine struct {
 	machBase
 	dest  string
@@ -51,18 +50,6 @@ func (m *FloodMachine) Vars() core.Vars {
 		v.SetInt("l.count", m.count)
 	}
 	return v
-}
-
-// varsFootprint mirrors core.varsFootprint over the present keys.
-func (m *FloodMachine) varsFootprint() int {
-	total := 0
-	if m.set&floodSetDest != 0 {
-		total += len("l.dest") + len(m.dest)
-	}
-	if m.set&floodSetCount != 0 {
-		total += len("l.count") + 8
-	}
-	return total
 }
 
 // Step replicates core.Machine.Step over the compiled tables: walk the

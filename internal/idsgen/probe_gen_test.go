@@ -269,9 +269,9 @@ var (
 )
 
 // probeGlobals is the compiled form of a system's shared variable
-// store: the g.* variables as struct fields plus a presence bitmask, so
-// the Vars view and the memory accounting match the interpreted map
-// exactly.
+// store (a core.Store): the g.* variables as struct fields plus a
+// presence bitmask, so the Vars view — and the memory accounting core
+// computes from it — matches the interpreted map exactly.
 type probeGlobals struct {
 	set uint8
 	int int
@@ -284,10 +284,11 @@ const (
 	probeGlobalsSetStr
 )
 
-func (g *probeGlobals) reset() { *g = probeGlobals{} }
+// Reset clears every variable.
+func (g *probeGlobals) Reset() { *g = probeGlobals{} }
 
-// vars materializes the map view (cold path: tooling and tests).
-func (g *probeGlobals) vars() core.Vars {
+// Vars materializes the map view (cold path: tooling and tests).
+func (g *probeGlobals) Vars() core.Vars {
 	v := make(core.Vars)
 	if g.set&probeGlobalsSetInt != 0 {
 		v.SetInt("g.int", g.int)
@@ -298,24 +299,11 @@ func (g *probeGlobals) vars() core.Vars {
 	return v
 }
 
-// footprint mirrors core.varsFootprint over the present keys.
-func (g *probeGlobals) footprint() int {
-	total := 0
-	if g.set&probeGlobalsSetInt != 0 {
-		total += len("g.int") + 8
-	}
-	if g.set&probeGlobalsSetStr != 0 {
-		total += len("g.str") + len(g.str)
-	}
-	return total
-}
-
 // ProbeMachine is the compiled form of
 // ir-probe:
 // the l.* vector as struct fields (presence bits in machBase.set feed
-// the Vars view and the memory accounting). Field zero values mirror
-// the interpreted read-of-an-absent-key semantics, so guards read
-// fields directly.
+// the Vars view). Field zero values mirror the interpreted
+// read-of-an-absent-key semantics, so guards read fields directly.
 type ProbeMachine struct {
 	machBase
 	str   string
@@ -389,33 +377,6 @@ func (m *ProbeMachine) Vars() core.Vars {
 		v.SetBool("l.flag", m.flag)
 	}
 	return v
-}
-
-// varsFootprint mirrors core.varsFootprint over the present keys.
-func (m *ProbeMachine) varsFootprint() int {
-	total := 0
-	if m.set&probeSetStr != 0 {
-		total += len("l.str") + len(m.str)
-	}
-	if m.set&probeSetDur != 0 {
-		total += len("l.dur") + 8
-	}
-	if m.set&probeSetInt != 0 {
-		total += len("l.int") + 8
-	}
-	if m.set&probeSetU32 != 0 {
-		total += len("l.u32") + 8
-	}
-	if m.set&probeSetSeq != 0 {
-		total += len("l.seq") + 8
-	}
-	if m.set&probeSetTs != 0 {
-		total += len("l.ts") + 8
-	}
-	if m.set&probeSetFlag != 0 {
-		total += len("l.flag") + 1
-	}
-	return total
 }
 
 // Window reads the specification's Window view.

@@ -18,21 +18,19 @@ func ReconstructSpecs() []*core.Spec {
 }
 
 func reconstructSpec(t *machTable) *core.Spec {
-	dummyGuard := func(*core.Ctx) bool { return true }
-	dummyAction := func(*core.Ctx) {}
 	s := core.NewSpec(t.name, t.states[t.initial])
 	for si, from := range t.states {
 		for ei, event := range t.events {
 			for _, tr := range t.cell(uint8(si), ei) {
-				g := (func(*core.Ctx) bool)(nil)
+				var guard *core.Expr
 				if tr.guarded {
-					g = dummyGuard
+					guard = core.Lit(true)
 				}
-				do := (func(*core.Ctx))(nil)
+				var do *core.Block
 				if tr.action {
-					do = dummyAction
+					do = core.Do()
 				}
-				s.OnLabeled(tr.label, from, event, g, do, t.states[tr.to])
+				s.WhenLabeled(tr.label, from, event, guard, do, t.states[tr.to])
 			}
 		}
 	}

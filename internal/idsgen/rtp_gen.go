@@ -14,9 +14,8 @@ import (
 // RTPMachine is the compiled form of
 // rtp-caller, rtp-callee:
 // the l.* vector as struct fields (presence bits in machBase.set feed
-// the Vars view and the memory accounting). Field zero values mirror
-// the interpreted read-of-an-absent-key semantics, so guards read
-// fields directly.
+// the Vars view). Field zero values mirror the interpreted
+// read-of-an-absent-key semantics, so guards read fields directly.
 type RTPMachine struct {
 	machBase
 	party    string
@@ -99,39 +98,6 @@ func (m *RTPMachine) Vars() core.Vars {
 		v.SetBool("l.started", m.started)
 	}
 	return v
-}
-
-// varsFootprint mirrors core.varsFootprint over the present keys.
-func (m *RTPMachine) varsFootprint() int {
-	total := 0
-	if m.set&rtpSetParty != 0 {
-		total += len("l.party") + len(m.party)
-	}
-	if m.set&rtpSetSrc != 0 {
-		total += len("l.src") + len(m.src)
-	}
-	if m.set&rtpSetPayload != 0 {
-		total += len("l.payload") + 8
-	}
-	if m.set&rtpSetWinStart != 0 {
-		total += len("l.winStart") + 8
-	}
-	if m.set&rtpSetWinCount != 0 {
-		total += len("l.winCount") + 8
-	}
-	if m.set&rtpSetSsrc != 0 {
-		total += len("l.ssrc") + 8
-	}
-	if m.set&rtpSetSeq != 0 {
-		total += len("l.seq") + 8
-	}
-	if m.set&rtpSetTs != 0 {
-		total += len("l.ts") + 8
-	}
-	if m.set&rtpSetStarted != 0 {
-		total += len("l.started") + 1
-	}
-	return total
 }
 
 // Payload reads the specification's Payload view.

@@ -12,9 +12,8 @@ import (
 // SIPMachine is the compiled form of
 // sip:
 // the l.* vector as struct fields (presence bits in machBase.set feed
-// the Vars view and the memory accounting). Field zero values mirror
-// the interpreted read-of-an-absent-key semantics, so guards read
-// fields directly.
+// the Vars view). Field zero values mirror the interpreted
+// read-of-an-absent-key semantics, so guards read fields directly.
 type SIPMachine struct {
 	machBase
 	callerContact string
@@ -90,36 +89,6 @@ func (m *SIPMachine) Vars() core.Vars {
 		v.SetString("l.to", m.to)
 	}
 	return v
-}
-
-// varsFootprint mirrors core.varsFootprint over the present keys.
-func (m *SIPMachine) varsFootprint() int {
-	total := 0
-	if m.set&sipSetCallerContact != 0 {
-		total += len("l.callerContact") + len(m.callerContact)
-	}
-	if m.set&sipSetFromTag != 0 {
-		total += len("l.fromTag") + len(m.fromTag)
-	}
-	if m.set&sipSetCalleeContact != 0 {
-		total += len("l.calleeContact") + len(m.calleeContact)
-	}
-	if m.set&sipSetToTag != 0 {
-		total += len("l.toTag") + len(m.toTag)
-	}
-	if m.set&sipSetInviteSrc != 0 {
-		total += len("l.inviteSrc") + len(m.inviteSrc)
-	}
-	if m.set&sipSetCallID != 0 {
-		total += len("l.callID") + len(m.callID)
-	}
-	if m.set&sipSetFrom != 0 {
-		total += len("l.from") + len(m.from)
-	}
-	if m.set&sipSetTo != 0 {
-		total += len("l.to") + len(m.to)
-	}
-	return total
 }
 
 // Step replicates core.Machine.Step over the compiled tables: walk the

@@ -13,9 +13,8 @@ import (
 // SpamMachine is the compiled form of
 // rtp-spam:
 // the l.* vector as struct fields (presence bits in machBase.set feed
-// the Vars view and the memory accounting). Field zero values mirror
-// the interpreted read-of-an-absent-key semantics, so guards read
-// fields directly.
+// the Vars view). Field zero values mirror the interpreted
+// read-of-an-absent-key semantics, so guards read fields directly.
 type SpamMachine struct {
 	machBase
 	ssrc uint32
@@ -59,21 +58,6 @@ func (m *SpamMachine) Vars() core.Vars {
 		v.SetUint32("l.ts", m.ts)
 	}
 	return v
-}
-
-// varsFootprint mirrors core.varsFootprint over the present keys.
-func (m *SpamMachine) varsFootprint() int {
-	total := 0
-	if m.set&spamSetSsrc != 0 {
-		total += len("l.ssrc") + 8
-	}
-	if m.set&spamSetSeq != 0 {
-		total += len("l.seq") + 8
-	}
-	if m.set&spamSetTs != 0 {
-		total += len("l.ts") + 8
-	}
-	return total
 }
 
 // Step replicates core.Machine.Step over the compiled tables: walk the

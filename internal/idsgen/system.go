@@ -6,17 +6,17 @@
 // guard/action IR the interpreted reference evaluates (*_gen.go; `make
 // specgen`, checked by `specgen -check`). The three handwritten files
 // name no state, variable, event or guard: runtime.go holds the table
-// types and the machine shell, this file the δ-FIFO CallSystem and the
-// constructors, reconstruct.go the table-to-Spec view behind `fsmdump
-// -backend compiled`. The package mirrors core.Machine/core.System
-// exactly — same candidate walk, same δ FIFO discipline, same
-// coverage-callback order — behind the core.MachineLike/core.Stepper
-// seam, so the two backends are interchangeable and held to each other
-// step by step (differential_test.go).
+// types and the machine shell, this file the constructors,
+// reconstruct.go the table-to-Spec view behind `fsmdump -backend
+// compiled`. The machines mirror core.Machine exactly — same candidate
+// walk, same coverage-callback order — behind core.MachineLike, and a
+// call's three machines run inside core.System, the δ-FIFO runtime the
+// interpreted backend uses too, so the two backends are
+// interchangeable and held to each other step by step
+// (differential_test.go).
 package idsgen
 
 import (
-	"fmt"
 	"time"
 
 	"vids/internal/core"
@@ -39,47 +39,21 @@ type Params struct {
 	CrossProtocol bool
 }
 
-// CallSystem is the compiled per-call communicating system: the SIP
-// machine and the two RTP direction machines of Figure 2(b) wired to
-// one shared SysGlobals and one δ FIFO, replicating core.System's
-// delivery discipline (drain pending sync first, tolerate
-// ErrNoTransition on sync events, reuse the result slice) without map
-// lookups or per-call spec interpretation. Members answer to their
-// table's name.
-type CallSystem struct {
-	g SysGlobals
-
-	sip    SIPMachine
-	caller RTPMachine
-	callee RTPMachine
-
-	queue      []core.SyncMsg
-	qhead      int
-	maxPending int
-
-	results []core.StepResult
-}
-
-// Compile-time checks that the compiled implementations satisfy the
-// backend seam.
-var (
-	_ core.Stepper     = (*CallSystem)(nil)
-	_ core.MachineLike = (*SIPMachine)(nil)
-	_ core.MachineLike = (*RTPMachine)(nil)
-	_ core.MachineLike = (*FloodMachine)(nil)
-	_ core.MachineLike = (*SpamMachine)(nil)
-)
-
-// NewCallSystem builds one compiled call monitor system.
-//
-//vids:coldpath system construction happens on monitor-pool miss only; steady-state churn recycles monitors
-func NewCallSystem(p Params) *CallSystem {
-	cs := &CallSystem{}
+// NewCallSystem builds one compiled per-call communicating system: the
+// SIP machine and the two RTP direction machines of Figure 2(b), wired
+// to one shared SysGlobals and handed to core.System, the δ-FIFO
+// runtime both backends share. Members answer to their table's name.
+func NewCallSystem(p Params) *core.System {
+	c := new(struct {
+		g              SysGlobals
+		sip            SIPMachine
+		caller, callee RTPMachine
+	})
 	media := rtpParams{SeqGap: int(p.SeqGap), TSGap: p.TSGap, RateWindow: p.RateWindow, RatePackets: p.RatePackets}
-	cs.sip = SIPMachine{machBase: newBase(&tblSip), g: &cs.g, p: sipParams{CrossProtocol: p.CrossProtocol}}
-	cs.caller = RTPMachine{machBase: newBase(&tblRtpCaller), g: &cs.g, p: media}
-	cs.callee = RTPMachine{machBase: newBase(&tblRtpCallee), g: &cs.g, p: media}
-	return cs
+	c.sip = SIPMachine{machBase: newBase(&tblSip), g: &c.g, p: sipParams{CrossProtocol: p.CrossProtocol}}
+	c.caller = RTPMachine{machBase: newBase(&tblRtpCaller), g: &c.g, p: media}
+	c.callee = RTPMachine{machBase: newBase(&tblRtpCallee), g: &c.g, p: media}
+	return core.Compose(&c.g, &c.sip, &c.caller, &c.callee)
 }
 
 // FloodKind selects which windowed-counter twin a FloodMachine runs:
@@ -112,172 +86,4 @@ func NewFloodMachine(kind FloodKind, n int) *FloodMachine {
 //vids:coldpath spam monitors are created once per unsolicited stream
 func NewSpamMachine(p Params) *SpamMachine {
 	return &SpamMachine{machBase: newBase(&tblRtpSpam), p: spamParams{SeqGap: int(p.SeqGap), TSGap: p.TSGap}}
-}
-
-// SIP exposes the member SIP machine behind the backend seam.
-func (cs *CallSystem) SIP() core.MachineLike { return &cs.sip }
-
-// Caller exposes the caller→callee media machine.
-func (cs *CallSystem) Caller() core.MachineLike { return &cs.caller }
-
-// Callee exposes the callee→caller media machine.
-func (cs *CallSystem) Callee() core.MachineLike { return &cs.callee }
-
-// Globals materializes the shared variable store (cold path).
-func (cs *CallSystem) Globals() core.Vars { return cs.g.vars() }
-
-// Find returns a member machine by name.
-func (cs *CallSystem) Find(machine string) (core.MachineLike, bool) {
-	switch machine {
-	case cs.sip.tbl.name:
-		return &cs.sip, true
-	case cs.caller.tbl.name:
-		return &cs.caller, true
-	case cs.callee.tbl.name:
-		return &cs.callee, true
-	}
-	return nil, false
-}
-
-// stepNamed dispatches one event to the named member machine.
-func (cs *CallSystem) stepNamed(machine string, e core.Event) (core.StepResult, error, bool) {
-	switch machine {
-	case cs.sip.tbl.name:
-		res, err := cs.sip.Step(e)
-		return res, err, true
-	case cs.caller.tbl.name:
-		res, err := cs.caller.Step(e)
-		return res, err, true
-	case cs.callee.tbl.name:
-		res, err := cs.callee.Step(e)
-		return res, err, true
-	}
-	return core.StepResult{}, nil, false
-}
-
-// SetCoverage installs (or, with nil, removes) a coverage observer on
-// every member machine.
-func (cs *CallSystem) SetCoverage(obs core.CoverageObserver) {
-	cs.sip.cover = obs
-	cs.caller.cover = obs
-	cs.callee.cover = obs
-}
-
-// Reset returns every member machine to its initial configuration and
-// clears the globals, FIFO queue and result buffer, keeping capacity.
-func (cs *CallSystem) Reset() {
-	cs.sip.Reset()
-	cs.caller.Reset()
-	cs.callee.Reset()
-	cs.g.reset()
-	cs.queue = cs.queue[:0]
-	cs.qhead = 0
-	cs.maxPending = 0
-	cs.results = cs.results[:0]
-}
-
-// PendingSync reports queued δ messages not yet consumed.
-func (cs *CallSystem) PendingSync() int { return len(cs.queue) - cs.qhead }
-
-// MaxPendingSync reports the δ FIFO's high-water mark since Reset.
-func (cs *CallSystem) MaxPendingSync() int { return cs.maxPending }
-
-// noteBacklog updates the high-water mark after an enqueue.
-func (cs *CallSystem) noteBacklog() {
-	if n := len(cs.queue) - cs.qhead; n > cs.maxPending {
-		cs.maxPending = n
-	}
-}
-
-// Deliver feeds a data-packet event to the named machine under the
-// paper's sync-first priority rule; see core.System.Deliver for the
-// full contract (the returned slice is reused across calls).
-//
-//vids:noalloc compiled per-packet delivery path
-//vids:nopanic dispatches attacker-driven events through the call system
-func (cs *CallSystem) Deliver(machine string, e core.Event) ([]core.StepResult, error) {
-	if _, ok := cs.Find(machine); !ok {
-		return nil, fmt.Errorf("idsgen: unknown machine %q", machine) //vids:alloc-ok unknown-machine delivery is a wiring bug; error path only
-	}
-	cs.results = cs.results[:0]
-
-	if err := cs.drain(); err != nil {
-		return cs.results, err
-	}
-
-	res, err, _ := cs.stepNamed(machine, e)
-	if err != nil {
-		return cs.results, err
-	}
-	cs.results = append(cs.results, res)
-	cs.queue = append(cs.queue, res.Emitted...)
-	cs.noteBacklog()
-
-	if err := cs.drain(); err != nil {
-		return cs.results, err
-	}
-	return cs.results, nil
-}
-
-// DeliverSync injects a sync event directly (timer expiries the IDS
-// schedules on behalf of a machine).
-//
-//vids:noalloc compiled timer/sync delivery path
-//vids:nopanic dispatches attacker-driven events through the call system
-func (cs *CallSystem) DeliverSync(machine string, e core.Event) ([]core.StepResult, error) {
-	if _, ok := cs.Find(machine); !ok {
-		return nil, fmt.Errorf("idsgen: unknown machine %q", machine) //vids:alloc-ok unknown-machine delivery is a wiring bug; error path only
-	}
-	cs.results = cs.results[:0]
-	cs.queue = append(cs.queue, core.SyncMsg{Target: machine, Event: e})
-	cs.noteBacklog()
-	err := cs.drain()
-	return cs.results, err
-}
-
-// drain processes the sync queue to exhaustion in FIFO order. The
-// cursor starts at 0 and only ever advances, so the >= 0 arm of the
-// loop condition is dead; it states the invariant the queue read
-// depends on.
-func (cs *CallSystem) drain() error {
-	for cs.qhead >= 0 && cs.qhead < len(cs.queue) {
-		msg := cs.queue[cs.qhead]
-		cs.qhead++
-		res, err, ok := cs.stepNamed(msg.Target, msg.Event)
-		if !ok {
-			continue // emitted to a machine this system doesn't run
-		}
-		if err != nil {
-			if err == core.ErrNoTransition {
-				continue // peer no longer cares; not a deviation
-			}
-			return err
-		}
-		cs.results = append(cs.results, res)
-		cs.queue = append(cs.queue, res.Emitted...)
-		cs.noteBacklog()
-	}
-	cs.queue = cs.queue[:0]
-	cs.qhead = 0
-	return nil
-}
-
-// InAttack reports whether any member machine sits in an attack state.
-func (cs *CallSystem) InAttack() bool {
-	return cs.sip.InAttack() || cs.caller.InAttack() || cs.callee.InAttack()
-}
-
-// AllFinal reports whether every member machine reached a final state.
-func (cs *CallSystem) AllFinal() bool {
-	return cs.sip.InFinal() && cs.caller.InFinal() && cs.callee.InFinal()
-}
-
-// MemoryFootprint mirrors core.System.MemoryFootprint: control-state
-// plus variable bytes per machine, plus the shared globals.
-func (cs *CallSystem) MemoryFootprint() int {
-	total := len(cs.sip.State()) + cs.sip.varsFootprint()
-	total += len(cs.caller.State()) + cs.caller.varsFootprint()
-	total += len(cs.callee.State()) + cs.callee.varsFootprint()
-	total += cs.g.footprint()
-	return total
 }

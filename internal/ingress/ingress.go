@@ -88,7 +88,8 @@ type lane struct {
 	gone    map[string]time.Duration // Call-ID -> when the sweep forgot it
 	keyBuf  []byte                   // reusable key scratch
 	strings *intern.Table
-	swept   bool // a sweep is scheduled on clock
+	swept   bool   // a sweep is scheduled on clock
+	sweep   func() // the sweep callback, built once in New
 }
 
 // Ingress is the multi-lane ingestion tier. Create instances with New;
@@ -154,6 +155,7 @@ func New(cfg Config) *Ingress {
 			gone:    make(map[string]time.Duration),
 			strings: intern.New(laneTableCap),
 		}
+		l.sweep = func() { ing.sweep(l) }
 		l.fw = ids.NewFloodWatch(l.clock, idsCfg, func(a ids.Alert) {
 			// Runs under l.mu (feeds and clock timers execute only
 			// there); the alert is delivered to the engine after unlock.
@@ -553,36 +555,41 @@ func (ing *Ingress) drain(alerts []ids.Alert) {
 	}
 }
 
-// armSweep schedules the lane's call-table sweep on its clock,
-// mirroring ids eviction and tombstones: calls idle longer than the
-// shard would keep them (IdleEviction + CloseLinger) are dropped, so
-// the table cannot grow without bound under call churn, and forgotten
-// Call-IDs leave tombstones so straggler responses of a closed dialog
-// stay silent instead of feeding the reflection window. Caller holds
-// l.mu.
+// armSweep schedules the lane's call-table sweep on its clock. Caller
+// holds l.mu.
 func (ing *Ingress) armSweep(l *lane) {
 	if l.swept || ing.retain <= 0 {
 		return
 	}
 	l.swept = true
-	l.clock.Schedule(ing.retain/2, func() { //vids:alloc-ok one sweep closure per retain/2 window, not per packet
-		l.swept = false
-		now := l.clock.Now()
-		for id, last := range l.calls {
-			if now-last > ing.retain {
-				delete(l.calls, id)
-				l.gone[id] = now //vids:alloc-ok one tombstone per forgotten call, expired by the next sweep
-			}
+	l.clock.Schedule(ing.retain/2, l.sweep)
+}
+
+// sweep mirrors ids eviction and tombstones: calls idle longer than
+// the shard would keep them (IdleEviction + CloseLinger) are dropped,
+// so the table cannot grow without bound under call churn, and
+// forgotten Call-IDs leave tombstones so straggler responses of a
+// closed dialog stay silent instead of feeding the reflection window.
+// It runs on the lane clock, under l.mu.
+//
+//vids:noalloc the lane's call-table sweep, scheduled from the SIP path once per retain/2 window
+func (ing *Ingress) sweep(l *lane) {
+	l.swept = false
+	now := l.clock.Now()
+	for id, last := range l.calls {
+		if now-last > ing.retain {
+			delete(l.calls, id)
+			l.gone[id] = now //vids:alloc-ok one tombstone per forgotten call, expired by the next sweep
 		}
-		for id, at := range l.gone {
-			if now-at > ing.retain {
-				delete(l.gone, id)
-			}
+	}
+	for id, at := range l.gone {
+		if now-at > ing.retain {
+			delete(l.gone, id)
 		}
-		if len(l.calls)+len(l.gone) > 0 {
-			ing.armSweep(l)
-		}
-	})
+	}
+	if len(l.calls)+len(l.gone) > 0 {
+		ing.armSweep(l)
+	}
 }
 
 // Close drains the tier: every lane's clock runs to completion (open

@@ -2,6 +2,7 @@ package rtp
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -17,6 +18,14 @@ const (
 
 // rtcpHeaderSize is the fixed part of every RTCP packet.
 const rtcpHeaderSize = 4
+
+// RTCP rejections beyond the shared ErrTooShort and ErrVersion, also
+// returned bare.
+var (
+	ErrRTCPLength      = errors.New("rtp: RTCP length field does not fit the packet")
+	ErrTruncatedReport = errors.New("rtp: truncated RTCP report")
+	ErrRTCPType        = errors.New("rtp: unsupported RTCP type")
+)
 
 // ReceptionReport is one reception report block (RFC 3550 §6.4.1).
 type ReceptionReport struct {
@@ -118,19 +127,19 @@ func ParseRTCP(data []byte) (*RTCP, error) {
 //vids:nopanic decodes raw network bytes
 func ParseRTCPInto(p *RTCP, data []byte) error {
 	if len(data) < rtcpHeaderSize+4 {
-		return fmt.Errorf("rtp: RTCP packet too short (%d bytes)", len(data)) //vids:alloc-ok error path: malformed packet aborts processing
+		return ErrTooShort
 	}
-	if v := data[0] >> 6; v != Version {
-		return fmt.Errorf("rtp: unsupported RTCP version %d", v) //vids:alloc-ok error path: malformed packet aborts processing
+	if data[0]>>6 != Version {
+		return ErrVersion
 	}
 	count := int(data[0] & 0x1F)
 	*p = RTCP{Type: data[1], Reports: p.Reports[:0]}
 	wantLen := (int(binary.BigEndian.Uint16(data[2:])) + 1) * 4
 	if wantLen > len(data) {
-		return fmt.Errorf("rtp: RTCP length field %d exceeds packet %d", wantLen, len(data)) //vids:alloc-ok error path: malformed packet aborts processing
+		return ErrRTCPLength
 	}
 	if wantLen < rtcpHeaderSize+4 {
-		return fmt.Errorf("rtp: RTCP length field %d too small", wantLen) //vids:alloc-ok error path: malformed packet aborts processing
+		return ErrRTCPLength
 	}
 	body := data[rtcpHeaderSize:wantLen]
 	p.SSRC = binary.BigEndian.Uint32(body[0:])
@@ -138,7 +147,7 @@ func ParseRTCPInto(p *RTCP, data []byte) error {
 	switch p.Type {
 	case RTCPSenderReport:
 		if len(body) < 24+count*receptionReportSize {
-			return fmt.Errorf("rtp: truncated sender report") //vids:alloc-ok error path: malformed packet aborts processing
+			return ErrTruncatedReport
 		}
 		p.NTPTime = binary.BigEndian.Uint64(body[4:])
 		p.RTPTime = binary.BigEndian.Uint32(body[12:])
@@ -147,21 +156,21 @@ func ParseRTCPInto(p *RTCP, data []byte) error {
 		var ok bool
 		p.Reports, ok = parseReportsInto(p.Reports, body[24:], count)
 		if !ok {
-			return fmt.Errorf("rtp: truncated reception reports") //vids:alloc-ok error path: malformed packet aborts processing
+			return ErrTruncatedReport
 		}
 	case RTCPReceiverReport:
 		if len(body) < 4+count*receptionReportSize {
-			return fmt.Errorf("rtp: truncated receiver report") //vids:alloc-ok error path: malformed packet aborts processing
+			return ErrTruncatedReport
 		}
 		var ok bool
 		p.Reports, ok = parseReportsInto(p.Reports, body[4:], count)
 		if !ok {
-			return fmt.Errorf("rtp: truncated reception reports") //vids:alloc-ok error path: malformed packet aborts processing
+			return ErrTruncatedReport
 		}
 	case RTCPBye:
 		// SSRC already read; additional sources ignored.
 	default:
-		return fmt.Errorf("rtp: unsupported RTCP type %d", p.Type) //vids:alloc-ok error path: malformed packet aborts processing
+		return ErrRTCPType
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ package rtp
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -15,6 +16,15 @@ const Version = 2
 
 // HeaderSize is the fixed RTP header size without CSRC entries.
 const HeaderSize = 12
+
+// The decoders reject malformed datagrams with these sentinels,
+// returned bare: the bytes are attacker-controlled, so a rejection
+// must cost the packet path no allocation.
+var (
+	ErrTooShort      = errors.New("rtp: packet too short")
+	ErrVersion       = errors.New("rtp: unsupported version")
+	ErrTruncatedCSRC = errors.New("rtp: truncated CSRC list")
+)
 
 // Packet is a parsed RTP packet.
 type Packet struct {
@@ -74,14 +84,14 @@ func Parse(data []byte) (*Packet, error) {
 //vids:nopanic decodes raw network bytes
 func ParseInto(p *Packet, data []byte) error {
 	if len(data) < HeaderSize {
-		return fmt.Errorf("rtp: packet too short (%d bytes)", len(data)) //vids:alloc-ok error path: malformed packet aborts processing
+		return ErrTooShort
 	}
-	if v := data[0] >> 6; v != Version {
-		return fmt.Errorf("rtp: unsupported version %d", v) //vids:alloc-ok error path: malformed packet aborts processing
+	if data[0]>>6 != Version {
+		return ErrVersion
 	}
 	cc := int(data[0] & 0x0F)
 	if len(data) < HeaderSize+4*cc {
-		return fmt.Errorf("rtp: truncated CSRC list") //vids:alloc-ok error path: malformed packet aborts processing
+		return ErrTruncatedCSRC
 	}
 	p.Marker = data[1]&0x80 != 0
 	p.PayloadType = data[1] & 0x7F
@@ -116,14 +126,14 @@ func ParseInto(p *Packet, data []byte) error {
 //vids:nopanic decodes raw network bytes
 func ParseHeaderInto(p *Packet, data []byte) error {
 	if len(data) < HeaderSize {
-		return fmt.Errorf("rtp: packet too short (%d bytes)", len(data)) //vids:alloc-ok error path: malformed packet aborts processing
+		return ErrTooShort
 	}
-	if v := data[0] >> 6; v != Version {
-		return fmt.Errorf("rtp: unsupported version %d", v) //vids:alloc-ok error path: malformed packet aborts processing
+	if data[0]>>6 != Version {
+		return ErrVersion
 	}
 	cc := int(data[0] & 0x0F)
 	if len(data) < HeaderSize+4*cc {
-		return fmt.Errorf("rtp: truncated CSRC list") //vids:alloc-ok error path: malformed packet aborts processing
+		return ErrTruncatedCSRC
 	}
 	p.Marker = data[1]&0x80 != 0
 	p.PayloadType = data[1] & 0x7F

@@ -161,3 +161,52 @@ func TestSeqLessWindowProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRejectionsAllocateNothing feeds the scratch decoders every
+// malformed shape they reject: each must return its sentinel and
+// allocate nothing, since the bytes come straight off the wire.
+func TestRejectionsAllocateNothing(t *testing.T) {
+	sr := []byte{0x81, 200, 0x00, 0x06, 0, 0, 0, 1,
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	cases := []struct {
+		name string
+		rtcp bool
+		data []byte
+		want error
+	}{
+		{"rtp short", false, make([]byte, 5), ErrTooShort},
+		{"rtp version", false, []byte{1 << 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, ErrVersion},
+		{"rtp truncated CSRC", false, []byte{Version<<6 | 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, ErrTruncatedCSRC},
+		{"rtcp short", true, []byte{0x80, 200}, ErrTooShort},
+		{"rtcp version", true, []byte{1 << 6, 200, 0, 1, 0, 0, 0, 1}, ErrVersion},
+		{"rtcp length too large", true, []byte{0x80, 200, 0xFF, 0xFF, 0, 0, 0, 1}, ErrRTCPLength},
+		{"rtcp length too small", true, []byte{0x80, 200, 0, 0, 0, 0, 0, 1}, ErrRTCPLength},
+		{"rtcp truncated SR", true, []byte{0x80, 200, 0, 1, 0, 0, 0, 1}, ErrTruncatedReport},
+		{"rtcp SR short of its reports", true, sr, ErrTruncatedReport},
+		{"rtcp truncated RR", true, []byte{0x81, 201, 0, 1, 0, 0, 0, 1}, ErrTruncatedReport},
+		{"rtcp unsupported type", true, []byte{0x80, 204, 0, 1, 0, 0, 0, 1}, ErrRTCPType},
+	}
+	var p Packet
+	var r RTCP
+	for _, c := range cases {
+		var err error
+		parse := func() {
+			if c.rtcp {
+				err = ParseRTCPInto(&r, c.data)
+			} else {
+				err = ParseInto(&p, c.data)
+			}
+		}
+		if n := testing.AllocsPerRun(100, parse); n != 0 || err != c.want {
+			t.Errorf("%s: err %v (want %v), %.0f allocs", c.name, err, c.want, n)
+		}
+		if !c.rtcp {
+			if err := ParseHeaderInto(&p, c.data); err != c.want {
+				t.Errorf("%s: ParseHeaderInto err %v, want %v", c.name, err, c.want)
+			}
+			if n := testing.AllocsPerRun(100, func() { _ = ParseHeaderInto(&p, c.data) }); n != 0 {
+				t.Errorf("%s: ParseHeaderInto %.0f allocs", c.name, n)
+			}
+		}
+	}
+}

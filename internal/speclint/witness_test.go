@@ -34,8 +34,8 @@ func TestDeadlockWitnessReplays(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	ma, _ := sys.Machine("a")
-	mb, _ := sys.Machine("b")
+	ma, _ := sys.Find("a")
+	mb, _ := sys.Find("b")
 	if ma.State() != "S1" || mb.State() != "T0" {
 		t.Fatalf("replay ended in (a=%s, b=%s), want the deadlocked (a=S1, b=T0)", ma.State(), mb.State())
 	}
@@ -74,7 +74,7 @@ func TestUnreachableAttackWitnessReplays(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	ma, _ := sys.Machine("a")
+	ma, _ := sys.Find("a")
 	if ma.State() != "ATTACK" || !ma.InAttack() {
 		t.Fatalf("replay ended with a=%s, want ATTACK", ma.State())
 	}
@@ -316,7 +316,7 @@ func TestLocalWitnessChoosesSatisfiableEdges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	m, _ := sys.Machine("a")
+	m, _ := sys.Find("a")
 	if m.State() != "DONE" {
 		t.Fatalf("replay ended in %s, want DONE", m.State())
 	}
