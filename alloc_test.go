@@ -422,9 +422,10 @@ func TestAllocBudgetIDSProcessSIPView(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetFastpathConsult holds the fast-path hit — the exact
-// call shape the ingress lanes use: render the media key into a stack
-// buffer, consult through the out-param API — to zero allocations.
+// TestAllocBudgetFastpathConsult holds the fast-path hit to zero
+// allocations in both forms: the ingress lanes' consult by the
+// packet's destination, and the text-key consult over a media key
+// rendered into a stack buffer, both through the out-param API.
 func TestAllocBudgetFastpathConsult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -456,14 +457,20 @@ func TestAllocBudgetFastpathConsult(t *testing.T) {
 		seq++
 		ts += 160
 		at += 20 * time.Millisecond
+		if c.ConsultAddr(host, port, 18, 42, seq, ts, at, &res); res.Verdict != fastpath.Hit {
+			t.Fatalf("consult = %v at seq %d, want Hit", res.Verdict, seq)
+		}
+		seq++
+		ts += 160
+		at += 20 * time.Millisecond
 		var buf [96]byte
 		c.ConsultKey(ids.AppendMediaKey(buf[:0], host, port), 18, 42, seq, ts, at, &res)
 		if res.Verdict != fastpath.Hit {
-			t.Fatalf("consult = %v at seq %d, want Hit", res.Verdict, seq)
+			t.Fatalf("text-key consult = %v at seq %d, want Hit", res.Verdict, seq)
 		}
 	})
 	if avg > maxFastpathConsultAllocs {
-		t.Errorf("fastpath consult allocates %.1f/packet, budget %d", avg, maxFastpathConsultAllocs)
+		t.Errorf("fastpath consult allocates %.1f/packet pair, budget %d", avg, maxFastpathConsultAllocs)
 	}
 }
 

@@ -744,16 +744,18 @@ func BenchmarkEngineThroughput(b *testing.B) {
 
 // BenchmarkFastpathLookup measures one armed-flow validation hit —
 // the per-packet price the ingress lanes pay to absorb in-profile
-// media instead of enqueueing it. This is the cost every absorbed RTP
-// packet pays, so it sits in the hot-path suite with the parsers: its
-// allocs/op is pinned at zero in BENCH_hotpath.json and any
-// allocation is a gated regression.
+// media instead of enqueueing it, consulted the way they consult: by
+// the packet's destination, with no key rendered. This is the cost
+// every absorbed RTP packet pays, so it sits in the hot-path suite
+// with the parsers: its allocs/op is pinned at zero in
+// BENCH_hotpath.json and any allocation is a gated regression.
 func BenchmarkFastpathLookup(b *testing.B) {
 	c := fastpath.New(fastpath.Config{
 		SeqGap: 50, TSGap: 8000,
 		RateWindow: time.Second, RatePackets: 1 << 30,
 	})
-	key := []byte("m|ua2.b.example.com|30000")
+	host, port := "ua2.b.example.com", 30000
+	key := ids.AppendMediaKey(nil, host, port)
 	c.Install(key, "bench-call", 0)
 	var res fastpath.Consult
 	c.ConsultKey(key, 18, 42, 0, 0, 0, &res)
@@ -770,7 +772,7 @@ func BenchmarkFastpathLookup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		seq++
 		ts += 160
-		c.ConsultKey(key, 18, 42, seq, ts, time.Duration(i)*20*time.Millisecond, &res)
+		c.ConsultAddr(host, port, 18, 42, seq, ts, time.Duration(i)*20*time.Millisecond, &res)
 		if res.Verdict != fastpath.Hit {
 			b.Fatalf("packet %d: verdict %v, want Hit", i, res.Verdict)
 		}

@@ -48,7 +48,17 @@ type Policy int
 
 const (
 	// Block makes the producer wait for queue space: lossless, the
-	// right policy for trace replay where input pacing is elastic.
+	// right policy for trace replay where input pacing is elastic. It
+	// also holds a producer back per media flow: an escalated RTP packet
+	// whose flow already has an escalated packet queued on the same
+	// shard waits until that packet retires. A flow's escalations then
+	// reach the worker one at a time, and the flow arms on one of them
+	// (fastpath.Cache.Update arms only a flow with one escalation in
+	// flight); a producer far ahead of the worker would otherwise keep
+	// two packets of most flows queued and leave them unarmed. The wait
+	// never touches SIP, unrouted media or a packet another shard holds,
+	// and it is off while DisableFastpath is set: with no arming it would
+	// buy nothing.
 	Block Policy = iota
 	// DropOldest evicts the oldest queued packet to admit the newest,
 	// counting the eviction in the shard's drop counter: the right
@@ -136,6 +146,9 @@ type item struct {
 	fpEpoch   uint64
 	fpSnap    fastpath.Snapshot
 	fpHasSnap bool
+	// fpHeld marks the item holding its flow on this shard (see
+	// Block): the worker lets go of the flow when it retires the item.
+	fpHeld bool
 }
 
 // shard is one detection worker: a bounded ring of pending items
@@ -150,9 +163,13 @@ type item struct {
 // ordering the old per-item channel gave — so the sequential-parity
 // guarantee is untouched.
 type shard struct {
+	idx  int
 	sim  *sim.Simulator
 	ids  *ids.IDS
 	done chan struct{}
+	// holdFlows enables Block's per-flow wait (Block with absorption
+	// on).
+	holdFlows bool
 
 	// parseErrs aliases the engine's parse-error counter: raw SIP
 	// handed over by the ingress tier is parsed here on the worker,
@@ -165,6 +182,8 @@ type shard struct {
 	mu      sync.Mutex
 	ready   *sync.Cond // work arrived, or closing
 	space   *sync.Cond // ring slots freed (Block producers wait here)
+	retired *sync.Cond // held flows let go (Block's per-flow waiters wait here)
+	waiting int        // producers waiting on retired
 	buf     []item     // ring storage, len == QueueDepth
 	head    int        // index of the oldest queued item
 	n       int        // queued count
@@ -248,6 +267,8 @@ func New(cfg Config) *Engine {
 	for i := range e.shards {
 		s := sim.New(int64(i) + 1)
 		sh := &shard{
+			idx:       i,
+			holdFlows: cfg.Policy == Block && !cfg.DisableFastpath,
 			sim:       s,
 			ids:       ids.New(s, cfg.IDS),
 			done:      make(chan struct{}),
@@ -258,6 +279,7 @@ func New(cfg Config) *Engine {
 		}
 		sh.ready = sync.NewCond(&sh.mu)
 		sh.space = sync.NewCond(&sh.mu)
+		sh.retired = sync.NewCond(&sh.mu)
 		sh.ids.OnAlert = func(a ids.Alert) {
 			sh.alerts.Add(1)
 			e.alertCount.Add(1)
@@ -275,11 +297,15 @@ func New(cfg Config) *Engine {
 				// Process, on the worker goroutine.
 				e.fp.Update(key, sh.fpEpoch, payload, snap)
 			}
-			// A producer that runs ahead of the worker keeps several
-			// packets of a flow queued, and Update refuses every arm
-			// until the worker reaches the last of them: skip building
-			// snapshots it would refuse.
-			hooks.Armable = func() bool { return sh.fpFlow != nil && sh.fpFlow.Alone() }
+			if cfg.Policy != Block {
+				// DropOldest and Shed never hold a producer back, so a
+				// producer that runs ahead of the worker keeps several
+				// packets of a flow queued, and Update refuses every arm
+				// until the worker reaches the last of them: skip
+				// building snapshots it would refuse. Under Block the
+				// per-flow wait keeps that backlog from forming.
+				hooks.Armable = func() bool { return sh.fpFlow != nil && sh.fpFlow.Alone() }
+			}
 		}
 		sh.ids.SetMediaFastpath(hooks)
 		e.shards[i] = sh
@@ -308,13 +334,20 @@ func (e *Engine) deliver(a ids.Alert) {
 // one critical section, then — outside the lock — advance the shard
 // clock to each packet's capture time (firing due timers first,
 // exactly as a sequential replay would) and analyze, in ring order.
-// When the shard closes, the worker drains what remains and runs the
-// outstanding timers to completion so grace-window alerts (Figure 5
-// timer T, the RTCP BYE window) still fire.
+// A batch that let go of held flows wakes Block's per-flow waiters at
+// the next pickup. When the shard closes, the worker drains what
+// remains and runs the outstanding timers to completion so
+// grace-window alerts (Figure 5 timer T, the RTCP BYE window) still
+// fire.
 func (sh *shard) run() {
 	defer close(sh.done)
+	unheld := false
 	for {
 		sh.mu.Lock()
+		if unheld && sh.waiting > 0 {
+			sh.retired.Broadcast()
+		}
+		unheld = false
 		for sh.n == 0 && !sh.closing {
 			sh.ready.Wait()
 		}
@@ -369,6 +402,10 @@ func (sh *shard) run() {
 				sh.processed.Add(1)
 			}
 			if it.fpFlow != nil {
+				if it.fpHeld {
+					it.fpFlow.Unhold()
+					unheld = true
+				}
 				it.fpFlow.Release()
 			}
 			if sh.retire != nil {
@@ -385,19 +422,35 @@ func (sh *shard) run() {
 // backpressure policy when the ring is full: Block waits for the
 // worker to detach a batch; DropOldest advances the ring head past
 // the oldest queued item, counting the eviction; Shed sacrifices
-// media before signaling (see the Policy docs). Items the worker has
-// already detached are beyond eviction — the same property the old
-// channel had once a packet was received. Victims are retired outside
-// the queue lock: the retire hook is user code and must never run
-// while producers are parked on the condition variable.
+// media before signaling (see the Policy docs). Under Block an
+// escalated media packet also waits while this shard holds its flow.
+// Items the worker has already detached are beyond eviction — the
+// same property the old channel had once a packet was received.
+// Victims are retired outside the queue lock: the retire hook is user
+// code and must never run while producers are parked on the condition
+// variable.
 func (sh *shard) enqueue(it item, p Policy) {
 	var victim *sim.Packet
 	admitted := true
 	sh.mu.Lock()
 	switch p {
 	case Block:
-		for sh.n == len(sh.buf) {
-			sh.space.Wait()
+		for {
+			if sh.n == len(sh.buf) {
+				sh.space.Wait()
+				continue
+			}
+			if it.fpFlow == nil || !sh.holdFlows {
+				break
+			}
+			admit, held := it.fpFlow.Hold(sh.idx)
+			if admit {
+				it.fpHeld = held
+				break
+			}
+			sh.waiting++
+			sh.retired.Wait()
+			sh.waiting--
 		}
 	case DropOldest:
 		for sh.n == len(sh.buf) {

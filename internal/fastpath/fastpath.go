@@ -29,10 +29,15 @@
 //     its packet was enqueued under and is rejected if the entry has
 //     since been invalidated — a stale arm cannot resurrect a flow a
 //     BYE already disarmed.
-//   - inflight: the number of escalated packets of this flow inside
-//     the shard queue. Arming is refused unless the arming packet is
-//     the only one in flight, so machine variables can never lag
-//     behind queued slow-path packets when absorption starts.
+//   - inflight: the number of escalated packets of this flow between
+//     the consult that escalated them and the worker that retires them.
+//     Arming is refused unless the arming packet is the only one in
+//     flight, so machine variables can never lag behind queued
+//     slow-path packets when absorption starts. The engine's Block
+//     policy keeps it there: a producer does not queue a second
+//     escalation of a flow on the shard already holding one (Hold),
+//     so a producer far ahead of the worker does not keep the flow
+//     unarmed.
 //   - gen: the owning CallMonitor's recycle generation, captured at
 //     arm time and checked before a resync snapshot is applied, tying
 //     cache lifetime to the PR-4 monitor recycle machinery.
@@ -42,9 +47,20 @@
 // the worker applies it to the machine before delivering that packet,
 // so the machine sees exactly the variable evolution it would have
 // computed had it processed every absorbed packet itself.
+//
+// The table is keyed by destination (host, port). The ingress consults
+// it with the packet's own address (ConsultAddr, RouteAddr), so the
+// per-packet path renders no key; the text-key entry points take the
+// "host:port" form ids.AppendMediaKey renders and split it at its last
+// ':' to reach the same entry.
 package fastpath
 
 import (
+	"bytes"
+	"math"
+	"math/bits"
+	"math/rand/v2"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,9 +128,18 @@ type Flow struct {
 	state    atomic.Uint64
 	needSync atomic.Bool
 	inflight atomic.Int64
+	// holder is 1 + the index of the shard whose queue holds this
+	// flow's one held escalation (Hold), or 0 when none does.
+	holder atomic.Int32
 
-	key  string // interned media key; lets the hot-slot probe verify a match
-	hash uint32 // FNV-1a of key, as computed by stripeHash
+	// The destination, and its hash under the cache's seed. Fixed at
+	// Install.
+	host string
+	port int
+	hash uint64
+	// next links the flows whose destinations share a hash, guarded by
+	// the owning stripe's mutex.
+	next *Flow
 
 	// Guarded by the owning stripe's mutex, and written (by Install)
 	// only with byCallMu held as well.
@@ -149,6 +174,36 @@ func (f *Flow) Release() { f.inflight.Add(-1) }
 //vids:noalloc single atomic load per escalated packet
 func (f *Flow) Alone() bool { return f.inflight.Load() == 1 }
 
+// Hold claims the flow for a packet about to be queued on shard, the
+// engine's per-flow backpressure under its Block policy. admit is
+// false while shard's queue already holds an escalation of the flow:
+// the producer waits for the worker to Unhold it, then retries. When
+// another shard holds the flow (an Install re-owned it while its
+// escalation was queued), admit is true and held false: a producer
+// never waits on a packet another shard holds. Otherwise the packet
+// takes the hold, and the worker Unholds it when the packet retires.
+//
+//vids:noalloc atomics only, per escalated packet under Block
+func (f *Flow) Hold(shard int) (admit, held bool) {
+	me := int32(shard) + 1
+	for {
+		switch h := f.holder.Load(); {
+		case h == me:
+			return false, false
+		case h != 0:
+			return true, false
+		case f.holder.CompareAndSwap(0, me):
+			return true, true
+		}
+	}
+}
+
+// Unhold releases the hold a packet took in Hold; the engine calls it
+// when that packet retires.
+//
+//vids:noalloc single atomic store per retired held packet
+func (f *Flow) Unhold() { f.holder.Store(0) }
+
 func (f *Flow) snapshotLocked() Snapshot {
 	return Snapshot{
 		Gen:      f.gen,
@@ -160,35 +215,66 @@ func (f *Flow) snapshotLocked() Snapshot {
 	}
 }
 
-// hotSlots is the per-stripe direct-mapped front cache size. A slot
+// frontSlots is the per-stripe direct-mapped front table size. A slot
 // remembers the last flow probed for its hash bucket so steady-state
-// consults skip the Go map (its second hash, bucket walk) entirely;
-// Install and Remove fix the slots under the stripe lock, and a stale
-// slot can at worst point at a disarmed flow, which escalates.
-const hotSlots = 8
-
-type hotSlot struct {
-	h uint32
-	f *Flow // nil = empty
-}
+// consults skip the map; Install and Remove fix the slots under the
+// stripe lock, and a probe checks the destination's identity before it
+// trusts a slot. With 64 stripes × 256 slots, about 94 % of 1 024
+// armed flows have a slot to themselves.
+const frontSlots = 256
 
 type stripe struct {
-	mu    sync.Mutex
-	flows map[string]*Flow
-	hot   [hotSlots]hotSlot
+	mu sync.Mutex
 	// Outcome tallies, guarded by mu: every consult already holds the
 	// stripe lock when the outcome is known, so these are plain adds,
 	// not atomics. Counters sums them across stripes.
 	hits        uint64
 	misses      uint64
 	escalations uint64
-	// pad keeps neighboring stripes' hot mutexes off one cache line.
-	_ [40]byte
+	// flows maps a destination hash to the flows with that hash,
+	// chained through Flow.next; size counts them.
+	flows map[uint64]*Flow
+	size  int
+	front [frontSlots]*Flow
+	// pad keeps the next stripe's mutex off the last slots' cache line.
+	_ [64]byte
 }
 
-// hotIndex picks the slot for a key hash: the low bits chose the
-// stripe, so the slot uses high bits to stay independent of it.
-func hotIndex(h uint32) uint32 { return (h >> 16) & (hotSlots - 1) }
+// slot is the front slot for a hash: the low bits chose the stripe, so
+// the slot uses high bits to stay independent of it.
+func (st *stripe) slot(h uint64) **Flow { return &st.front[(h>>32)&(frontSlots-1)] }
+
+// findLocked returns the flow at (host, port), whose hash is h, or nil
+// when none is installed there, keeping st's front slot pointed at what
+// it found. Caller holds st.mu.
+func (st *stripe) findLocked(host string, port int, h uint64) *Flow {
+	slot := st.slot(h)
+	if f := *slot; f != nil && f.hash == h && f.port == port && f.host == host {
+		return f
+	}
+	for f := st.flows[h]; f != nil; f = f.next {
+		if f.port == port && f.host == host {
+			*slot = f
+			return f
+		}
+	}
+	return nil
+}
+
+// findBytesLocked is findLocked for a host still in a key buffer.
+func (st *stripe) findBytesLocked(host []byte, port int, h uint64) *Flow {
+	slot := st.slot(h)
+	if f := *slot; f != nil && f.hash == h && f.port == port && f.host == string(host) {
+		return f
+	}
+	for f := st.flows[h]; f != nil; f = f.next {
+		if f.port == port && f.host == string(host) {
+			*slot = f
+			return f
+		}
+	}
+	return nil
+}
 
 // Stats are the cache's lifetime counters, plus the table's size.
 type Stats struct {
@@ -211,8 +297,10 @@ type Stats struct {
 // rejects any cycle with it.
 type Cache struct {
 	cfg     Config
-	stripes []stripe
-	mask    uint32
+	stripes [stripeCount]stripe
+	// seed keys the destination hash, so no one outside the process can
+	// pick destinations that crowd one stripe or one front slot.
+	seed uint64
 
 	// invalidations stays an atomic counter: disarm paths (DisarmCall,
 	// worker-side hooks) run without the stripe lock.
@@ -231,47 +319,147 @@ type Cache struct {
 // New builds a cache for the given thresholds.
 func New(cfg Config) *Cache {
 	c := &Cache{
-		cfg:     cfg,
-		stripes: make([]stripe, stripeCount),
-		mask:    stripeCount - 1,
-		byCall:  make(map[string][]*Flow),
+		cfg:    cfg,
+		seed:   rand.Uint64(),
+		byCall: make(map[string][]*Flow),
 	}
 	for i := range c.stripes {
-		c.stripes[i].flows = make(map[string]*Flow)
+		c.stripes[i].flows = make(map[uint64]*Flow)
 	}
 	return c
 }
 
-//vids:noalloc per-packet stripe selection (FNV-1a over the media key)
-func (c *Cache) stripeHash(key []byte) (*stripe, uint32) {
-	h := uint32(2166136261)
-	for _, b := range key {
-		h = (h ^ uint32(b)) * 16777619
-	}
-	return &c.stripes[h&c.mask], h //vids:panic-ok mask is len(stripes)-1 with len a power of two, both fixed at New
+// Multipliers of the destination hash: odd 64-bit constants with
+// well-spread bits (from wyhash).
+const (
+	mulA = 0xa0761d6478bd642f
+	mulB = 0xe7037ed1a0b428db
+)
+
+// mix folds v into the running hash h: the 128-bit product of h^v and
+// an odd constant, its halves xored. Every bit of h^v reaches the high
+// half, and the running hash starts from the secret seed, so the state
+// after any prefix stays unknown outside the process.
+func mix(h, v uint64) uint64 {
+	hi, lo := bits.Mul64(h^v, mulA)
+	return hi ^ lo
 }
 
-// findLocked returns the flow at key (hash h), or nil when none is
-// installed there, keeping st's hot slot pointed at what it found.
-// Caller holds st.mu.
-func (st *stripe) findLocked(key []byte, h uint32) *Flow {
-	slot := &st.hot[hotIndex(h)] //vids:panic-ok hotIndex masks with hotSlots-1 and hot has exactly hotSlots entries
-	f := slot.f
-	if f == nil || slot.h != h || f.key != string(key) {
-		if f = st.flows[string(key)]; f == nil {
-			return nil
+// hashAddr is the seeded hash of a destination: the host eight bytes
+// at a time, then its tail with its length, then the port.
+//
+//vids:noalloc per-packet destination hash
+func hashAddr(seed uint64, host string, port int) uint64 {
+	h := seed
+	for len(host) >= 8 {
+		h = mix(h, uint64(host[0])|uint64(host[1])<<8|uint64(host[2])<<16|uint64(host[3])<<24|
+			uint64(host[4])<<32|uint64(host[5])<<40|uint64(host[6])<<48|uint64(host[7])<<56)
+		host = host[8:]
+	}
+	tail := uint64(len(host))
+	for i := 0; i < len(host); i++ {
+		tail = tail<<8 | uint64(host[i])
+	}
+	return mix(mix(h, tail), uint64(port)*mulB)
+}
+
+// hashAddrBytes is hashAddr for a host still in a key buffer; it
+// computes the same hash.
+func hashAddrBytes(seed uint64, host []byte, port int) uint64 {
+	h := seed
+	for len(host) >= 8 {
+		h = mix(h, uint64(host[0])|uint64(host[1])<<8|uint64(host[2])<<16|uint64(host[3])<<24|
+			uint64(host[4])<<32|uint64(host[5])<<40|uint64(host[6])<<48|uint64(host[7])<<56)
+		host = host[8:]
+	}
+	tail := uint64(len(host))
+	for i := 0; i < len(host); i++ {
+		tail = tail<<8 | uint64(host[i])
+	}
+	return mix(mix(h, tail), uint64(port)*mulB)
+}
+
+// noPort is the port of a text key with no canonical decimal port
+// after its last ':'. Such a key is all host, so every text still names
+// exactly one destination, and no packet's port is ever noPort.
+const noPort = math.MinInt
+
+// splitKey splits a media key at its last ':' into the destination it
+// names: ids.AppendMediaKey renders (host, port) as "host:port".
+func splitKey(key string) (host string, port int) {
+	if i := strings.LastIndex(key, ":"); i >= 0 {
+		var p portText
+		for j := i + 1; j < len(key); j++ {
+			p.add(key[j])
 		}
-		slot.h, slot.f = h, f
+		if port, ok := p.value(); ok {
+			return key[:i], port
+		}
 	}
-	return f
+	return key, noPort
 }
 
-func (c *Cache) stripeHashString(key string) (*stripe, uint32) {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
+// splitKeyBytes is splitKey over a key buffer.
+func splitKeyBytes(key []byte) (host []byte, port int) {
+	if i := bytes.LastIndexByte(key, ':'); i >= 0 {
+		var p portText
+		for j := i + 1; j < len(key); j++ {
+			p.add(key[j])
+		}
+		if port, ok := p.value(); ok {
+			return key[:i], port
+		}
 	}
-	return &c.stripes[h&c.mask], h
+	return key, noPort
+}
+
+// portText reads a port from its text a byte at a time. It accepts
+// the canonical decimal form strconv.AppendInt writes: an optional
+// '-', then digits with no leading zero (a lone "0" aside), at most 18
+// of them so the value cannot overflow.
+type portText struct {
+	port, digits, n int
+	neg, bad        bool
+}
+
+func (p *portText) add(c byte) {
+	switch {
+	case c == '-' && p.n == 0:
+		p.neg = true
+	case c < '0' || c > '9', p.digits == 1 && p.port == 0, c == '0' && p.digits == 0 && p.neg:
+		p.bad = true
+	default:
+		p.port = p.port*10 + int(c-'0')
+		p.digits++
+	}
+	p.n++
+}
+
+func (p *portText) value() (int, bool) {
+	if p.bad || p.digits == 0 || p.digits > 18 {
+		return 0, false
+	}
+	if p.neg {
+		return -p.port, true
+	}
+	return p.port, true
+}
+
+// stripeFor picks the stripe for a destination hash.
+func (c *Cache) stripeFor(h uint64) *stripe {
+	return &c.stripes[h&(stripeCount-1)]
+}
+
+// stripeAddr hashes a destination and picks its stripe.
+func (c *Cache) stripeAddr(host string, port int) (*stripe, uint64) {
+	h := hashAddr(c.seed, host, port)
+	return c.stripeFor(h), h
+}
+
+// stripeAddrBytes is stripeAddr for a host still in a key buffer.
+func (c *Cache) stripeAddrBytes(host []byte, port int) (*stripe, uint64) {
+	h := hashAddrBytes(c.seed, host, port)
+	return c.stripeFor(h), h
 }
 
 // Consult bundles everything the ingress tier needs to dispose of one
@@ -280,15 +468,15 @@ func (c *Cache) stripeHashString(key string) (*stripe, uint32) {
 // liveness signal.
 type Consult struct {
 	Verdict Verdict
-	// Flow is non-nil whenever ConsultKey found an entry for the key
-	// and did not absorb the packet; its in-flight count was then
-	// incremented and the engine must Release it exactly once.
+	// Flow is non-nil whenever a consult found an entry for the
+	// destination and did not absorb the packet; its in-flight count
+	// was then incremented and the engine must Release it exactly once.
 	Flow    *Flow
 	Epoch   uint64
 	Snap    Snapshot
 	HasSnap bool
 	// ShardIdx is the owning call's shard, mirrored at install time, or
-	// -1 when no flow is installed at the key.
+	// -1 when no flow is installed at the destination.
 	ShardIdx int
 	// Touch is the owning Call-ID on at most one packet per
 	// RefreshEvery per flow, whatever the verdict, and empty otherwise:
@@ -297,44 +485,66 @@ type Consult struct {
 	Touch string
 }
 
-// ConsultKey consults the cache for one RTP packet, writing the
-// ingress-facing bundle into res — shard routing and the Touch signal
-// ride along, so a packet's whole disposition costs one stripe lock and
-// no second table probe. On Hit the packet was absorbed: flow state
-// advanced, nothing to enqueue. On Miss/Escalate the caller enqueues
-// the packet to res.ShardIdx carrying (Flow, Epoch, Snap, HasSnap), or,
-// when no flow is installed, routes it by its own key. Every field
-// except Snap is overwritten; Snap is meaningful only when HasSnap is
-// set.
+// ConsultAddr consults the cache for one RTP packet to host:port,
+// writing the ingress-facing bundle into res — shard routing and the
+// Touch signal ride along, so a packet's whole disposition costs one
+// stripe lock and no second table probe. On Hit the packet was
+// absorbed: flow state advanced, nothing to enqueue. On Miss/Escalate
+// the caller enqueues the packet to res.ShardIdx carrying (Flow, Epoch,
+// Snap, HasSnap), or, when no flow is installed, routes it by its own
+// destination. Every field except Snap is overwritten; Snap is
+// meaningful only when HasSnap is set.
 //
 //vids:noalloc the fast-path hit root: one stripe lock per RTP packet
 //vids:nopanic per-packet consult keyed by attacker-controlled header fields
-func (c *Cache) ConsultKey(key []byte, pt uint8, ssrc uint32, seq uint16, ts uint32, at time.Duration, res *Consult) {
-	st, h := c.stripeHash(key)
+func (c *Cache) ConsultAddr(host string, port int, pt uint8, ssrc uint32, seq uint16, ts uint32, at time.Duration, res *Consult) {
+	st, h := c.stripeAddr(host, port)
 	st.mu.Lock()
-	f := st.findLocked(key, h)
-	if f == nil {
-		st.misses++
-		st.mu.Unlock()
-		res.unrouted()
-		return
-	}
-	c.consultLocked(st, f, pt, ssrc, seq, ts, at, res)
+	c.consultLocked(st, st.findLocked(host, port, h), pt, ssrc, seq, ts, at, res)
 }
 
-// Route is the probe for the media the cache does not validate — RTCP,
-// and RTP whose header the lite extractor cannot read. It writes the
-// flow's shard and the Touch signal into res (Verdict Miss, no Flow:
-// nothing is pinned and no outcome is counted). bye disarms the flow on
-// the way: an RTCP BYE starts the media-plane teardown clock on the
-// worker, and absorption must stop before the worker gets there.
+// ConsultKey is ConsultAddr for the destination a media key names.
+//
+//vids:noalloc the fast-path hit root over a rendered media key
+//vids:nopanic per-packet consult keyed by attacker-controlled header fields
+func (c *Cache) ConsultKey(key []byte, pt uint8, ssrc uint32, seq uint16, ts uint32, at time.Duration, res *Consult) {
+	host, port := splitKeyBytes(key)
+	st, h := c.stripeAddrBytes(host, port)
+	st.mu.Lock()
+	c.consultLocked(st, st.findBytesLocked(host, port, h), pt, ssrc, seq, ts, at, res)
+}
+
+// RouteAddr is the probe for the media the cache does not validate —
+// RTCP, and RTP whose header the lite extractor cannot read — sent to
+// host:port. It writes the flow's shard and the Touch signal into res
+// (Verdict Miss, no Flow: nothing is pinned and no outcome is counted).
+// bye disarms the flow on the way: an RTCP BYE starts the media-plane
+// teardown clock on the worker, and absorption must stop before the
+// worker gets there.
 //
 //vids:noalloc per-datagram route probe on the ingestion path
 //vids:nopanic per-datagram probe keyed by attacker-controlled bytes
-func (c *Cache) Route(key []byte, bye bool, at time.Duration, res *Consult) {
-	st, h := c.stripeHash(key)
+func (c *Cache) RouteAddr(host string, port int, bye bool, at time.Duration, res *Consult) {
+	st, h := c.stripeAddr(host, port)
 	st.mu.Lock()
-	f := st.findLocked(key, h)
+	c.routeFound(st, st.findLocked(host, port, h), bye, at, res)
+}
+
+// Route is RouteAddr for the destination a media key names.
+//
+//vids:noalloc per-datagram route probe over a rendered media key
+//vids:nopanic per-datagram probe keyed by attacker-controlled bytes
+func (c *Cache) Route(key []byte, bye bool, at time.Duration, res *Consult) {
+	host, port := splitKeyBytes(key)
+	st, h := c.stripeAddrBytes(host, port)
+	st.mu.Lock()
+	c.routeFound(st, st.findBytesLocked(host, port, h), bye, at, res)
+}
+
+// routeFound answers a route probe that found f (nil: nothing is
+// installed at the destination). Entered with st.mu held; it unlocks
+// st.mu on every path.
+func (c *Cache) routeFound(st *stripe, f *Flow, bye bool, at time.Duration, res *Consult) {
 	if f == nil {
 		st.mu.Unlock()
 		res.unrouted()
@@ -364,11 +574,18 @@ func (c *Cache) routeLocked(f *Flow, at time.Duration, res *Consult) {
 	}
 }
 
-// consultLocked evaluates the fast-path predicate for f with st.mu
-// held; it unlocks st.mu on every path.
+// consultLocked evaluates the fast-path predicate for f (nil: nothing
+// is installed at the destination) with st.mu held; it unlocks st.mu on
+// every path.
 //
-//vids:noalloc predicate body of ConsultKey, entered with the stripe lock held
+//vids:noalloc predicate body of the consults, entered with the stripe lock held
 func (c *Cache) consultLocked(st *stripe, f *Flow, pt uint8, ssrc uint32, seq uint16, ts uint32, at time.Duration, res *Consult) {
+	if f == nil {
+		st.misses++
+		st.mu.Unlock()
+		res.unrouted()
+		return
+	}
 	c.routeLocked(f, at, res)
 	res.HasSnap = false
 	state := f.state.Load()
@@ -434,9 +651,10 @@ func (c *Cache) consultLocked(st *stripe, f *Flow, pt uint8, ssrc uint32, seq ui
 //vids:noalloc the fast-path arm root, called per clean steady-state packet from the shard worker
 //vids:nopanic runs on the shard worker against attacker-driven flow state
 func (c *Cache) Update(key []byte, epoch uint64, payload uint8, snap Snapshot) bool {
-	st, _ := c.stripeHash(key)
+	host, port := splitKeyBytes(key)
+	st, h := c.stripeAddrBytes(host, port)
 	st.mu.Lock()
-	f := st.flows[string(key)]
+	f := st.findBytesLocked(host, port, h)
 	if f == nil {
 		st.mu.Unlock()
 		return false
@@ -492,20 +710,22 @@ func (c *Cache) disarmFlow(f *Flow, markSync bool) {
 // flow's packets. callID must be an interned/stable string; the cache
 // aliases it. The returned record is stable for the entry's lifetime.
 func (c *Cache) Install(key []byte, callID string, shardIdx int) *Flow {
-	st, h := c.stripeHash(key)
+	host, port := splitKeyBytes(key)
+	st, h := c.stripeAddrBytes(host, port)
 	c.byCallMu.Lock()
 	st.mu.Lock()
-	f := st.flows[string(key)]
+	f := st.findBytesLocked(host, port, h)
 	fresh := f == nil
 	if fresh {
-		ks := string(key)           //vids:alloc-ok interns the key once per flow lifetime
-		f = &Flow{key: ks, hash: h} //vids:alloc-ok one flow record per advertised destination, allocated per SDP observation
+		hs := string(host)                                          //vids:alloc-ok interns the host once per flow lifetime
+		f = &Flow{host: hs, port: port, hash: h, next: st.flows[h]} //vids:alloc-ok one flow record per advertised destination, allocated per SDP observation
 		f.state.Store(1 << 1)
-		st.flows[ks] = f //vids:alloc-ok per-SDP-observation insert
+		st.flows[h] = f //vids:alloc-ok per-SDP-observation insert
+		st.size++
+		*st.slot(h) = f
 	}
 	prevCall := f.callID
 	f.callID, f.shardIdx = callID, shardIdx
-	st.hot[hotIndex(h)] = hotSlot{h: h, f: f}
 	st.mu.Unlock()
 	if !fresh {
 		c.disarmFlow(f, true)
@@ -523,9 +743,10 @@ func (c *Cache) Install(key []byte, callID string, shardIdx int) *Flow {
 // Invalidate invalidates the flow at key (worker-side monitor
 // transition hook: δ events, SDP re-index).
 func (c *Cache) Invalidate(key string) {
-	st, _ := c.stripeHashString(key)
+	host, port := splitKey(key)
+	st, h := c.stripeAddr(host, port)
 	st.mu.Lock()
-	f := st.flows[key]
+	f := st.findLocked(host, port, h)
 	st.mu.Unlock()
 	if f != nil {
 		c.disarmFlow(f, true)
@@ -557,17 +778,38 @@ func (c *Cache) DisarmCall(callID []byte) {
 func (c *Cache) Remove(callID string) {
 	c.byCallMu.Lock()
 	for _, f := range c.byCall[callID] {
-		st := &c.stripes[f.hash&c.mask]
+		st := c.stripeFor(f.hash)
 		st.mu.Lock()
-		delete(st.flows, f.key)
-		if slot := &st.hot[hotIndex(f.hash)]; slot.f == f {
-			slot.f = nil
-		}
+		st.unlinkLocked(f)
 		st.mu.Unlock()
 		c.disarmFlow(f, false)
 	}
 	delete(c.byCall, callID)
 	c.byCallMu.Unlock()
+}
+
+// unlinkLocked takes f out of the stripe's chain for its hash and out
+// of the front table. Caller holds st.mu.
+func (st *stripe) unlinkLocked(f *Flow) {
+	if slot := st.slot(f.hash); *slot == f {
+		*slot = nil
+	}
+	if st.flows[f.hash] == f {
+		if f.next == nil {
+			delete(st.flows, f.hash)
+		} else {
+			st.flows[f.hash] = f.next
+		}
+	} else {
+		for g := st.flows[f.hash]; g != nil; g = g.next {
+			if g.next == f {
+				g.next = f.next
+				break
+			}
+		}
+	}
+	f.next = nil
+	st.size--
 }
 
 func (c *Cache) byCallRemove(callID string, f *Flow) {
@@ -592,9 +834,10 @@ func (c *Cache) byCallRemove(callID string, f *Flow) {
 // media is being absorbed — and therefore never refreshes the
 // monitor's LastActivity — is not evicted as idle.
 func (c *Cache) LastSeen(key string) (time.Duration, bool) {
-	st, _ := c.stripeHashString(key)
+	host, port := splitKey(key)
+	st, h := c.stripeAddr(host, port)
 	st.mu.Lock()
-	f := st.flows[key]
+	f := st.findLocked(host, port, h)
 	if f == nil {
 		st.mu.Unlock()
 		return 0, false
@@ -615,7 +858,7 @@ func (c *Cache) Counters() Stats {
 		st.Hits += s.hits
 		st.Misses += s.misses
 		st.Escalations += s.escalations
-		st.Flows += uint64(len(s.flows))
+		st.Flows += uint64(s.size)
 		s.mu.Unlock()
 	}
 	return st

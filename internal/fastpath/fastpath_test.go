@@ -3,6 +3,7 @@ package fastpath
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -431,5 +432,143 @@ func TestDisarmCallAllocsZero(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("DisarmCall allocated %.1f per op, want 0", allocs)
+	}
+}
+
+// TestFrontSlotChecksIdentity: a destination whose seeded hash lands
+// in an armed flow's stripe and front slot must not borrow the armed
+// flow's entry. Brute-forced with the cache's own seed, the colliding
+// destination is an unrouted Miss while nothing is installed there,
+// and routes to its own shard once something is; the armed flow keeps
+// absorbing throughout.
+func TestFrontSlotChecksIdentity(t *testing.T) {
+	c := New(testConfig())
+	const host, port = "10.0.0.2", 20000
+	key := []byte(fmt.Sprintf("%s:%d", host, port))
+	arm(t, c, key, "call-1")
+	armed := hashAddr(c.seed, host, port)
+	st := c.stripeFor(armed)
+
+	var other string
+	for i := 0; i < 1<<22 && other == ""; i++ {
+		h := fmt.Sprintf("10.%d.%d.%d", i>>16&255, i>>8&255, i&255)
+		if hh := hashAddr(c.seed, h, port); h != host && c.stripeFor(hh) == st && st.slot(hh) == st.slot(armed) {
+			other = h
+		}
+	}
+	if other == "" {
+		t.Fatal("no colliding destination found")
+	}
+	otherKey := []byte(fmt.Sprintf("%s:%d", other, port))
+
+	seq, ts, at := uint16(100), uint32(1600), time.Duration(0)
+	next := func() {
+		seq++
+		ts += 160
+		at += 20 * time.Millisecond
+	}
+	var res Consult
+	for i := 0; i < 3; i++ {
+		next()
+		c.ConsultAddr(other, port, 0, 1, seq, ts, at, &res)
+		if res.Verdict != Miss || res.Flow != nil || res.ShardIdx != -1 {
+			t.Fatalf("ConsultAddr(%s) = %+v, want an unrouted Miss", other, res)
+		}
+		c.ConsultKey(otherKey, 0, 1, seq, ts, at, &res)
+		if res.Verdict != Miss || res.Flow != nil || res.ShardIdx != -1 {
+			t.Fatalf("ConsultKey(%s) = %+v, want an unrouted Miss", otherKey, res)
+		}
+		c.RouteAddr(other, port, false, at, &res)
+		if res.ShardIdx != -1 {
+			t.Fatalf("RouteAddr(%s) routed to shard %d, want -1", other, res.ShardIdx)
+		}
+		if c.ConsultAddr(host, port, 0, 1, seq, ts, at, &res); res.Verdict != Hit {
+			t.Fatalf("armed flow: verdict %v, want Hit", res.Verdict)
+		}
+	}
+
+	c.Install(otherKey, "call-2", 5)
+	for i := 0; i < 3; i++ {
+		next()
+		c.ConsultAddr(other, port, 0, 1, seq, ts, at, &res)
+		if res.Verdict != Miss || res.Flow == nil || res.ShardIdx != 5 {
+			t.Fatalf("installed collider: %+v, want a Miss routed to shard 5", res)
+		}
+		res.Flow.Release()
+		if c.ConsultAddr(host, port, 0, 1, seq, ts, at, &res); res.Verdict != Hit || res.ShardIdx != 0 {
+			t.Fatalf("armed flow beside its collider: %+v, want a Hit on shard 0", res)
+		}
+	}
+	c.Remove("call-2")
+	if c.ConsultAddr(other, port, 0, 1, seq, ts, at, &res); res.ShardIdx != -1 {
+		t.Fatalf("removed collider still routes to shard %d", res.ShardIdx)
+	}
+	if n := c.Counters().Flows; n != 1 {
+		t.Fatalf("flows = %d, want the armed one", n)
+	}
+}
+
+// TestKeyFormsAgree: a rendered "host:port" key and the destination it
+// renders reach the same entry — the text forms split back into the
+// (host, port) the address forms take and hash alike — while text that
+// ids.AppendMediaKey would never render is all host.
+func TestKeyFormsAgree(t *testing.T) {
+	c := New(testConfig())
+	for _, d := range []struct {
+		host string
+		port int
+	}{
+		{"10.0.0.2", 20000}, {"ua2.b.example.com", 30002}, {"::1", 4000},
+		{"h", 0}, {"h", -1}, {"", 7}, {"exactly8", 65535}, {"a-host-name-longer-than-sixteen", 1},
+	} {
+		key := fmt.Sprintf("%s:%d", d.host, d.port)
+		if h, p := splitKey(key); h != d.host || p != d.port {
+			t.Errorf("splitKey(%q) = %q, %d", key, h, p)
+		}
+		if h, p := splitKeyBytes([]byte(key)); string(h) != d.host || p != d.port {
+			t.Errorf("splitKeyBytes(%q) = %q, %d", key, h, p)
+		}
+		if a, b := hashAddr(c.seed, d.host, d.port), hashAddrBytes(c.seed, []byte(d.host), d.port); a != b {
+			t.Errorf("%q: hashAddr %x, hashAddrBytes %x", key, a, b)
+		}
+	}
+	for _, key := range []string{"m|10.0.0.2|20000", "h:", "h:007", "h:-0", "h:+5", "h:5x", "h:-", "h:1234567890123456789"} {
+		if h, p := splitKey(key); h != key || p != noPort {
+			t.Errorf("splitKey(%q) = %q, %d, want the whole key and noPort", key, h, p)
+		}
+		if h, p := splitKeyBytes([]byte(key)); string(h) != key || p != noPort {
+			t.Errorf("splitKeyBytes(%q) = %q, %d, want the whole key and noPort", key, h, p)
+		}
+	}
+	if a, b := hashAddr(c.seed, "10.0.0.2", 20000), hashAddr(New(testConfig()).seed, "10.0.0.2", 20000); a == b {
+		t.Errorf("two caches hash a destination alike (%x): the hash is not seeded", a)
+	}
+}
+
+// TestHoldAdmitsOneHolder races producers for two shards on one flow:
+// at most one packet holds the flow at a time, and every hold is let
+// go.
+func TestHoldAdmitsOneHolder(t *testing.T) {
+	var f Flow
+	var holders atomic.Int32
+	var wg sync.WaitGroup
+	for p := 0; p < 4; p++ {
+		wg.Add(1)
+		go func(shard int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				if _, held := f.Hold(shard); held {
+					if n := holders.Add(1); n != 1 {
+						t.Errorf("%d packets hold the flow", n)
+					}
+					holders.Add(-1)
+					f.Unhold()
+				}
+			}
+		}(p % 2)
+	}
+	wg.Wait()
+	if h := f.holder.Load(); h != 0 {
+		t.Fatalf("holder = %d after every hold was let go", h)
 	}
 }

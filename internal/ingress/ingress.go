@@ -470,26 +470,25 @@ func (ing *Ingress) absorbStray(pkt *sim.Packet, raw []byte, silent bool, at tim
 	return nil
 }
 
-// ingestMedia is the media hot path: one flow-table probe, one stripe
-// lock, no lane lock. An RTP packet is consulted against its flow, and
-// an in-profile packet is absorbed right there: one hit-counter add,
-// buffer back to the pool, done. RTCP, and RTP whose header the lite
-// extractor cannot read, only ask the table for the route (an RTCP BYE
-// disarms the flow on the way). Everything not absorbed goes to the
-// owning call's shard; a destination no SDP advertised hashes by its
-// key, so an unsolicited stream still lands all its packets on one
-// shard's spam monitor.
+// ingestMedia is the media hot path: one flow-table probe by the
+// packet's destination, one stripe lock, no lane lock. An RTP packet is
+// consulted against its flow, and an in-profile packet is absorbed
+// right there: one hit-counter add, buffer back to the pool, done.
+// RTCP, and RTP whose header the lite extractor cannot read, only ask
+// the table for the route (an RTCP BYE disarms the flow on the way).
+// Everything not absorbed goes to the owning call's shard; a
+// destination no SDP advertised hashes by its media key, so an
+// unsolicited stream still lands all its packets on one shard's spam
+// monitor.
 //
 //vids:noalloc the per-datagram media path
 func (ing *Ingress) ingestMedia(pkt *sim.Packet, host string, port int, at time.Duration) error {
-	var kb [96]byte // media keys are "host:port"; hosts are DNS labels, never near 96 bytes
-	key := ids.AppendMediaKey(kb[:0], host, port)
 	raw, _ := pkt.Payload.([]byte) // nil for a structured payload: routed, never consulted
 	var res fastpath.Consult
 	if ssrc, pt, seq, ts, ok := rtp.ExtractLite(raw); ok && pkt.Proto == sim.ProtoRTP {
-		ing.fp.ConsultKey(key, pt, ssrc, seq, ts, at, &res)
+		ing.fp.ConsultAddr(host, port, pt, ssrc, seq, ts, at, &res)
 	} else {
-		ing.fp.Route(key, pkt.Proto == sim.ProtoRTCP && len(raw) >= 2 && raw[1] == rtp.RTCPBye, at, &res)
+		ing.fp.RouteAddr(host, port, pkt.Proto == sim.ProtoRTCP && len(raw) >= 2 && raw[1] == rtp.RTCPBye, at, &res)
 	}
 	// Amortized liveness: media no longer walks the lanes, so once per
 	// refresh interval per flow a packet pays the call-slot refresh.
@@ -502,7 +501,8 @@ func (ing *Ingress) ingestMedia(pkt *sim.Packet, host string, port int, at time.
 
 	shardIdx := res.ShardIdx
 	if shardIdx < 0 {
-		shardIdx = ing.e.ShardIndexForBytes(key)
+		var kb [96]byte // media keys are "host:port"; hosts are DNS labels, never near 96 bytes
+		shardIdx = ing.e.ShardIndexForBytes(ids.AppendMediaKey(kb[:0], host, port))
 	}
 	var err error
 	if res.Flow != nil {
