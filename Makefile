@@ -178,8 +178,11 @@ torture-check:
 	$(GO) run cmd/vids/gen_torture.go
 	git diff --exit-code -- cmd/vids/testdata/torture.jsonl cmd/vids/testdata/via-evasion.jsonl
 
-# ci reproduces .github/workflows/ci.yml locally.
-ci: lint specgen-check torture-check build race alloc-budgets bench-smoke bench-e2e fuzz-smoke speccover
+# ci reproduces .github/workflows/ci.yml locally. Like the workflow, it
+# runs the allocation regression gate (bench-compare) at a fixed 100
+# iterations per benchmark.
+ci: BENCHTIME = 100x
+ci: lint specgen-check torture-check build race alloc-budgets bench-smoke bench-e2e bench-compare fuzz-smoke speccover
 
 # golden regenerates the spec-graph golden files after a reviewed
 # specification change.

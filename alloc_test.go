@@ -245,27 +245,11 @@ func TestAllocBudgetEFSMStepCompiled(t *testing.T) {
 	}
 }
 
-// countingObserver is a minimal core.CoverageObserver: plain counter
-// fields, no maps, so it adds zero allocations of its own and the
-// measurement isolates the hook mechanism in Machine.Step.
-type countingObserver struct {
-	fired, emitted, attacks int
-}
-
-func (o *countingObserver) TransitionFired(machine string, from core.State, event string, to core.State, label string) {
-	o.fired++
-}
-func (o *countingObserver) DeltaEmitted(machine, target, event string) { o.emitted++ }
-func (o *countingObserver) AttackEntered(machine string, state core.State) {
-	o.attacks++
-}
-
 // TestAllocBudgetCoverageHook holds the per-RTP-packet path to the
-// same allocation budget with a coverage observer installed: the
-// Machine.Step hook must not box its string/State parameters, so
-// observing coverage costs an interface call, not an allocation. (The
-// nil-observer case — production — is covered by the other budgets in
-// this file.)
+// same allocation budget with a step tap installed, the hook the
+// spec-coverage tooling records through: handing each StepResult to
+// ids.IDS.OnStep costs a func call, not an allocation. (The nil-tap
+// case — production — is covered by the other budgets in this file.)
 func TestAllocBudgetCoverageHook(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -274,8 +258,8 @@ func TestAllocBudgetCoverageHook(t *testing.T) {
 	cfg := ids.DefaultConfig()
 	cfg.RTP.RatePackets = 1 << 30
 	d := ids.New(s, cfg)
-	obs := &countingObserver{}
-	d.SetCoverage(obs)
+	fired := 0
+	d.OnStep = func(core.StepResult) { fired++ }
 
 	inv := benchInvite()
 	pa := sim.Addr{Host: "proxy.a.example.com", Port: 5060}
@@ -300,7 +284,7 @@ func TestAllocBudgetCoverageHook(t *testing.T) {
 		Proto: sim.ProtoRTP, Size: len(raw), Payload: raw,
 	}
 	seq := uint16(0)
-	before := obs.fired
+	before := fired
 	avg := testing.AllocsPerRun(200, func() {
 		seq++
 		binary.BigEndian.PutUint16(raw[2:], seq)
@@ -308,10 +292,10 @@ func TestAllocBudgetCoverageHook(t *testing.T) {
 		d.Process(pkt)
 	})
 	if avg > maxIDSProcessRTPAllocs {
-		t.Errorf("ids.Process(RTP) with observer allocates %.1f/op, budget %d", avg, maxIDSProcessRTPAllocs)
+		t.Errorf("ids.Process(RTP) with a step tap allocates %.1f/op, budget %d", avg, maxIDSProcessRTPAllocs)
 	}
-	if obs.fired <= before {
-		t.Fatalf("observer saw no transitions (fired=%d)", obs.fired)
+	if fired <= before {
+		t.Fatalf("step tap saw no transitions (fired=%d)", fired)
 	}
 }
 

@@ -64,8 +64,8 @@ type Summary struct {
 	Uncovered   int `json:"uncovered"`
 }
 
-// recorder implements core.CoverageObserver, remembering the first
-// source (scenario or trace name) that fired each transition.
+// recorder is a detector step tap (ids.IDS.OnStep) remembering the
+// first source (scenario or trace name) that fired each transition.
 type recorder struct {
 	source string
 	fired  map[speclint.TransitionKey]string
@@ -75,25 +75,21 @@ func newRecorder() *recorder {
 	return &recorder{fired: make(map[speclint.TransitionKey]string)}
 }
 
-func (r *recorder) TransitionFired(machine string, from core.State, event string, to core.State, label string) {
-	k := speclint.TransitionKey{Machine: machine, From: from, Event: event, To: to, Label: label}
+func (r *recorder) step(res core.StepResult) {
+	k := speclint.TransitionKey{Machine: res.Machine, From: res.From, Event: res.Event, To: res.To, Label: res.Label}
 	if _, ok := r.fired[k]; !ok {
 		r.fired[k] = r.source
 	}
 }
 
-func (r *recorder) DeltaEmitted(machine, target, event string) {}
-
-func (r *recorder) AttackEntered(machine string, state core.State) {}
-
-// runSuite plays every evaluation scenario with the observer
-// installed on the testbed IDS before any traffic flows.
+// runSuite plays every evaluation scenario with the recorder tapping
+// the testbed IDS before any traffic flows.
 func runSuite(seed int64, rec *recorder) error {
 	for _, name := range scenario.Names {
 		rec.source = "scenario:" + name
 		_, err := scenario.Run(name, scenario.Options{
 			Seed:    seed,
-			Prepare: func(tb *workload.Testbed) { tb.IDS.SetCoverage(rec) },
+			Prepare: func(tb *workload.Testbed) { tb.IDS.OnStep = rec.step },
 		})
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w", name, err)
@@ -103,13 +99,13 @@ func runSuite(seed int64, rec *recorder) error {
 }
 
 // replayEntries feeds one synthesized trace into a fresh IDS under
-// the observer — the same path `vids -replay` takes — so a gap trace
+// the recorder — the same path `vids -replay` takes — so a gap trace
 // only counts if it concretely fires transitions.
 func replayEntries(entries []trace.Entry, rec *recorder, source string) error {
 	rec.source = source
 	s := newSim()
 	d := ids.New(s, ids.DefaultConfig())
-	d.SetCoverage(rec)
+	d.OnStep = rec.step
 	if err := trace.Replay(s, entries, d); err != nil {
 		return err
 	}

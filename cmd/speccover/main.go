@@ -1,6 +1,6 @@
 // Command speccover measures specification transition coverage: it
-// runs the real detection machines (ids.Specs) under the
-// core.CoverageObserver hook across the full evaluation scenario
+// runs the real detection machines (ids.Specs) under the detector's
+// step tap (ids.IDS.OnStep) across the full evaluation scenario
 // suite, replays synthesized witness traces for the transitions the
 // suite misses, merges the runtime observations with the static
 // reachability of speclint's bounded product exploration, and emits a

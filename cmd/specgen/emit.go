@@ -180,8 +180,8 @@ type {{.F.Prefix}}Params struct {
 {{end}}}
 {{end}}
 {{template "bits" store (print "machBase.set for " $typ) .F.Prefix .F.Locals}}
-// Reset returns the machine to its pristine configuration; parameters,
-// the coverage observer and buffer capacity survive.
+// Reset returns the machine to its pristine configuration; parameters
+// and buffer capacity survive.
 func (m *{{$typ}}) Reset() {
 	m.reset()
 {{range .F.Locals}}	m.{{field .}} = {{zero .Kind}}
@@ -208,7 +208,7 @@ func (m *{{$typ}}) Set{{.Name}}({{range $i, $v := .Vars}}{{if $i}}, {{end}}{{fie
 // Step replicates core.Machine.Step over the compiled tables: walk the
 // (state, event) cell in spec order, record the unguarded fallback,
 // evaluate every guard (two enabled is the nondeterminism error), run
-// the action, report to the coverage observer in interpreter order.
+// the action, and report the transition as the interpreter does.
 //
 //vids:noalloc compiled {{.F.Prefix}} step — the generated-dispatch hot path
 //vids:nopanic steps on attacker-sequenced events
@@ -261,9 +261,6 @@ func (m *{{$typ}}) Step(e core.Event) (res core.StepResult, err error) {
 	toState := t.stateName(tr.to)
 	moved := from != tr.to
 	enteredAttack := stateFlag(t.attack, tr.to) && moved
-	if m.cover != nil {
-		m.observe(fromState, toState, e.Name, tr.label, {{if .F.Emits}}m.emits{{else}}nil{{end}}, enteredAttack)
-	}
 	res.Machine = t.name
 	res.From = fromState
 	res.To = toState

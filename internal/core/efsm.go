@@ -317,21 +317,6 @@ type SyncMsg struct {
 	Event  Event
 }
 
-// CoverageObserver receives spec-coverage callbacks from Machine.Step:
-// which transition fired (keyed by the spec's Transition fields,
-// including Label), which δ messages its action emitted, and whether
-// it entered an attack state. Observers must not call back into the
-// machine and, if shared across machines, must tolerate the hot
-// path's call frequency; every parameter is a string or State so a
-// conforming observer can record coverage without allocating. A nil
-// observer (the default) costs one predictable branch per step —
-// alloc_test.go pins that the hook adds zero allocations either way.
-type CoverageObserver interface {
-	TransitionFired(machine string, from State, event string, to State, label string)
-	DeltaEmitted(machine, target, event string)
-	AttackEntered(machine string, state State)
-}
-
 // Predicate is P_t(x ∪ v): it must be side-effect free.
 type Predicate func(c *Ctx) bool
 
@@ -545,10 +530,6 @@ type Machine struct {
 	// (δ messages go through Ctx.Emit and the System queue instead).
 	ctx Ctx
 
-	// cover, when non-nil, observes every transition this instance
-	// takes (see CoverageObserver). Left nil in production.
-	cover CoverageObserver
-
 	steps uint64
 }
 
@@ -603,11 +584,6 @@ func (m *Machine) Reset() {
 
 // InAttack reports whether the machine sits in an attack state.
 func (m *Machine) InAttack() bool { return m.spec.IsAttack(m.state) }
-
-// SetCoverage installs (or, with nil, removes) a coverage observer.
-// Reset does not clear it: a pooled machine keeps observing across
-// recycles, which is exactly what the spec-coverage tooling wants.
-func (m *Machine) SetCoverage(obs CoverageObserver) { m.cover = obs }
 
 // StepResult describes one transition. Emitted aliases the machine's
 // reusable emit buffer: it is valid only until that machine's next
@@ -675,15 +651,6 @@ func (m *Machine) Step(e Event) (StepResult, error) {
 	from := m.state
 	m.state = chosen.To
 	m.steps++
-	if m.cover != nil {
-		m.cover.TransitionFired(m.name, from, e.Name, chosen.To, chosen.Label) //vids:alloc-ok coverage observers take word-sized args; TestAllocBudgetCoverageHook holds the budget
-		for i := range ctx.emits {
-			m.cover.DeltaEmitted(m.name, ctx.emits[i].Target, ctx.emits[i].Event.Name) //vids:alloc-ok coverage observers take word-sized args; TestAllocBudgetCoverageHook holds the budget
-		}
-		if m.spec.IsAttack(chosen.To) && from != chosen.To {
-			m.cover.AttackEntered(m.name, chosen.To) //vids:alloc-ok coverage observers take word-sized args; TestAllocBudgetCoverageHook holds the budget
-		}
-	}
 	return StepResult{
 		Machine: m.name,
 		From:    from,

@@ -27,7 +27,6 @@ type MachineLike interface {
 	InFinal() bool
 	Step(e Event) (StepResult, error)
 	Reset()
-	SetCoverage(obs CoverageObserver)
 }
 
 // Store is a System's shared g.* variable store: a Vars map for the
@@ -70,10 +69,6 @@ type System struct {
 	// number of queued-but-undelivered sync messages observed since the
 	// last Reset. speclint's queue-bound witnesses replay against it.
 	maxPending int
-
-	// cover is applied to every member machine (present and future);
-	// see CoverageObserver.
-	cover CoverageObserver
 
 	results []StepResult
 }
@@ -126,18 +121,8 @@ func (sys *System) join(m MachineLike) error {
 	if _, dup := sys.Find(name); dup {
 		return fmt.Errorf("core: duplicate machine %q", name)
 	}
-	m.SetCoverage(sys.cover)
 	sys.members = append(sys.members, member{name: name, m: m})
 	return nil
-}
-
-// SetCoverage installs (or, with nil, removes) a coverage observer on
-// every member machine, including machines added later.
-func (sys *System) SetCoverage(obs CoverageObserver) {
-	sys.cover = obs
-	for _, mb := range sys.members {
-		mb.m.SetCoverage(obs)
-	}
 }
 
 // Find returns a member machine by name (ok=false if absent).

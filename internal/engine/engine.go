@@ -21,11 +21,12 @@
 // response-reflection counter deliberately spread over many Call-IDs,
 // so they run on the ingestion lanes, and every shard is configured
 // with ExternalFloods so its local copies stay silent. What the engine
-// keeps beside the workers is the flow table, whose flows its workers
-// arm, disarm and remove, and the shared alert-and-census plane: the
-// lanes report their alerts through RecordAlert and their dispositions
-// through the Note* counters, so Alerts and Stats cover the whole
-// pipeline. Engine.mu guards only the log of lane-raised alerts.
+// keeps beside the workers is the flow table, whose flows each worker's
+// detector arms, disarms and removes (ids.IDS.Flows), and the shared
+// alert-and-census plane: the lanes report their alerts through
+// RecordAlert and their dispositions through the Note* counters, so
+// Alerts and Stats cover the whole pipeline. Engine.mu guards only the
+// log of lane-raised alerts.
 package engine
 
 import (
@@ -52,13 +53,13 @@ const (
 	// also holds a producer back per media flow: an escalated RTP packet
 	// whose flow already has an escalated packet queued on the same
 	// shard waits until that packet retires. A flow's escalations then
-	// reach the worker one at a time, and the flow arms on one of them
-	// (fastpath.Cache.Update arms only a flow with one escalation in
-	// flight); a producer far ahead of the worker would otherwise keep
-	// two packets of most flows queued and leave them unarmed. The wait
-	// never touches SIP, unrouted media or a packet another shard holds,
-	// and it is off while DisableFastpath is set: with no arming it would
-	// buy nothing.
+	// reach the worker one at a time, and the flow arms on one of them:
+	// under every policy the detector arms a flow only from an escalated
+	// packet that is alone in flight (Flow.Alone), so a producer far
+	// ahead of the worker would otherwise keep two packets of most flows
+	// queued and leave them unarmed. The wait never touches SIP,
+	// unrouted media or a packet another shard holds, and it is off while
+	// DisableFastpath is set: with no arming it would buy nothing.
 	Block Policy = iota
 	// DropOldest evicts the oldest queued packet to admit the newest,
 	// counting the eviction in the shard's drop counter: the right
@@ -167,9 +168,10 @@ type shard struct {
 	sim  *sim.Simulator
 	ids  *ids.IDS
 	done chan struct{}
-	// holdFlows enables Block's per-flow wait (Block with absorption
-	// on).
-	holdFlows bool
+	// absorb is absorption on (DisableFastpath unset): the worker hands
+	// each escalated packet's flow to the detector, which may arm it,
+	// and Block holds a producer back per flow.
+	absorb bool
 
 	// parseErrs aliases the engine's parse-error counter: raw SIP
 	// handed over by the ingress tier is parsed here on the worker,
@@ -189,13 +191,6 @@ type shard struct {
 	n       int        // queued count
 	closing bool
 	batch   []item // worker-owned detach buffer, reused every pickup
-
-	// fpEpoch and fpFlow are the fast-path epoch and flow of the item
-	// the worker is currently processing; the detector's Arm and
-	// Armable hooks close over them. Written and read only on the
-	// worker goroutine.
-	fpEpoch uint64
-	fpFlow  *fastpath.Flow
 
 	queued     atomic.Int64 // mirrors n for lock-free Stats
 	processed  atomic.Uint64
@@ -268,7 +263,7 @@ func New(cfg Config) *Engine {
 		s := sim.New(int64(i) + 1)
 		sh := &shard{
 			idx:       i,
-			holdFlows: cfg.Policy == Block && !cfg.DisableFastpath,
+			absorb:    !cfg.DisableFastpath,
 			sim:       s,
 			ids:       ids.New(s, cfg.IDS),
 			done:      make(chan struct{}),
@@ -285,29 +280,7 @@ func New(cfg Config) *Engine {
 			e.alertCount.Add(1)
 			e.deliver(a)
 		}
-		hooks := ids.MediaFastpath{
-			Invalidate: e.fp.Invalidate,
-			Remove:     e.fp.Remove,
-			Activity:   e.fp.LastSeen,
-		}
-		if !cfg.DisableFastpath {
-			hooks.Arm = func(key []byte, payload uint8, snap fastpath.Snapshot) {
-				// sh.fpEpoch is the epoch of the packet this worker is
-				// processing right now — the Arm hook fires inside
-				// Process, on the worker goroutine.
-				e.fp.Update(key, sh.fpEpoch, payload, snap)
-			}
-			if cfg.Policy != Block {
-				// DropOldest and Shed never hold a producer back, so a
-				// producer that runs ahead of the worker keeps several
-				// packets of a flow queued, and Update refuses every arm
-				// until the worker reaches the last of them: skip
-				// building snapshots it would refuse. Under Block the
-				// per-flow wait keeps that backlog from forming.
-				hooks.Armable = func() bool { return sh.fpFlow != nil && sh.fpFlow.Alone() }
-			}
-		}
-		sh.ids.SetMediaFastpath(hooks)
+		sh.ids.Flows = e.fp
 		e.shards[i] = sh
 		go sh.run()
 	}
@@ -390,15 +363,17 @@ func (sh *shard) run() {
 					sh.parseErrs.Add(1)
 				}
 			default:
-				if it.fpHasSnap {
-					// First packet after a stretch of fast-path
-					// absorption: bring the machine's window variables
-					// up to date before it judges this packet.
-					sh.ids.ResyncMedia(it.pkt.To.Host, it.pkt.To.Port, it.fpSnap)
+				flow := it.fpFlow
+				if !sh.absorb {
+					flow = nil // no arming context: nothing arms
 				}
-				sh.fpEpoch, sh.fpFlow = it.fpEpoch, it.fpFlow
-				sh.ids.Process(it.pkt)
-				sh.fpEpoch, sh.fpFlow = 0, nil
+				// The first packet after a stretch of absorption carries
+				// the window the table absorbed on the machine's behalf.
+				var snap *fastpath.Snapshot
+				if it.fpHasSnap {
+					snap = &it.fpSnap
+				}
+				sh.ids.ProcessMedia(it.pkt, flow, it.fpEpoch, snap)
 				sh.processed.Add(1)
 			}
 			if it.fpFlow != nil {
@@ -422,8 +397,9 @@ func (sh *shard) run() {
 // backpressure policy when the ring is full: Block waits for the
 // worker to detach a batch; DropOldest advances the ring head past
 // the oldest queued item, counting the eviction; Shed sacrifices
-// media before signaling (see the Policy docs). Under Block an
-// escalated media packet also waits while this shard holds its flow.
+// media before signaling (see the Policy docs). Under Block with
+// absorption on, an escalated media packet also waits while this shard
+// holds its flow.
 // Items the worker has already detached are beyond eviction — the
 // same property the old channel had once a packet was received.
 // Victims are retired outside the queue lock: the retire hook is user
@@ -440,7 +416,7 @@ func (sh *shard) enqueue(it item, p Policy) {
 				sh.space.Wait()
 				continue
 			}
-			if it.fpFlow == nil || !sh.holdFlows {
+			if it.fpFlow == nil || !sh.absorb {
 				break
 			}
 			admit, held := it.fpFlow.Hold(sh.idx)

@@ -303,7 +303,7 @@ type Cache struct {
 	seed uint64
 
 	// invalidations stays an atomic counter: disarm paths (DisarmCall,
-	// worker-side hooks) run without the stripe lock.
+	// the detector's Invalidate and Remove) run without the stripe lock.
 	invalidations metrics.Counter
 
 	// byCall maps an owning Call-ID to its flows so the per-SIP-packet
@@ -740,8 +740,9 @@ func (c *Cache) Install(key []byte, callID string, shardIdx int) *Flow {
 	return f
 }
 
-// Invalidate invalidates the flow at key (worker-side monitor
-// transition hook: δ events, SDP re-index).
+// Invalidate invalidates the flow at key. The shard's detector calls
+// it for each flow of a call on every signaling event of the call and
+// when it evicts the call.
 func (c *Cache) Invalidate(key string) {
 	host, port := splitKey(key)
 	st, h := c.stripeAddr(host, port)
@@ -798,7 +799,7 @@ func (st *stripe) unlinkLocked(f *Flow) {
 		if f.next == nil {
 			delete(st.flows, f.hash)
 		} else {
-			st.flows[f.hash] = f.next
+			st.flows[f.hash] = f.next //vids:alloc-ok overwrites a key already present, which never grows the map
 		}
 	} else {
 		for g := st.flows[f.hash]; g != nil; g = g.next {

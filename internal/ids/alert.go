@@ -6,6 +6,12 @@
 // attack transitions and windowed detectors, and an Analysis Engine
 // that raises alerts on specification deviations and attack-state
 // entries.
+//
+// As in the paper's Figure 3, the machines only step: every transition
+// comes back to the detector as the core.StepResult its Step returned,
+// and the detector alone acts on it. IDS.OnStep hands those same
+// results to tooling (spec coverage), and in the sharded pipeline the
+// detector drives the shared media flow table (IDS.Flows) itself.
 package ids
 
 import (

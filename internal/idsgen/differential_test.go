@@ -212,56 +212,32 @@ func compareMachines(mi, mc core.MachineLike) error {
 	return nil
 }
 
-// recorder is a coverage observer that keeps the callbacks of one step
-// in order, so the two backends' callback sequences compare like any
-// other observable.
-type recorder struct{ calls []string }
-
-func (r *recorder) TransitionFired(machine string, from core.State, event string, to core.State, label string) {
-	r.calls = append(r.calls, transitionKey(machine, from, event, to, label))
-}
-func (r *recorder) DeltaEmitted(machine, target, event string) {
-	r.calls = append(r.calls, "delta "+machine+" "+target+" "+event)
-}
-func (r *recorder) AttackEntered(machine string, state core.State) {
-	r.calls = append(r.calls, "attack "+machine+" "+string(state))
+// note records in fired what one taken transition shows — the
+// transition, each δ message it emitted and the attack state it
+// entered — for the test's closing check that the walks were not
+// vacuous.
+func note(fired map[string]bool, res core.StepResult) {
+	fired[transitionKey(res.Machine, res.From, res.Event, res.To, res.Label)] = true
+	for _, m := range res.Emitted {
+		fired["delta "+res.Machine+" "+m.Target+" "+m.Event.Name] = true
+	}
+	if res.EnteredAttack {
+		fired["attack "+res.Machine+" "+string(res.To)] = true
+	}
 }
 
 func transitionKey(machine string, from core.State, event string, to core.State, label string) string {
 	return fmt.Sprintf("fired %s %s -%s-> %s [%s]", machine, from, event, to, label)
 }
 
-// observers is the recorder pair of one subject. fired accumulates
-// every callback any walk saw, for the test's closing check that the
-// walks were not vacuous.
-type observers struct {
-	interp, compiled recorder
-	fired            map[string]bool
-}
-
-func (o *observers) compare() error {
-	ci, cc := o.interp.calls, o.compiled.calls
-	o.interp.calls, o.compiled.calls = ci[:0], cc[:0]
-	if !reflect.DeepEqual(ci, cc) && len(ci)+len(cc) > 0 {
-		return fmt.Errorf("coverage callbacks: interpreted %q, compiled %q", ci, cc)
-	}
-	for _, c := range ci {
-		o.fired[c] = true
-	}
-	return nil
-}
-
 // machinePair is one standalone machine on both backends.
 type machinePair struct {
 	interp, compiled core.MachineLike
-	obs              *observers
+	fired            map[string]bool
 }
 
 func newMachinePair(interp, compiled core.MachineLike, fired map[string]bool) *machinePair {
-	p := &machinePair{interp: interp, compiled: compiled, obs: &observers{fired: fired}}
-	interp.SetCoverage(&p.obs.interp)
-	compiled.SetCoverage(&p.obs.compiled)
-	return p
+	return &machinePair{interp: interp, compiled: compiled, fired: fired}
 }
 
 func (p *machinePair) apply(o op) error {
@@ -270,18 +246,15 @@ func (p *machinePair) apply(o op) error {
 		p.compiled.Reset()
 		return compareMachines(p.interp, p.compiled)
 	}
-	if err := stepBoth(p.interp, p.compiled, o.event); err != nil {
-		return err
-	}
-	if err := p.obs.compare(); err != nil {
+	if err := stepBoth(p.interp, p.compiled, o.event, p.fired); err != nil {
 		return err
 	}
 	return compareMachines(p.interp, p.compiled)
 }
 
-// stepBoth steps one machine on both backends and compares what Step
-// returned.
-func stepBoth(mi, mc core.MachineLike, e core.Event) error {
+// stepBoth steps one machine on both backends, compares what Step
+// returned and notes a taken transition in fired.
+func stepBoth(mi, mc core.MachineLike, e core.Event, fired map[string]bool) error {
 	ri, ei := mi.Step(e)
 	rc, ec := mc.Step(e)
 	if ei != ec { // Step returns its sentinel errors bare on both backends
@@ -289,6 +262,9 @@ func stepBoth(mi, mc core.MachineLike, e core.Event) error {
 	}
 	if !sameResult(ri, rc) {
 		return fmt.Errorf("result: interpreted %+v, compiled %+v", ri, rc)
+	}
+	if ei == nil {
+		note(fired, ri)
 	}
 	return nil
 }
@@ -302,18 +278,16 @@ type systemPair struct {
 	interp   *core.System
 	compiled *core.System
 	direct   bool
-	obs      *observers
+	fired    map[string]bool
 }
 
 func newSystemPair(cfg ids.Config, params idsgen.Params, direct bool, fired map[string]bool) *systemPair {
-	p := &systemPair{interp: core.NewSystem(), compiled: idsgen.NewCallSystem(params), direct: direct, obs: &observers{fired: fired}}
+	p := &systemPair{interp: core.NewSystem(), compiled: idsgen.NewCallSystem(params), direct: direct, fired: fired}
 	for _, spec := range ids.SystemSpecs(cfg) {
 		if _, err := p.interp.Add(spec); err != nil {
 			panic(err)
 		}
 	}
-	p.interp.SetCoverage(&p.obs.interp)
-	p.compiled.SetCoverage(&p.obs.compiled)
 	return p
 }
 
@@ -325,7 +299,7 @@ func (p *systemPair) apply(o op) error {
 	case p.direct:
 		mi, _ := p.interp.Find(o.machine)
 		mc, _ := p.compiled.Find(o.machine)
-		if err := stepBoth(mi, mc, o.event); err != nil {
+		if err := stepBoth(mi, mc, o.event, p.fired); err != nil {
 			return err
 		}
 	default:
@@ -345,10 +319,8 @@ func (p *systemPair) apply(o op) error {
 			if !sameResult(ri[i], rc[i]) {
 				return fmt.Errorf("result %d: interpreted %+v, compiled %+v", i, ri[i], rc[i])
 			}
+			note(p.fired, ri[i])
 		}
-	}
-	if err := p.obs.compare(); err != nil {
-		return err
 	}
 	for _, name := range []string{ids.MachineSIP, ids.MachineRTPCaller, ids.MachineRTPCallee} {
 		mi, _ := p.interp.Find(name)

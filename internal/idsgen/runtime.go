@@ -81,7 +81,6 @@ type machBase struct {
 	tbl   *machTable
 	state uint8
 	set   uint16
-	cover core.CoverageObserver
 	steps uint64
 }
 
@@ -102,29 +101,8 @@ func (m *machBase) InAttack() bool { return stateFlag(m.tbl.attack, m.state) }
 // InFinal reports whether the machine reached a final state.
 func (m *machBase) InFinal() bool { return stateFlag(m.tbl.final, m.state) }
 
-// SetCoverage installs (or, with nil, removes) a coverage observer.
-// Like the interpreted machine, Reset keeps it.
-func (m *machBase) SetCoverage(obs core.CoverageObserver) { m.cover = obs }
-
 func (m *machBase) reset() {
 	m.state = m.tbl.initial
 	m.set = 0
 	m.steps = 0
-}
-
-// observe reports one taken transition to the coverage observer in
-// the interpreter's order: the transition, its δ emissions, then the
-// attack entry. Step calls it only with an observer installed.
-func (m *machBase) observe(from, to core.State, event, label string, emits []core.SyncMsg, enteredAttack bool) {
-	name := m.tbl.name
-	//vids:panic-ok coverage observers are in-repo recorders (nil on the packet path); the interface call cannot be resolved statically
-	m.cover.TransitionFired(name, from, event, to, label) //vids:alloc-ok coverage observers take word-sized args; nil in production
-	for i := range emits {
-		//vids:panic-ok coverage observers are in-repo recorders (nil on the packet path); the interface call cannot be resolved statically
-		m.cover.DeltaEmitted(name, emits[i].Target, emits[i].Event.Name) //vids:alloc-ok coverage observers take word-sized args; nil in production
-	}
-	if enteredAttack {
-		//vids:panic-ok coverage observers are in-repo recorders (nil on the packet path); the interface call cannot be resolved statically
-		m.cover.AttackEntered(name, to) //vids:alloc-ok coverage observers take word-sized args; nil in production
-	}
 }

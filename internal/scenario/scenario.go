@@ -1,8 +1,8 @@
 // Package scenario drives the paper's evaluation scenarios — one
 // benign baseline plus the eleven attack injections of Section 7 —
 // against the Figure 7 testbed. cmd/vids runs them for demonstration
-// and cmd/speccover replays the same suite under a coverage observer,
-// so both tools exercise the identical traffic.
+// and cmd/speccover replays the same suite with its recorder on the
+// detector's step tap, so both tools exercise the identical traffic.
 package scenario
 
 import (
@@ -33,8 +33,8 @@ type Options struct {
 	// silences them.
 	Out io.Writer
 	// Prepare, when set, runs after the testbed is built and before
-	// any traffic flows — the hook cmd/speccover uses to install its
-	// coverage observer on the IDS.
+	// any traffic flows — the hook cmd/speccover uses to set the IDS's
+	// step tap to its coverage recorder.
 	Prepare func(tb *workload.Testbed)
 	// Configure, when set, edits the workload config before the
 	// testbed is built — the hook the SRTP survival matrix uses to

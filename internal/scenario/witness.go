@@ -13,7 +13,7 @@ import (
 // Witness is one named coverage witness: a self-contained packet
 // sequence against a fresh IDS that fires specification transitions
 // the scenario suite never reaches. cmd/speccover replays them under
-// its coverage observer and writes them as JSONL; the parity and
+// its coverage recorder and writes them as JSONL; the parity and
 // mutation suites replay them against every pipeline configuration.
 type Witness struct {
 	Name   string

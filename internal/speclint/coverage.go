@@ -7,9 +7,9 @@ import (
 )
 
 // TransitionKey identifies one spec transition for coverage
-// accounting: exactly the tuple core.Machine.Step reports to a
-// core.CoverageObserver when the transition fires, so runtime
-// observations and static reachability share one key space.
+// accounting: exactly the tuple of the core.StepResult a machine's
+// Step returns when the transition fires, so runtime observations and
+// static reachability share one key space.
 type TransitionKey struct {
 	Machine string     `json:"machine"`
 	From    core.State `json:"from"`

@@ -110,7 +110,7 @@ func inputArgs(t core.Transition, alt emitAlt, opts Options) map[string]any {
 // machine's own graph but never entered in the product — a detection
 // that the synchronization contract makes impossible.
 // fired, when non-nil, collects every transition the exploration
-// takes (keyed as a core.CoverageObserver would see it) — the static
+// takes (keyed as the core.StepResult that fires it) — the static
 // reachability half of cmd/speccover's coverage report.
 func exploreProduct(specs []*core.Spec, em *emissions, opts Options, fired map[TransitionKey]bool) []Finding {
 	idx := make(map[string]int, len(specs))
