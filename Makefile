@@ -116,14 +116,17 @@ bench-compare:
 bench-smoke:
 	$(GO) test -race -run '^$$' -bench 'BenchmarkEngineThroughput' -benchtime=1x .
 
-# bench-e2e runs the end-to-end benchmark (bench/, BENCHMARK.json) on
-# its signaling-only workload as an exit-code smoke: the run fails
+# bench-e2e runs the end-to-end benchmark (bench/, BENCHMARK.json) as
+# an exit-code smoke on two workloads: sip_churn, whose shard stays on
+# its worker, and attack_mix, whose shard the producer steps inline
+# once the fast path absorbs most of its traffic. Each run fails
 # unless the pipeline's alerts equal the sequential reference's, the
 # accounting identity holds at every census and no operation failed.
 # The numbers it prints are not gated here; bench/README.md says how
 # two commits are compared.
 bench-e2e:
 	$(GO) run ./bench -workload sip_churn -trace 0 -seconds 10
+	$(GO) run ./bench -workload attack_mix -trace 0 -seconds 10
 
 # fuzz-smoke briefly runs the native fuzz targets that hammer the
 # //vids:nopanic roots with hostile bytes — the dynamic cross-check of

@@ -187,10 +187,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 func printStats(w io.Writer, st engine.Stats) {
-	fmt.Fprintf(w, "vidsd: ingested=%d processed=%d dropped=%d dropped-media=%d dropped-signaling=%d absorbed=%d ignored=%d parse-errors=%d alerts=%d pps=%.0f fp-hits=%d fp-misses=%d fp-escalations=%d fp-invalidations=%d\n",
+	fmt.Fprintf(w, "vidsd: ingested=%d processed=%d dropped=%d dropped-media=%d dropped-signaling=%d absorbed=%d ignored=%d parse-errors=%d alerts=%d pps=%.0f fp-hits=%d fp-misses=%d fp-escalations=%d fp-invalidations=%d inline=%d\n",
 		st.Ingested, st.Processed, st.Dropped, st.DroppedMedia, st.DroppedSignaling,
 		st.Absorbed, st.Ignored, st.ParseErrors, st.Alerts, st.PacketsPerSec,
-		st.FastpathHits, st.FastpathMisses, st.FastpathEscalations, st.FastpathInvalidations)
+		st.FastpathHits, st.FastpathMisses, st.FastpathEscalations, st.FastpathInvalidations, st.Inline)
 	for i, sh := range st.Shards {
 		if sh.Depth > 0 {
 			fmt.Fprintf(w, "vidsd:   shard %d backlog: %d queued\n", i, sh.Depth)

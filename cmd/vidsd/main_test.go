@@ -207,8 +207,8 @@ func TestFastpathCountersSurfaced(t *testing.T) {
 		{"-lanes", "1"},
 	} {
 		doc, stderr := runReport(extra...)
-		if !strings.Contains(stderr, "fp-hits=") {
-			t.Errorf("%v: stats line missing fast-path counters:\n%s", extra, stderr)
+		if !strings.Contains(stderr, "fp-hits=") || !strings.Contains(stderr, " inline=") {
+			t.Errorf("%v: stats line missing fast-path or inline-step counters:\n%s", extra, stderr)
 		}
 		if doc.Stats.FastpathHits == 0 {
 			t.Errorf("%v: benign media-heavy trace absorbed nothing: %+v", extra, doc.Stats)

@@ -6,15 +6,28 @@
 // independent (Section 7.3): one call's SIP machine, its two RTP
 // machines and the δ channels between them never touch another call's
 // state. The engine exploits exactly that independence. It owns N
-// shard workers, each with its own ids.IDS fact base on its own
-// virtual clock behind a bounded ring with a backpressure policy
-// (Block, DropOldest, Shed). The tier in front decides which shard
-// owns a packet — SIP by FNV hash of the Call-ID (ShardIndexFor*),
-// media through the flow table the engine builds for it (Fastpath) —
-// and hands it over with EnqueueSIP, EnqueueMedia or EnqueueRaw. Both
+// shards, each with its own ids.IDS fact base on its own virtual
+// clock behind a bounded ring with a backpressure policy (Block,
+// DropOldest, Shed). The tier in front decides which shard owns a
+// packet — SIP by FNV hash of the Call-ID (ShardIndexFor*), media
+// through the flow table the engine builds for it (Fastpath) — and
+// hands it over with EnqueueSIP, EnqueueMedia or EnqueueRaw. Both
 // machines of a call and their δ channels therefore always live on one
-// shard, and a worker analyzes its packets without taking any
+// shard, and a shard analyzes its packets without taking any
 // cross-shard lock.
+//
+// Who steps a shard's detector depends on its traffic. Each shard has
+// a worker goroutine that drains its ring, and on a signaling-heavy
+// shard the worker does every step, so the producer and the detector
+// run on two cores. But on RTP-dominated traffic, the kind §7.3 costs
+// the inline IDS on, the flow table absorbs most packets at ingress
+// and the shard sees a trickle: waking a parked worker for each item
+// would cost more than the step. Under Block, a shard whose traffic
+// the fast path mostly absorbs, and which is not raising alerts, is
+// therefore stepped by the producer itself, on the Enqueue* (and so
+// the ingress Ingest) caller's goroutine, whenever nothing is queued
+// or running ahead of the item (see Block). Either way one goroutine
+// at a time steps a detector, in the order the items reached the shard.
 //
 // The engine routes nothing itself and holds no cross-call detector.
 // The per-destination INVITE flood (Figure 4) and the DRDoS
@@ -60,6 +73,19 @@ const (
 	// queued and leave them unarmed. The wait never touches SIP,
 	// unrouted media or a packet another shard holds, and it is off while
 	// DisableFastpath is set: with no arming it would buy nothing.
+	//
+	// Block also lets a producer step an item itself instead of waking
+	// the worker. The engine weighs each shard over windows of
+	// inlineWindow handed items: while the fast path absorbed more
+	// packets on the shard's behalf in the last window than were handed
+	// to it and the window raised no alert, an item that finds the ring
+	// empty and no batch or other inline step running is stepped to
+	// completion on the producer (clock advance, detector, flow
+	// release, OnRetire) before Enqueue* returns. A shard starts on the
+	// worker path; signaling-dominated shards and shards raising alerts
+	// stay there and keep the second core, and DisableFastpath (which
+	// absorbs nothing) never steps inline. ShardStats.Inline counts the
+	// inline steps.
 	Block Policy = iota
 	// DropOldest evicts the oldest queued packet to admit the newest,
 	// counting the eviction in the shard's drop counter: the right
@@ -111,17 +137,21 @@ type Config struct {
 	// the full shard path. The zero value keeps absorption on.
 	DisableFastpath bool
 	// OnAlert, when set, observes every alert as it is raised. The
-	// engine serializes the calls (alerts originate on shard workers
-	// and on ingestion lanes, but never overlap), so an unsynchronized
-	// writer is fine. The callback must not call back into the
-	// pipeline's Ingest or Close.
+	// engine serializes the calls (alerts originate on shard workers,
+	// on producers stepping a shard inline under Block, and on
+	// ingestion lanes, but never overlap), so an unsynchronized writer
+	// is fine. It may therefore run on any goroutine, the Ingest
+	// caller's included, and must not call back into the pipeline's
+	// Ingest or Close.
 	OnAlert func(ids.Alert)
 	// OnRetire, when set, observes every enqueued packet exactly once
 	// after the engine is finished with it — analyzed by a shard,
 	// counted there as a parse error, or evicted under DropOldest/Shed.
 	// (The ingress tier chains the same hook for the packets it disposes
 	// of itself.) Live sources use it to return receive buffers to a
-	// bufpool free list. It may run on any goroutine, is never invoked
+	// bufpool free list. It may run on any goroutine — a shard worker,
+	// or the Ingest caller's own when Block steps the packet inline, in
+	// which case it fires before that Ingest returns — is never invoked
 	// under an engine lock, and must not call back into Ingest or Close.
 	OnRetire func(*sim.Packet)
 }
@@ -152,8 +182,9 @@ type item struct {
 	fpHeld bool
 }
 
-// shard is one detection worker: a bounded ring of pending items
-// feeding a single-goroutine ids.IDS on its own virtual clock.
+// shard is one detector: a bounded ring of pending items feeding an
+// ids.IDS on its own virtual clock, stepped by one goroutine at a
+// time — the shard's worker, or under Block a producer stepping inline.
 //
 // The lane→worker handoff is batched: producers append single items
 // to the ring under the shard mutex, but the worker detaches the
@@ -162,7 +193,11 @@ type item struct {
 // rather than one channel send/receive per packet. FIFO order is the
 // ring order, which is the mutex acquisition order — exactly the
 // ordering the old per-item channel gave — so the sequential-parity
-// guarantee is untouched.
+// guarantee is untouched. An inline step keeps that order: a producer
+// claims busy under the mutex only when the ring is empty and nothing
+// is being stepped, so no queued or detached item is behind it, and
+// every item that arrives during the step queues behind it for the
+// worker.
 type shard struct {
 	idx  int
 	sim  *sim.Simulator
@@ -182,7 +217,7 @@ type shard struct {
 	retire func(*sim.Packet)
 
 	mu      sync.Mutex
-	ready   *sync.Cond // work arrived, or closing
+	ready   *sync.Cond // work arrived, a step finished, or closing
 	space   *sync.Cond // ring slots freed (Block producers wait here)
 	retired *sync.Cond // held flows let go (Block's per-flow waiters wait here)
 	waiting int        // producers waiting on retired
@@ -191,6 +226,18 @@ type shard struct {
 	n       int        // queued count
 	closing bool
 	batch   []item // worker-owned detach buffer, reused every pickup
+	// busy is set while the worker runs a detached batch or a producer
+	// runs an inline step: the detector has exactly one stepper.
+	busy bool
+	// inline, handed, hitsMark and alertMark are Block's path
+	// selection: handed counts the items handed to the shard in the
+	// current window of inlineWindow, hitsMark and alertMark are fpHits
+	// and alerts when it opened, and inline is the verdict of the last
+	// closed window.
+	inline    bool
+	handed    int
+	hitsMark  uint64
+	alertMark uint64
 
 	queued     atomic.Int64 // mirrors n for lock-free Stats
 	processed  atomic.Uint64
@@ -198,8 +245,17 @@ type shard struct {
 	shedMedia  atomic.Uint64 // Shed evictions that hit media
 	shedSignal atomic.Uint64 // Shed evictions that had to hit signaling
 	fpHits     atomic.Uint64 // packets the fast path absorbed on this shard's behalf
+	inlined    atomic.Uint64 // items a producer stepped itself
 	alerts     atomic.Uint64
 }
+
+// inlineWindow is the number of items handed to a shard over which
+// Block weighs its two paths. It spans several calls' setup bursts (a
+// handful of SIP messages and the escalations that arm their flows
+// each), so call churn alone does not flip a media shard back to the
+// worker, and a shard still turns to the worker within 64 packets of a
+// signaling storm starting.
+const inlineWindow = 64
 
 // Engine is the shard tier of the online detection pipeline. Create
 // instances with New; the zero value is not usable.
@@ -304,24 +360,26 @@ func (e *Engine) deliver(a ids.Alert) {
 }
 
 // run is the shard worker loop: detach the whole pending backlog in
-// one critical section, then — outside the lock — advance the shard
-// clock to each packet's capture time (firing due timers first,
-// exactly as a sequential replay would) and analyze, in ring order.
-// A batch that let go of held flows wakes Block's per-flow waiters at
+// one critical section, then step each item outside the lock, in ring
+// order. The worker waits while a producer runs an inline step, and a
+// batch that let go of held flows wakes Block's per-flow waiters at
 // the next pickup. When the shard closes, the worker drains what
 // remains and runs the outstanding timers to completion so
 // grace-window alerts (Figure 5 timer T, the RTCP BYE window) still
 // fire.
 func (sh *shard) run() {
 	defer close(sh.done)
-	unheld := false
+	detached, unheld := false, false
 	for {
 		sh.mu.Lock()
+		if detached {
+			sh.busy = false
+		}
 		if unheld && sh.waiting > 0 {
 			sh.retired.Broadcast()
 		}
-		unheld = false
-		for sh.n == 0 && !sh.closing {
+		detached, unheld = false, false
+		for (sh.n == 0 || sh.busy) && !sh.closing {
 			sh.ready.Wait()
 		}
 		if sh.n == 0 {
@@ -335,71 +393,129 @@ func (sh *shard) run() {
 			sh.head = (sh.head + 1) % len(sh.buf)
 			sh.n--
 		}
+		sh.busy, detached = true, true
 		sh.queued.Store(0)
 		sh.space.Broadcast()
 		sh.mu.Unlock()
 
 		for i := range batch {
-			it := &batch[i]
-			_ = sh.sim.RunUntil(it.at)
-			switch {
-			case it.hasView:
-				// Ingress path: the lane scanned the datagram once and
-				// the detector reads that scan; nothing is parsed here.
-				sh.ids.ProcessSIPView(&it.view, it.pkt)
-				sh.processed.Add(1)
-			case it.pkt.Proto == sim.ProtoSIP:
-				// A datagram the lane's scanner would not commit to (it
-				// parsed cleanly there, on the cold path) or one handed
-				// to EnqueueRaw directly: the full parser reads it.
-				if raw, ok := it.pkt.Payload.([]byte); ok {
-					if m, err := sipmsg.Parse(raw); err == nil {
-						sh.ids.ProcessSIP(m, it.pkt)
-						sh.processed.Add(1)
-					} else {
-						sh.parseErrs.Add(1)
-					}
-				} else {
-					sh.parseErrs.Add(1)
-				}
-			default:
-				flow := it.fpFlow
-				if !sh.absorb {
-					flow = nil // no arming context: nothing arms
-				}
-				// The first packet after a stretch of absorption carries
-				// the window the table absorbed on the machine's behalf.
-				var snap *fastpath.Snapshot
-				if it.fpHasSnap {
-					snap = &it.fpSnap
-				}
-				sh.ids.ProcessMedia(it.pkt, flow, it.fpEpoch, snap)
-				sh.processed.Add(1)
+			if sh.step(&batch[i]) {
+				unheld = true
 			}
-			if it.fpFlow != nil {
-				if it.fpHeld {
-					it.fpFlow.Unhold()
-					unheld = true
-				}
-				it.fpFlow.Release()
-			}
-			if sh.retire != nil {
-				sh.retire(it.pkt)
-			}
-			*it = item{}
 		}
 		sh.batch = batch[:0]
 	}
 	_ = sh.sim.RunAll()
 }
 
-// enqueue appends one item to the shard ring, applying the
-// backpressure policy when the ring is full: Block waits for the
-// worker to detach a batch; DropOldest advances the ring head past
-// the oldest queued item, counting the eviction; Shed sacrifices
-// media before signaling (see the Policy docs). Under Block with
-// absorption on, an escalated media packet also waits while this shard
-// holds its flow.
+// step analyzes one item and retires it: advance the shard clock to
+// the packet's capture time (firing due timers first, exactly as a
+// sequential replay would), run the detector, drop the flow reference
+// and hand the packet to the retire hook. The worker and an inline
+// producer share it; busy guarantees one of them at a time. It reports
+// whether the item let go of a held flow.
+func (sh *shard) step(it *item) (unheld bool) {
+	_ = sh.sim.RunUntil(it.at)
+	switch {
+	case it.hasView:
+		// Ingress path: the lane scanned the datagram once and the
+		// detector reads that scan; nothing is parsed here.
+		sh.ids.ProcessSIPView(&it.view, it.pkt)
+		sh.processed.Add(1)
+	case it.pkt.Proto == sim.ProtoSIP:
+		// A datagram the lane's scanner would not commit to (it parsed
+		// cleanly there, on the cold path) or one handed to EnqueueRaw
+		// directly: the full parser reads it.
+		if raw, ok := it.pkt.Payload.([]byte); ok {
+			if m, err := sipmsg.Parse(raw); err == nil {
+				sh.ids.ProcessSIP(m, it.pkt)
+				sh.processed.Add(1)
+			} else {
+				sh.parseErrs.Add(1)
+			}
+		} else {
+			sh.parseErrs.Add(1)
+		}
+	default:
+		flow := it.fpFlow
+		if !sh.absorb {
+			flow = nil // no arming context: nothing arms
+		}
+		// The first packet after a stretch of absorption carries the
+		// window the table absorbed on the machine's behalf.
+		var snap *fastpath.Snapshot
+		if it.fpHasSnap {
+			snap = &it.fpSnap
+		}
+		sh.ids.ProcessMedia(it.pkt, flow, it.fpEpoch, snap)
+		sh.processed.Add(1)
+	}
+	if it.fpFlow != nil {
+		if it.fpHeld {
+			it.fpFlow.Unhold()
+			unheld = true
+		}
+		it.fpFlow.Release()
+	}
+	sh.retirePkt(it.pkt)
+	*it = item{}
+	return unheld
+}
+
+// retirePkt hands a packet the shard is finished with to the retire
+// hook, outside the queue lock.
+func (sh *shard) retirePkt(pkt *sim.Packet) {
+	if sh.retire != nil {
+		sh.retire(pkt) //vids:alloc-ok retire hook recycles pooled receive buffers; nil in replay
+	}
+}
+
+// selectInline counts one item handed to the shard under Block and
+// reports whether its producer steps it on the spot. Every
+// inlineWindow items the window closes: the shard runs inline while
+// the fast path absorbed more packets on its behalf in the last window
+// than were handed to it, so the detector sees fewer than half of the
+// shard's packets and the worker would mostly be woken for one item,
+// and while the last window raised no alert. A shard raising alerts is
+// analyzing an attack: its steps render alerts and run OnAlert, and
+// like a signaling storm it keeps the worker and so a second core.
+// Even inline, the producer steps only an item nothing is ahead of:
+// the ring is empty and no batch or other inline step is running. A
+// signaling-heavy shard, or one under DisableFastpath (which never
+// absorbs), stays on the worker. Caller holds sh.mu.
+func (sh *shard) selectInline() bool {
+	sh.handed++
+	if sh.handed == inlineWindow {
+		hits, alerts := sh.fpHits.Load(), sh.alerts.Load()
+		sh.inline = hits-sh.hitsMark > inlineWindow && alerts == sh.alertMark
+		sh.hitsMark, sh.alertMark, sh.handed = hits, alerts, 0
+	}
+	return sh.inline && sh.n == 0 && !sh.busy
+}
+
+// stepInline runs one item on the producer, holding busy instead of
+// the lock, and then hands the shard back to the worker if items
+// queued up behind the step. An inline item takes no per-flow hold:
+// it retires before its producer consults the flow again.
+func (sh *shard) stepInline(it *item) {
+	sh.inlined.Add(1)
+	sh.step(it)
+	sh.mu.Lock()
+	sh.busy = false
+	if sh.n > 0 {
+		sh.ready.Signal()
+	}
+	sh.mu.Unlock()
+}
+
+// enqueue hands one item to the shard. Under Block a producer may step
+// the item itself (selectInline); otherwise it is appended to the
+// ring, applying the backpressure policy when the ring is full: Block
+// waits for the worker to detach a batch; DropOldest advances the ring
+// head past the oldest queued item, counting the eviction; Shed
+// sacrifices media before signaling (see the Policy docs). Under Block
+// with absorption on, an escalated media packet also waits while this
+// shard holds its flow.
 // Items the worker has already detached are beyond eviction — the
 // same property the old channel had once a packet was received.
 // Victims are retired outside the queue lock: the retire hook is user
@@ -411,6 +527,12 @@ func (sh *shard) enqueue(it item, p Policy) {
 	sh.mu.Lock()
 	switch p {
 	case Block:
+		if sh.selectInline() {
+			sh.busy = true
+			sh.mu.Unlock()
+			sh.stepInline(&it)
+			return
+		}
 		for {
 			if sh.n == len(sh.buf) {
 				sh.space.Wait()
@@ -465,11 +587,11 @@ func (sh *shard) enqueue(it item, p Policy) {
 		}
 	}
 	sh.mu.Unlock()
-	if victim != nil && sh.retire != nil {
-		sh.retire(victim) //vids:alloc-ok retire hook recycles pooled receive buffers; nil in replay
+	if victim != nil {
+		sh.retirePkt(victim)
 	}
-	if !admitted && sh.retire != nil {
-		sh.retire(it.pkt) //vids:alloc-ok retire hook recycles pooled receive buffers; nil in replay
+	if !admitted {
+		sh.retirePkt(it.pkt)
 	}
 }
 
@@ -738,7 +860,11 @@ type ShardStats struct {
 	// FastpathHits counts packets the validation cache absorbed on this
 	// shard's behalf (included in Processed).
 	FastpathHits uint64
-	Alerts       uint64 // alerts this shard raised
+	// Inline counts the packets a producer stepped on its own goroutine
+	// instead of handing them to the worker (included in Processed and
+	// ParseErrors; see Block).
+	Inline uint64
+	Alerts uint64 // alerts this shard raised
 }
 
 // Stats is a point-in-time snapshot of the pipeline.
@@ -747,6 +873,7 @@ type Stats struct {
 	Ingested     uint64 // packets the ingress tier accepted, fast-path hits included
 	Processed    uint64 // sum of shard Processed
 	Dropped      uint64 // sum of shard Dropped
+	Inline       uint64 // sum of shard Inline
 	DroppedMedia uint64 // Shed evictions that hit media, summed
 	// DroppedSignaling is the shed count the operator watches: while
 	// it stays zero, overload has cost only media-plane sensitivity.
@@ -801,12 +928,14 @@ func (e *Engine) Stats() Stats {
 			ShedMedia:     sh.shedMedia.Load(),
 			ShedSignaling: sh.shedSignal.Load(),
 			FastpathHits:  hits,
+			Inline:        sh.inlined.Load(),
 			Alerts:        sh.alerts.Load(),
 		}
 		st.Shards[i] = s
 		st.Ingested += hits
 		st.Processed += s.Processed
 		st.Dropped += s.Dropped
+		st.Inline += s.Inline
 		st.DroppedMedia += s.ShedMedia
 		st.DroppedSignaling += s.ShedSignaling
 	}

@@ -3,6 +3,7 @@ package ids
 import (
 	"time"
 
+	"vids/internal/core"
 	"vids/internal/fastpath"
 	"vids/internal/idsgen"
 	"vids/internal/sim"
@@ -75,12 +76,20 @@ func (d *IDS) resyncMedia(host string, port int, snap *fastpath.Snapshot) {
 		rm.SetMediaWindow(snap.SSRC, uint32(snap.Seq), snap.TS, snap.WinStart, snap.WinCount)
 		return
 	}
+	resyncVars(m, snap)
+}
+
+// resyncVars is resyncMedia's interpreted-backend arm: it writes the
+// snapshot into the machine's live store by the rtpWindow nodes.
+//
+//vids:alloc-ok interpreted Vars is the live store, not a materialized copy, and the writes only overwrite: a flow arms from a machine on the RTP_RCVD self-loop, whose steps set every rtpWindow key, and the gen gate keeps a recycled monitor out
+func resyncVars(m core.MachineLike, snap *fastpath.Snapshot) {
 	vars := m.Vars()
-	vars.SetUint32(lSSRC.Name, snap.SSRC)
-	vars.SetUint32(lSeq.Name, uint32(snap.Seq))
-	vars.SetUint32(lTS.Name, snap.TS)
-	vars.SetDuration(lWinStart.Name, snap.WinStart)
-	vars.SetInt(lWinCount.Name, snap.WinCount)
+	vars[lSSRC.Name] = core.Uint32Val(snap.SSRC)
+	vars[lSeq.Name] = core.Uint32Val(uint32(snap.Seq))
+	vars[lTS.Name] = core.Uint32Val(snap.TS)
+	vars[lWinStart.Name] = core.DurationVal(snap.WinStart)
+	vars[lWinCount.Name] = core.IntVal(snap.WinCount)
 }
 
 // invalidateMonitorMedia disarms every flow the monitor's call owns.
