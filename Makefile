@@ -13,7 +13,7 @@ CHURNTIME ?= 5000x
 # feeds BENCH_hotpath.json; the engine file merges a churn run
 # (allocation-gated) with a throughput run (timing only — engine
 # fan-out allocs vary with scheduling and are not a useful gate).
-HOTPATH_BENCH = BenchmarkSIPParse$$|BenchmarkSIPScan$$|BenchmarkRTPParse$$|BenchmarkRTCPParse$$|BenchmarkIDSProcessSIP$$|BenchmarkIDSProcessSIPCompiled$$|BenchmarkIDSProcessSIPInterpreted$$|BenchmarkIDSProcessSIPView$$|BenchmarkIDSProcessRTP$$|BenchmarkIDSProcessRTPInterpreted$$|BenchmarkEFSMStep$$|BenchmarkEFSMStepCompiled$$|BenchmarkFastpathLookup$$|BenchmarkWheelNextLoaded$$
+HOTPATH_BENCH = BenchmarkSIPParse$$|BenchmarkSIPScan$$|BenchmarkRTPParse$$|BenchmarkRTCPParse$$|BenchmarkIDSProcessSIP$$|BenchmarkIDSProcessSIPCompiled$$|BenchmarkIDSProcessSIPInterpreted$$|BenchmarkIDSProcessSIPView$$|BenchmarkIDSProcessSIPViewFlows$$|BenchmarkIDSProcessRTP$$|BenchmarkIDSProcessRTPInterpreted$$|BenchmarkEFSMStep$$|BenchmarkEFSMStepCompiled$$|BenchmarkFastpathLookup$$|BenchmarkWheelNextLoaded$$
 # THROUGHPUT_BENCH pairs the SIP-heavy engine mix with the media-heavy
 # one so the fast-path absorption numbers are pinned alongside the
 # baseline fan-out numbers in BENCH_engine.json.

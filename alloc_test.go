@@ -80,6 +80,11 @@ const (
 	// and a recurring dialog has none left; the headroom is
 	// maxCallChurnAllocs' (incidental map rehashing).
 	maxIDSProcessSIPViewAllocs = 4
+	// maxIDSProcessSIPViewFlowsAllocs pins a shard's signaling step on a
+	// known call with the flow table set: one call-table probe, the
+	// dialog's strings from the monitor's slots, and a disarm per flow
+	// through the handles the lane's Install returned. Zero, exactly.
+	maxIDSProcessSIPViewFlowsAllocs = 0
 	// maxIngestMediaAllocs pins one media packet through the pipeline —
 	// flow-table probe, then absorption or the shard's machine step —
 	// for every kind of media packet. Zero, exactly: media is most of
@@ -384,7 +389,7 @@ func TestAllocBudgetIDSProcessSIPView(t *testing.T) {
 			if sipmsg.Scan(pkt.Payload.([]byte), &v) != sipmsg.ScanOK {
 				t.Fatal("scan did not commit to a serialized dialog message")
 			}
-			d.ProcessSIPView(&v, pkt)
+			d.ProcessSIPView(&v, pkt, nil)
 		}
 		if err := s.Run(s.Now() + settle); err != nil {
 			t.Fatal(err)
@@ -403,6 +408,23 @@ func TestAllocBudgetIDSProcessSIPView(t *testing.T) {
 	}
 	if d.Evicted() < 100 {
 		t.Fatalf("only %d monitors recycled; the dialogs are not completing", d.Evicted())
+	}
+}
+
+// TestAllocBudgetIDSProcessSIPViewFlows holds a shard's signaling step
+// on a known call with IDS.Flows set — the retransmitted ACK of
+// BenchmarkIDSProcessSIPViewFlows — to zero allocations.
+func TestAllocBudgetIDSProcessSIPViewFlows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	d, v, pkt := flowShardACK(t)
+	avg := testing.AllocsPerRun(200, func() { d.ProcessSIPView(v, pkt, nil) })
+	if avg > maxIDSProcessSIPViewFlowsAllocs {
+		t.Errorf("known-call signaling step allocates %.1f, budget %d", avg, maxIDSProcessSIPViewFlowsAllocs)
+	}
+	if n := len(d.Alerts()); n != 0 {
+		t.Fatalf("retransmitted ACK raised %d alerts", n)
 	}
 }
 

@@ -316,16 +316,90 @@ func BenchmarkIDSProcessSIPView(b *testing.B) {
 		From: sim.Addr{Host: "proxy.a.example.com", Port: 5060}, To: sim.Addr{Host: "proxy.b.example.com", Port: 5060},
 		Proto: sim.ProtoSIP, Size: len(raw), Payload: raw,
 	}
-	d.ProcessSIPView(&v, pkt) // create the monitor outside the timed loop
+	d.ProcessSIPView(&v, pkt, nil) // create the monitor outside the timed loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.ProcessSIPView(&v, pkt)
+		d.ProcessSIPView(&v, pkt, nil)
 	}
 	b.StopTimer()
 	if n := len(d.Alerts()); n != 0 {
 		b.Fatalf("retransmitted INVITE raised %d alerts", n)
 	}
+}
+
+// BenchmarkIDSProcessSIPViewFlows is BenchmarkIDSProcessSIPView on a
+// shard's detector: the flow table is set, holding the dialog's two
+// SDP flows as the ingress lane installs them, and the timed step is a
+// known call's in-dialog request (the caller's ACK, retransmitted),
+// which disarms both of the call's flows before it is acked. It pins
+// what a signaling step pays for the flow table and for resolving a
+// call the detector already holds.
+func BenchmarkIDSProcessSIPViewFlows(b *testing.B) {
+	d, v, pkt := flowShardACK(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.ProcessSIPView(v, pkt, nil)
+	}
+	b.StopTimer()
+	if n := len(d.Alerts()); n != 0 {
+		b.Fatalf("retransmitted ACK raised %d alerts", n)
+	}
+}
+
+// flowShardACK builds a shard's detector in miniature — compiled, with
+// the engine's ExternalFloods and a flow table — and takes the bench
+// dialog's INVITE and 200 through ProcessSIPView, each with the handle
+// of the flow the lane's Install returned for its SDP. It returns the
+// detector and the caller's ACK, scanned, ready to be fed as often as
+// a caller needs.
+func flowShardACK(tb testing.TB) (*ids.IDS, *sipmsg.View, *sim.Packet) {
+	tb.Helper()
+	cfg := ids.DefaultConfig()
+	cfg.ExternalFloods = true
+	d := ids.New(sim.New(1), cfg)
+	fp := fastpath.New(fastpath.Config{SeqGap: 50, TSGap: 8000, RateWindow: time.Second, RatePackets: 100})
+	d.Flows = fp
+	proxyA := sim.Addr{Host: "proxy.a.example.com", Port: 5060}
+	proxyB := sim.Addr{Host: "proxy.b.example.com", Port: 5060}
+	scan := func(m *sipmsg.Message, from, to sim.Addr) (*sipmsg.View, *sim.Packet) {
+		raw := m.Bytes()
+		v := new(sipmsg.View)
+		if sipmsg.Scan(raw, v) != sipmsg.ScanOK {
+			tb.Fatalf("scan did not commit to %s", m.Summary())
+		}
+		return v, &sim.Packet{From: from, To: to, Proto: sim.ProtoSIP, Size: len(raw), Payload: raw}
+	}
+	feed := func(m *sipmsg.Message, from, to sim.Addr) {
+		v, pkt := scan(m, from, to)
+		raw := pkt.Payload.([]byte)
+		var f *fastpath.Flow
+		if v.SDPAddr.Len > 0 {
+			f = fp.Install(ids.AppendMediaKey(nil, string(v.SDPAddr.Of(raw)), int(v.SDPPort)), string(v.CallID.Of(raw)), 0)
+		}
+		d.ProcessSIPView(v, pkt, f)
+	}
+	inv := benchInvite()
+	feed(inv, proxyA, proxyB)
+	ok := sipmsg.NewResponse(inv, sipmsg.StatusOK)
+	ok.To = ok.To.WithTag("t2")
+	contact := sipmsg.NameAddr{URI: sipmsg.URI{User: "bob", Host: "ua2.b.example.com"}}
+	ok.Contact = &contact
+	ok.ContentType = "application/sdp"
+	ok.Body = sdp.New("bob", "ua2.b.example.com", 30000, sdp.PayloadG729).Marshal()
+	feed(ok, proxyB, proxyA)
+	if n := fp.Counters().Flows; n != 2 {
+		tb.Fatalf("flow table holds %d flows, want the dialog's 2", n)
+	}
+	ack := sipmsg.NewRequest(sipmsg.ACK, contact.URI)
+	ack.Via = []sipmsg.Via{{Transport: "UDP", Host: "ua1.a.example.com", Port: 5060,
+		Params: map[string]string{"branch": "z9hG4bKbenchack"}}}
+	ack.From, ack.To, ack.CallID = inv.From, ok.To, inv.CallID
+	ack.CSeq = sipmsg.CSeq{Seq: 1, Method: sipmsg.ACK}
+	v, pkt := scan(ack, sim.Addr{Host: "ua1.a.example.com", Port: 5060}, sim.Addr{Host: "ua2.b.example.com", Port: 5060})
+	d.ProcessSIPView(v, pkt, nil)
+	return d, v, pkt
 }
 
 // BenchmarkWheelNextLoaded measures the timer wheel's wake-up estimate

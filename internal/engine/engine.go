@@ -161,7 +161,9 @@ var ErrClosed = errors.New("engine: closed")
 
 // item is one unit of shard work: a packet, its capture timestamp,
 // and — for SIP the ingress lane scanned — that scan (by value: a View
-// is a handful of offsets into the packet's own buffer). Media escalated
+// is a handful of offsets into the packet's own buffer) and the flow
+// the lane installed for its SDP, which the detector keeps as the
+// call's handle on it (no reference is pinned). Media escalated
 // by the fast-path cache additionally carries its flow's in-flight
 // reference, the epoch its arm offer must match, and — for the first
 // packet after a stretch of absorption — the resync snapshot the
@@ -172,6 +174,7 @@ type item struct {
 
 	view    sipmsg.View
 	hasView bool
+	sdpFlow *fastpath.Flow
 
 	fpFlow    *fastpath.Flow
 	fpEpoch   uint64
@@ -420,7 +423,7 @@ func (sh *shard) step(it *item) (unheld bool) {
 	case it.hasView:
 		// Ingress path: the lane scanned the datagram once and the
 		// detector reads that scan; nothing is parsed here.
-		sh.ids.ProcessSIPView(&it.view, it.pkt)
+		sh.ids.ProcessSIPView(&it.view, it.pkt, it.sdpFlow)
 		sh.processed.Add(1)
 	case it.pkt.Proto == sim.ProtoSIP:
 		// A datagram the lane's scanner would not commit to (it parsed
@@ -711,9 +714,11 @@ func (e *Engine) EnqueueRaw(idx int, pkt *sim.Packet, at time.Duration) error {
 // EnqueueSIP is EnqueueRaw for a SIP datagram the ingress lane scanned:
 // v, the sipmsg.Scan of pkt's payload (which answered ScanOK), rides
 // to the worker by value and feeds the detector directly, so the
-// datagram is read once in the whole pipeline.
-func (e *Engine) EnqueueSIP(idx int, pkt *sim.Packet, at time.Duration, v *sipmsg.View) error {
-	return e.enqueue(idx, item{pkt: pkt, at: at, view: *v, hasView: true})
+// datagram is read once in the whole pipeline. f is the flow the lane
+// installed for the datagram's SDP (nil when it advertises none); the
+// detector holds the call's flows by these handles.
+func (e *Engine) EnqueueSIP(idx int, pkt *sim.Packet, at time.Duration, v *sipmsg.View, f *fastpath.Flow) error {
+	return e.enqueue(idx, item{pkt: pkt, at: at, view: *v, hasView: true, sdpFlow: f})
 }
 
 // EnqueueMedia is EnqueueRaw for an RTP packet the fast-path cache

@@ -3,8 +3,11 @@
 // that call's shard, consulted for every RTP and RTCP packet — and the
 // per-flow RTP validation cache that absorbs in-profile packets before
 // shard enqueue. Ingress installs a flow for each destination an SDP
-// body advertises; the detector disarms a call's flows when it evicts
-// the call and removes them when it forgets the call.
+// body advertises and hands the *Flow Install returns to the owning
+// call's detector, which holds it as a handle: it disarms the call's
+// flows through their handles on each of the call's signaling events
+// and when it evicts the call, and removes them when it forgets the
+// call.
 //
 // The validation observation (paper
 // Section 3.2, and the SecSip/stateful-firewall line of related work)
@@ -50,9 +53,10 @@
 //
 // The table is keyed by destination (host, port). The ingress consults
 // it with the packet's own address (ConsultAddr, RouteAddr), so the
-// per-packet path renders no key; the text-key entry points take the
-// "host:port" form ids.AppendMediaKey renders and split it at its last
-// ':' to reach the same entry.
+// per-packet path renders no key; the detector reaches a call's flows
+// by handle. The text-key entry points take the "host:port" form
+// ids.AppendMediaKey renders and split it at its last ':' to reach the
+// same entry.
 package fastpath
 
 import (
@@ -60,7 +64,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -303,7 +306,7 @@ type Cache struct {
 	seed uint64
 
 	// invalidations stays an atomic counter: disarm paths (DisarmCall,
-	// the detector's Invalidate and Remove) run without the stripe lock.
+	// the detector's Disarm and Remove) run without the stripe lock.
 	invalidations metrics.Counter
 
 	// byCall maps an owning Call-ID to its flows so the per-SIP-packet
@@ -384,22 +387,9 @@ func hashAddrBytes(seed uint64, host []byte, port int) uint64 {
 // exactly one destination, and no packet's port is ever noPort.
 const noPort = math.MinInt
 
-// splitKey splits a media key at its last ':' into the destination it
-// names: ids.AppendMediaKey renders (host, port) as "host:port".
-func splitKey(key string) (host string, port int) {
-	if i := strings.LastIndex(key, ":"); i >= 0 {
-		var p portText
-		for j := i + 1; j < len(key); j++ {
-			p.add(key[j])
-		}
-		if port, ok := p.value(); ok {
-			return key[:i], port
-		}
-	}
-	return key, noPort
-}
-
-// splitKeyBytes is splitKey over a key buffer.
+// splitKeyBytes splits a media key at its last ':' into the
+// destination it names: ids.AppendMediaKey renders (host, port) as
+// "host:port".
 func splitKeyBytes(key []byte) (host []byte, port int) {
 	if i := bytes.LastIndexByte(key, ':'); i >= 0 {
 		var p portText
@@ -740,18 +730,25 @@ func (c *Cache) Install(key []byte, callID string, shardIdx int) *Flow {
 	return f
 }
 
-// Invalidate invalidates the flow at key. The shard's detector calls
-// it for each flow of a call on every signaling event of the call and
-// when it evicts the call.
-func (c *Cache) Invalidate(key string) {
-	host, port := splitKey(key)
-	st, h := c.stripeAddr(host, port)
+// Disarm invalidates f: it clears the armed bit and bumps the epoch,
+// with atomics only. The shard's detector calls it, through the handle
+// Install returned for the call's SDP, for each flow of a call on every
+// signaling event of the call and when it evicts the call.
+//
+//vids:noalloc atomics-only invalidation, per flow per signaling event
+//vids:nopanic per-flow invalidation on the detector's signaling path
+func (c *Cache) Disarm(f *Flow) { c.disarmFlow(f, true) }
+
+// Lookup returns the flow installed at key, or nil. The detector calls
+// it once for an SDP datagram that reached it without the handle
+// Install returned (the lane's scanner bailed on it), never per event.
+func (c *Cache) Lookup(key []byte) *Flow {
+	host, port := splitKeyBytes(key)
+	st, h := c.stripeAddrBytes(host, port)
 	st.mu.Lock()
-	f := st.findLocked(host, port, h)
+	f := st.findBytesLocked(host, port, h)
 	st.mu.Unlock()
-	if f != nil {
-		c.disarmFlow(f, true)
-	}
+	return f
 }
 
 // DisarmCall invalidates every flow owned by a Call-ID. The ingress
@@ -830,22 +827,19 @@ func (c *Cache) byCallRemove(callID string, f *Flow) {
 	}
 }
 
-// LastSeen reports when the flow last absorbed a packet (virtual
-// timeline). The idle-eviction sweep consults it so a call whose
-// media is being absorbed — and therefore never refreshes the
-// monitor's LastActivity — is not evicted as idle.
-func (c *Cache) LastSeen(key string) (time.Duration, bool) {
-	host, port := splitKey(key)
-	st, h := c.stripeAddr(host, port)
+// LastSeen reports when f last absorbed a packet (virtual timeline),
+// read under the stripe of f's hash. The idle-eviction sweep consults
+// it so a call whose media is being absorbed — and therefore never
+// refreshes the monitor's LastActivity — is not evicted as idle.
+//
+//vids:noalloc one stripe lock per flow of an idle-looking call in the sweep
+//vids:nopanic reads a flow record through its handle
+func (c *Cache) LastSeen(f *Flow) time.Duration {
+	st := c.stripeFor(f.hash)
 	st.mu.Lock()
-	f := st.findLocked(host, port, h)
-	if f == nil {
-		st.mu.Unlock()
-		return 0, false
-	}
 	seen := f.lastSeen
 	st.mu.Unlock()
-	return seen, true
+	return seen
 }
 
 // Counters reports the lifetime outcome counts and the table's size,

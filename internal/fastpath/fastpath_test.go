@@ -25,9 +25,9 @@ func lookup(c *Cache, key []byte, pt uint8, ssrc uint32, seq uint16, ts uint32, 
 	return res
 }
 
-func arm(t *testing.T, c *Cache, key []byte, callID string) {
+func arm(t *testing.T, c *Cache, key []byte, callID string) *Flow {
 	t.Helper()
-	c.Install(key, callID, 0)
+	f := c.Install(key, callID, 0)
 	// First packet escalates (never armed) ...
 	res := lookup(c, key, 0, 1, 100, 1600, 0)
 	if res.Verdict != Miss || res.Flow == nil {
@@ -38,12 +38,13 @@ func arm(t *testing.T, c *Cache, key []byte, callID string) {
 		t.Fatal("arm refused")
 	}
 	res.Flow.Release()
+	return f
 }
 
 func TestLookupHitAbsorbsInProfile(t *testing.T) {
 	c := New(testConfig())
 	key := []byte("m|10.0.0.2|20000")
-	arm(t, c, key, "call-1")
+	f := arm(t, c, key, "call-1")
 
 	for i := 1; i <= 10; i++ {
 		if v := lookup(c, key, 0, 1, uint16(100+i), uint32(1600+160*i), time.Duration(i)*20*time.Millisecond).Verdict; v != Hit {
@@ -54,8 +55,8 @@ func TestLookupHitAbsorbsInProfile(t *testing.T) {
 	if st.Hits != 10 || st.Escalations != 0 {
 		t.Fatalf("counters = %+v, want 10 hits", st)
 	}
-	if seen, ok := c.LastSeen(string(key)); !ok || seen != 200*time.Millisecond {
-		t.Fatalf("LastSeen = %v, %v", seen, ok)
+	if seen := c.LastSeen(f); seen != 200*time.Millisecond {
+		t.Fatalf("LastSeen = %v", seen)
 	}
 }
 
@@ -241,7 +242,7 @@ func TestRemoveDeletesFlow(t *testing.T) {
 		t.Fatalf("flows = %d after two installs, want 2", n)
 	}
 	c.Remove("call-1")
-	if _, ok := c.LastSeen(string(key)); ok {
+	if f := c.Lookup(key); f != nil {
 		t.Fatal("flow survived Remove")
 	}
 	if res := lookup(c, key, 0, 1, 101, 1760, 0); res.Verdict != Miss || res.Flow != nil || res.ShardIdx != -1 {
@@ -522,9 +523,6 @@ func TestKeyFormsAgree(t *testing.T) {
 		{"h", 0}, {"h", -1}, {"", 7}, {"exactly8", 65535}, {"a-host-name-longer-than-sixteen", 1},
 	} {
 		key := fmt.Sprintf("%s:%d", d.host, d.port)
-		if h, p := splitKey(key); h != d.host || p != d.port {
-			t.Errorf("splitKey(%q) = %q, %d", key, h, p)
-		}
 		if h, p := splitKeyBytes([]byte(key)); string(h) != d.host || p != d.port {
 			t.Errorf("splitKeyBytes(%q) = %q, %d", key, h, p)
 		}
@@ -533,9 +531,6 @@ func TestKeyFormsAgree(t *testing.T) {
 		}
 	}
 	for _, key := range []string{"m|10.0.0.2|20000", "h:", "h:007", "h:-0", "h:+5", "h:5x", "h:-", "h:1234567890123456789"} {
-		if h, p := splitKey(key); h != key || p != noPort {
-			t.Errorf("splitKey(%q) = %q, %d, want the whole key and noPort", key, h, p)
-		}
 		if h, p := splitKeyBytes([]byte(key)); string(h) != key || p != noPort {
 			t.Errorf("splitKeyBytes(%q) = %q, %d, want the whole key and noPort", key, h, p)
 		}

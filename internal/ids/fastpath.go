@@ -9,20 +9,22 @@ import (
 	"vids/internal/sim"
 )
 
-// ProcessMedia is Process for a media packet the flow table escalated
-// to this instance instead of absorbing it. f is the packet's flow and
-// epoch the flow epoch its consult saw: a clean steady-state packet arms
-// f under that epoch, so the table absorbs the flow's in-profile
-// packets from then on. A nil f arms nothing (the pipeline runs without
-// absorption). snap, when non-nil, is the window state the table
-// validated on the machine's behalf since the flow last escalated; it
-// is applied to the owning machine before that machine judges pkt.
+// ProcessMedia is Process, without its wall-clock stamp, for a media
+// packet the flow table escalated to this instance instead of absorbing
+// it. f is the packet's flow and epoch the flow epoch its consult saw:
+// a clean steady-state packet arms f under that epoch, so the table
+// absorbs the flow's in-profile packets from then on. A nil f arms
+// nothing (the pipeline runs without absorption). snap, when non-nil,
+// is the window state the table validated on the machine's behalf
+// since the flow last escalated; it is applied to the owning machine
+// before that machine judges pkt.
 func (d *IDS) ProcessMedia(pkt *sim.Packet, f *fastpath.Flow, epoch uint64, snap *fastpath.Snapshot) {
 	if snap != nil {
 		d.resyncMedia(pkt.To.Host, pkt.To.Port, snap)
 	}
 	d.armFlow, d.armEpoch = f, epoch
-	d.Process(pkt)
+	d.enter(pkt)
+	d.process(pkt)
 	d.armFlow, d.armEpoch = nil, 0
 }
 
@@ -92,25 +94,31 @@ func resyncVars(m core.MachineLike, snap *fastpath.Snapshot) {
 	vars[lWinCount.Name] = core.IntVal(snap.WinCount)
 }
 
-// invalidateMonitorMedia disarms every flow the monitor's call owns.
-// Called synchronously while the worker processes a signaling event,
-// before that event is acked — the mirror can never outlive the
-// transition that made it stale.
+// invalidateMonitorMedia disarms every flow the monitor's call holds a
+// handle on, with atomics only. Called synchronously while the worker
+// processes a signaling event, before that event is acked — the mirror
+// can never outlive the transition that made it stale.
 func (d *IDS) invalidateMonitorMedia(mon *CallMonitor) {
-	for _, key := range mon.mediaKeys {
-		d.Flows.Invalidate(key)
+	for _, f := range mon.flows {
+		if f != nil {
+			d.Flows.Disarm(f)
+		}
 	}
 }
 
-// mediaActivity folds the flow table's last-absorbed times for the
-// call's owned flows into LastActivity, so the idle sweep judges a call
-// by the traffic the slow path would have seen without absorption.
+// mediaActivity folds the last-absorbed times of the flows the call
+// still owns in this instance's media index into LastActivity, so the
+// idle sweep judges a call by the traffic the slow path would have seen
+// without absorption.
 func (d *IDS) mediaActivity(mon *CallMonitor, callID string, last time.Duration) time.Duration {
-	for _, key := range mon.mediaKeys {
-		if ref, ok := d.mediaIndex[key]; !ok || ref.callID != callID {
+	for i, f := range mon.flows {
+		if f == nil {
 			continue
 		}
-		if seen, ok := d.Flows.LastSeen(key); ok && seen > last {
+		if ref, ok := d.mediaIndex[mon.mediaKeys[i]]; !ok || ref.callID != callID {
+			continue
+		}
+		if seen := d.Flows.LastSeen(f); seen > last {
 			last = seen
 		}
 	}

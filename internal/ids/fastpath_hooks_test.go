@@ -15,8 +15,11 @@ import (
 // what it does not absorb reaches the detector through ProcessMedia.
 type flowHarness struct {
 	*harness
-	fp   *fastpath.Cache
-	last fastpath.Consult // the consult of the latest media packet
+	fp *fastpath.Cache
+	// callee and caller are the flows installed at calleeKey and
+	// callerKey: the handles Install returned.
+	callee, caller *fastpath.Flow
+	last           fastpath.Consult // the consult of the latest media packet
 }
 
 var (
@@ -39,9 +42,8 @@ func newFlowHarness(t *testing.T, mutate func(*Config)) *flowHarness {
 		RateWindow: cfg.RTP.RateWindow, RatePackets: cfg.RTP.RatePackets,
 	})
 	h.ids.Flows = fp
-	fp.Install(calleeKey, callID, 0)
-	fp.Install(callerKey, callID, 0)
-	return &flowHarness{harness: h, fp: fp}
+	return &flowHarness{harness: h, fp: fp,
+		callee: fp.Install(calleeKey, callID, 0), caller: fp.Install(callerKey, callID, 0)}
 }
 
 // media disposes of one RTP packet as the pipeline does: the table
@@ -129,7 +131,7 @@ func testArmHooks(t *testing.T, backend Backend) {
 	// first, as a signaling event of the call invalidates it — so an arm
 	// attempt would be accepted: only the detector's own judgement keeps
 	// the flow disarmed.
-	f.fp.Invalidate(string(calleeKey))
+	f.fp.Disarm(f.callee)
 	alerts := len(f.ids.Alerts())
 	if v := f.media(callerMediaPkt(103, 1480, 0xDEAD)); v != fastpath.Miss {
 		t.Fatalf("wrong-SSRC packet on a disarmed flow: verdict %v, want miss", v)

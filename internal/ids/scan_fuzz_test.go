@@ -71,9 +71,27 @@ func checkScanContract(t *testing.T, d *IDS, raw []byte) {
 		Proto: sim.ProtoSIP, Size: len(raw), Payload: raw,
 	}
 	fromMessage := *d.sipFromMessage(m, pkt)
-	fromView := *d.sipFromView(&v, raw, pkt)
+	fromView := *d.sipFromView(&v, raw, pkt, nil)
 	if fromMessage != fromView {
 		t.Fatalf("fillers disagree:\n  message: %+v\n  view:    %+v\nwire: %q", fromMessage, fromView, raw)
+	}
+
+	// For a call with a monitor the view filler reads the dialog's
+	// strings out of the monitor's slots, and must still come out equal
+	// whether the slots hold this message's strings or others.
+	a := &fromMessage.args
+	for _, slots := range []dialogSlots{
+		{from: a.From, to: a.To, fromTag: a.FromTag, toTag: a.ToTag, contact: a.Contact},
+		{from: a.To, to: a.From, fromTag: a.ToTag + "x", toTag: a.FromTag, contact: "x" + a.Contact},
+	} {
+		mon := &CallMonitor{CallID: a.CallID, slots: slots}
+		d.calls[mon.CallID] = mon
+		fromMessage := *d.sipFromMessage(m, pkt)
+		fromView := *d.sipFromView(&v, raw, pkt, nil)
+		delete(d.calls, mon.CallID)
+		if fromMessage.mon != mon || fromMessage != fromView {
+			t.Fatalf("fillers disagree on a known call with slots %+v:\n  message: %+v\n  view:    %+v\nwire: %q", slots, fromMessage, fromView, raw)
+		}
 	}
 }
 

@@ -407,12 +407,13 @@ func (ing *Ingress) routeSIP(pkt *sim.Packet, raw []byte, at time.Duration, r *s
 	l.mu.Unlock()
 	ing.drain(alerts)
 
+	var flow *fastpath.Flow
 	if advertises {
 		// Register (or, on SDP renegotiation, invalidate and re-own) the
 		// flow: from here on it routes the destination's media to this
-		// call's shard.
+		// call's shard, and the call's detector holds it by this handle.
 		var kb [96]byte
-		ing.fp.Install(ids.AppendMediaKey(kb[:0], sdpHost, r.sdpPort), cid, shardIdx)
+		flow = ing.fp.Install(ids.AppendMediaKey(kb[:0], sdpHost, r.sdpPort), cid, shardIdx)
 	}
 	// Signaling can change what this call's RTP means (BYE, CANCEL,
 	// renegotiation): disarm its flows before the event is enqueued, so
@@ -421,7 +422,7 @@ func (ing *Ingress) routeSIP(pkt *sim.Packet, raw []byte, at time.Duration, r *s
 	ing.fp.DisarmCall(r.callID)
 	var err error
 	if r.view != nil {
-		err = ing.e.EnqueueSIP(shardIdx, pkt, at, r.view)
+		err = ing.e.EnqueueSIP(shardIdx, pkt, at, r.view, flow)
 	} else {
 		err = ing.e.EnqueueRaw(shardIdx, pkt, at)
 	}
