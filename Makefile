@@ -13,7 +13,7 @@ CHURNTIME ?= 5000x
 # feeds BENCH_hotpath.json; the engine file merges a churn run
 # (allocation-gated) with a throughput run (timing only — engine
 # fan-out allocs vary with scheduling and are not a useful gate).
-HOTPATH_BENCH = BenchmarkSIPParse$$|BenchmarkSIPScan$$|BenchmarkRTPParse$$|BenchmarkRTCPParse$$|BenchmarkIDSProcessSIP$$|BenchmarkIDSProcessSIPCompiled$$|BenchmarkIDSProcessSIPInterpreted$$|BenchmarkIDSProcessSIPView$$|BenchmarkIDSProcessSIPViewFlows$$|BenchmarkIDSProcessRTP$$|BenchmarkIDSProcessRTPInterpreted$$|BenchmarkEFSMStep$$|BenchmarkEFSMStepCompiled$$|BenchmarkFastpathLookup$$|BenchmarkWheelNextLoaded$$
+HOTPATH_BENCH = BenchmarkSIPParse$$|BenchmarkSIPScan$$|BenchmarkSIPScanResponse$$|BenchmarkRTPParse$$|BenchmarkRTCPParse$$|BenchmarkIDSProcessSIP$$|BenchmarkIDSProcessSIPCompiled$$|BenchmarkIDSProcessSIPInterpreted$$|BenchmarkIDSProcessSIPView$$|BenchmarkIDSProcessSIPViewFlows$$|BenchmarkIDSProcessRTP$$|BenchmarkIDSProcessRTPInterpreted$$|BenchmarkEFSMStep$$|BenchmarkEFSMStepCompiled$$|BenchmarkFastpathLookup$$|BenchmarkWheelNextLoaded$$
 # THROUGHPUT_BENCH pairs the SIP-heavy engine mix with the media-heavy
 # one so the fast-path absorption numbers are pinned alongside the
 # baseline fan-out numbers in BENCH_engine.json.
@@ -131,7 +131,8 @@ bench-e2e:
 # fuzz-smoke briefly runs the native fuzz targets that hammer the
 # //vids:nopanic roots with hostile bytes — the dynamic cross-check of
 # the static panic-freedom gate — and the decode → encode → decode
-# round trips of URIs, trace JSONL and SDP. Each target also replays its
+# round trips of URIs, trace JSONL and SDP, and the differential
+# check of sdp.MediaDest against sdp.Parse. Each target also replays its
 # committed corpus (testdata/fuzz/) as regression cases under plain
 # `go test`. FUZZTIME paces the smoke; raise it for a deeper local run
 # (e.g. `make fuzz-smoke FUZZTIME=2m`).
@@ -143,6 +144,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ids -run '^$$' -fuzz 'FuzzScanParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzJSONLRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sdp -run '^$$' -fuzz 'FuzzSDPRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sdp -run '^$$' -fuzz 'FuzzMediaDestParse$$' -fuzztime $(FUZZTIME)
 
 # speccover measures specification transition coverage (scenario
 # suite + synthesized witness traces, merged with static product

@@ -296,6 +296,24 @@ func BenchmarkSIPScan(b *testing.B) {
 	}
 }
 
+// BenchmarkSIPScanResponse measures the scanner on a bodiless
+// datagram, the shape of most signaling: the 180 Ringing the callee
+// answers the bench INVITE with.
+func BenchmarkSIPScanResponse(b *testing.B) {
+	ringing := sipmsg.NewResponse(benchInvite(), sipmsg.StatusRinging)
+	ringing.To = ringing.To.WithTag("t2")
+	raw := ringing.Bytes()
+	var v sipmsg.View
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sipmsg.Scan(raw, &v) != sipmsg.ScanOK {
+			b.Fatal("scan did not commit to the 180 Ringing")
+		}
+	}
+}
+
 // BenchmarkIDSProcessSIPView measures what a shard does per signaling
 // datagram in the pipeline: ProcessSIPView on the lane's scan — intern
 // the strings the machines keep, fact-base lookup, compiled machine

@@ -39,6 +39,15 @@ func appendMediaKey(b []byte, host string, port int) []byte {
 	return strconv.AppendInt(b, int64(port), 10)
 }
 
+// AppendMediaKey renders the fact-base index key for a media
+// destination — the same key the Event Distributor uses to route RTP to
+// a call's machine — into b without allocating, so the ingestion lanes
+// and the fast-path cache can key their mirrors of the index through a
+// reusable buffer.
+func AppendMediaKey(b []byte, host string, port int) []byte {
+	return appendMediaKey(b, host, port)
+}
+
 // appendURI renders u the way sipmsg.URI.String does, into b, so the
 // hot path can intern the result instead of allocating a fresh string
 // per message.

@@ -81,7 +81,7 @@ func TestSignalingDisarmsTheHandledFlow(t *testing.T) {
 func TestScanBailSDPFlowDisarmed(t *testing.T) {
 	f := newFlowHarness(t, nil)
 	inv := mkInvite()
-	inv.From.Display = "Alice; tag=x" // rendered quoted: the scanner bails on quoted display names
+	inv.From.Display = "Alíce" // the scanner bails on non-ASCII bytes in a name-addr
 	pkt := sipPacket(inv, sim.Addr{Host: proxyA, Port: 5060}, sim.Addr{Host: proxyB, Port: 5060})
 	raw := pkt.Payload.([]byte)
 	var v sipmsg.View

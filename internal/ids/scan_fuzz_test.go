@@ -125,6 +125,12 @@ func FuzzScanParse(f *testing.F) {
 		"i: ok@a.example.com\r\nCSeq:  2   INVITE \r\n" +
 		"m: sip:bob@ua2.b.example.com\r\nExpires: 3600\r\nl: 107\r\n\r\n" +
 		"v=0\r\no=b 1 1 IN IP4 ua2.b.example.com\r\ns=c\r\nc=IN IP4 ua2.b.example.com\r\nt=0 0\r\nm=audio 30000 RTP/AVP 18 0\r\n"))
+	f.Add([]byte("INVITE sip:bob@b.example.com SIP/2.0\r\n" +
+		"Via: SIP/2.0/UDP ua1.a.example.com:5060;branch=z9hG4bKq\r\n" +
+		"From: \"Alice; tag=x\" <sip:alice@a.example.com>;tag=1\r\n" +
+		"To: \"a<b>\" <sip:bob@b.example.com>\r\n" +
+		"Contact: \"C\" <sip:alice@ua1.a.example.com>\r\n" +
+		"Call-ID: quoted@a.example.com\r\nCSeq: 1 INVITE\r\n\r\n"))
 	f.Add([]byte("BYE sip:bob@b.example.com SIP/2.0\r\nVia: SIP/2.0/UDP h\r\n \r\n ;branch=z9hG4bKf\r\n" +
 		"From: \"B; tag=x\" <sip:x@y>;tag=1\r\nTo: <sip:b@b>\r\nCall-ID: c\r\nCSeq: 1 BYE\r\n\r\n"))
 

@@ -25,8 +25,8 @@
 // rejects is counted as a parse error and retired right here, so it
 // can never leave a trace in a lane table or the fast-path cache that
 // the detector would not know about; one it does not commit to (folded
-// headers, quoted display names, …) takes the cold path through the
-// full parser, on the lane and again on the shard.
+// headers, non-ASCII bytes, …) takes the cold path through the full
+// parser, on the lane and again on the shard.
 //
 // Cross-call detection stays exact under the partitioning because the
 // flood detectors are per-destination: every INVITE toward one AOR

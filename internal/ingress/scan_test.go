@@ -84,8 +84,8 @@ func TestExtractBailsToSlowPath(t *testing.T) {
 	cases := map[string]string{
 		"folded header": "INVITE sip:bob@b.example.com SIP/2.0\r\n" + via + from + to + callID +
 			"CSeq: 1\r\n INVITE\r\n\r\n",
-		"quoted display name": "INVITE sip:bob@b.example.com SIP/2.0\r\n" + via + from +
-			"To: \"Bob; tag=evil\" <sip:bob@b.example.com>\r\n" + callID + "CSeq: 1 INVITE\r\n\r\n",
+		"non-ASCII display name": "INVITE sip:bob@b.example.com SIP/2.0\r\n" + via + from +
+			"To: \"Bób\" <sip:bob@b.example.com>\r\n" + callID + "CSeq: 1 INVITE\r\n\r\n",
 		"signed content-length": "INVITE sip:bob@b.example.com SIP/2.0\r\n" + via + from + to + callID +
 			"CSeq: 1 INVITE\r\nContent-Length: +0\r\n\r\n",
 		"garbage via with SDP": "INVITE sip:bob@b.example.com SIP/2.0\r\nVia: garbage\r\n" + from + to + callID +

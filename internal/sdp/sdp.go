@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Codec payload types from the RTP/AVP profile (RFC 3551).
@@ -185,26 +186,24 @@ func Parse(data []byte) (*Description, error) {
 // section (whose payload list is never empty when Parse accepts it).
 // addr aliases data; callers that retain it must copy (or intern) it.
 //
-// The packet path (internal/ids, and internal/ingress for the
-// datagrams its scanner bails on) reads each SDP body through this
+// The packet path (internal/ids, sipmsg.Scan, and internal/ingress for
+// the datagrams its scanner bails on) reads each SDP body through this
 // instead of Parse: one INVITE previously paid two full Parse calls —
-// roughly 20 allocations — per message.
+// roughly 20 allocations — per message. It reads the body once: each
+// line is found with one IndexByte, the o=, c= and m= lines are split
+// into fields by one walk, and each number is judged as it is read.
 func MediaDest(data []byte) (addr []byte, port, payload int, ok bool) {
-	if len(data) == 0 {
-		return nil, 0, 0, false
-	}
-	sawVersion := false
-	sawMedia := false
+	sawVersion, sawMedia := false, false
 	rest := data
 	for len(rest) > 0 {
-		var line []byte
+		line := rest
 		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
 			line, rest = rest[:i], rest[i+1:]
 		} else {
-			line, rest = rest, nil
+			rest = nil
 		}
-		if n := len(line); n > 0 && line[n-1] == '\r' {
-			line = line[:n-1]
+		for len(line) > 0 && line[len(line)-1] == '\r' {
+			line = line[:len(line)-1] // strings.TrimRight(line, "\r")
 		}
 		if len(line) == 0 {
 			continue
@@ -212,27 +211,22 @@ func MediaDest(data []byte) (addr []byte, port, payload int, ok bool) {
 		if len(line) < 2 || line[1] != '=' {
 			return nil, 0, 0, false
 		}
-		value := line[2:]
+		f := fields{rest: line[2:]}
 		switch line[0] {
 		case 'v':
-			if len(value) != 1 || value[0] != '0' {
+			if len(line) != 3 || line[2] != '0' {
 				return nil, 0, 0, false
 			}
 			sawVersion = true
 		case 'o':
-			// At least six fields, the second and third numeric.
-			var f fieldScanner
-			f.init(value)
+			// At least six fields, the second and third numbers
+			// strconv.ParseUint(s, 10, 64) accepts.
 			f.next() // username
-			_, idOK := parseUintField(f.next())
-			_, verOK := parseUintField(f.next())
-			if !idOK || !verOK || f.next() == nil || f.next() == nil || f.next() == nil {
+			if !uint64Field(f.next()) || !uint64Field(f.next()) || f.next() == nil || f.next() == nil || f.next() == nil {
 				return nil, 0, 0, false
 			}
 		case 'c':
 			// Exactly "IN IP4 <address>".
-			var f fieldScanner
-			f.init(value)
 			netType, addrType, a := f.next(), f.next(), f.next()
 			if string(netType) != "IN" || string(addrType) != "IP4" || a == nil || f.next() != nil {
 				return nil, 0, 0, false
@@ -240,21 +234,14 @@ func MediaDest(data []byte) (addr []byte, port, payload int, ok bool) {
 			addr = a
 		case 'm':
 			// "audio <port> RTP/AVP" and at least one payload type.
-			var f fieldScanner
-			f.init(value)
-			if string(f.next()) != "audio" {
-				return nil, 0, 0, false
-			}
-			p, numOK := parseIntField(f.next())
-			if !numOK || p <= 0 || p > 65535 {
-				return nil, 0, 0, false
-			}
-			if string(f.next()) != "RTP/AVP" {
+			media := f.next()
+			p, portOK := atoiField(f.next())
+			if string(media) != "audio" || !portOK || p <= 0 || p > 65535 || string(f.next()) != "RTP/AVP" {
 				return nil, 0, 0, false
 			}
 			firstPT := -1
 			for fld := f.next(); fld != nil; fld = f.next() {
-				pt, ptOK := parseIntField(fld)
+				pt, ptOK := atoiField(fld)
 				if !ptOK || pt < 0 || pt > 127 {
 					return nil, 0, 0, false
 				}
@@ -266,8 +253,7 @@ func MediaDest(data []byte) (addr []byte, port, payload int, ok bool) {
 				return nil, 0, 0, false
 			}
 			if !sawMedia {
-				port, payload = p, firstPT
-				sawMedia = true
+				port, payload, sawMedia = p, firstPT, true
 			}
 		}
 	}
@@ -277,74 +263,117 @@ func MediaDest(data []byte) (addr []byte, port, payload int, ok bool) {
 	return addr, port, payload, true
 }
 
-// fieldScanner iterates whitespace-separated fields of a line the way
-// strings.Fields does, without allocating the field slice.
-type fieldScanner struct {
+// fields iterates the fields of a line the way strings.Fields splits
+// it — at runs of white space, Unicode white space included — without
+// allocating the field slice.
+type fields struct {
 	rest []byte
 }
 
-func (f *fieldScanner) init(b []byte) { f.rest = b }
-
-// isSpace reports ASCII white space: SP, or one of HT LF VT FF CR,
-// which are the five consecutive bytes 9..13.
-func isSpace(c byte) bool { return c == ' ' || c-'\t' < 5 }
-
-// next returns the next field, or nil when exhausted.
-func (f *fieldScanner) next() []byte {
+// next returns the next field, or nil when the line is exhausted.
+// Printable ASCII (0x21..0x7e) is never white space, so a field byte
+// costs one comparison; only bytes ≥ 0x80 are decoded as runes, each
+// once. The walk steps one byte at a time and counts off the rest of
+// a multi-byte rune in skip, so its index only ever grows.
+func (f *fields) next() []byte {
 	b := f.rest
-	for len(b) > 0 && isSpace(b[0]) {
-		b = b[1:]
+	for len(b) > 0 {
+		if c := b[0]; c == ' ' || c-'\t' < 5 {
+			b = b[1:]
+			continue
+		} else if c < utf8.RuneSelf {
+			break
+		}
+		r, n := utf8.DecodeRune(b)
+		if !isUnicodeSpace(r) || n <= 0 || n > len(b) {
+			break
+		}
+		b = b[n:]
 	}
-	j := 0
-	for j < len(b) && !isSpace(b[j]) {
-		j++
+	for j, skip := 0, 0; ; j++ {
+		for j < len(b) && b[j]-0x21 < 0x7e-0x21+1 {
+			j++
+		}
+		if j >= len(b) {
+			break
+		}
+		if c := b[j]; skip > 0 {
+			skip-- // inside a multi-byte rune
+		} else if c < utf8.RuneSelf {
+			if c == ' ' || c-'\t' < 5 {
+				f.rest = b[j:]
+				return b[:j]
+			}
+		} else {
+			r, n := utf8.DecodeRune(b[j:])
+			if isUnicodeSpace(r) {
+				f.rest = b[j:]
+				return b[:j]
+			}
+			skip = n - 1
+		}
 	}
 	f.rest = nil
-	if j == 0 {
+	if len(b) == 0 {
 		return nil
-	}
-	if j < len(b) {
-		f.rest = b[j:]
-		return b[:j]
 	}
 	return b
 }
 
-// parseIntField parses a decimal field with an optional sign, the
-// values strconv.Atoi accepts (overflow divergence is immaterial:
-// both paths reject such lines through the range checks).
-func parseIntField(b []byte) (int, bool) {
-	neg := false
-	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
-		neg = b[0] == '-'
-		b = b[1:]
+// isUnicodeSpace is unicode.IsSpace above ASCII: the White_Space
+// property's code points from U+0085 up.
+func isUnicodeSpace(r rune) bool {
+	switch r {
+	case 0x85, 0xa0, 0x1680, 0x2028, 0x2029, 0x202f, 0x205f, 0x3000:
+		return true
 	}
-	n, ok := parseUintField(b)
-	if !ok || n > 1<<62 {
-		return 0, false
-	}
-	if neg {
-		return -int(n), true
-	}
-	return int(n), true
+	return r >= 0x2000 && r <= 0x200a
 }
 
-// parseUintField parses a decimal field, rejecting anything
-// strconv.ParseUint(s, 10, 64) would reject.
-func parseUintField(b []byte) (uint64, bool) {
+// atoiField parses a field the way strconv.Atoi does: an optional sign
+// and at least one decimal digit. Leading zeros are allowed, so the
+// digit count is unbounded; the value stops growing once it passes
+// 2³¹, which every caller's range check rejects, as it would Atoi's
+// overflow error.
+func atoiField(b []byte) (int, bool) {
+	neg := false
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		neg, b = b[0] == '-', b[1:]
+	}
 	if len(b) == 0 {
 		return 0, false
 	}
-	var n uint64
+	n := 0
 	for _, c := range b {
 		if c < '0' || c > '9' {
 			return 0, false
 		}
-		d := uint64(c - '0')
-		if n > (^uint64(0)-d)/10 {
-			return 0, false
+		if n < 1<<31 {
+			n = n*10 + int(c-'0')
 		}
-		n = n*10 + d
+	}
+	if neg {
+		return -n, true
 	}
 	return n, true
+}
+
+// uint64Field reports whether strconv.ParseUint(b, 10, 64) accepts b:
+// at least one digit, nothing else, and a value below 2⁶⁴. A number of
+// at most 19 significant digits always fits; one of 20 fits when it
+// compares no greater than the largest uint64, digit by digit.
+func uint64Field(b []byte) bool {
+	if len(b) == 0 {
+		return false
+	}
+	sig := 0 // digits from the first non-zero one on
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return false
+		}
+		if sig > 0 || c != '0' {
+			sig++
+		}
+	}
+	return sig < 20 || sig == 20 && len(b) >= 20 && string(b[len(b)-20:]) <= "18446744073709551615"
 }

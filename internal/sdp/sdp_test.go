@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestNewMarshalParseRoundTrip(t *testing.T) {
@@ -173,56 +174,82 @@ func mediaDestWant(data []byte) (string, int, int, bool) {
 	return desc.Address, audio.Port, audio.Payloads[0], true
 }
 
+// mediaDestCases are MediaDest's table oracle rows, valid and invalid
+// bodies alike; FuzzMediaDestParse seeds from them too.
+var mediaDestCases = [][]byte{
+	New("alice", "10.0.0.1", 4000, 18).Marshal(),
+	New("bob", "media.example.com", 65535, 0).Marshal(),
+	[]byte("v=0\r\no=u 1 2 IN IP4 h\r\ns=-\r\nc=IN IP4 h\r\nt=0 0\r\nm=audio 100 RTP/AVP 0 8 18\r\n"),
+	[]byte("v=0\nc=IN IP4 h\nm=audio 100 RTP/AVP 0\n"),                         // bare LF
+	[]byte("v=0\r\nc=IN IP4 h\r\n"),                                            // no media
+	[]byte("c=IN IP4 h\r\nm=audio 100 RTP/AVP 0\r\n"),                          // missing v=
+	[]byte("v=1\r\nc=IN IP4 h\r\nm=audio 100 RTP/AVP 0\r\n"),                   // bad version
+	[]byte("v=0\r\nm=audio 100 RTP/AVP 0\r\n"),                                 // missing c=
+	[]byte("v=0\r\nc=IN IP6 h\r\nm=audio 100 RTP/AVP 0\r\n"),                   // not IP4
+	[]byte("v=0\r\nc=IN IP4\r\nm=audio 100 RTP/AVP 0\r\n"),                     // short c=
+	[]byte("v=0\r\nc=IN IP4 h x\r\nm=audio 100 RTP/AVP 0\r\n"),                 // long c=
+	[]byte("v=0\r\nc=IN IP4 h\r\nm=video 100 RTP/AVP 0\r\n"),                   // not audio
+	[]byte("v=0\r\nc=IN IP4 h\r\nm=audio 0 RTP/AVP 0\r\n"),                     // port 0
+	[]byte("v=0\r\nc=IN IP4 h\r\nm=audio 70000 RTP/AVP 0\r\n"),                 // port too big
+	[]byte("v=0\r\nc=IN IP4 h\r\nm=audio +99 RTP/AVP 0\r\n"),                   // Atoi sign
+	[]byte("v=0\r\nc=IN IP4 h\r\nm=audio -1 RTP/AVP 0\r\n"),                    // negative port
+	[]byte("v=0\r\nc=IN IP4 h\r\nm=audio x RTP/AVP 0\r\n"),                     // non-numeric port
+	[]byte("v=0\r\nc=IN IP4 h\r\nm=audio 100 udp 0\r\n"),                       // wrong profile
+	[]byte("v=0\r\nc=IN IP4 h\r\nm=audio 100 RTP/AVP\r\n"),                     // no payloads
+	[]byte("v=0\r\nc=IN IP4 h\r\nm=audio 100 RTP/AVP 128\r\n"),                 // payload too big
+	[]byte("v=0\r\nc=IN IP4 h\r\nm=audio 100 RTP/AVP -2\r\n"),                  // negative payload
+	[]byte("v=0\r\nc=IN IP4 h\r\nm=audio 100 RTP/AVP 0 bad\r\n"),               // junk payload
+	[]byte("v=0\r\no=u x 2 IN IP4 h\r\nc=IN IP4 h\r\nm=audio 1 RTP/AVP 0\r\n"), // bad o= id
+	[]byte("v=0\r\no=u 1 x IN IP4 h\r\nc=IN IP4 h\r\nm=audio 1 RTP/AVP 0\r\n"), // bad o= ver
+	[]byte("v=0\r\no=u 1 2\r\nc=IN IP4 h\r\nm=audio 1 RTP/AVP 0\r\n"),          // short o=
+	[]byte("v=0\r\nbogus\r\nc=IN IP4 h\r\nm=audio 1 RTP/AVP 0\r\n"),            // malformed line
+	[]byte("v=0\r\nx\r\n"), // line shorter than 2
+	[]byte("v=0\r\nz=ignored\r\nc=IN IP4 h\r\nq=unknown\r\nm=audio 1 RTP/AVP 0\r\n"),
+	[]byte("v=0\r\nc=IN IP4 a\r\nc=IN IP4 b\r\nm=audio 1 RTP/AVP 5\r\n"), // last c= wins
+	[]byte("v=0\r\nc=IN IP4 h\r\nm=audio 1 RTP/AVP 3\r\nm=audio 2 RTP/AVP 4\r\n"),
+	[]byte("v=0\r\r\nc=IN IP4 h\r\nm=audio 1 RTP/AVP 0\r\n"),               // TrimRight strips every CR
+	[]byte("v=0\r\nc=IN IP4\u00a0h\r\nm=audio\u20031 RTP/AVP 0\u0085\r\n"), // Unicode spaces split fields
+	[]byte("v=0\r\nc=IN IP4 h\xc2\r\nm=audio 1 RTP/AVP 0\r\n"),             // a lone lead byte is a field byte
+	[]byte(""),
+	[]byte("\r\n\r\n"),
+}
+
+// checkMediaDest holds MediaDest to Parse+FirstAudio on one body.
+func checkMediaDest(t *testing.T, data []byte) {
+	t.Helper()
+	wantAddr, wantPort, wantPT, wantOK := mediaDestWant(data)
+	addr, port, pt, ok := MediaDest(data)
+	if ok != wantOK || (ok && (string(addr) != wantAddr || port != wantPort || pt != wantPT)) {
+		t.Errorf("MediaDest(%q) = (%q,%d,%d,%v), Parse says (%q,%d,%d,%v)",
+			data, addr, port, pt, ok, wantAddr, wantPort, wantPT, wantOK)
+	}
+}
+
 // MediaDest must agree with Parse+FirstAudio on valid and invalid
 // bodies alike: the hot path and the reference parser are the same
 // oracle.
 func TestMediaDestMatchesParse(t *testing.T) {
-	cases := [][]byte{
-		New("alice", "10.0.0.1", 4000, 18).Marshal(),
-		New("bob", "media.example.com", 65535, 0).Marshal(),
-		[]byte("v=0\r\no=u 1 2 IN IP4 h\r\ns=-\r\nc=IN IP4 h\r\nt=0 0\r\nm=audio 100 RTP/AVP 0 8 18\r\n"),
-		[]byte("v=0\nc=IN IP4 h\nm=audio 100 RTP/AVP 0\n"),                         // bare LF
-		[]byte("v=0\r\nc=IN IP4 h\r\n"),                                            // no media
-		[]byte("c=IN IP4 h\r\nm=audio 100 RTP/AVP 0\r\n"),                          // missing v=
-		[]byte("v=1\r\nc=IN IP4 h\r\nm=audio 100 RTP/AVP 0\r\n"),                   // bad version
-		[]byte("v=0\r\nm=audio 100 RTP/AVP 0\r\n"),                                 // missing c=
-		[]byte("v=0\r\nc=IN IP6 h\r\nm=audio 100 RTP/AVP 0\r\n"),                   // not IP4
-		[]byte("v=0\r\nc=IN IP4\r\nm=audio 100 RTP/AVP 0\r\n"),                     // short c=
-		[]byte("v=0\r\nc=IN IP4 h x\r\nm=audio 100 RTP/AVP 0\r\n"),                 // long c=
-		[]byte("v=0\r\nc=IN IP4 h\r\nm=video 100 RTP/AVP 0\r\n"),                   // not audio
-		[]byte("v=0\r\nc=IN IP4 h\r\nm=audio 0 RTP/AVP 0\r\n"),                     // port 0
-		[]byte("v=0\r\nc=IN IP4 h\r\nm=audio 70000 RTP/AVP 0\r\n"),                 // port too big
-		[]byte("v=0\r\nc=IN IP4 h\r\nm=audio +99 RTP/AVP 0\r\n"),                   // Atoi sign
-		[]byte("v=0\r\nc=IN IP4 h\r\nm=audio -1 RTP/AVP 0\r\n"),                    // negative port
-		[]byte("v=0\r\nc=IN IP4 h\r\nm=audio x RTP/AVP 0\r\n"),                     // non-numeric port
-		[]byte("v=0\r\nc=IN IP4 h\r\nm=audio 100 udp 0\r\n"),                       // wrong profile
-		[]byte("v=0\r\nc=IN IP4 h\r\nm=audio 100 RTP/AVP\r\n"),                     // no payloads
-		[]byte("v=0\r\nc=IN IP4 h\r\nm=audio 100 RTP/AVP 128\r\n"),                 // payload too big
-		[]byte("v=0\r\nc=IN IP4 h\r\nm=audio 100 RTP/AVP -2\r\n"),                  // negative payload
-		[]byte("v=0\r\nc=IN IP4 h\r\nm=audio 100 RTP/AVP 0 bad\r\n"),               // junk payload
-		[]byte("v=0\r\no=u x 2 IN IP4 h\r\nc=IN IP4 h\r\nm=audio 1 RTP/AVP 0\r\n"), // bad o= id
-		[]byte("v=0\r\no=u 1 x IN IP4 h\r\nc=IN IP4 h\r\nm=audio 1 RTP/AVP 0\r\n"), // bad o= ver
-		[]byte("v=0\r\no=u 1 2\r\nc=IN IP4 h\r\nm=audio 1 RTP/AVP 0\r\n"),          // short o=
-		[]byte("v=0\r\nbogus\r\nc=IN IP4 h\r\nm=audio 1 RTP/AVP 0\r\n"),            // malformed line
-		[]byte("v=0\r\nx\r\n"), // line shorter than 2
-		[]byte("v=0\r\nz=ignored\r\nc=IN IP4 h\r\nq=unknown\r\nm=audio 1 RTP/AVP 0\r\n"),
-		[]byte("v=0\r\nc=IN IP4 a\r\nc=IN IP4 b\r\nm=audio 1 RTP/AVP 5\r\n"), // last c= wins
-		[]byte("v=0\r\nc=IN IP4 h\r\nm=audio 1 RTP/AVP 3\r\nm=audio 2 RTP/AVP 4\r\n"),
-		[]byte(""),
-		[]byte("\r\n\r\n"),
+	for _, data := range mediaDestCases {
+		checkMediaDest(t, data)
 	}
-	for _, data := range cases {
-		wantAddr, wantPort, wantPT, wantOK := mediaDestWant(data)
-		addr, port, pt, ok := MediaDest(data)
-		if ok != wantOK {
-			t.Errorf("MediaDest(%q) ok=%v, Parse says %v", data, ok, wantOK)
-			continue
-		}
-		if ok && (string(addr) != wantAddr || port != wantPort || pt != wantPT) {
-			t.Errorf("MediaDest(%q) = (%q,%d,%d), want (%q,%d,%d)",
-				data, addr, port, pt, wantAddr, wantPort, wantPT)
-		}
+}
+
+// FuzzMediaDestParse is MediaDest's differential fuzz target: on
+// arbitrary bytes it must agree with Parse+FirstAudio (mediaDestWant).
+// Besides the table rows it seeds the numeric edges: o= fields of 19
+// and 20 digits on both sides of the uint64 limit, and signed or
+// zero-padded ports and payload types.
+func FuzzMediaDestParse(f *testing.F) {
+	for _, data := range mediaDestCases {
+		f.Add(data)
 	}
+	for _, o := range []string{"9999999999999999999", "18446744073709551615", "18446744073709551616", "99999999999999999999", "+1", "00000000000000000000001"} {
+		f.Add([]byte("v=0\r\no=u " + o + " " + o + " IN IP4 h\r\nc=IN IP4 h\r\nm=audio 1 RTP/AVP 0\r\n"))
+	}
+	for _, m := range []string{"+99 RTP/AVP 0", "-0 RTP/AVP 0", "1 RTP/AVP +0 -0", "0065535 RTP/AVP 127", "9223372036854775808 RTP/AVP 0"} {
+		f.Add([]byte("v=0\nc=IN IP4 h\nm=audio " + m + "\n"))
+	}
+	f.Fuzz(checkMediaDest)
 }
 
 // Truncation sweep: every prefix of a valid body must agree too.
@@ -248,5 +275,15 @@ func TestMediaDestDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("MediaDest allocated %.1f per call, want 0", allocs)
+	}
+}
+
+// The field split's white space is strings.Fields': isUnicodeSpace
+// must be unicode.IsSpace on every rune above ASCII.
+func TestIsUnicodeSpace(t *testing.T) {
+	for r := rune(0x80); r <= unicode.MaxRune; r++ {
+		if isUnicodeSpace(r) != unicode.IsSpace(r) {
+			t.Fatalf("isUnicodeSpace(%U) = %v", r, !unicode.IsSpace(r))
+		}
 	}
 }

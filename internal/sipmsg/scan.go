@@ -105,13 +105,13 @@ const (
 	// ScanReject: Parse would reject the same bytes.
 	ScanReject
 	// ScanBail: no claim. The datagram has a shape the scanner does not
-	// commit to (folded lines, quoted strings, signed or oversized
-	// numbers, non-ASCII bytes, a CSeq method outside KnownMethods, …);
-	// the caller falls back to Parse.
+	// commit to (folded lines, non-ASCII bytes, signed or oversized
+	// numbers, a CSeq method outside KnownMethods, quotes or angle
+	// brackets in a Via); the caller falls back to Parse.
 	ScanBail
 )
 
-// Scan is the packet path's SIP scanner: one pass over the start line
+// Scan is the packet path's SIP scanner: one walk over the start line
 // and the header block, no allocation, nothing copied. It checks what
 // Parse checks — the whole message has to be one Parse would accept,
 // not only the fields the View carries, so a datagram with a garbage
@@ -121,6 +121,13 @@ const (
 // take more than a byte comparison it bails instead: a bail costs one
 // cold-path Parse, a misread would cost a wrong route or a wrong
 // verdict.
+//
+// Each header line is cut at its CRLF once. Its name is cut at its
+// colon and looked up as Parse does (lookupHeader), and its value is
+// read by one walk that records every position and byte class
+// its verdict depends on (byteClass). The verdict is decided after the
+// walk, in the order Parse would meet the problems, so a bail found
+// late in a value still beats a reject found earlier in it.
 //
 //vids:noalloc the per-datagram SIP scan on the lane hot path
 //vids:nopanic one pass over raw network bytes before any validation
@@ -134,33 +141,29 @@ func Scan(raw []byte, v *View) ScanResult {
 		return res
 	}
 
-	// Walk the header block the way Parse does, one line behind: a line
-	// is judged only once the next one is known not to continue it.
-	// Parse first cuts the block at the first CRLFCRLF and then splits
-	// it at every CRLF; splitting at every CRLF and stopping at the
-	// first empty line finds the same lines in one pass (an empty line
-	// is a CRLF right after a CRLF — or the end of the datagram, where
-	// pos runs past it and the body comes out empty either way).
+	// Walk the header block the way Parse does, judging a line only
+	// once the next one is known not to continue it. Parse first cuts
+	// the block at the first CRLFCRLF and then splits it at every CRLF;
+	// splitting at every CRLF and stopping at the first empty line
+	// finds the same lines in one pass (an empty line is a CRLF right
+	// after a CRLF — or the end of the datagram, where pos runs past it
+	// and the body comes out empty either way).
 	sc := scanState{contentLength: -1}
-	var cur []byte
 	for pos <= len(raw) {
 		var ln []byte
 		ln, pos = cutLine(raw, pos)
 		if len(ln) == 0 {
 			break
 		}
+		// Folded header: Parse unfolds, we do not. The line after ln is
+		// checked before ln is judged, as Parse reads ahead to unfold.
 		if ln[0] == ' ' || ln[0] == '\t' {
-			return ScanBail // folded header: Parse unfolds, we do not
+			return ScanBail
 		}
-		if cur != nil {
-			if res := sc.header(raw, v, cur); res != ScanOK {
-				return res
-			}
+		if c := byteAt(raw, pos); c == ' ' || c == '\t' {
+			return ScanBail
 		}
-		cur = ln
-	}
-	if cur != nil {
-		if res := sc.header(raw, v, cur); res != ScanOK {
+		if res := sc.header(raw, v, ln); res != ScanOK {
 			return res
 		}
 	}
@@ -200,6 +203,92 @@ func spanIn(raw, sub []byte) Span {
 	return Span{Off: uint16(cap(raw) - cap(sub)), Len: uint16(len(sub))}
 }
 
+// cut is b[lo:hi] for positions a walk over b recorded, or nil if they
+// do not bound a slice of b.
+func cut(b []byte, lo, hi int) []byte {
+	if lo < 0 || hi < lo || hi > len(b) {
+		return nil
+	}
+	return b[lo:hi]
+}
+
+// byteAt is b[i] for a position a walk over b recorded, or 0 (a byte no
+// caller looks for) past either end.
+func byteAt(b []byte, i int) byte {
+	if i < 0 || i >= len(b) {
+		return 0
+	}
+	return b[i]
+}
+
+// The byte classes. Every byte a field's verdict depends on has one;
+// all others are class 0, so a walk skips runs of them with one table
+// load per byte and stops only where a verdict could change.
+const (
+	cSpace uint16 = 1 << iota // SP and HT LF VT FF CR: what trimASCII strips
+	cCtl                      // the other bytes below SP, and DEL
+	cHigh                     // bytes ≥ 0x80: Parse trims Unicode spaces, trimASCII does not
+	cQuote                    // '"'
+	cLT                       // '<'
+	cGT                       // '>'
+	cSemi                     // ';'
+	cQmark                    // '?'
+	cAt                       // '@'
+	cColon                    // ':'
+	cComma                    // ','
+	cEq                       // '='
+
+	// cBad is what uriPartOK refuses in a URI's user or host part (an
+	// '@' aside, which only the host refuses).
+	cBad = cSpace | cCtl | cLT | cGT
+	// cViaBail is what moves parseViaLine's entry split — quotes and
+	// angle brackets — plus the bytes trimASCII does not trim as Parse
+	// would.
+	cViaBail = cQuote | cLT | cGT | cHigh
+)
+
+// byteClass maps each byte to its class.
+var byteClass = func() (t [256]uint16) {
+	for c := range t {
+		switch {
+		case asciiSpace(byte(c)):
+			t[c] = cSpace
+		case c < ' ' || c == 0x7f:
+			t[c] = cCtl
+		case c >= 0x80:
+			t[c] = cHigh
+		}
+	}
+	t['"'], t['<'], t['>'] = cQuote, cLT, cGT
+	t[';'], t['?'], t['@'], t[':'], t[','], t['='] = cSemi, cQmark, cAt, cColon, cComma, cEq
+	return t
+}()
+
+// skipTo returns the index of the first byte at or after i whose class
+// is in stop (len(b) if there is none) and the union of the classes of
+// the bytes before it.
+func skipTo(b []byte, i int, stop uint16) (int, uint16) {
+	var seen uint16
+	for k, c := range cut(b, i, len(b)) {
+		cls := byteClass[c]
+		if cls&stop != 0 {
+			return i + k, seen
+		}
+		seen |= cls
+	}
+	return len(b), seen
+}
+
+// rejectUnless answers for a value whose reading found a reject at i:
+// a byte of a bail class anywhere after it still makes the value a
+// bail, as a bail class found late beats a reject found early.
+func rejectUnless(b []byte, i int, bail uint16) ScanResult {
+	if j, _ := skipTo(b, i, bail); j < len(b) {
+		return ScanBail
+	}
+	return ScanReject
+}
+
 // scanState is what Scan remembers across header lines beyond the
 // View: which mandatory headers it has seen and the last
 // Content-Length (-1 before the first).
@@ -215,9 +304,8 @@ func (sc *scanState) header(raw []byte, v *View, ln []byte) ScanResult {
 	if colon < 0 {
 		return ScanReject
 	}
-	name := trimASCII(ln[:colon])
+	id, _ := lookupHeader(trimASCII(ln[:colon]))
 	value := trimASCII(ln[colon+1:])
-	id, _ := lookupHeader(name)
 	switch id {
 	case hdrVia:
 		sc.via = true
@@ -260,36 +348,52 @@ func scanStartLine(raw []byte, v *View, line []byte) ScanResult {
 	}
 	if len(line) > len(sipVersion) &&
 		string(line[:len(sipVersion)]) == sipVersion && line[len(sipVersion)] == ' ' {
-		codePart := line[len(sipVersion)+1:]
-		if sp := bytes.IndexByte(codePart, ' '); sp >= 0 {
-			codePart = codePart[:sp]
+		// The status code runs to the next space; scanDigits' rules.
+		code, n := 0, 0
+		for _, c := range line[len(sipVersion)+1:] {
+			if c == ' ' {
+				break
+			}
+			if c < '0' || c > '9' || n == 9 {
+				return ScanBail
+			}
+			code, n = code*10+int(c-'0'), n+1
 		}
-		if len(codePart) == 0 {
-			return ScanReject
-		}
-		code, ok := scanDigits(codePart)
-		if !ok {
-			return ScanBail
-		}
-		if code < 100 || code > 699 {
+		if n == 0 || code < 100 || code > 699 {
 			return ScanReject
 		}
 		v.Status = uint16(code)
 		return ScanOK
 	}
-	method, rest := nextField(line)
-	uri, rest := nextField(rest)
-	version, rest := nextField(rest)
-	if extra, _ := nextField(rest); extra != nil || version == nil {
+
+	// Request line: three fields split at ASCII white space. The
+	// Request-URI's field is read by the URI walk itself, which stops
+	// at the space that ends it.
+	i := skipField(line, 0)
+	method := cut(line, 0, i)
+	uriLo := skipSpace(line, i)
+	lo := uriLo
+	if byteAt(line, lo) == '<' {
+		lo++ // ParseURI strips <…>, if the field also ends in '>'
+	}
+	var w uriWalk
+	uriHi := w.walk(line, lo, cSpace)
+	verLo := skipSpace(line, uriHi)
+	verHi := skipField(line, verLo)
+	if skipSpace(line, verHi) < len(line) || string(cut(line, verLo, verHi)) != sipVersion {
 		return ScanReject
 	}
-	if string(version) != sipVersion {
-		return ScanReject
-	}
-	if classify(uri)&hasNonASCII != 0 {
+	if w.seen&cHigh != 0 {
 		return ScanBail
 	}
-	if res := scanURI(raw, uri, &v.RequestURI); res != ScanOK {
+	end := uriHi
+	if lo > uriLo {
+		if field := cut(line, uriLo, uriHi); len(field) < 2 || field[len(field)-1] != '>' {
+			return ScanReject // the URI is the whole field, starting with '<'
+		}
+		end = uriHi - 1
+	}
+	if res := w.verdict(raw, line, end, &v.RequestURI); res != ScanOK {
 		return res
 	}
 	if v.Method = methodID(method); v.Method == MethodNone {
@@ -298,186 +402,302 @@ func scanStartLine(raw []byte, v *View, line []byte) ScanResult {
 	return ScanOK
 }
 
-// nextField splits the first run of non-space bytes off b, the way the
-// field loops of parseStartLineBytes and parseCSeqBytes do. field is
-// nil when b holds only spaces.
-func nextField(b []byte) (field, rest []byte) {
-	for len(b) > 0 && asciiSpace(b[0]) {
-		b = b[1:]
+// skipSpace returns the index of the first byte at or after i that is
+// not ASCII white space.
+func skipSpace(b []byte, i int) int {
+	for i >= 0 && i < len(b) && asciiSpace(b[i]) {
+		i++
 	}
-	j := 0
-	for j < len(b) && !asciiSpace(b[j]) {
-		j++
-	}
-	if j == 0 {
-		return nil, nil
-	}
-	if j < len(b) {
-		return b[:j], b[j:]
-	}
-	return b, nil
+	return i
 }
 
-// scanURI mirrors ParseURI on ASCII bytes.
-func scanURI(raw, b []byte, u *URISpan) ScanResult {
-	b = trimASCII(b)
-	if len(b) >= 2 && b[0] == '<' && b[len(b)-1] == '>' {
-		b = b[1 : len(b)-1]
+// skipField returns the index of the first ASCII white space at or
+// after i.
+func skipField(b []byte, i int) int {
+	for i >= 0 && i < len(b) && !asciiSpace(b[i]) {
+		i++
 	}
-	if len(b) < 4 || string(b[:4]) != "sip:" {
-		return ScanReject
+	return i
+}
+
+// uriWalk is what one walk over a SIP URI records: every position
+// ParseURI's verdict depends on, as indices into the walked slice.
+type uriWalk struct {
+	sip       bool   // the URI, trimmed, starts with "sip:"
+	rest      int    // the first byte after "sip:"
+	restEnd   int    // the first ';' or '?' after rest (ParseURI drops what follows), or -1
+	at, at2   int    // the first and second '@' in the rest, or -1
+	colon     int    // the first ':' in the rest, or -1
+	hostColon int    // the first ':' after at, or -1
+	bad       int    // the first byte of class cBad in the rest, or -1
+	seen      uint16 // the classes of every byte walked
+}
+
+// walk reads a URI from i, after any leading white space, to the first
+// byte whose class is in stop, and returns that byte's index (len(b)
+// if there is none).
+func (w *uriWalk) walk(b []byte, i int, stop uint16) int {
+	*w = uriWalk{restEnd: -1, at: -1, at2: -1, colon: -1, hostColon: -1, bad: -1}
+	if stop&cSpace == 0 {
+		i = skipSpace(b, i)
 	}
-	rest := b[4:]
-	for i, c := range rest {
-		if c == ';' || c == '?' {
-			rest = rest[:i]
-			break
+	if string(cut(b, i, i+4)) != "sip:" {
+		j, seen := skipTo(b, i, stop)
+		w.seen = seen
+		return j
+	}
+	w.sip, w.rest = true, i+4
+	var seen uint16
+	for k, c := range cut(b, w.rest, len(b)) {
+		cls := byteClass[c]
+		if cls == 0 {
+			continue
+		}
+		i = w.rest + k
+		if cls&stop != 0 {
+			w.seen = seen
+			return i
+		}
+		seen |= cls
+		switch {
+		case cls&(cSemi|cQmark) != 0:
+			w.restEnd = i
+			j, after := skipTo(b, i+1, stop)
+			w.seen = seen | after
+			return j
+		case cls == cAt:
+			if w.at < 0 {
+				w.at = i
+			} else if w.at2 < 0 {
+				w.at2 = i
+			}
+		case cls == cColon:
+			if w.colon < 0 {
+				w.colon = i
+			}
+			if w.at >= 0 && w.hostColon < 0 {
+				w.hostColon = i
+			}
+		case cls&cBad != 0:
+			if w.bad < 0 {
+				w.bad = i
+			}
 		}
 	}
-	var user []byte
-	if at := bytes.IndexByte(rest, '@'); at >= 0 {
-		user, rest = rest[:at], rest[at+1:]
+	w.seen = seen
+	return len(b)
+}
+
+// verdict mirrors ParseURI on the walked URI, which ends at end (after
+// trimming), and fills u on ScanOK.
+func (w *uriWalk) verdict(raw, b []byte, end int, u *URISpan) ScanResult {
+	if !w.sip {
+		return ScanReject
 	}
-	port := 0
-	if c := bytes.IndexByte(rest, ':'); c >= 0 {
-		p, ok := scanDigits(rest[c+1:])
+	restEnd := end
+	if w.restEnd >= 0 {
+		restEnd = w.restEnd
+	}
+	var user []byte
+	hostLo, colon := w.rest, w.colon
+	if w.at >= 0 {
+		user, hostLo, colon = cut(b, w.rest, w.at), w.at+1, w.hostColon
+	}
+	hostHi, port := restEnd, 0
+	if colon >= 0 {
+		p, ok := scanDigits(cut(b, colon+1, restEnd))
 		if !ok {
 			return ScanBail
 		}
 		if p <= 0 || p > 65535 {
 			return ScanReject
 		}
-		port, rest = p, rest[:c]
+		hostHi, port = colon, p
 	}
-	if len(rest) == 0 || !uriBytesOK(user, false) || !uriBytesOK(rest, true) {
+	// uriPartOK over user and host: the first bad byte and the second
+	// '@' of the rest are both past the host, or it is refused.
+	if hostHi <= hostLo || (w.bad >= 0 && w.bad < hostHi) || (w.at2 >= 0 && w.at2 < hostHi) {
 		return ScanReject
 	}
-	*u = URISpan{User: spanIn(raw, user), Host: spanIn(raw, rest), Port: uint16(port)}
+	*u = URISpan{User: spanIn(raw, user), Host: spanIn(raw, cut(b, hostLo, hostHi)), Port: uint16(port)}
 	return ScanOK
 }
 
-// uriBytesOK is uriPartOK over bytes.
-func uriBytesOK(b []byte, host bool) bool {
-	for _, c := range b {
-		if c <= ' ' || c == 0x7f || c == '<' || c == '>' || (host && c == '@') {
-			return false
-		}
+// trimEnd returns hi less the ASCII white space that ends b[:hi].
+func trimEnd(b []byte, hi int) int {
+	t := cut(b, 0, hi)
+	for len(t) > 0 && asciiSpace(t[len(t)-1]) {
+		t = t[:len(t)-1]
 	}
-	return true
+	return len(t)
 }
 
 // scanNameAddr mirrors ParseNameAddr for a From, To or Contact value:
-// the URI and the tag parameter. Quoted display names are not read at
-// all — a quote anywhere in the value bails.
+// the URI and the tag parameter. ParseNameAddr never reads quotes — it
+// takes the first '<' and the first '>' wherever they are and trims
+// the display name away — so a quoted display name reads the same as
+// a bare one. Only a byte ≥ 0x80 anywhere in the value bails.
+//
+// One walk reads the value: first as an addr-spec (the URI up to the
+// first ';', then its parameters); if a '<' turns up, the URI is
+// re-anchored after it and the parameters after the first '>'.
 func scanNameAddr(raw, s []byte, u *URISpan, tag *Span) ScanResult {
-	if classify(s)&(hasQuote|hasNonASCII) != 0 {
+	*tag = Span{}
+	var w uriWalk
+	i := w.walk(s, 0, cSemi|cLT)
+	uriEnd, seen := i, w.seen
+	if byteAt(s, i) == ';' {
+		var more uint16
+		i, more = params(raw, s, i, cLT, tag)
+		seen |= more
+	}
+	if i >= len(s) {
+		if seen&cHigh != 0 {
+			return ScanBail
+		}
+		return w.verdict(raw, s, trimEnd(s, uriEnd), u)
+	}
+	// A name-addr: its URI runs from the first '<' to the first '>',
+	// which must come after it.
+	gtBefore := seen&cGT != 0
+	j := w.walk(s, i+1, cGT)
+	seen |= w.seen
+	if j < len(s) {
+		_, more := params(raw, s, j+1, 0, tag)
+		seen |= more
+	}
+	if seen&cHigh != 0 {
 		return ScanBail
 	}
-	var params []byte
-	if i := bytes.IndexByte(s, '<'); i >= 0 {
-		j := bytes.IndexByte(s, '>')
-		if j <= i {
-			return ScanReject
-		}
-		if res := scanURI(raw, s[i+1:j], u); res != ScanOK {
-			return res
-		}
-		params = s[j+1:]
-	} else {
-		uriPart := s
-		if k := bytes.IndexByte(s, ';'); k >= 0 {
-			uriPart, params = s[:k], s[k:]
-		}
-		if res := scanURI(raw, uriPart, u); res != ScanOK {
-			return res
-		}
+	if gtBefore || j >= len(s) {
+		return ScanReject
 	}
-	// parseParams, for the one key the packet path reads. A repeated
-	// tag overrides the earlier one, as the map assignment does.
+	return w.verdict(raw, s, trimEnd(s, j), u)
+}
+
+// params mirrors parseParams for the one key the packet path reads: it
+// walks ";k=v" parts from i to the first byte whose class is in stop
+// (or the end) and keeps the value of the last "tag" in *tag, as the
+// map assignment keeps the last. It returns where it stopped and the
+// classes of the bytes it passed.
+func params(raw, b []byte, i int, stop uint16, tag *Span) (int, uint16) {
 	*tag = Span{}
-	for len(params) > 0 {
-		part := params
-		if i := bytes.IndexByte(params, ';'); i >= 0 {
-			part, params = params[:i], params[i+1:]
-		} else {
-			params = nil
+	var seen uint16
+	for i < len(b) {
+		j, more := skipTo(b, i, cSemi|cEq|stop)
+		seen |= more
+		key, val := cut(b, i, j), []byte(nil)
+		if byteAt(b, j) == '=' {
+			eq := j
+			j, more = skipTo(b, eq+1, cSemi|stop)
+			seen |= more
+			val = trimASCII(cut(b, eq+1, j))
 		}
-		part = trimASCII(part)
-		key, val := part, []byte(nil)
-		if eq := bytes.IndexByte(part, '='); eq >= 0 {
-			key, val = trimASCII(part[:eq]), trimASCII(part[eq+1:])
-		}
-		if string(key) == "tag" {
+		if string(trimASCII(key)) == "tag" {
 			*tag = spanIn(raw, val)
 		}
+		if byteAt(b, j) != ';' {
+			return j, seen
+		}
+		i = j + 1
 	}
-	return ScanOK
+	return i, seen
 }
 
 // scanVia mirrors parseViaLine and ParseVia as a pure check: every
 // comma-separated entry must be one ParseVia accepts. Quotes and angle
-// brackets change where parseViaLine splits, so they bail.
+// brackets change where parseViaLine splits, so they bail, wherever
+// they are in the value.
 func scanVia(value []byte) ScanResult {
-	if classify(value) != 0 {
-		return ScanBail
-	}
 	const prefix = "SIP/2.0/"
-	for {
-		part := value
-		i := bytes.IndexByte(value, ',')
-		if i >= 0 {
-			part, value = value[:i], value[i+1:]
+	for i := 0; ; {
+		i = skipSpace(value, i)
+		if string(cut(value, i, i+len(prefix))) != prefix {
+			return rejectUnless(value, i, cViaBail)
 		}
-		part = trimASCII(part)
-		if len(part) < len(prefix) || string(part[:len(prefix)]) != prefix {
-			return ScanReject
+		// The transport runs to the entry's first space (exactly SP).
+		j := len(value)
+		for n, c := range cut(value, i+len(prefix), len(value)) {
+			if byteClass[c]&cViaBail != 0 {
+				return ScanBail
+			}
+			if c == ' ' || c == ',' {
+				j = i + len(prefix) + n
+				break
+			}
 		}
-		rest := part[len(prefix):]
-		sp := bytes.IndexByte(rest, ' ')
-		if sp < 0 {
-			return ScanReject
+		if byteAt(value, j) != ' ' {
+			return rejectUnless(value, j, cViaBail)
 		}
-		hostPort := trimASCII(rest[sp+1:])
-		if semi := bytes.IndexByte(hostPort, ';'); semi >= 0 {
-			hostPort = hostPort[:semi]
+		// host[:port], trimmed, up to the entry's first ';'.
+		h := skipSpace(value, j)
+		k, colon := len(value), -1
+		for n, c := range cut(value, h, len(value)) {
+			cls := byteClass[c]
+			if cls == 0 {
+				continue
+			}
+			if cls&cViaBail != 0 {
+				return ScanBail
+			}
+			if cls&(cSemi|cComma) != 0 {
+				k = h + n
+				break
+			}
+			if cls == cColon && colon < 0 {
+				colon = h + n
+			}
 		}
-		if c := bytes.IndexByte(hostPort, ':'); c >= 0 {
-			p, ok := scanDigits(hostPort[c+1:])
+		hpEnd := k
+		if byteAt(value, k) != ';' {
+			hpEnd = trimEnd(value, k)
+		}
+		if colon >= 0 {
+			p, ok := scanDigits(cut(value, colon+1, hpEnd))
 			if !ok {
 				return ScanBail
 			}
 			if p <= 0 || p > 65535 {
-				return ScanReject
+				return rejectUnless(value, k, cViaBail)
 			}
-			hostPort = hostPort[:c]
+			hpEnd = colon
 		}
-		if len(hostPort) == 0 {
-			return ScanReject
+		if hpEnd <= h {
+			return rejectUnless(value, k, cViaBail)
 		}
-		if i < 0 {
+		if byteAt(value, k) == ';' {
+			if k, _ = skipTo(value, k, cComma|cViaBail); k < len(value) && byteAt(value, k) != ',' {
+				return ScanBail
+			}
+		}
+		if k >= len(value) {
 			return ScanOK
 		}
+		i = k + 1
 	}
 }
 
-// scanCSeq mirrors parseCSeqBytes. Parse admits any method token in a
-// CSeq; the View names only the known ones, so others bail.
+// scanCSeq mirrors parseCSeqBytes on a trimmed value. Parse admits any
+// method token in a CSeq; the View names only the known ones, so
+// others bail.
 func scanCSeq(v *View, value []byte) ScanResult {
-	seq, rest := nextField(value)
-	method, rest := nextField(rest)
-	if extra, _ := nextField(rest); extra != nil || method == nil {
+	var seq uint64
+	i, seqOK := 0, len(value) > 0
+	for ; i < len(value) && !asciiSpace(value[i]); i++ {
+		c := value[i]
+		if c < '0' || c > '9' {
+			seqOK = false
+		} else if seq = seq*10 + uint64(c-'0'); seq > 1<<32-1 {
+			seqOK = false
+			seq = 0
+		}
+	}
+	lo := skipSpace(value, i)
+	hi := skipField(value, lo)
+	if !seqOK || hi == lo || hi < len(value) {
 		return ScanReject
 	}
-	var n uint64
-	for _, c := range seq {
-		if c < '0' || c > '9' {
-			return ScanReject
-		}
-		if n = n*10 + uint64(c-'0'); n > 1<<32-1 {
-			return ScanReject
-		}
-	}
-	if v.CSeqMethod = methodID(method); v.CSeqMethod == MethodNone {
+	if v.CSeqMethod = methodID(cut(value, lo, hi)); v.CSeqMethod == MethodNone {
 		return ScanBail
 	}
 	return ScanOK
@@ -500,28 +720,4 @@ func scanDigits(b []byte) (int, bool) {
 		n = n*10 + int(c-'0')
 	}
 	return n, true
-}
-
-// The byte classes that make a field's reading depend on more than a
-// byte comparison: quotes and angle brackets move the separators Parse
-// honours, and Parse trims with strings.TrimSpace, which also strips
-// the Unicode spaces trimASCII does not know.
-const (
-	hasQuote = 1 << iota
-	hasAngle
-	hasNonASCII
-)
-
-func classify(b []byte) (classes uint8) {
-	for _, c := range b {
-		switch {
-		case c == '"':
-			classes |= hasQuote
-		case c == '<' || c == '>':
-			classes |= hasAngle
-		case c >= 0x80:
-			classes |= hasNonASCII
-		}
-	}
-	return classes
 }

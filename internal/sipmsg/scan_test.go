@@ -10,7 +10,7 @@ const scanSDP = "v=0\r\no=alice 1 1 IN IP4 ua1.a.example.com\r\ns=call\r\nc=IN I
 
 var scanBase = "INVITE sip:bob@b.example.com:5070;transport=udp SIP/2.0\r\n" +
 	"Via: SIP/2.0/UDP ua1.a.example.com:5060;branch=z9hG4bKx, SIP/2.0/UDP p.a.example.com\r\n" +
-	"f: Alice <sip:alice@a.example.com>;x=1;tag=ft\r\n" +
+	"f: \"Alice; tag=no\" <sip:alice@a.example.com>;x=1;tag=ft\r\n" +
 	"To: sip:bob@b.example.com;tag=\r\n" +
 	"Call-ID: scan@a.example.com\r\n" +
 	"CSeq: 7 INVITE\r\n" +
@@ -21,7 +21,7 @@ var scanBase = "INVITE sip:bob@b.example.com:5070;transport=udp SIP/2.0\r\n" +
 	scanSDP + "trailing"
 
 // TestScanFields reads one message with most of the shapes Scan
-// commits to — compact names, a display name, addr-spec form, an empty
+// commits to — compact names, display names, addr-spec form, an empty
 // tag, a URI port and parameters, two Via entries, a clamped body —
 // and checks every View field by value.
 func TestScanFields(t *testing.T) {
@@ -88,6 +88,8 @@ func TestScanVerdicts(t *testing.T) {
 		{"no blank line", reqLine + via + from + to + callID + "CSeq: 1 INVITE", ScanOK},
 		{"repeated tag: last wins", reqLine + via + from + "To: <sip:b@b>;tag=a;tag=\r\n" + callID + cseq + end, ScanOK},
 		{"angle-quoted request URI", "INVITE <sip:bob@b.example.com> SIP/2.0\r\n" + via + from + to + callID + cseq + end, ScanOK},
+		{"quoted display name", reqLine + via + from + "To: \"Bob; tag=evil\" <sip:bob@b.example.com>\r\n" + callID + cseq + end, ScanOK},
+		{"quoted name hiding a '<'", reqLine + via + from + "To: \"a<b\" <sip:bob@b.example.com>\r\n" + callID + cseq + end, ScanReject},
 		{"zero-padded port", reqLine + "Via: SIP/2.0/UDP h:05060\r\n" + from + to + callID + cseq + end, ScanOK},
 
 		{"garbage Via", reqLine + "Via: garbage\r\n" + from + to + callID + cseq + end, ScanReject},
@@ -114,7 +116,6 @@ func TestScanVerdicts(t *testing.T) {
 
 		{"folded header", reqLine + via + from + to + callID + "CSeq: 1\r\n INVITE\r\n" + end, ScanBail},
 		{"fold hiding the colon", reqLine + via + from + to + callID + cseq + "X-Late\r\n : v\r\n" + end, ScanBail},
-		{"quoted display name", reqLine + via + from + "To: \"Bob; tag=evil\" <sip:bob@b.example.com>\r\n" + callID + cseq + end, ScanBail},
 		{"non-ASCII in a name-addr", reqLine + via + "From: <sip:x@y> ;tag=1\r\n" + to + callID + cseq + end, ScanBail},
 		{"quoted Via parameter", reqLine + "Via: SIP/2.0/UDP h;x=\"a,b\"\r\n" + from + to + callID + cseq + end, ScanBail},
 		{"signed Content-Length", reqLine + via + from + to + callID + cseq + "Content-Length: +0\r\n" + end, ScanBail},
