@@ -6,8 +6,11 @@ BENCHTIME ?= 1s
 # CHURNTIME paces BenchmarkCallChurn with a fixed iteration count:
 # its allocs/op amortizes one-time warm-up (monitor pool, intern
 # table, timer wheel) over the run, so baseline and fresh runs must
-# use identical pacing for bench-compare to be meaningful.
-CHURNTIME ?= 5000x
+# use identical pacing for bench-compare to be meaningful. 250 000
+# calls run for 1.2 to 2 s, long enough for the ns/op row to
+# average out scheduling noise (5 000 ran for 40 ms and moved 2x
+# between back-to-back runs).
+CHURNTIME ?= 250000x
 
 # The benchmark suites behind the committed JSON baselines. HOTPATH
 # feeds BENCH_hotpath.json; the engine file merges a churn run

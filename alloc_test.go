@@ -90,6 +90,11 @@ const (
 	// for every kind of media packet. Zero, exactly: media is most of
 	// the traffic.
 	maxIngestMediaAllocs = 0
+	// maxIngestSIPAllocs pins one in-dialog SIP datagram of a known
+	// call through the pipeline: the scan, the one call-registry probe,
+	// the disarm through the record's flow handles, and the shard's
+	// machine step. Zero, exactly.
+	maxIngestSIPAllocs = 0
 )
 
 // TestAllocBudgetSIPParse holds the parser to its allocation budget.
@@ -389,7 +394,7 @@ func TestAllocBudgetIDSProcessSIPView(t *testing.T) {
 			if sipmsg.Scan(pkt.Payload.([]byte), &v) != sipmsg.ScanOK {
 				t.Fatal("scan did not commit to a serialized dialog message")
 			}
-			d.ProcessSIPView(&v, pkt, nil)
+			d.ProcessSIPView(&v, pkt, nil, nil)
 		}
 		if err := s.Run(s.Now() + settle); err != nil {
 			t.Fatal(err)
@@ -419,7 +424,7 @@ func TestAllocBudgetIDSProcessSIPViewFlows(t *testing.T) {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	d, v, pkt := flowShardACK(t)
-	avg := testing.AllocsPerRun(200, func() { d.ProcessSIPView(v, pkt, nil) })
+	avg := testing.AllocsPerRun(200, func() { d.ProcessSIPView(v, pkt, nil, nil) })
 	if avg > maxIDSProcessSIPViewFlowsAllocs {
 		t.Errorf("known-call signaling step allocates %.1f, budget %d", avg, maxIDSProcessSIPViewFlowsAllocs)
 	}
@@ -555,5 +560,55 @@ func TestAllocBudgetIngestMedia(t *testing.T) {
 				t.Errorf("%s: %d hits, %d misses", tc.name, hits, misses)
 			}
 		})
+	}
+}
+
+// TestAllocBudgetIngestSIP holds Ingress.Ingest to zero allocations for
+// an established call's retransmitted ACK, shard step included: the
+// datagram is waited out through the retire hook.
+func TestAllocBudgetIngestSIP(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	var retired atomic.Uint64
+	ing := ingress.New(ingress.Config{Lanes: 1, Engine: engine.Config{
+		Shards: 1, OnRetire: func(*sim.Packet) { retired.Add(1) },
+	}})
+	defer ing.Close()
+	feed := func(pkt *sim.Packet, at time.Duration) {
+		want := retired.Load() + 1
+		if err := ing.Ingest(pkt, at); err != nil {
+			t.Fatal(err)
+		}
+		for retired.Load() < want {
+			runtime.Gosched()
+		}
+	}
+
+	var s dialog.Script
+	dialog.SynthCall(0, "alloc").Converse(&s, 0, 20, false)
+	var ack *sim.Packet
+	var at time.Duration
+	for _, en := range dialog.Render(s) {
+		p := en.Packet()
+		feed(p, en.At())
+		if raw, ok := p.Payload.([]byte); ok && p.Proto == sim.ProtoSIP && string(raw[:4]) == "ACK " {
+			ack, at = p, en.At()
+		}
+	}
+	if ack == nil {
+		t.Fatal("the dialog has no ACK")
+	}
+	before := ing.Stats()
+	avg := testing.AllocsPerRun(200, func() {
+		at += 20 * time.Millisecond
+		feed(ack, at)
+	})
+	if avg > maxIngestSIPAllocs {
+		t.Errorf("Ingest(retransmitted ACK) allocates %.1f/datagram, budget %d", avg, maxIngestSIPAllocs)
+	}
+	if after := ing.Stats(); after.Processed-before.Processed != 201 || after.Absorbed != before.Absorbed {
+		t.Errorf("the ACKs did not all reach the call's machines: processed %d -> %d, absorbed %d -> %d",
+			before.Processed, after.Processed, before.Absorbed, after.Absorbed)
 	}
 }

@@ -334,11 +334,11 @@ func BenchmarkIDSProcessSIPView(b *testing.B) {
 		From: sim.Addr{Host: "proxy.a.example.com", Port: 5060}, To: sim.Addr{Host: "proxy.b.example.com", Port: 5060},
 		Proto: sim.ProtoSIP, Size: len(raw), Payload: raw,
 	}
-	d.ProcessSIPView(&v, pkt, nil) // create the monitor outside the timed loop
+	d.ProcessSIPView(&v, pkt, nil, nil) // create the monitor outside the timed loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.ProcessSIPView(&v, pkt, nil)
+		d.ProcessSIPView(&v, pkt, nil, nil)
 	}
 	b.StopTimer()
 	if n := len(d.Alerts()); n != 0 {
@@ -358,7 +358,7 @@ func BenchmarkIDSProcessSIPViewFlows(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.ProcessSIPView(v, pkt, nil)
+		d.ProcessSIPView(v, pkt, nil, nil)
 	}
 	b.StopTimer()
 	if n := len(d.Alerts()); n != 0 {
@@ -396,7 +396,7 @@ func flowShardACK(tb testing.TB) (*ids.IDS, *sipmsg.View, *sim.Packet) {
 		if v.SDPAddr.Len > 0 {
 			f = fp.Install(ids.AppendMediaKey(nil, string(v.SDPAddr.Of(raw)), int(v.SDPPort)), string(v.CallID.Of(raw)), 0)
 		}
-		d.ProcessSIPView(v, pkt, f)
+		d.ProcessSIPView(v, pkt, f, nil)
 	}
 	inv := benchInvite()
 	feed(inv, proxyA, proxyB)
@@ -416,7 +416,7 @@ func flowShardACK(tb testing.TB) (*ids.IDS, *sipmsg.View, *sim.Packet) {
 	ack.From, ack.To, ack.CallID = inv.From, ok.To, inv.CallID
 	ack.CSeq = sipmsg.CSeq{Seq: 1, Method: sipmsg.ACK}
 	v, pkt := scan(ack, sim.Addr{Host: "ua1.a.example.com", Port: 5060}, sim.Addr{Host: "ua2.b.example.com", Port: 5060})
-	d.ProcessSIPView(v, pkt, nil)
+	d.ProcessSIPView(v, pkt, nil, nil)
 	return d, v, pkt
 }
 

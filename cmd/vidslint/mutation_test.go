@@ -112,7 +112,7 @@ func TestGatesCatchSeededViolations(t *testing.T) {
 	}
 	t.Logf("lock gate: %d observed orders reversed", len(locks.observed))
 	if len(locks.observed) == 0 {
-		t.Error("the lock gate observes no lock order in the module; fastpath's Install and Remove take a stripe lock under byCallMu")
+		t.Error("the lock gate observes no lock order in the module; fastpath's InstallCall and Forget take a stripe lock under a registry stripe")
 	}
 
 	overlay := make(map[string][]byte)

@@ -34,8 +34,9 @@
 // response-reflection counter deliberately spread over many Call-IDs,
 // so they run on the ingestion lanes, and every shard is configured
 // with ExternalFloods so its local copies stay silent. What the engine
-// keeps beside the workers is the flow table, whose flows each worker's
-// detector arms, disarms and removes (ids.IDS.Flows), and the shared
+// keeps beside the workers is the flow table and its call registry,
+// whose flows and call records each worker's detector arms, disarms,
+// closes and forgets (ids.IDS.Flows), and the shared
 // alert-and-census plane: the lanes report their alerts through
 // RecordAlert and their dispositions through the Note* counters, so
 // Alerts and Stats cover the whole pipeline. Engine.mu guards only the
@@ -160,10 +161,11 @@ type Config struct {
 var ErrClosed = errors.New("engine: closed")
 
 // item is one unit of shard work: a packet, its capture timestamp,
-// and — for SIP the ingress lane scanned — that scan (by value: a View
-// is a handful of offsets into the packet's own buffer) and the flow
-// the lane installed for its SDP, which the detector keeps as the
-// call's handle on it (no reference is pinned). Media escalated
+// and — for SIP the ingress lane routed — that lane's scan when it has
+// one (by value: a View is a handful of offsets into the packet's own
+// buffer), the flow the lane installed for its SDP, which the detector
+// keeps as the call's handle on it (no reference is pinned), and the
+// call's registry record. Media escalated
 // by the fast-path cache additionally carries its flow's in-flight
 // reference, the epoch its arm offer must match, and — for the first
 // packet after a stretch of absorption — the resync snapshot the
@@ -175,6 +177,10 @@ type item struct {
 	view    sipmsg.View
 	hasView bool
 	sdpFlow *fastpath.Flow
+	call    *fastpath.Call
+	// opens marks the INVITE that opened call at ingress: dropping it
+	// unadopted abandons the record.
+	opens bool
 
 	fpFlow    *fastpath.Flow
 	fpEpoch   uint64
@@ -214,7 +220,13 @@ type shard struct {
 	// parseErrs aliases the engine's parse-error counter: raw SIP
 	// handed over by the ingress tier is parsed here on the worker,
 	// and a failure is pipeline accounting, not shard accounting.
+	// absorbed aliases the engine's absorbed counter the same way: a
+	// response a lane handed on with its call's record, which the
+	// detector then consumed without reaching a machine (the call closed
+	// before the shard got to the response), is absorbed, as the lane
+	// would have counted it had the shard been caught up.
 	parseErrs *atomic.Uint64
+	absorbed  *atomic.Uint64
 	// retire is Config.OnRetire (nil when unset), invoked outside the
 	// queue lock for every packet this shard consumes or evicts.
 	retire func(*sim.Packet)
@@ -277,7 +289,7 @@ type Engine struct {
 
 	ingested    atomic.Uint64
 	parseErrors atomic.Uint64
-	absorbed    atomic.Uint64 // stray responses consumed at the ingress tier
+	absorbed    atomic.Uint64 // responses the ingress tier consumed, at a lane or on its behalf at a shard
 	ignored     atomic.Uint64 // non-VoIP packets
 	alertCount  atomic.Uint64
 
@@ -312,9 +324,6 @@ func New(cfg Config) *Engine {
 			TSGap:       cfg.IDS.RTP.TSGap,
 			RateWindow:  cfg.IDS.RTP.RateWindow,
 			RatePackets: cfg.IDS.RTP.RatePackets,
-			// One Touch per quarter of the lanes' call-slot lifetime
-			// keeps their sweeps fed without per-packet bookkeeping.
-			RefreshEvery: (cfg.IDS.IdleEviction + cfg.IDS.CloseLinger) / 4,
 		}),
 	}
 	e.shards = make([]*shard, cfg.Shards)
@@ -327,6 +336,7 @@ func New(cfg Config) *Engine {
 			ids:       ids.New(s, cfg.IDS),
 			done:      make(chan struct{}),
 			parseErrs: &e.parseErrors,
+			absorbed:  &e.absorbed,
 			retire:    cfg.OnRetire,
 			buf:       make([]item, cfg.QueueDepth),
 			batch:     make([]item, 0, cfg.QueueDepth),
@@ -423,16 +433,14 @@ func (sh *shard) step(it *item) (unheld bool) {
 	case it.hasView:
 		// Ingress path: the lane scanned the datagram once and the
 		// detector reads that scan; nothing is parsed here.
-		sh.ids.ProcessSIPView(&it.view, it.pkt, it.sdpFlow)
-		sh.processed.Add(1)
+		sh.countSIP(it, sh.ids.ProcessSIPView(&it.view, it.pkt, it.sdpFlow, it.call))
 	case it.pkt.Proto == sim.ProtoSIP:
 		// A datagram the lane's scanner would not commit to (it parsed
 		// cleanly there, on the cold path) or one handed to EnqueueRaw
 		// directly: the full parser reads it.
 		if raw, ok := it.pkt.Payload.([]byte); ok {
 			if m, err := sipmsg.Parse(raw); err == nil {
-				sh.ids.ProcessSIP(m, it.pkt)
-				sh.processed.Add(1)
+				sh.countSIP(it, sh.ids.ProcessSIPRouted(m, it.pkt, it.sdpFlow, it.call))
 			} else {
 				sh.parseErrs.Add(1)
 			}
@@ -463,6 +471,17 @@ func (sh *shard) step(it *item) (unheld bool) {
 	sh.retirePkt(it.pkt)
 	*it = item{}
 	return unheld
+}
+
+// countSIP accounts one SIP datagram the detector took: processed, or
+// absorbed when a lane routed it on its call's record and it was a
+// response no machine saw.
+func (sh *shard) countSIP(it *item, absorbed bool) {
+	if absorbed && it.call != nil {
+		sh.absorbed.Add(1)
+	} else {
+		sh.processed.Add(1)
+	}
 }
 
 // retirePkt hands a packet the shard is finished with to the retire
@@ -526,6 +545,7 @@ func (sh *shard) stepInline(it *item) {
 // variable.
 func (sh *shard) enqueue(it item, p Policy) {
 	var victim *sim.Packet
+	var abandon *fastpath.Call // the record an evicted INVITE opened
 	admitted := true
 	sh.mu.Lock()
 	switch p {
@@ -555,7 +575,7 @@ func (sh *shard) enqueue(it item, p Policy) {
 		}
 	case DropOldest:
 		for sh.n == len(sh.buf) {
-			victim = sh.buf[sh.head].pkt
+			victim, abandon = sh.buf[sh.head].pkt, sh.buf[sh.head].opened()
 			if f := sh.buf[sh.head].fpFlow; f != nil {
 				f.Release()
 			}
@@ -577,7 +597,7 @@ func (sh *shard) enqueue(it item, p Policy) {
 					it.fpFlow.Release()
 				}
 			} else {
-				victim = sh.evictForSignaling()
+				victim, abandon = sh.evictForSignaling()
 			}
 		}
 	}
@@ -590,6 +610,11 @@ func (sh *shard) enqueue(it item, p Policy) {
 		}
 	}
 	sh.mu.Unlock()
+	if abandon != nil {
+		// Outside the queue lock, like the retire: unless a detector has
+		// adopted the record meanwhile, it leaves the registry.
+		sh.ids.Flows.Abandon(abandon)
+	}
 	if victim != nil {
 		sh.retirePkt(victim)
 	}
@@ -598,11 +623,21 @@ func (sh *shard) enqueue(it item, p Policy) {
 	}
 }
 
+// opened is the call record the item's INVITE opened at ingress, nil
+// for any other item.
+func (it *item) opened() *fastpath.Call {
+	if it.opens {
+		return it.call
+	}
+	return nil
+}
+
 // evictForSignaling makes room for an arriving SIP packet under Shed:
 // the oldest queued media packet goes first, and only a ring full of
 // signaling sacrifices its own oldest entry. Caller holds sh.mu; the
-// evicted packet is returned for retirement outside the lock.
-func (sh *shard) evictForSignaling() *sim.Packet {
+// evicted packet, and the record it opened if any, are returned for
+// disposal outside the lock.
+func (sh *shard) evictForSignaling() (*sim.Packet, *fastpath.Call) {
 	n := len(sh.buf)
 	at := -1
 	for j := 0; j < sh.n; j++ {
@@ -614,14 +649,14 @@ func (sh *shard) evictForSignaling() *sim.Packet {
 	if at < 0 {
 		// Tier 2: all signaling — the oldest entry is the least
 		// valuable (its dialog state is most likely already built).
-		victim := sh.buf[sh.head].pkt
+		victim, opened := sh.buf[sh.head].pkt, sh.buf[sh.head].opened()
 		sh.buf[sh.head] = item{}
 		sh.head = (sh.head + 1) % n
 		sh.n--
 		sh.dropped.Add(1)
 		sh.shedSignal.Add(1)
 		sh.queued.Add(-1)
-		return victim
+		return victim, opened
 	}
 	victim := sh.buf[(sh.head+at)%n].pkt
 	if f := sh.buf[(sh.head+at)%n].fpFlow; f != nil {
@@ -637,7 +672,7 @@ func (sh *shard) evictForSignaling() *sim.Packet {
 	sh.dropped.Add(1)
 	sh.shedMedia.Add(1)
 	sh.queued.Add(-1)
-	return victim
+	return victim, nil // media: it opened nothing
 }
 
 // isMedia reports whether pkt rides the media plane (RTP or RTCP) —
@@ -671,21 +706,6 @@ func fnv32a(s string) uint32 {
 	return h
 }
 
-// fnv32aBytes is fnv32a over a byte slice, so a media key rendered
-// into a scratch buffer picks the same shard as its string form.
-func fnv32aBytes(b []byte) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(b); i++ {
-		h ^= uint32(b[i])
-		h *= prime32
-	}
-	return h
-}
-
 // ShardIndexFor is the Call-ID → shard mapping. The ingress tier routes
 // on its own scan of the datagram and uses it to land every packet of a
 // call on the one worker that owns the call's machines.
@@ -694,9 +714,16 @@ func (e *Engine) ShardIndexFor(callID string) int {
 }
 
 // ShardIndexForBytes is ShardIndexFor over a key still sitting in a
-// receive buffer, so the per-packet route never materializes a string.
+// receive buffer, so the per-packet route never materializes a string:
+// the same FNV-1a, fastpath.CallHash.
 func (e *Engine) ShardIndexForBytes(key []byte) int {
-	return int(fnv32aBytes(key) % uint32(len(e.shards)))
+	return e.ShardIndexForHash(fastpath.CallHash(key))
+}
+
+// ShardIndexForHash is ShardIndexForBytes for a key whose FNV-1a hash
+// (fastpath.CallHash) the caller has already computed.
+func (e *Engine) ShardIndexForHash(h uint32) int {
+	return int(h % uint32(len(e.shards)))
 }
 
 // EnqueueRaw hands a packet to shard idx: the ingress tier has already
@@ -711,14 +738,22 @@ func (e *Engine) EnqueueRaw(idx int, pkt *sim.Packet, at time.Duration) error {
 	return e.enqueue(idx, item{pkt: pkt, at: at})
 }
 
-// EnqueueSIP is EnqueueRaw for a SIP datagram the ingress lane scanned:
+// EnqueueSIP is EnqueueRaw for a SIP datagram the ingress lane routed.
 // v, the sipmsg.Scan of pkt's payload (which answered ScanOK), rides
 // to the worker by value and feeds the detector directly, so the
-// datagram is read once in the whole pipeline. f is the flow the lane
-// installed for the datagram's SDP (nil when it advertises none); the
-// detector holds the call's flows by these handles.
-func (e *Engine) EnqueueSIP(idx int, pkt *sim.Packet, at time.Duration, v *sipmsg.View, f *fastpath.Flow) error {
-	return e.enqueue(idx, item{pkt: pkt, at: at, view: *v, hasView: true, sdpFlow: f})
+// datagram is read once in the whole pipeline; a nil v (the scanner
+// did not commit to the datagram) has the worker parse it. f is the
+// flow the lane installed for the datagram's SDP (nil when it
+// advertises none); the detector holds the call's flows by these
+// handles. call is the Call-ID's registry record (nil when there is
+// none), and opens marks the INVITE that opened it: if the item is
+// dropped before a detector adopts the record, the record is abandoned.
+func (e *Engine) EnqueueSIP(idx int, pkt *sim.Packet, at time.Duration, v *sipmsg.View, f *fastpath.Flow, call *fastpath.Call, opens bool) error {
+	it := item{pkt: pkt, at: at, sdpFlow: f, call: call, opens: opens}
+	if v != nil {
+		it.view, it.hasView = *v, true
+	}
+	return e.enqueue(idx, it)
 }
 
 // EnqueueMedia is EnqueueRaw for an RTP packet the fast-path cache
@@ -736,23 +771,27 @@ func (e *Engine) EnqueueMedia(idx int, pkt *sim.Packet, at time.Duration, f *fas
 // check means the queues stay open for the whole call.
 func (e *Engine) enqueue(idx int, it item) error {
 	if e.closed.Load() {
-		return refuse(&it)
+		return e.refuse(&it)
 	}
 	e.ingestWG.Add(1)
 	defer e.ingestWG.Done()
 	if e.closed.Load() {
-		return refuse(&it)
+		return e.refuse(&it)
 	}
 	e.shards[idx].enqueue(it, e.cfg.Policy)
 	return nil
 }
 
 // refuse turns away an item no worker will see, dropping the in-flight
-// flow reference it carries: every reference the cache hands out is
-// released exactly once — by the worker, by an eviction, or here.
-func refuse(it *item) error {
+// flow reference it carries — every reference the cache hands out is
+// released exactly once: by the worker, by an eviction, or here — and
+// abandoning the call record its INVITE opened.
+func (e *Engine) refuse(it *item) error {
 	if it.fpFlow != nil {
 		it.fpFlow.Release()
+	}
+	if it.opens {
+		e.fp.Abandon(it.call)
 	}
 	return ErrClosed
 }
@@ -789,7 +828,8 @@ func (e *Engine) NoteIngested() { e.ingested.Add(1) }
 // (rejected by the scanner, or by the full parser on the cold path).
 func (e *Engine) NoteParseError() { e.parseErrors.Add(1) }
 
-// NoteAbsorbed counts a stray response consumed at the ingress tier.
+// NoteAbsorbed counts a response consumed at the ingress tier without
+// reaching a shard.
 func (e *Engine) NoteAbsorbed() { e.absorbed.Add(1) }
 
 // NoteIgnored counts a non-VoIP packet dropped at the ingress tier.
@@ -885,7 +925,7 @@ type Stats struct {
 	DroppedSignaling uint64
 	Alerts           uint64 // shard alerts + lane (flood) alerts
 	ParseErrors      uint64 // SIP payloads that failed to parse (lane or shard)
-	Absorbed         uint64 // stray responses consumed by an ingress lane
+	Absorbed         uint64 // responses the ingress tier consumed without reaching a machine, at a lane or on its behalf at a shard
 	Ignored          uint64 // non-VoIP packets
 
 	// Fast-path cache outcomes. Hits are in-profile packets absorbed

@@ -154,8 +154,11 @@ func TestShardRoutingInvariant(t *testing.T) {
 // evicted the monitor (leaving tombstones that swallow the BYE and its
 // 200); a front end that had simply forgotten the Call-ID would feed
 // the straggler 200 to the reflection detector and raise a deviation
-// the sequential path never raises. The lanes tombstone swept calls the
-// same way, so the 200 is absorbed silently.
+// the sequential path never raises. The call registry keeps an evicted
+// call's record, closed, for as long as the detector keeps its
+// tombstone, so the 200 is absorbed silently: at the lane, or at the
+// shard on the lane's behalf when the lane routed it before the shard
+// had evicted the call.
 func TestLateHangupParity(t *testing.T) {
 	cfg := ids.DefaultConfig()
 	entries := lateHangupTrace(cfg)

@@ -1,13 +1,20 @@
-// Package fastpath is the ingress tier's media flow table. It is both
-// the one route index — advertised media destination → owning call and
-// that call's shard, consulted for every RTP and RTCP packet — and the
-// per-flow RTP validation cache that absorbs in-profile packets before
-// shard enqueue. Ingress installs a flow for each destination an SDP
-// body advertises and hands the *Flow Install returns to the owning
-// call's detector, which holds it as a handle: it disarms the call's
-// flows through their handles on each of the call's signaling events
-// and when it evicts the call, and removes them when it forgets the
-// call.
+// Package fastpath is the ingress tier's media flow table and the
+// pipeline's one call registry. The flow table is both the one route
+// index — advertised media destination → owning call and that call's
+// shard, consulted for every RTP and RTCP packet — and the per-flow RTP
+// validation cache that absorbs in-profile packets before shard
+// enqueue. The registry holds one record per Call-ID (Call): the
+// Call-ID, interned once, the owning shard, an open/closed state and
+// the handles of the flows the call owns. Ingress opens a record on an
+// INVITE, finds it with one probe for every other SIP datagram, installs
+// a flow for each destination an SDP body advertises into an open
+// record, and hands the record and the *Flow Install returns to the
+// owning call's detector. The detector owns the record's lifetime: it
+// adopts the record when it creates the call's monitor, closes it when
+// it evicts the call, and forgets it — and with it the call's flows —
+// when the call's tombstone expires. A response whose Call-ID has no
+// record is a stray: the call never existed, or its detector has
+// forgotten it.
 //
 // The validation observation (paper
 // Section 3.2, and the SecSip/stateful-firewall line of related work)
@@ -80,11 +87,6 @@ type Config struct {
 	TSGap       uint32
 	RateWindow  time.Duration
 	RatePackets int
-	// RefreshEvery throttles the Touch signal: at most one packet per
-	// interval per flow hands the caller the owning Call-ID to refresh
-	// its liveness bookkeeping with. Zero disables the signal (for
-	// callers with no sweeps to feed).
-	RefreshEvery time.Duration
 }
 
 // stripeCount is the lock-stripe count, a power of two for mask
@@ -122,7 +124,7 @@ const (
 
 // Flow is one cached media flow. The window fields are guarded by the
 // owning stripe's mutex; state/needSync/inflight are atomics so
-// invalidation paths (per-SIP-datagram DisarmCall) never take stripe
+// invalidation paths (per-SIP-datagram DisarmFlows) never take stripe
 // locks.
 type Flow struct {
 	// state packs the invalidation epoch and the armed bit:
@@ -144,10 +146,10 @@ type Flow struct {
 	// the owning stripe's mutex.
 	next *Flow
 
-	// Guarded by the owning stripe's mutex, and written (by Install)
-	// only with byCallMu held as well.
-	callID   string // interned by the installer; indexes byCall
-	shardIdx int    // the owning call's shard: where every packet of the flow goes
+	// shardIdx is the owning call's shard, where every packet of the
+	// flow goes. Guarded by the stripe mutex, and written only with the
+	// new owner's registry stripe held as well.
+	shardIdx int
 
 	// Guarded by the owning stripe's mutex.
 	gen      uint32
@@ -158,9 +160,20 @@ type Flow struct {
 	winStart time.Duration
 	winCount int
 	lastSeen time.Duration
-	// lastRefresh is the last time a packet of the flow carried the
-	// Touch signal.
-	lastRefresh time.Duration
+
+	// The ownership fields, which no consult reads. owner is the call
+	// record the flow routes to, nil once the flow is unlinked; it is
+	// written with shardIdx, and DisarmFlows reads it without a lock.
+	// claim is the call an ownership change Install made is claimed for
+	// — the new owner, whose detector has not yet judged the datagram
+	// that advertised the flow — or nil: Confirm clears it, Revert
+	// undoes the change. Set under the stripe mutex, cleared by Confirm
+	// with one compare-and-swap. prev is the owner Install took the flow
+	// from, nil when Install created the flow; it is meaningful only
+	// while claim is set and is guarded by the stripe mutex.
+	owner atomic.Pointer[Call]
+	claim atomic.Pointer[Call]
+	prev  *Call
 }
 
 // Release decrements the in-flight escalation count; the engine calls
@@ -287,17 +300,20 @@ type Stats struct {
 	Invalidations uint64
 	// Flows is a gauge, not a count: the flows installed right now.
 	Flows uint64
+	// Calls is a gauge too: the call records registered right now.
+	Calls uint64
 }
 
-// Cache is the lock-striped flow table.
+// Cache is the lock-striped flow table and call registry.
 //
 // Lock ordering: no caller holds a lock of its own across a call into
 // this package, and no lock of this package is held across a call out
-// of it. Install and Remove take byCallMu and then a stripe mutex, so
-// that a flow's owner and its byCall entry change together even when
-// two lanes install one destination at once; no path takes a stripe
-// mutex and then byCallMu. vidslint's lock gate observes that order and
-// rejects any cycle with it.
+// of it. A path that changes a flow's owner or unlinks a flow holds a
+// registry stripe (callStripe.mu) — the new owner's, or the forgotten
+// call's — and then the flow's stripe mutex, so a call's state and its
+// flows change together; no path holds two registry stripes, and none
+// takes a stripe mutex and then a registry stripe. vidslint's lock gate
+// observes that order and rejects any cycle with it.
 type Cache struct {
 	cfg     Config
 	stripes [stripeCount]stripe
@@ -305,29 +321,24 @@ type Cache struct {
 	// pick destinations that crowd one stripe or one front slot.
 	seed uint64
 
-	// invalidations stays an atomic counter: disarm paths (DisarmCall,
-	// the detector's Disarm and Remove) run without the stripe lock.
+	// invalidations stays an atomic counter: disarm paths (DisarmFlows,
+	// the detector's Disarm, Close and Forget) run without the stripe
+	// lock.
 	invalidations metrics.Counter
 
-	// byCall maps an owning Call-ID to its flows so the per-SIP-packet
-	// ingress invalidation (DisarmCall) and the detector's forgetting
-	// of the call (Remove) find them without knowing the media keys. Every installed flow is in
-	// exactly one list, its owner's. Mutated only on install/remove (SDP
-	// observation and tombstone expiry — cold); the disarm itself is
-	// atomics-only.
-	byCallMu sync.RWMutex
-	byCall   map[string][]*Flow
+	// reg is the call registry, striped by the Call-ID's FNV-1a hash —
+	// the hash the engine maps a Call-ID to its shard with, so for a
+	// power-of-two shard count up to stripeCount every record in a
+	// stripe belongs to one shard.
+	reg [stripeCount]callStripe
 }
 
 // New builds a cache for the given thresholds.
 func New(cfg Config) *Cache {
-	c := &Cache{
-		cfg:    cfg,
-		seed:   rand.Uint64(),
-		byCall: make(map[string][]*Flow),
-	}
+	c := &Cache{cfg: cfg, seed: rand.Uint64()}
 	for i := range c.stripes {
 		c.stripes[i].flows = make(map[uint64]*Flow)
+		c.reg[i].calls = make(map[string]*Call)
 	}
 	return c
 }
@@ -454,8 +465,7 @@ func (c *Cache) stripeAddrBytes(host []byte, port int) (*stripe, uint64) {
 
 // Consult bundles everything the ingress tier needs to dispose of one
 // media packet from a single cache probe: the verdict, the slow-path
-// enqueue arguments, the owning call's shard, and the amortized
-// liveness signal.
+// enqueue arguments and the owning call's shard.
 type Consult struct {
 	Verdict Verdict
 	// Flow is non-nil whenever a consult found an entry for the
@@ -468,17 +478,12 @@ type Consult struct {
 	// ShardIdx is the owning call's shard, mirrored at install time, or
 	// -1 when no flow is installed at the destination.
 	ShardIdx int
-	// Touch is the owning Call-ID on at most one packet per
-	// RefreshEvery per flow, whatever the verdict, and empty otherwise:
-	// the caller refreshes the call's liveness bookkeeping with it, which
-	// media no longer refreshes per packet.
-	Touch string
 }
 
 // ConsultAddr consults the cache for one RTP packet to host:port,
-// writing the ingress-facing bundle into res — shard routing and the
-// Touch signal ride along, so a packet's whole disposition costs one
-// stripe lock and no second table probe. On Hit the packet was
+// writing the ingress-facing bundle into res — shard routing rides
+// along, so a packet's whole disposition costs one stripe lock and no
+// second table probe. On Hit the packet was
 // absorbed: flow state advanced, nothing to enqueue. On Miss/Escalate
 // the caller enqueues the packet to res.ShardIdx carrying (Flow, Epoch,
 // Snap, HasSnap), or, when no flow is installed, routes it by its own
@@ -506,41 +511,41 @@ func (c *Cache) ConsultKey(key []byte, pt uint8, ssrc uint32, seq uint16, ts uin
 
 // RouteAddr is the probe for the media the cache does not validate —
 // RTCP, and RTP whose header the lite extractor cannot read — sent to
-// host:port. It writes the flow's shard and the Touch signal into res
-// (Verdict Miss, no Flow: nothing is pinned and no outcome is counted).
+// host:port. It writes the flow's shard into res (Verdict Miss, no
+// Flow: nothing is pinned and no outcome is counted).
 // bye disarms the flow on the way: an RTCP BYE starts the media-plane
 // teardown clock on the worker, and absorption must stop before the
 // worker gets there.
 //
 //vids:noalloc per-datagram route probe on the ingestion path
 //vids:nopanic per-datagram probe keyed by attacker-controlled bytes
-func (c *Cache) RouteAddr(host string, port int, bye bool, at time.Duration, res *Consult) {
+func (c *Cache) RouteAddr(host string, port int, bye bool, res *Consult) {
 	st, h := c.stripeAddr(host, port)
 	st.mu.Lock()
-	c.routeFound(st, st.findLocked(host, port, h), bye, at, res)
+	c.routeFound(st, st.findLocked(host, port, h), bye, res)
 }
 
 // Route is RouteAddr for the destination a media key names.
 //
 //vids:noalloc per-datagram route probe over a rendered media key
 //vids:nopanic per-datagram probe keyed by attacker-controlled bytes
-func (c *Cache) Route(key []byte, bye bool, at time.Duration, res *Consult) {
+func (c *Cache) Route(key []byte, bye bool, res *Consult) {
 	host, port := splitKeyBytes(key)
 	st, h := c.stripeAddrBytes(host, port)
 	st.mu.Lock()
-	c.routeFound(st, st.findBytesLocked(host, port, h), bye, at, res)
+	c.routeFound(st, st.findBytesLocked(host, port, h), bye, res)
 }
 
 // routeFound answers a route probe that found f (nil: nothing is
 // installed at the destination). Entered with st.mu held; it unlocks
 // st.mu on every path.
-func (c *Cache) routeFound(st *stripe, f *Flow, bye bool, at time.Duration, res *Consult) {
+func (c *Cache) routeFound(st *stripe, f *Flow, bye bool, res *Consult) {
 	if f == nil {
 		st.mu.Unlock()
 		res.unrouted()
 		return
 	}
-	c.routeLocked(f, at, res)
+	res.ShardIdx = f.shardIdx
 	st.mu.Unlock()
 	res.Verdict, res.Flow, res.Epoch, res.HasSnap = Miss, nil, 0, false
 	if bye {
@@ -551,17 +556,7 @@ func (c *Cache) routeFound(st *stripe, f *Flow, bye bool, at time.Duration, res 
 // unrouted is the answer for a key no flow is installed at.
 func (res *Consult) unrouted() {
 	res.Verdict, res.Flow, res.Epoch = Miss, nil, 0
-	res.HasSnap, res.ShardIdx, res.Touch = false, -1, ""
-}
-
-// routeLocked writes f's shard and, once per RefreshEvery, its owner
-// into res. Caller holds f's stripe mutex.
-func (c *Cache) routeLocked(f *Flow, at time.Duration, res *Consult) {
-	res.ShardIdx, res.Touch = f.shardIdx, ""
-	if c.cfg.RefreshEvery > 0 && at-f.lastRefresh > c.cfg.RefreshEvery {
-		f.lastRefresh = at
-		res.Touch = f.callID
-	}
+	res.HasSnap, res.ShardIdx = false, -1
 }
 
 // consultLocked evaluates the fast-path predicate for f (nil: nothing
@@ -576,8 +571,7 @@ func (c *Cache) consultLocked(st *stripe, f *Flow, pt uint8, ssrc uint32, seq ui
 		res.unrouted()
 		return
 	}
-	c.routeLocked(f, at, res)
-	res.HasSnap = false
+	res.ShardIdx, res.HasSnap = f.shardIdx, false
 	state := f.state.Load()
 	res.Epoch = state >> 1
 	if state&1 == 0 {
@@ -692,17 +686,35 @@ func (c *Cache) disarmFlow(f *Flow, markSync bool) {
 	}
 }
 
-// Install registers an advertised media destination for callID,
-// creating a disarmed entry (or invalidating the existing one — an
-// SDP renegotiation changes what in-profile means — and handing it to
-// callID if another call owned it). shardIdx is the owning call's
-// shard, handed back from every consult so no other table routes the
-// flow's packets. callID must be an interned/stable string; the cache
-// aliases it. The returned record is stable for the entry's lifetime.
+// Install registers an advertised media destination for callID on
+// shardIdx: Open followed by InstallCall. Ingress routes through Open,
+// Find and InstallCall; Install is the entry point for a caller with no
+// datagram in hand.
 func (c *Cache) Install(key []byte, callID string, shardIdx int) *Flow {
+	call, _ := c.Open([]byte(callID), fnv32a(callID), shardIdx)
+	return c.InstallCall(key, call)
+}
+
+// InstallCall registers an advertised media destination for call,
+// creating a disarmed entry (or invalidating the existing one — an SDP
+// renegotiation changes what in-profile means — and handing it to call
+// if another call owned it). It installs nothing and returns nil when
+// call is closed or gone: its detector has evicted it, and a datagram
+// for it must not move a route. The returned record is stable for the
+// entry's lifetime.
+//
+// A new flow or one taken from another call is claimed for the
+// datagram that advertised it until call's detector judges that
+// datagram: Confirm keeps the change, Revert undoes it.
+func (c *Cache) InstallCall(key []byte, call *Call) *Flow {
 	host, port := splitKeyBytes(key)
 	st, h := c.stripeAddrBytes(host, port)
-	c.byCallMu.Lock()
+	cs := call.stripe
+	cs.mu.Lock()
+	if s := call.state.Load(); s != callOpen && s != callLive {
+		cs.mu.Unlock()
+		return nil
+	}
 	st.mu.Lock()
 	f := st.findBytesLocked(host, port, h)
 	fresh := f == nil
@@ -714,26 +726,28 @@ func (c *Cache) Install(key []byte, callID string, shardIdx int) *Flow {
 		st.size++
 		*st.slot(h) = f
 	}
-	prevCall := f.callID
-	f.callID, f.shardIdx = callID, shardIdx
+	prev := f.owner.Load()
+	if prev != call {
+		f.owner.Store(call)
+		f.shardIdx = call.shard
+		f.prev = prev
+		f.claim.Store(call)
+	}
 	st.mu.Unlock()
 	if !fresh {
 		c.disarmFlow(f, true)
-		if prevCall != callID {
-			c.byCallRemove(prevCall, f)
-		}
 	}
-	if fresh || prevCall != callID {
-		c.byCall[callID] = append(c.byCall[callID], f) //vids:alloc-ok per-SDP-observation index append, cold next to the stream it validates
+	if prev != call {
+		call.hold(f)
 	}
-	c.byCallMu.Unlock()
+	cs.mu.Unlock()
 	return f
 }
 
 // Disarm invalidates f: it clears the armed bit and bumps the epoch,
 // with atomics only. The shard's detector calls it, through the handle
 // Install returned for the call's SDP, for each flow of a call on every
-// signaling event of the call and when it evicts the call.
+// signaling event of the call.
 //
 //vids:noalloc atomics-only invalidation, per flow per signaling event
 //vids:nopanic per-flow invalidation on the detector's signaling path
@@ -741,7 +755,7 @@ func (c *Cache) Disarm(f *Flow) { c.disarmFlow(f, true) }
 
 // Lookup returns the flow installed at key, or nil. The detector calls
 // it once for an SDP datagram that reached it without the handle
-// Install returned (the lane's scanner bailed on it), never per event.
+// Install returned, never per event.
 func (c *Cache) Lookup(key []byte) *Flow {
 	host, port := splitKeyBytes(key)
 	st, h := c.stripeAddrBytes(host, port)
@@ -751,43 +765,60 @@ func (c *Cache) Lookup(key []byte) *Flow {
 	return f
 }
 
-// DisarmCall invalidates every flow owned by a Call-ID. The ingress
-// calls this for each SIP datagram before enqueueing it, so any
-// signaling that could change what the call's RTP means happens-before
-// the next absorption decision — the adversarial "RTP racing BYE"
-// interleaving resolves exactly as the serialized slow path would.
+// Confirm keeps the ownership change Install made for call's datagram:
+// call's detector accepted the datagram's SDP. It takes no lock: one
+// compare-and-swap clears the claim if it is still call's.
 //
-//vids:noalloc per-SIP-datagram invalidation on the ingestion path
-//vids:nopanic per-datagram invalidation keyed by attacker-controlled bytes
-func (c *Cache) DisarmCall(callID []byte) {
-	c.byCallMu.RLock()
-	flows := c.byCall[string(callID)]
-	for _, f := range flows {
-		c.disarmFlow(f, true)
-	}
-	c.byCallMu.RUnlock()
+//vids:noalloc one atomic compare-and-swap per SDP datagram a detector accepts
+func (c *Cache) Confirm(f *Flow, call *Call) {
+	f.claim.CompareAndSwap(call, nil)
 }
 
-// Remove deletes every flow callID owns (the detector has forgotten the
-// call: its tombstone expired, so are its mirrors and its routes). A
-// destination another call has since re-advertised belongs to that
-// call and stays. Each record is disarmed as it goes, so a handle an
-// in-flight escalation still pins keeps failing closed.
-func (c *Cache) Remove(callID string) {
-	c.byCallMu.Lock()
-	for _, f := range c.byCall[callID] {
-		st := c.stripeFor(f.hash)
-		st.mu.Lock()
+// Revert undoes the ownership change Install made for call's datagram,
+// which call's detector did not accept (it had evicted the call by the
+// time the datagram arrived, though the record was still open when the
+// lane installed): a flow Install created is unlinked, and one it took
+// from another call goes back to that call, or is unlinked if that
+// call has been forgotten since. Nothing changes if the flow has moved
+// on or its change was already judged.
+func (c *Cache) Revert(f *Flow, call *Call) {
+	st := c.stripeFor(f.hash)
+	st.mu.Lock()
+	if f.claim.Load() != call || f.owner.Load() != call {
+		st.mu.Unlock()
+		return
+	}
+	prev := f.prev
+	if prev == nil {
 		st.unlinkLocked(f)
 		st.mu.Unlock()
 		c.disarmFlow(f, false)
+		return
 	}
-	delete(c.byCall, callID)
-	c.byCallMu.Unlock()
+	st.mu.Unlock()
+	// Handing f back to prev is an ownership change: prev's registry
+	// stripe first, so prev cannot be forgotten halfway through.
+	cs := prev.stripe
+	cs.mu.Lock()
+	st.mu.Lock()
+	if f.claim.Load() == call && f.owner.Load() == call && f.prev == prev {
+		if prev.state.Load() == callGone {
+			st.unlinkLocked(f)
+		} else {
+			f.owner.Store(prev)
+			f.shardIdx = prev.shard
+			f.claim.Store(nil)
+			f.prev = nil
+		}
+	}
+	st.mu.Unlock()
+	cs.mu.Unlock()
+	c.disarmFlow(f, true)
 }
 
 // unlinkLocked takes f out of the stripe's chain for its hash and out
-// of the front table. Caller holds st.mu.
+// of the front table, and drops its owner and claim. Caller holds
+// st.mu.
 func (st *stripe) unlinkLocked(f *Flow) {
 	if slot := st.slot(f.hash); *slot == f {
 		*slot = nil
@@ -807,23 +838,300 @@ func (st *stripe) unlinkLocked(f *Flow) {
 		}
 	}
 	f.next = nil
+	f.owner.Store(nil)
+	f.claim.Store(nil)
+	f.prev = nil
 	st.size--
 }
 
-func (c *Cache) byCallRemove(callID string, f *Flow) {
-	flows := c.byCall[callID]
-	for i, g := range flows {
-		if g == f {
-			flows[i] = flows[len(flows)-1]
-			flows[len(flows)-1] = nil
-			flows = flows[:len(flows)-1]
-			break
+// Call is one call's record in the registry. The record outlives the
+// call's monitor: it stays registered, closed, for as long as the
+// detector keeps the call's tombstone, so the call's stragglers still
+// reach its shard.
+type Call struct {
+	// ID is the Call-ID, interned once when the record is created.
+	ID     string
+	shard  int
+	stripe *callStripe // the registry stripe the record lives in
+	// state is one of the call* states. Open, Forget, Abandon and the
+	// slow path of Adopt change it under the record's registry stripe;
+	// the detector's own transitions — Adopt's open → live and Close —
+	// are single atomic operations.
+	state atomic.Uint32
+	// held and more list the flows the call has owned: the first two
+	// inline, any further ones in a slice copied on write. They are
+	// written under the registry stripe and read without a lock by
+	// DisarmFlows. A flow another call took since stays listed; every
+	// reader checks owner.
+	held [2]atomic.Pointer[Flow]
+	more atomic.Pointer[[]*Flow]
+}
+
+// The states of a Call.
+const (
+	// callOpen: an INVITE opened the record at ingress and no detector
+	// has adopted it yet.
+	callOpen uint32 = iota + 1
+	// callLive: the call's monitor holds the record.
+	callLive
+	// callClosed: the detector evicted the call and keeps its
+	// tombstone. Nothing installs into a closed record.
+	callClosed
+	// callGone: the record has left the registry.
+	callGone
+)
+
+// Closed reports whether the call's detector has evicted it and keeps
+// its tombstone.
+//
+//vids:noalloc one atomic load per response on a known call
+func (call *Call) Closed() bool { return call.state.Load() == callClosed }
+
+// hold lists f among the call's flows. Caller holds the call's registry
+// stripe.
+func (call *Call) hold(f *Flow) {
+	if call.listed(f) {
+		return // listed since the call last owned it
+	}
+	for i := range call.held {
+		if call.held[i].Load() == nil {
+			call.held[i].Store(f)
+			return
 		}
 	}
-	if len(flows) == 0 {
-		delete(c.byCall, callID)
-	} else {
-		c.byCall[callID] = flows //vids:alloc-ok shrinking in-place reslice store; runs per teardown/renegotiation, not per packet
+	var list []*Flow
+	if p := call.more.Load(); p != nil {
+		list = make([]*Flow, len(*p), len(*p)+1) //vids:alloc-ok copy-on-write past a call's first two flows, per SDP observation
+		copy(list, *p)
+	}
+	list = append(list, f)
+	call.more.Store(&list)
+}
+
+// listed reports whether f is among the call's flows.
+func (call *Call) listed(f *Flow) bool {
+	for i := range call.held {
+		if call.held[i].Load() == f {
+			return true
+		}
+	}
+	if p := call.more.Load(); p != nil {
+		for _, g := range *p {
+			if g == f {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// callStripe is one lock stripe of the call registry.
+type callStripe struct {
+	mu    sync.Mutex
+	calls map[string]*Call
+	// pad keeps the next stripe's mutex off this one's cache line.
+	_ [48]byte
+}
+
+// CallHash is the FNV-1a hash of a Call-ID, the hash the registry
+// stripes records by and the engine maps a Call-ID to its shard with
+// (engine.ShardIndexForHash): a datagram's route hashes its Call-ID
+// once for both.
+//
+//vids:noalloc per-SIP-datagram Call-ID hash
+func CallHash(callID []byte) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(callID); i++ {
+		h ^= uint32(callID[i])
+		h *= 16777619
+	}
+	return h
+}
+
+// fnv32a is CallHash over a Call-ID held as a string.
+func fnv32a(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return h
+}
+
+func (c *Cache) callStripe(h uint32) *callStripe {
+	return &c.reg[h&(stripeCount-1)]
+}
+
+// Open registers the call an INVITE names on shardIdx, or finds its
+// record, and reports whether this INVITE opened it: created it, or
+// reopened a closed call (a new INVITE on an evicted Call-ID starts the
+// call over, as it does in the detector). A record the INVITE opened
+// and no detector adopts — its queue dropped the INVITE — is taken out
+// again with Abandon.
+//
+//vids:noalloc one registry probe per INVITE; a new Call-ID allocates its record
+func (c *Cache) Open(callID []byte, h uint32, shardIdx int) (*Call, bool) {
+	cs := c.callStripe(h)
+	cs.mu.Lock()
+	call := cs.calls[string(callID)]
+	opened := call == nil
+	if opened {
+		call = &Call{ID: string(callID), shard: shardIdx, stripe: cs} //vids:alloc-ok one record and its interned Call-ID per call
+		call.state.Store(callOpen)
+		cs.calls[call.ID] = call //vids:alloc-ok one entry per call; forgotten with its tombstone
+	} else if call.state.Load() == callClosed {
+		call.state.Store(callOpen)
+		opened = true
+	}
+	cs.mu.Unlock()
+	return call, opened
+}
+
+// Find returns the registered record for callID, whose CallHash is h,
+// or nil: the ingress tier's one probe for every SIP datagram but an
+// INVITE.
+//
+//vids:noalloc one registry probe per SIP datagram
+//vids:nopanic keyed by attacker-controlled Call-ID bytes
+func (c *Cache) Find(callID []byte, h uint32) *Call {
+	cs := c.callStripe(h)
+	cs.mu.Lock()
+	call := cs.calls[string(callID)]
+	cs.mu.Unlock()
+	return call
+}
+
+// DisarmFlows invalidates every flow call owns, through its handles
+// and with atomics only. The ingress calls it for each SIP datagram of
+// the call before enqueueing it, so any signaling that could change
+// what the call's RTP means happens-before the next absorption
+// decision — the adversarial "RTP racing BYE" interleaving resolves
+// exactly as the serialized slow path would.
+//
+//vids:noalloc per-SIP-datagram invalidation on the ingestion path
+//vids:nopanic per-datagram invalidation of attacker-driven flow state
+func (c *Cache) DisarmFlows(call *Call) {
+	for i := range call.held {
+		if f := call.held[i].Load(); f != nil && f.owner.Load() == call {
+			c.disarmFlow(f, true)
+		}
+	}
+	if p := call.more.Load(); p != nil {
+		for _, f := range *p {
+			if f.owner.Load() == call {
+				c.disarmFlow(f, true)
+			}
+		}
+	}
+}
+
+// DisarmCall is DisarmFlows for the record of callID, if any.
+func (c *Cache) DisarmCall(callID []byte) {
+	if call := c.Find(callID, CallHash(callID)); call != nil {
+		c.DisarmFlows(call)
+	}
+}
+
+// Adopt makes call the record of a monitor the detector creates and
+// returns the record registered for its Call-ID: call itself, re-inserted
+// if it has left the registry (its INVITE's queue dropped an earlier
+// copy of the INVITE and Abandon took it out), or the record the
+// ingress opened since for the same Call-ID.
+func (c *Cache) Adopt(call *Call) *Call {
+	if call.state.CompareAndSwap(callOpen, callLive) {
+		return call // the common case: the INVITE that opened it
+	}
+	cs := call.stripe
+	cs.mu.Lock()
+	if call.state.Load() == callGone {
+		if cur := cs.calls[call.ID]; cur != nil {
+			call = cur
+		} else {
+			cs.calls[call.ID] = call //vids:alloc-ok re-inserts a record its dropped INVITE abandoned, once per such call
+		}
+	}
+	call.state.Store(callLive)
+	cs.mu.Unlock()
+	return call
+}
+
+// Close marks call closed — the detector evicted it — and disarms its
+// flows. The flows keep routing the call's stragglers to its shard
+// until Forget. An install that read the record live before the store
+// lands its flow disarmed, and nothing arms a flow of a call its
+// detector has evicted.
+func (c *Cache) Close(call *Call) {
+	call.state.Store(callClosed)
+	c.DisarmFlows(call)
+}
+
+// Forget takes a closed call out of the registry with every flow it
+// still owns: the detector's tombstone for it expired. A record an
+// INVITE reopened since stays, for the detector that will adopt it.
+func (c *Cache) Forget(call *Call) {
+	cs := call.stripe
+	cs.mu.Lock()
+	if call.state.Load() == callClosed {
+		c.removeLocked(cs, call)
+	}
+	cs.mu.Unlock()
+}
+
+// Abandon takes out a record whose opening INVITE will reach no
+// detector (its queue dropped it, or the engine closed) while no
+// detector has adopted it.
+func (c *Cache) Abandon(call *Call) {
+	cs := call.stripe
+	cs.mu.Lock()
+	if call.state.CompareAndSwap(callOpen, callGone) { // not if Adopt won
+		c.removeLocked(cs, call)
+	}
+	cs.mu.Unlock()
+}
+
+// Remove takes the record of callID out of the registry, whatever its
+// state, with every flow it owns. A destination another call has since
+// re-advertised belongs to that call and stays. Each record is disarmed
+// as it goes, so a handle an in-flight escalation still pins keeps
+// failing closed.
+func (c *Cache) Remove(callID string) {
+	cs := c.callStripe(fnv32a(callID))
+	cs.mu.Lock()
+	if call := cs.calls[callID]; call != nil {
+		c.removeLocked(cs, call)
+	}
+	cs.mu.Unlock()
+}
+
+// removeLocked takes call out of the registry and unlinks the flows it
+// owns. Caller holds cs, call's registry stripe, and call has not left
+// the registry, so the entry for its Call-ID is call.
+func (c *Cache) removeLocked(cs *callStripe, call *Call) {
+	call.state.Store(callGone)
+	delete(cs.calls, call.ID)
+	for i := range call.held {
+		if f := call.held[i].Swap(nil); f != nil {
+			c.unlinkOwned(f, call)
+		}
+	}
+	if p := call.more.Swap(nil); p != nil {
+		for _, f := range *p {
+			c.unlinkOwned(f, call)
+		}
+	}
+}
+
+// unlinkOwned unlinks f if call still owns it.
+func (c *Cache) unlinkOwned(f *Flow, call *Call) {
+	st := c.stripeFor(f.hash)
+	st.mu.Lock()
+	owned := f.owner.Load() == call
+	if owned {
+		st.unlinkLocked(f)
+	}
+	st.mu.Unlock()
+	if owned {
+		c.disarmFlow(f, false)
 	}
 }
 
@@ -842,7 +1150,8 @@ func (c *Cache) LastSeen(f *Flow) time.Duration {
 	return seen
 }
 
-// Counters reports the lifetime outcome counts and the table's size,
+// Counters reports the lifetime outcome counts, the table's size and
+// the registry's,
 // summing the stripe-local tallies (one lock hop per stripe —
 // reporting is cold next to the stream it counts).
 func (c *Cache) Counters() Stats {
@@ -855,6 +1164,10 @@ func (c *Cache) Counters() Stats {
 		st.Escalations += s.escalations
 		st.Flows += uint64(s.size)
 		s.mu.Unlock()
+		r := &c.reg[i]
+		r.mu.Lock()
+		st.Calls += uint64(len(r.calls))
+		r.mu.Unlock()
 	}
 	return st
 }

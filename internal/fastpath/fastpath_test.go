@@ -288,15 +288,15 @@ func TestRouteDisarmsOnBye(t *testing.T) {
 	before := c.Counters()
 
 	var res Consult
-	c.Route([]byte("m|10.0.0.9|1"), false, 0, &res)
+	c.Route([]byte("m|10.0.0.9|1"), false, &res)
 	if res.Verdict != Miss || res.Flow != nil || res.ShardIdx != -1 {
 		t.Fatalf("route to an unadvertised key = %+v, want unrouted Miss", res)
 	}
-	c.Route([]byte("m|10.0.0.2|20002"), false, 0, &res)
+	c.Route([]byte("m|10.0.0.2|20002"), false, &res)
 	if res.Flow != nil || res.ShardIdx != 5 {
 		t.Fatalf("route = %+v, want shard 5 and no pinned flow", res)
 	}
-	c.Route(key, false, 0, &res)
+	c.Route(key, false, &res)
 	if v := lookup(c, key, 0, 1, 101, 1760, 20*time.Millisecond).Verdict; v != Hit {
 		t.Fatalf("a sender report disarmed the flow: verdict %v", v)
 	}
@@ -304,7 +304,7 @@ func TestRouteDisarmsOnBye(t *testing.T) {
 		t.Fatalf("route probes counted outcomes: %+v -> %+v", before, st)
 	}
 
-	c.Route(key, true, 40*time.Millisecond, &res)
+	c.Route(key, true, &res)
 	res = lookup(c, key, 0, 1, 102, 1920, 60*time.Millisecond)
 	if res.Verdict != Miss || !res.HasSnap {
 		t.Fatalf("after RTCP BYE: %v hasSnap=%v, want Miss carrying resync snapshot", res.Verdict, res.HasSnap)
@@ -312,56 +312,151 @@ func TestRouteDisarmsOnBye(t *testing.T) {
 	res.Flow.Release()
 }
 
-// TestTouchCarriesOwnerOncePerInterval: every probe of a flow, whatever
-// its verdict, may carry the owner's Call-ID, but at most once per
-// RefreshEvery.
-func TestTouchCarriesOwnerOncePerInterval(t *testing.T) {
-	cfg := testConfig()
-	cfg.RefreshEvery = time.Second
-	c := New(cfg)
+// TestCallRecordLifecycle walks one record through the registry: an
+// INVITE opens it, its detector adopts it, installs land in it while it
+// is open, closing it disarms its flows and refuses further installs
+// while its flows keep routing, an INVITE reopens it, and only a closed
+// record is forgotten — with its flows.
+func TestCallRecordLifecycle(t *testing.T) {
+	c := New(testConfig())
 	key := []byte("m|10.0.0.2|20000")
-	arm(t, c, key, "call-1") // the arming consult at 0 is within the first interval
+	call, opened := c.Open([]byte("call-1"), fnv32a("call-1"), 2)
+	if !opened || call.shard != 2 || c.Find([]byte("call-1"), fnv32a("call-1")) != call {
+		t.Fatalf("Open = %p opened=%v shard %d; Find = %p", call, opened, call.shard, c.Find([]byte("call-1"), fnv32a("call-1")))
+	}
+	if again, opened := c.Open([]byte("call-1"), fnv32a("call-1"), 2); again != call || opened {
+		t.Fatal("a retransmitted INVITE opened a second record")
+	}
+	if c.Adopt(call) != call {
+		t.Fatal("Adopt returned another record")
+	}
+	f := c.InstallCall(key, call)
+	if f == nil {
+		t.Fatal("install into a live record refused")
+	}
+	res := lookup(c, key, 0, 1, 100, 1600, 0)
+	if !c.Update(key, res.Epoch, 0, Snapshot{SSRC: 1, Seq: 100, TS: 1600, WinCount: 1}) {
+		t.Fatal("arm refused")
+	}
+	res.Flow.Release()
 
-	var touches []time.Duration
-	var res Consult
-	for i := 1; i <= 150; i++ {
-		at := time.Duration(i) * 20 * time.Millisecond
-		if i == 51 {
-			c.Route(key, false, at, &res) // an RTCP report, due the first touch
-		} else {
-			c.ConsultKey(key, 0, 1, uint16(100+i), uint32(1600+160*i), at, &res)
-			if res.Flow != nil {
-				res.Flow.Release()
-			}
-		}
-		if res.Touch != "" {
-			if res.Touch != "call-1" {
-				t.Fatalf("touch carries %q, want the owner", res.Touch)
-			}
-			touches = append(touches, at)
-		}
+	c.Close(call)
+	if res := lookup(c, key, 0, 1, 101, 1760, 20*time.Millisecond); res.Verdict != Miss || res.ShardIdx != 2 {
+		t.Fatalf("closed call's flow: %+v, want a Miss still routed to shard 2", res)
+	} else {
+		res.Flow.Release()
 	}
-	// Packets span 20 ms..3 s: the refresh fires once the first full
-	// second has passed (on the RTCP probe), then on the first hit a
-	// full second after that.
-	if len(touches) != 2 || touches[0] != 51*20*time.Millisecond {
-		t.Fatalf("touches at %v, want 2", touches)
+	if c.InstallCall([]byte("m|10.0.0.2|20002"), call) != nil {
+		t.Fatal("install into a closed record accepted")
 	}
-	for i := 1; i < len(touches); i++ {
-		if touches[i]-touches[i-1] <= time.Second {
-			t.Fatalf("touches %v closer than RefreshEvery", touches)
-		}
+	c.Abandon(call)
+	if c.Find([]byte("call-1"), fnv32a("call-1")) != call {
+		t.Fatal("Abandon took out a record a detector adopted")
 	}
-	c.ConsultKey([]byte("m|10.0.0.9|1"), 0, 1, 1, 1, time.Hour, &res)
-	if res.Touch != "" {
-		t.Fatalf("unknown key touched %q", res.Touch)
+
+	// A new INVITE on the Call-ID reopens the record; the tombstone's
+	// expiry must then leave it to the detector that will adopt it.
+	if _, opened := c.Open([]byte("call-1"), fnv32a("call-1"), 2); !opened {
+		t.Fatal("an INVITE on a closed record did not reopen it")
+	}
+	c.Forget(call)
+	if c.Find([]byte("call-1"), fnv32a("call-1")) != call {
+		t.Fatal("Forget removed a reopened record")
+	}
+	c.Adopt(call)
+	c.Close(call)
+	c.Forget(call)
+	if st := c.Counters(); st.Calls != 0 || st.Flows != 0 || c.Find([]byte("call-1"), fnv32a("call-1")) != nil {
+		t.Fatalf("after Forget: %+v, want no record and no flow", st)
+	}
+	if c.InstallCall(key, call) != nil {
+		t.Fatal("install into a forgotten record accepted")
+	}
+}
+
+// TestAbandonTakesOutUnadoptedRecord: a record whose opening INVITE no
+// detector will see leaves the registry with its flows; one a detector
+// adopted stays.
+func TestAbandonTakesOutUnadoptedRecord(t *testing.T) {
+	c := New(testConfig())
+	call, _ := c.Open([]byte("dropped"), fnv32a("dropped"), 0)
+	c.InstallCall([]byte("m|10.0.0.2|20000"), call)
+	c.Abandon(call)
+	if st := c.Counters(); st.Calls != 0 || st.Flows != 0 {
+		t.Fatalf("after Abandon: %+v, want no record and no flow", st)
+	}
+	// A retransmission queued behind the dropped INVITE reaches the
+	// detector, which re-inserts the record.
+	if c.Adopt(call) != call || c.Find([]byte("dropped"), fnv32a("dropped")) != call {
+		t.Fatal("Adopt did not re-insert the abandoned record")
+	}
+}
+
+// TestRevertRestoresRoute: a datagram of a call its detector no longer
+// knows must not move a route. The flow Install took from another call
+// goes back to it, a flow Install created goes away, and a confirmed
+// change stays.
+func TestRevertRestoresRoute(t *testing.T) {
+	c := New(testConfig())
+	key := []byte("m|10.0.0.2|20000")
+	live, _ := c.Open([]byte("live"), fnv32a("live"), 1)
+	c.Adopt(live)
+	f := c.InstallCall(key, live)
+	c.Confirm(f, live)
+	dead, _ := c.Open([]byte("dead"), fnv32a("dead"), 3)
+	c.Adopt(dead)
+
+	if g := c.InstallCall(key, dead); g != f {
+		t.Fatal("re-advertised destination got a second flow")
+	}
+	if res := lookup(c, key, 0, 1, 100, 1600, 0); res.ShardIdx != 3 {
+		t.Fatalf("installed route: shard %d, want 3", res.ShardIdx)
+	} else {
+		res.Flow.Release()
+	}
+	c.Revert(f, dead)
+	if res := lookup(c, key, 0, 1, 101, 1760, 0); res.ShardIdx != 1 {
+		t.Fatalf("reverted route: shard %d, want the previous owner's 1", res.ShardIdx)
+	} else {
+		res.Flow.Release()
+	}
+	c.Revert(f, dead) // judged already: nothing left to undo
+	if res := lookup(c, key, 0, 1, 102, 1920, 0); res.ShardIdx != 1 {
+		t.Fatalf("second revert moved the route to shard %d", res.ShardIdx)
+	} else {
+		res.Flow.Release()
+	}
+
+	fresh := c.InstallCall([]byte("m|10.0.0.9|4000"), dead)
+	c.Revert(fresh, dead)
+	if n := c.Counters().Flows; n != 1 {
+		t.Fatalf("flows = %d after reverting a created flow, want 1", n)
+	}
+
+	// A confirmed change is final; once its previous owner is forgotten
+	// an unconfirmed one unlinks instead.
+	c.InstallCall(key, dead)
+	c.Confirm(f, dead)
+	c.Revert(f, dead)
+	if res := lookup(c, key, 0, 1, 103, 2080, 0); res.ShardIdx != 3 {
+		t.Fatalf("confirmed route reverted to shard %d", res.ShardIdx)
+	} else {
+		res.Flow.Release()
+	}
+	c.InstallCall(key, live)
+	c.Close(dead)
+	c.Forget(dead)
+	c.Revert(f, live)
+	if n := c.Counters().Flows; n != 0 {
+		t.Fatalf("flows = %d after reverting to a forgotten owner, want 0", n)
 	}
 }
 
 // TestConcurrentInstallsKeepOneOwner races installs of one destination
 // for different calls, as lanes without a shared lock do: afterwards the
-// flow belongs to exactly one call, that call's Remove deletes it, and
-// every other call's Remove leaves the table untouched.
+// flow belongs to exactly one call, that call's Remove deletes it,
+// every other call's Remove leaves the table untouched, and the
+// registry ends empty.
 func TestConcurrentInstallsKeepOneOwner(t *testing.T) {
 	c := New(testConfig())
 	key := []byte("m|10.0.0.2|20000")
@@ -392,8 +487,8 @@ func TestConcurrentInstallsKeepOneOwner(t *testing.T) {
 	if n := c.Counters().Flows; n != 0 {
 		t.Fatalf("owner's eviction left %d flows, want 0", n)
 	}
-	if len(c.byCall) != 0 {
-		t.Fatalf("call index holds %d stale entries", len(c.byCall))
+	if n := c.Counters().Calls; n != 0 {
+		t.Fatalf("call registry holds %d records after every Remove", n)
 	}
 }
 
@@ -479,7 +574,7 @@ func TestFrontSlotChecksIdentity(t *testing.T) {
 		if res.Verdict != Miss || res.Flow != nil || res.ShardIdx != -1 {
 			t.Fatalf("ConsultKey(%s) = %+v, want an unrouted Miss", otherKey, res)
 		}
-		c.RouteAddr(other, port, false, at, &res)
+		c.RouteAddr(other, port, false, &res)
 		if res.ShardIdx != -1 {
 			t.Fatalf("RouteAddr(%s) routed to shard %d, want -1", other, res.ShardIdx)
 		}

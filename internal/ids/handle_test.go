@@ -18,7 +18,7 @@ func (f *flowHarness) view(t *testing.T, m *sipmsg.Message, from, to string, flo
 	if sipmsg.Scan(pkt.Payload.([]byte), &v) != sipmsg.ScanOK {
 		t.Fatalf("scan did not commit to %s", m.Summary())
 	}
-	f.ids.ProcessSIPView(&v, pkt, flow)
+	f.ids.ProcessSIPView(&v, pkt, flow, nil)
 }
 
 // establishViewed drives the canonical setup through ProcessSIPView,

@@ -1,20 +1,22 @@
 // Package ingress is the pipeline's one front end, between packet
-// sources and the detection engine: M independent lanes standing in
-// front of N shard workers, with the serial work of signaling
-// ingestion — scan, classify, flood accounting, call bookkeeping —
-// spread over the lanes. One lane (Lanes: 1) is the degenerate, fully
-// serialized case; every binary, test and experiment enters here.
+// sources and the detection engine: listener goroutines call Ingest
+// concurrently, and each datagram is scanned, routed to the shard that
+// owns its call, and handed straight to that shard's queue. Every
+// binary, test and experiment enters here.
 //
-// A lane is a lock stripe, not a goroutine: listener goroutines call
-// Ingest concurrently, and each SIP packet takes the lane lock (or
-// locks — it may touch the flood lane and the call lane, always
-// sequentially, never nested) that its keys hash to. The per-packet
-// work under a lane lock is deliberately tiny: a map probe and a clock
-// advance. Lanes hold signaling state only. Media is routed by the
-// engine's flow table (internal/fastpath), one stripe lock and no lane
-// lock per packet; a media packet visits its call's lane only for the
-// amortized liveness touch. No lock spans the tier: lanes hand buffers
-// straight to shard queues.
+// The tier keeps no per-call state. A SIP datagram finds its call with
+// one probe of the call registry that the engine's flow table carries
+// (internal/fastpath): an INVITE opens the Call-ID's record, every other
+// datagram finds it or learns there is none. The detector that owns the
+// call decides how long the record lives. Media is routed by the same
+// flow table, one stripe lock per packet.
+//
+// What remains in the tier is the cross-call flood accounting, striped
+// over M lanes. A lane is a lock stripe, not a goroutine: an initial
+// INVITE takes the lane its destination hashes to, a stray response the
+// lane of the host it targets, and the work under the lock is a clock
+// advance and a window update. One lane (Lanes: 1) is the fully
+// serialized case. No lock spans the tier.
 //
 // Every SIP datagram is read exactly once, before any lane lock:
 // sipmsg.Scan walks it without allocating and answers with a View —
@@ -23,7 +25,7 @@
 // hands it to the owning shard by value with the packet; the shard
 // feeds the detector from it and never parses. A datagram the scanner
 // rejects is counted as a parse error and retired right here, so it
-// can never leave a trace in a lane table or the fast-path cache that
+// can never leave a trace in the call registry or the flow table that
 // the detector would not know about; one it does not commit to (folded
 // headers, non-ASCII bytes, …) takes the cold path through the full
 // parser, on the lane and again on the shard.
@@ -38,6 +40,7 @@ package ingress
 
 import (
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,16 +57,15 @@ import (
 )
 
 // laneTableCap bounds each lane's string-intern table: enough for the
-// Call-IDs, SDP hosts and flood destinations of a large live
-// population without growing without bound.
+// flood destinations of a large live population without growing
+// without bound.
 const laneTableCap = 4096
 
 // Config parameterizes an Ingress.
 type Config struct {
-	// Lanes is the number of lock stripes. Zero or negative means one
-	// lane per shard. The count is normalized down to the largest
-	// divisor of the shard count, so each lane owns an equal, disjoint
-	// subset of shards (lane = shard index mod lanes).
+	// Lanes is the number of flood-window stripes. Zero or negative
+	// means one lane per shard. The count is normalized down to the
+	// largest divisor of the shard count.
 	Lanes int
 	// BufferSize is the receive-buffer capacity handed to the free
 	// list. Zero means bufpool.DefaultSize.
@@ -74,22 +76,18 @@ type Config struct {
 	Engine engine.Config
 }
 
-// lane is one lock stripe of the ingestion tier. All fields after mu
-// are guarded by it. Lane locks never nest with each other or with any
-// other lock: a packet acquires each lane it needs in sequence, and
-// everything engine-facing (Enqueue*, RecordAlert, Note*) and every
-// flow-table call happens after the lane lock is released.
+// lane is one flood-window stripe of the ingestion tier. All fields
+// after mu are guarded by it. Lane locks never nest with each other or
+// with any other lock: everything engine-facing (Enqueue*, RecordAlert,
+// Note*) and every flow-table call happens after the lane lock is
+// released.
 type lane struct {
 	mu      sync.Mutex
-	clock   *sim.Simulator           // per-lane virtual clock: flood windows, sweeps; advanced by SIP only
-	fw      *ids.FloodWatch          // per-destination detectors for keys hashed here
-	pending []ids.Alert              // alerts raised under mu, drained outside it
-	calls   map[string]time.Duration // Call-ID -> last activity
-	gone    map[string]time.Duration // Call-ID -> when the sweep forgot it
-	keyBuf  []byte                   // reusable key scratch
+	clock   *sim.Simulator  // per-lane virtual clock for the flood windows
+	fw      *ids.FloodWatch // per-destination detectors for keys hashed here
+	pending []ids.Alert     // alerts raised under mu, drained outside it
+	keyBuf  []byte          // reusable key scratch
 	strings *intern.Table
-	swept   bool   // a sweep is scheduled on clock
-	sweep   func() // the sweep callback, built once in New
 }
 
 // Ingress is the multi-lane ingestion tier. Create instances with New;
@@ -97,11 +95,10 @@ type lane struct {
 // engine.
 type Ingress struct {
 	e      *engine.Engine
-	fp     *fastpath.Cache // the engine's flow table: every media route
+	fp     *fastpath.Cache // the engine's flow table: every media route and call record
 	lanes  []*lane
 	pool   *bufpool.Pool
 	retire func(*sim.Packet) // the chained retire hook, for lane-side disposal
-	retain time.Duration     // idle lifetime of a lane's call slot: as long as a shard keeps the call
 
 	// closed is set by Close before the lane clocks run out: a drained
 	// lane's clock sits at the end of time, so nothing may feed it again.
@@ -143,7 +140,6 @@ func New(cfg Config) *Ingress {
 		lanes:  make([]*lane, lanes),
 		pool:   pool,
 		retire: cfg.Engine.OnRetire,
-		retain: cfg.Engine.IDS.IdleEviction + cfg.Engine.IDS.CloseLinger,
 	}
 	ing.fp = ing.e.Fastpath()
 	idsCfg := cfg.Engine.IDS
@@ -151,11 +147,8 @@ func New(cfg Config) *Ingress {
 	for i := range ing.lanes {
 		l := &lane{
 			clock:   sim.New(int64(1000 + i)),
-			calls:   make(map[string]time.Duration),
-			gone:    make(map[string]time.Duration),
 			strings: intern.New(laneTableCap),
 		}
-		l.sweep = func() { ing.sweep(l) }
 		l.fw = ids.NewFloodWatch(l.clock, idsCfg, func(a ids.Alert) {
 			// Runs under l.mu (feeds and clock timers execute only
 			// there); the alert is delivered to the engine after unlock.
@@ -219,12 +212,6 @@ func (ing *Ingress) retirePkt(pkt *sim.Packet) {
 	if ing.retire != nil {
 		ing.retire(pkt) //vids:alloc-ok retire hook recycles pooled receive buffers; nil in replay
 	}
-}
-
-// laneForShard maps a shard index to its owning lane: lanes divide the
-// shard count, so shard s belongs to lane s mod M.
-func (ing *Ingress) laneForShard(shardIdx int) *lane {
-	return ing.lanes[shardIdx%len(ing.lanes)]
 }
 
 // laneForDest stripes flood destinations (user@host AORs for INVITE
@@ -355,11 +342,11 @@ func (ing *Ingress) ingestSIPSlow(pkt *sim.Packet, raw []byte, at time.Duration)
 	return ing.routeSIP(pkt, raw, at, &r)
 }
 
-// routeSIP makes the lane's decisions for one well-formed SIP
-// datagram: feed the flood window for initial INVITEs, maintain the
-// call/tombstone maps, absorb stray responses, install media flows
+// routeSIP makes the tier's decisions for one well-formed SIP
+// datagram: feed the flood window for initial INVITEs, open or find the
+// call's registry record, absorb stray responses, install media flows
 // from SDP, disarm the call's fast-path flows, and hand the packet to
-// the owning shard.
+// the owning shard with the record and the installed flow.
 func (ing *Ingress) routeSIP(pkt *sim.Packet, raw []byte, at time.Duration, r *sipRoute) error {
 	isInvite := r.method == sipmsg.INVITE
 	if isInvite && !r.toTag {
@@ -367,70 +354,57 @@ func (ing *Ingress) routeSIP(pkt *sim.Packet, raw []byte, at time.Duration, r *s
 		// the destination's lane.
 		ing.feedInvite(r.ruriUser, r.ruriHost, pkt.From.Host, at)
 	}
-	// Mirror ids.indexMedia: the INVITE's SDP names where the callee's
-	// stream will land, the 2xx answer's where the caller's will.
-	advertises := len(r.sdpAddr) > 0 && (isInvite || (r.method == "" &&
-		r.status >= 200 && r.status < 300 && r.cseq == sipmsg.INVITE))
-
-	shardIdx := ing.e.ShardIndexForBytes(r.callID)
-	l := ing.laneForShard(shardIdx)
-	var cid, sdpHost string
-	l.mu.Lock()
-	_ = l.clock.RunUntil(at)
+	h := fastpath.CallHash(r.callID)
+	shardIdx := ing.e.ShardIndexForHash(h)
+	var call *fastpath.Call
+	opens := false
 	if isInvite {
-		cid = l.strings.Bytes(r.callID)
-		l.calls[cid] = at //vids:alloc-ok one dialog slot per INVITE; the sweep bounds the table
-		delete(l.gone, cid)
-		ing.armSweep(l)
-	} else if _, known := l.calls[string(r.callID)]; known {
-		cid = l.strings.Bytes(r.callID)
-		l.calls[cid] = at //vids:alloc-ok refreshes the slot the probe above found
-	} else if r.method == "" {
-		// A response for a call this edge never initiated: absorbed
-		// here, the shards never see it — as in the sequential detector,
-		// where such packets die in handleSIP without touching any
-		// machine. The registrar's answer to a REGISTER (the request
-		// already raised its own alert) and a tombstoned call's
-		// stragglers are swallowed silently; everything else counts
+		call, opens = ing.fp.Open(r.callID, h, shardIdx)
+	} else if call = ing.fp.Find(r.callID, h); r.method == "" && (call == nil || call.Closed()) {
+		// A response for a call that has no record — it never existed,
+		// or its detector has forgotten it — or a closed one, whose
+		// detector has evicted it and keeps its tombstone: absorbed here,
+		// the shards never see it — as in the sequential detector, where
+		// such packets die in handleSIP without touching any machine. A
+		// closed call's stragglers and the registrar's answer to a
+		// REGISTER (the request already raised its own alert) are
+		// swallowed silently; everything else is a stray and counts
 		// toward the DRDoS reflection window.
-		_, evicted := l.gone[string(r.callID)]
-		alerts := l.takePending()
-		l.mu.Unlock()
-		ing.drain(alerts)
-		return ing.absorbStray(pkt, raw, evicted || r.cseq == sipmsg.REGISTER, at)
+		return ing.absorbStray(pkt, raw, call != nil || r.cseq == sipmsg.REGISTER, at)
 	}
-	if advertises {
-		// The flow outlives the datagram: it keeps interned strings.
-		sdpHost = l.strings.Bytes(r.sdpAddr)
-	}
-	alerts := l.takePending()
-	l.mu.Unlock()
-	ing.drain(alerts)
 
 	var flow *fastpath.Flow
-	if advertises {
-		// Register (or, on SDP renegotiation, invalidate and re-own) the
-		// flow: from here on it routes the destination's media to this
-		// call's shard, and the call's detector holds it by this handle.
-		var kb [96]byte
-		flow = ing.fp.Install(ids.AppendMediaKey(kb[:0], sdpHost, r.sdpPort), cid, shardIdx)
+	if call != nil {
+		// Mirror ids.indexMedia: the INVITE's SDP names where the callee's
+		// stream will land, the 2xx answer's where the caller's will.
+		if len(r.sdpAddr) > 0 && (isInvite || (r.method == "" &&
+			r.status >= 200 && r.status < 300 && r.cseq == sipmsg.INVITE)) {
+			// Register (or, on SDP renegotiation, invalidate and re-own)
+			// the flow: from here on it routes the destination's media to
+			// this call's shard, and the call's detector holds it by this
+			// handle. A closed record takes no flow.
+			var kb [96]byte
+			flow = ing.fp.InstallCall(appendMediaKey(kb[:0], r.sdpAddr, r.sdpPort), call)
+		}
+		// Signaling can change what this call's RTP means (BYE, CANCEL,
+		// renegotiation): disarm its flows before the event is enqueued,
+		// so an RTP packet racing this datagram can no longer be absorbed
+		// against pre-transition state.
+		ing.fp.DisarmFlows(call)
 	}
-	// Signaling can change what this call's RTP means (BYE, CANCEL,
-	// renegotiation): disarm its flows before the event is enqueued, so
-	// an RTP packet racing this datagram on another lane can no longer
-	// be absorbed against pre-transition state.
-	ing.fp.DisarmCall(r.callID)
-	var err error
-	if r.view != nil {
-		err = ing.e.EnqueueSIP(shardIdx, pkt, at, r.view, flow)
-	} else {
-		err = ing.e.EnqueueRaw(shardIdx, pkt, at)
-	}
-	if err != nil {
+	if err := ing.e.EnqueueSIP(shardIdx, pkt, at, r.view, flow, call, opens); err != nil {
 		return err
 	}
 	ing.e.NoteIngested()
 	return nil
+}
+
+// appendMediaKey renders the media key ids.AppendMediaKey renders, from
+// a host still in the receive buffer.
+func appendMediaKey(b, host []byte, port int) []byte {
+	b = append(b, host...)
+	b = append(b, ':')
+	return strconv.AppendInt(b, int64(port), 10)
 }
 
 // feedInvite renders user@host into the destination lane's scratch,
@@ -489,11 +463,8 @@ func (ing *Ingress) ingestMedia(pkt *sim.Packet, host string, port int, at time.
 	if ssrc, pt, seq, ts, ok := rtp.ExtractLite(raw); ok && pkt.Proto == sim.ProtoRTP {
 		ing.fp.ConsultAddr(host, port, pt, ssrc, seq, ts, at, &res)
 	} else {
-		ing.fp.RouteAddr(host, port, pkt.Proto == sim.ProtoRTCP && len(raw) >= 2 && raw[1] == rtp.RTCPBye, at, &res)
+		ing.fp.RouteAddr(host, port, pkt.Proto == sim.ProtoRTCP && len(raw) >= 2 && raw[1] == rtp.RTCPBye, &res)
 	}
-	// Amortized liveness: media no longer walks the lanes, so once per
-	// refresh interval per flow a packet pays the call-slot refresh.
-	ing.touchCall(res.Touch, at)
 	if res.Verdict == fastpath.Hit {
 		ing.e.NoteFastpathHit(res.ShardIdx)
 		ing.retirePkt(pkt)
@@ -518,22 +489,6 @@ func (ing *Ingress) ingestMedia(pkt *sim.Packet, host string, port int, at time.
 	return nil
 }
 
-// touchCall refreshes a live call's activity slot on its signaling
-// lane; tombstoned or forgotten calls are left alone.
-//
-//vids:noalloc empty-cid common case returns before any lock
-func (ing *Ingress) touchCall(cid string, at time.Duration) {
-	if cid == "" {
-		return
-	}
-	cl := ing.laneForShard(ing.e.ShardIndexFor(cid))
-	cl.mu.Lock()
-	if _, live := cl.calls[cid]; live {
-		cl.calls[cid] = at //vids:alloc-ok refreshes the slot the guard above found
-	}
-	cl.mu.Unlock()
-}
-
 // takePending detaches the lane's raised-alert backlog. Caller holds
 // l.mu; the returned slice is delivered via drain after unlock. The
 // common case is empty and free; the alert case hands the whole slice
@@ -556,45 +511,8 @@ func (ing *Ingress) drain(alerts []ids.Alert) {
 	}
 }
 
-// armSweep schedules the lane's call-table sweep on its clock. Caller
-// holds l.mu.
-func (ing *Ingress) armSweep(l *lane) {
-	if l.swept || ing.retain <= 0 {
-		return
-	}
-	l.swept = true
-	l.clock.Schedule(ing.retain/2, l.sweep)
-}
-
-// sweep mirrors ids eviction and tombstones: calls idle longer than
-// the shard would keep them (IdleEviction + CloseLinger) are dropped,
-// so the table cannot grow without bound under call churn, and
-// forgotten Call-IDs leave tombstones so straggler responses of a
-// closed dialog stay silent instead of feeding the reflection window.
-// It runs on the lane clock, under l.mu.
-//
-//vids:noalloc the lane's call-table sweep, scheduled from the SIP path once per retain/2 window
-func (ing *Ingress) sweep(l *lane) {
-	l.swept = false
-	now := l.clock.Now()
-	for id, last := range l.calls {
-		if now-last > ing.retain {
-			delete(l.calls, id)
-			l.gone[id] = now //vids:alloc-ok one tombstone per forgotten call, expired by the next sweep
-		}
-	}
-	for id, at := range l.gone {
-		if now-at > ing.retain {
-			delete(l.gone, id)
-		}
-	}
-	if len(l.calls)+len(l.gone) > 0 {
-		ing.armSweep(l)
-	}
-}
-
 // Close drains the tier: every lane's clock runs to completion (open
-// flood windows expire, sweeps settle), lane alerts merge, and the
+// flood windows expire), lane alerts merge, and the
 // wrapped engine is closed — which drains the shard queues and their
 // timers. Callers must stop feeding Ingest first (listeners stop on
 // ctx cancellation before their Run returns); afterwards Ingest reports

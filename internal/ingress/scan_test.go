@@ -71,7 +71,7 @@ func TestExtractMatchesFullParse(t *testing.T) {
 // not route on — malformed ones it rejects on the spot, legal-but-rare
 // ones it defers to the full parser — and checks where each ends up: a
 // datagram the full parser rejects is one parse error and leaves no
-// trace in a lane table or the flow table, one it accepts reaches the
+// trace in the call registry or the flow table, one it accepts reaches the
 // shard.
 func TestExtractBailsToSlowPath(t *testing.T) {
 	const (
@@ -114,18 +114,15 @@ func TestExtractBailsToSlowPath(t *testing.T) {
 		if err := ing.Ingest(pkt, time.Millisecond); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		l := ing.lanes[0]
-		l.mu.Lock()
-		planted := uint64(len(l.calls))
-		l.mu.Unlock()
-		planted += ing.fp.Counters().Flows
+		fc := ing.fp.Counters()
+		planted := fc.Calls + fc.Flows
 		if err := ing.Close(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		st := ing.Stats()
 		if perr != nil {
 			if st.ParseErrors != 1 || st.Processed != 0 || planted != 0 || st.FastpathMisses != 0 {
-				t.Errorf("%s: malformed datagram: parse-errors=%d processed=%d lane and flow entries=%d, want 1/0/0",
+				t.Errorf("%s: malformed datagram: parse-errors=%d processed=%d call records and flows=%d, want 1/0/0",
 					name, st.ParseErrors, st.Processed, planted)
 			}
 		} else if st.ParseErrors != 0 || st.Processed != 1 {
