@@ -49,7 +49,7 @@ fmt:
 # lint runs every static gate: formatting, go vet, the repo-specific
 # source analyzer (cmd/vidslint) and the EFSM specification verifier
 # (internal/speclint via cmd/fsmdump). vidslint's whole-module run
-# includes the whole-program rule sets: the //vids:noalloc escape gate
+# includes the whole-program rule sets: the //vids:noalloc allocation gate
 # over the hot-path call closure, the //vids:nopanic panic-freedom
 # gate over the untrusted-input closure, the lock gate wherever a
 # mutex is used, the directive-freshness sweep, and the alloc-ceiling

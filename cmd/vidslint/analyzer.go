@@ -99,7 +99,8 @@ type analyzer struct {
 	analyzed map[string]bool
 
 	// overlay replaces the content of the named files (absolute paths)
-	// before parsing. Only the mutation self-test sets it.
+	// before parsing, and in the noalloc gate's build. Only the mutation
+	// self-test sets it.
 	overlay map[string][]byte
 
 	ix *index
@@ -324,7 +325,10 @@ func (a *analyzer) packageFindings(pi *pkgInfo) []finding {
 // rule there is what marks a //vidslint:allow used.
 func (a *analyzer) programFindings() ([]finding, error) {
 	ix := a.index()
-	noalloc := checkNoalloc(ix)
+	noalloc, err := checkNoalloc(ix)
+	if err != nil {
+		return nil, err
+	}
 	nopanic := checkNopanic(ix)
 	locks := checkLocks(ix)
 	out := append(append(noalloc.findings, nopanic.findings...), locks.findings...)

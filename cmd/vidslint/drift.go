@@ -10,7 +10,7 @@ import (
 // The alloc-ceiling drift gate ties the two halves of the hot-path
 // contract together: every module function measured by a
 // testing.AllocsPerRun ceiling in the root alloc tests must be inside
-// (or itself be) a //vids:noalloc closure, so the static escape gate
+// (or itself be) a //vids:noalloc closure, so the static allocation gate
 // and the runtime budget always police the same code. When someone
 // adds a new ceiling without annotating the code path — or removes an
 // annotation the ceilings still depend on — `make lint` fails.
@@ -91,7 +91,7 @@ func (d *driftScan) scan(body *ast.BlockStmt) {
 			d.reported[site.callee] = true
 			d.findings = append(d.findings, finding{
 				pos: d.ix.a.fset.Position(site.call.Pos()),
-				msg: fmt.Sprintf("alloc-ceiling drift: %s is measured by testing.AllocsPerRun here but is not covered by any //vids:noalloc root — annotate it (or a caller) so the escape gate polices what the budget measures", site.callee.name()),
+				msg: fmt.Sprintf("alloc-ceiling drift: %s is measured by testing.AllocsPerRun here but is not covered by any //vids:noalloc root — annotate it (or a caller) so the allocation gate polices what the budget measures", site.callee.name()),
 			})
 		}
 	})

@@ -16,7 +16,7 @@ import (
 // It models the repo's locking vocabulary:
 //
 //   - A lock is identified by (package, owning struct type, mutex
-//     field) — "engine.shard.mu", "fastpath.Cache.byCallMu" — so every
+//     field) — "engine.shard.mu", "fastpath.callStripe.mu" — so every
 //     instance of a struct shares one discipline. A package-level
 //     mutex is "pkg.name"; any other operand keeps its expression text.
 //   - A *queue lock* is a mutex declared in a struct that also carries

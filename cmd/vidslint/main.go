@@ -1,5 +1,6 @@
 // Command vidslint is vids' repo-specific static analyzer, built on
-// the standard library's go/parser, go/ast and go/types only. It loads
+// the standard library's go/parser, go/ast and go/types, plus the
+// object-code listing of the toolchain that runs it. It loads
 // the requested package directories, builds one program index over
 // them (index.go: the function table, every call classified once,
 // every directive comment in one table) and runs its rule sets over
@@ -29,10 +30,13 @@
 // Over the whole program:
 //
 //   - the static call closure of every //vids:noalloc root — the
-//     per-packet path — must be free of heap-allocation sites, up to
-//     //vids:coldpath callees and justified //vids:alloc-ok waivers
-//     (escape.go), and must cover whatever alloc_test.go measures
-//     (drift.go);
+//     per-packet path — must be free of heap allocations, up to
+//     //vids:coldpath callees and justified //vids:alloc-ok waivers:
+//     the gate compiles the reached packages with `go build
+//     -gcflags=<pkg>=-S` (offline, through the build cache, linking
+//     nothing into the tree) and reads every runtime allocator call
+//     from the listing (escape.go); it must cover whatever
+//     alloc_test.go measures (drift.go);
 //   - the static call closure of every //vids:nopanic root — the
 //     parsers and dispatchers that consume raw network bytes — must be
 //     free of potential runtime panics: every index, slice, type

@@ -81,7 +81,8 @@ func gateMutations(t *testing.T, ix *index, root, waiver string, edge func(*call
 
 // TestGatesCatchSeededViolations is the gates' own test: a gate that
 // guards everything must itself be checked. Into an in-memory copy of
-// the module it seeds an allocation at the top of every //vids:noalloc
+// the module (which the noalloc gate compiles through go build
+// -overlay) it seeds a heap allocation at the top of every //vids:noalloc
 // root and of a deepest function of each root's closure, an unguarded
 // index the same way for every //vids:nopanic root, and the reverse of
 // every lock order the lock gate observes; one analyzer run must then
@@ -92,9 +93,9 @@ func TestGatesCatchSeededViolations(t *testing.T) {
 	ix := base.index()
 
 	allocs, hotRoots := gateMutations(t, ix, dirNoalloc, dirAllocOK, staysHot,
-		mutation{text: " _ = new(int);", kind: "noalloc", want: []string{"new allocates"}})
+		mutation{text: " vidsmutSink = new(int);", kind: "noalloc", want: []string{"(runtime.newobject)"}})
 	panics, rawRoots := gateMutations(t, ix, dirNopanic, dirPanicOK, everyEdge,
-		mutation{text: " var vidsmut []byte; _ = vidsmut[3];", kind: "nopanic", want: []string{"index vidsmut[3] is not dominated by a bounds check"}})
+		mutation{text: " _ = vidsmut[3];", kind: "nopanic", want: []string{"index vidsmut[3] is not dominated by a bounds check"}})
 	muts := append(allocs, panics...)
 
 	// A reversed acquisition cannot always be written as code — Go's
@@ -130,6 +131,19 @@ func TestGatesCatchSeededViolations(t *testing.T) {
 			at = len(src)
 		}
 		overlay[m.file] = []byte(string(src[:at]) + m.text + string(src[at:]))
+	}
+	// The seeds use package-level variables, so the compiler can
+	// neither drop an allocation seed nor prove that an index seed
+	// always panics, which would make the rest of its function dead
+	// code: one declaration per seeded package.
+	decls := make(map[string]string) // package directory → the file that declares
+	for _, m := range muts {
+		if dir := filepath.Dir(m.file); m.fn != "" && (decls[dir] == "" || m.file < decls[dir]) {
+			decls[dir] = m.file
+		}
+	}
+	for _, file := range decls {
+		overlay[file] = append(overlay[file], "\nvar (\n\tvidsmutSink *int\n\tvidsmut     []byte\n)\n"...)
 	}
 
 	mutated := loadRepo(t, overlay)

@@ -33,7 +33,7 @@ import (
 //     methods) or that leave the module for a package not on the
 //     panic-free allowlist: an unprovable callee is an unproven path.
 //
-// Unlike the escape gate, the traversal descends into //vids:coldpath
+// Unlike the noalloc gate, the traversal descends into //vids:coldpath
 // functions — a crash has no cold path. Out of scope (documented
 // policy, cross-checked by the native fuzz targets): panics behind
 // pointer parameters assumed non-nil per the caller contract, OOM,
@@ -96,6 +96,11 @@ func checkNopanic(ix *index) *gate {
 
 // everyEdge is the nopanic walk's edge rule: a crash has no cold path.
 func everyEdge(*callSite) bool { return true }
+
+func isStringType(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
+}
 
 // panicScan is the per-function flow-sensitive walk.
 type panicScan struct {

@@ -1,6 +1,6 @@
 // Package badpkg deliberately violates vidslint's dropped-error and
 // Args-indexing rules; it is analyzed only by the analyzer's own
-// tests (testdata is invisible to the go tool).
+// tests (the go tool's ./... skips testdata).
 package badpkg
 
 import (

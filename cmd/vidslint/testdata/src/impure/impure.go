@@ -1,6 +1,6 @@
 // Package impure deliberately violates vidslint's guard-purity rule;
-// it is analyzed only by the analyzer's own tests (testdata is
-// invisible to the go tool).
+// it is analyzed only by the analyzer's own tests (the go tool's
+// ./... skips testdata).
 package impure
 
 import "vids/internal/core"

@@ -1,6 +1,6 @@
 // Package engine deliberately violates vidslint's wall-clock rule;
-// it is analyzed only by the analyzer's own tests (testdata is
-// invisible to the go tool). Its import path ends in
+// it is analyzed only by the analyzer's own tests (the go tool's
+// ./... skips testdata). Its import path ends in
 // "internal/engine", which is what puts it inside the rule's gate.
 package engine
 

@@ -1,8 +1,10 @@
 // Package noalloc deliberately violates vidslint's whole-program
-// escape/allocation gate; it is analyzed only by the analyzer's own
-// tests (testdata is invisible to the go tool). Every seeded site
-// below corresponds to one rule of the escape model, and the directive
-// misuses at the bottom exercise the freshness sweep.
+// allocation gate; it is analyzed only by the analyzer's own tests.
+// The gate compiles it (the go tool builds a testdata package when
+// named, though its ./... skips testdata), and every seeded site below
+// is one the compiler really heap-allocates, or a call the gate cannot
+// follow. The directive misuses at the bottom exercise the freshness
+// sweep.
 package noalloc
 
 // Box is a record the seeded sites force onto the heap.
@@ -12,6 +14,15 @@ type Box struct{ N int }
 // retain interface values in the real codebase.
 var Sink any
 
+// Table keeps a map reachable, so making it allocates.
+var Table map[string]int
+
+// Bytes keeps an appended copy reachable.
+var Bytes []byte
+
+// Kept keeps a local's address reachable past the call that took it.
+var Kept *[]int
+
 // hook is a function value the traversal cannot resolve.
 var hook = func() {}
 
@@ -20,13 +31,16 @@ var hook = func() {}
 //
 //vids:noalloc fixture root; every site below is a seeded violation
 func Hot(b []byte) string {
-	m := make(map[string]int) // want: make allocates
-	m["k"] = len(b)           // want: map assignment may grow
-	s := string(b)            // want: conversion copies
-	go idle()                 // want: go statement allocates
-	hook()                    // want: dynamic call through a function value
-	Sink = len(s)             // want: interface boxing
+	Table = make(map[string]int) // want: make allocates a map
+	Table["k"] = len(b)          // want: map assignment may grow
+	s := string(b)               // want: conversion copies
+	go idle()                    // want: go statement allocates
+	hook()                       // want: dynamic call through a function value
+	Sink = s                     // want: interface conversion boxes
+	Bytes = append(b, '!')       // want: append not reassigned to its own operand
+	Bytes = []byte(s + s)        // want: conversion of a concatenation allocates
 	escape()
+	keep(len(b))
 	return s
 }
 
@@ -34,6 +48,15 @@ func Hot(b []byte) string {
 // the call-graph path noalloc.Hot → noalloc.escape.
 func escape() *Box {
 	return &Box{N: 1} // want: composite literal escapes
+}
+
+// keep publishes a local's address, so the variable moves to the heap
+// though no line of it says new or &T{}: the shape of a copy-on-write
+// list published through an atomic pointer.
+func keep(n int) {
+	var list []int // want: a value escapes (moved to heap: list)
+	list = append(list, n)
+	Kept = &list
 }
 
 func idle() {}

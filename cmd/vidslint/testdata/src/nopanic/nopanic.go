@@ -1,6 +1,6 @@
 // Package nopanic deliberately violates vidslint's panic-freedom
-// gate; it is analyzed only by the analyzer's own tests (testdata is
-// invisible to the go tool). Every seeded site below corresponds to
+// gate; it is analyzed only by the analyzer's own tests (the go
+// tool's ./... skips testdata). Every seeded site below corresponds to
 // one rule of the panic model, and the directive misuses at the
 // bottom exercise the freshness sweep.
 package nopanic

@@ -899,7 +899,7 @@ func (call *Call) hold(f *Flow) {
 			return
 		}
 	}
-	var list []*Flow
+	var list []*Flow //vids:alloc-ok copy-on-write past a call's first two flows: the published slice header is a new heap object
 	if p := call.more.Load(); p != nil {
 		list = make([]*Flow, len(*p), len(*p)+1) //vids:alloc-ok copy-on-write past a call's first two flows, per SDP observation
 		copy(list, *p)
