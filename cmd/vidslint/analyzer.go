@@ -99,11 +99,12 @@ type analyzer struct {
 	analyzed map[string]bool
 
 	// overlay replaces the content of the named files (absolute paths)
-	// before parsing, and in the noalloc gate's build. Only the mutation
-	// self-test sets it.
+	// before parsing, and in the -S build. Only the mutation self-test
+	// sets it.
 	overlay map[string][]byte
 
-	ix *index
+	ix  *index
+	obj *listing // the -S listing both closure gates read
 }
 
 func newAnalyzer(moduleRoot, modulePath string) *analyzer {
@@ -325,11 +326,20 @@ func (a *analyzer) packageFindings(pi *pkgInfo) []finding {
 // rule there is what marks a //vidslint:allow used.
 func (a *analyzer) programFindings() ([]finding, error) {
 	ix := a.index()
-	noalloc, err := checkNoalloc(ix)
+	hot := ix.walk(ix.roots(dirNoalloc), staysHot, nil)
+	raw := ix.walk(ix.roots(dirNopanic), everyEdge, nil)
+	obj, err := a.objectCode(hot, raw)
 	if err != nil {
 		return nil, err
 	}
-	nopanic := checkNopanic(ix)
+	noalloc, err := checkNoalloc(ix, hot, obj)
+	if err != nil {
+		return nil, err
+	}
+	nopanic, err := checkNopanic(ix, raw, obj)
+	if err != nil {
+		return nil, err
+	}
 	locks := checkLocks(ix)
 	out := append(append(noalloc.findings, nopanic.findings...), locks.findings...)
 	if a.analyzed[a.modulePath+"/internal/ids"] {

@@ -1,37 +1,27 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/types"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"runtime"
-	"slices"
-	"sort"
-	"strconv"
-	"strings"
 )
 
 // The noalloc gate asks the compiler whether the per-packet path
-// allocates. One `go build` over the module packages the walk reaches,
-// with -S for exactly those packages, lists every instruction with the
-// source line it was compiled from. Every CALL to a runtime allocator
-// (allocators below) on a line inside a reached function's declaration
-// is a site. Inlined code keeps the line it was written on, so a site
-// is charged to the function whose source it is, wherever the compiler
-// placed its code. The build runs the toolchain that runs vidslint,
-// offline, through the build cache, and discards what it links.
+// allocates. Every CALL to a runtime allocator (allocators below) that
+// the shared -S listing (object.go) places on a line inside a reached
+// function's declaration is a site. Inlined code keeps the line it was
+// written on, so a site is charged to the function whose source it is,
+// wherever the compiler placed its code.
 //
 // Beside the object code the gate keeps the rules it cannot read
 // there:
 //
 //   - a growslice on a line whose every append is the self-append form
-//     `x = append(x, ...)` / `x = append(x[:0], ...)` is accepted:
-//     growth is amortized against reused capacity, which the
-//     AllocsPerRun ceilings in alloc_test.go bound at runtime;
+//     `x = append(x, ...)` / `x = append(x[:0], ...)` is accepted when
+//     x has capacity to reuse — it is not a local of the function
+//     declared without one: growth is amortized against reused
+//     capacity, which the AllocsPerRun ceilings in alloc_test.go bound
+//     at runtime;
 //   - calls the analysis cannot resolve statically — function values,
 //     interface methods — are findings: an unprovable callee is an
 //     unproven hot path;
@@ -45,12 +35,12 @@ import (
 // They are the allocating entries of the compiler's runtime interface
 // (cmd/compile/internal/typecheck/_builtin/runtime.go) and of the
 // runtime symbols its SSA backend calls directly (ssagen.InitConfig).
-var allocators = []struct{ name, what string }{
+var allocators = []runtimeFn{
 	{"newobject", "a value escapes to the heap"},
 	{"makeslice*", "make allocates a slice"},
 	{"makemap*", "make allocates a map"},
 	{"mapassign*", "map assignment may grow the map"},
-	{"growslice", "append whose result is not reassigned to its own operand grows a slice"},
+	{"growslice", "append grows a slice whose capacity is not reused"},
 	{"makechan*", "make allocates a channel"},
 	{"slicebytetostring", "conversion string([]byte) copies"},
 	{"slicerunetostring", "conversion string([]rune) copies"},
@@ -69,14 +59,7 @@ var allocators = []struct{ name, what string }{
 
 // allocation returns the finding text of a call to runtime.fn, or ""
 // when fn does not allocate.
-func allocation(fn string) string {
-	for _, a := range allocators {
-		if family, ok := strings.CutSuffix(a.name, "*"); fn == a.name || ok && strings.HasPrefix(fn, family) {
-			return fmt.Sprintf("%s (runtime.%s)", a.what, fn)
-		}
-	}
-	return ""
-}
+func allocation(fn string) string { return lookup(allocators, fn) }
 
 // noallocPackages are non-module packages whose exported API is
 // allocation-free for the operations the hot path uses (atomics,
@@ -102,6 +85,7 @@ var noallocFuncs = map[string]bool{
 	"bytes.LastIndexByte": true,
 	"bytes.Equal":         true,
 	"bytes.Compare":       true,
+	"bytes.Cut":           true, // returns subslices
 	"bytes.HasPrefix":     true,
 	"bytes.HasSuffix":     true,
 	"bytes.Contains":      true,
@@ -128,29 +112,19 @@ var noallocFuncs = map[string]bool{
 	"sort.Search":         true,
 }
 
-// checkNoalloc runs the allocation gate: one walk from the annotated
-// roots that stops at //vids:coldpath callees, one build that lists
-// the reached packages' object code, then each reached function's
-// calls and allocator lines. Each finding carries the call path from
-// the root, so its reader sees *why* a function is hot before judging
-// the justification.
-func checkNoalloc(ix *index) (*gate, error) {
+// checkNoalloc runs the allocation gate over cl, the walk from the
+// //vids:noalloc roots that stops at //vids:coldpath callees: each
+// reached function's calls and allocator lines. Each finding carries
+// the call path from the root, so its reader sees *why* a function is
+// hot before judging the justification.
+func checkNoalloc(ix *index, cl *closure, obj *listing) (*gate, error) {
 	g := &gate{
-		ix: ix, kind: "noalloc", root: dirNoalloc, waiver: dirAllocOK,
+		ix: ix, cl: cl, kind: "noalloc", waiver: dirAllocOK,
 		format: "noalloc: %s [hot path: %s]; justify with //vids:alloc-ok <reason> or restructure",
 	}
-	g.cl = ix.walk(ix.roots(dirNoalloc), staysHot, nil)
-	pkgs := make(map[string]bool)
-	for node := range g.cl.reached {
-		pkgs[node.pkg.path] = true
-	}
-	allocs, err := ix.a.compiledAllocs(pkgs)
-	if err != nil {
-		return nil, err
-	}
-	for node := range g.cl.reached {
+	for node := range cl.reached {
 		scanCalls(g, node)
-		if err := scanObject(g, node, allocs); err != nil {
+		if err := scanObject(g, node, obj); err != nil {
 			return nil, err
 		}
 	}
@@ -199,19 +173,17 @@ func scanCalls(g *gate, node *funcNode) {
 
 // scanObject reports every allocator call the listing places on a line
 // of node's declaration, once per line and allocator, except a
-// growslice on a line of self-appends. A listing with no code from
-// node's file is an error, not a clean verdict: the gate fails closed
-// when the listing's file names or format stop matching the index.
-func scanObject(g *gate, node *funcNode, allocs map[string]map[int][]string) error {
-	tf := g.ix.a.fset.File(node.decl.Pos())
-	lines, selfAppend := allocs[tf.Name()], selfAppendLines(g.ix, node)
-	if lines == nil {
-		return fmt.Errorf("go build -S of the hot-path packages listed no code from %s (reached through %s)", tf.Name(), node.name())
+// growslice on a line of self-appends.
+func scanObject(g *gate, node *funcNode, obj *listing) error {
+	lines, err := obj.code(g.ix, node)
+	if err != nil {
+		return err
 	}
+	tf, selfAppend := g.ix.a.fset.File(node.decl.Pos()), selfAppendLines(g.ix, node)
 	for line := tf.Line(node.decl.Pos()); line <= tf.Line(node.decl.End()); line++ {
 		for _, fn := range lines[line] {
-			if fn != "growslice" || !selfAppend[line] {
-				g.site(node, tf.LineStart(line), allocation(fn))
+			if what := allocation(fn); what != "" && (fn != "growslice" || !selfAppend[line]) {
+				g.site(node, tf.LineStart(line), what)
 			}
 		}
 	}
@@ -219,7 +191,9 @@ func scanObject(g *gate, node *funcNode, allocs map[string]map[int][]string) err
 }
 
 // selfAppendLines returns, for each line of node's body with an
-// append, whether every append there is reassigned to its own operand.
+// append, whether every append there is reassigned to its own operand
+// and that operand has capacity to reuse: it is not a local declared
+// without one.
 func selfAppendLines(ix *index, node *funcNode) map[int]bool {
 	self := make(map[*ast.CallExpr]bool)
 	ast.Inspect(node.decl.Body, func(n ast.Node) bool {
@@ -229,9 +203,11 @@ func selfAppendLines(ix *index, node *funcNode) map[int]bool {
 		}
 		for i, rhs := range as.Rhs {
 			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if ok && len(call.Args) > 0 && types.ExprString(as.Lhs[i]) == types.ExprString(appendBase(call.Args[0])) {
-				self[call] = true
+			if !ok || len(call.Args) == 0 || types.ExprString(as.Lhs[i]) != types.ExprString(appendBase(call.Args[0])) {
+				continue
 			}
+			lv := localOf(node, as.Lhs[i])
+			self[call] = lv == nil || !lv.noCap
 		}
 		return true
 	})
@@ -257,90 +233,4 @@ func appendBase(expr ast.Expr) ast.Expr {
 		}
 		e = ast.Unparen(sl.X)
 	}
-}
-
-// compiledAllocs compiles the given module packages with -S and returns
-// their allocator calls: file → line → runtime function names, each
-// once. The files of the analyzer's overlay reach the compiler through
-// `go build -overlay`, so the listing is of the source the index holds.
-func (a *analyzer) compiledAllocs(pkgs map[string]bool) (map[string]map[int][]string, error) {
-	if len(pkgs) == 0 {
-		return nil, nil
-	}
-	targets := make([]string, 0, len(pkgs))
-	for p := range pkgs {
-		targets = append(targets, p)
-	}
-	sort.Strings(targets)
-	args := []string{"build", "-o", os.DevNull}
-	for _, p := range targets {
-		args = append(args, "-gcflags="+p+"=-S")
-	}
-	if len(a.overlay) > 0 {
-		dir, err := os.MkdirTemp("", "vidslint-overlay")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		replace := make(map[string]string)
-		for file, src := range a.overlay {
-			replace[file] = filepath.Join(dir, strconv.Itoa(len(replace))+".go")
-			if err := os.WriteFile(replace[file], src, 0o644); err != nil {
-				return nil, err
-			}
-		}
-		js, err := json.Marshal(map[string]any{"Replace": replace})
-		if err == nil {
-			err = os.WriteFile(filepath.Join(dir, "overlay.json"), js, 0o644)
-		}
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, "-overlay", filepath.Join(dir, "overlay.json"))
-	}
-	cmd := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), append(args, targets...)...)
-	cmd.Dir = a.moduleRoot
-	// The user's GOFLAGS could rename the listing's files (-trimpath)
-	// or change what it compiles, so none pass through.
-	cmd.Env = append(cmd.Environ(), "GOTOOLCHAIN=local", "GOPROXY=off", "GOFLAGS=")
-	// The listing is the compiler's -S output, which the go command
-	// prints on stderr beside its own diagnostics.
-	out, err := cmd.CombinedOutput()
-	listing := strings.Split(string(out), "\n")
-	if err != nil {
-		var diag []string
-		for _, line := range listing {
-			if line != "" && !strings.HasPrefix(line, "\t") && !strings.Contains(line, " size=") {
-				diag = append(diag, line)
-			}
-		}
-		return nil, fmt.Errorf("go build -S of the hot-path packages: %v\n%s", err, strings.Join(diag, "\n"))
-	}
-	// Every instruction line carries its source position; an allocator
-	// call reads
-	//	0x00a0 00160 (/path/file.go:902)	CALL	runtime.newobject(SB)
-	// Every file the listing places code in gets an entry, so a file
-	// with none is told apart from a file without allocations.
-	allocs := make(map[string]map[int][]string)
-	for _, line := range listing {
-		loc, instr, ok := strings.Cut(line, ")\t")
-		open, colon := strings.IndexByte(loc, '('), strings.LastIndexByte(loc, ':')
-		if !ok || open < 0 || colon < open {
-			continue
-		}
-		n, err := strconv.Atoi(loc[colon+1:])
-		if err != nil {
-			continue
-		}
-		file := loc[open+1 : colon]
-		if allocs[file] == nil {
-			allocs[file] = make(map[int][]string)
-		}
-		fn, ok := strings.CutPrefix(instr, "CALL\truntime.")
-		fn, _, _ = strings.Cut(fn, "(")
-		if ok && allocation(fn) != "" && !slices.Contains(allocs[file][n], fn) {
-			allocs[file][n] = append(allocs[file][n], fn)
-		}
-	}
-	return allocs, nil
 }

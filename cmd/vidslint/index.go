@@ -206,6 +206,88 @@ func (n *funcNode) name() string {
 	return pkg + "." + n.decl.Name.Name
 }
 
+// localVar is what a function body binds one of its local variables
+// to.
+type localVar struct {
+	vals     []ast.Expr // every value bound, the declaration's included (nil for a zero value)
+	complete bool       // no range clause, multi-value assignment, op-assignment or address taken binds it besides
+	noCap    bool       // declared with no value, nil or a literal: it has no capacity of its own to reuse
+}
+
+// all reports whether every value bound satisfies ok.
+func (lv *localVar) all(ok func(ast.Expr) bool) bool {
+	for _, v := range lv.vals {
+		if !ok(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// localOf returns the bindings of x when x names a variable declared in
+// node's body, and nil for anything else: parameters, results, globals,
+// fields and other expressions.
+func localOf(node *funcNode, x ast.Expr) *localVar {
+	id, ok := ast.Unparen(x).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	info, body := node.pkg.info, node.decl.Body
+	v, ok := info.Uses[id].(*types.Var)
+	if !ok || v.Pos() < body.Pos() || v.Pos() >= body.End() {
+		return nil
+	}
+	is := func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && (info.Defs[id] == v || info.Uses[id] == v)
+	}
+	noCap := func(e ast.Expr) bool {
+		_, lit := ast.Unparen(e).(*ast.CompositeLit)
+		return e == nil || lit || info.Types[e].IsNil()
+	}
+	lv := &localVar{complete: true}
+	bind := func(name, val ast.Expr) {
+		lv.vals = append(lv.vals, val)
+		lv.noCap = lv.noCap || info.Defs[name.(*ast.Ident)] == v && noCap(val)
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.ValueSpec:
+			for i, name := range s.Names {
+				switch {
+				case !is(name):
+				case len(s.Values) == 0:
+					bind(name, nil)
+				case len(s.Values) == len(s.Names):
+					bind(name, s.Values[i])
+				default:
+					lv.complete = false
+				}
+			}
+		case *ast.AssignStmt:
+			for i, l := range s.Lhs {
+				switch {
+				case !is(l):
+				case len(s.Lhs) == len(s.Rhs) && (s.Tok == token.ASSIGN || s.Tok == token.DEFINE):
+					bind(ast.Unparen(l), s.Rhs[i])
+				default:
+					lv.complete = false
+				}
+			}
+		case *ast.RangeStmt:
+			if s.Key != nil && is(s.Key) || s.Value != nil && is(s.Value) {
+				lv.complete = false
+			}
+		case *ast.UnaryExpr:
+			if s.Op == token.AND && is(s.X) {
+				lv.complete = false
+			}
+		}
+		return true
+	})
+	return lv
+}
+
 // funcKey names a function by package path, receiver type name (if
 // any) and function name: a total order for deterministic walks.
 func funcKey(fn *types.Func) string {
@@ -509,19 +591,9 @@ type gate struct {
 	ix       *index
 	cl       *closure
 	kind     string // the findings' kind
-	root     string // the directive that marks a root
 	waiver   string // the directive that suppresses a site
 	format   string // the finding text around (what, call path)
 	findings []finding
-}
-
-// run walks the closure of the gate's roots, scanning each reached
-// function once.
-func (g *gate) run(descend func(*callSite) bool, scan func(*funcNode)) {
-	g.cl = g.ix.walk(g.ix.roots(g.root), descend, func(cl *closure, node *funcNode) {
-		g.cl = cl
-		scan(node)
-	})
 }
 
 // site records one potential finding, honoring a line-level waiver

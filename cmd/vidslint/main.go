@@ -39,10 +39,13 @@
 //     alloc_test.go measures (drift.go);
 //   - the static call closure of every //vids:nopanic root — the
 //     parsers and dispatchers that consume raw network bytes — must be
-//     free of potential runtime panics: every index, slice, type
-//     assertion, map write, pointer dereference, division and shift
-//     must be dominated by a proving guard, or carry a justified
-//     //vids:panic-ok waiver (nopanic.go, bounds.go);
+//     free of potential runtime panics, up to justified //vids:panic-ok
+//     waivers: the same listing (one build serves both gates,
+//     object.go) holds every index, slice, conversion, division, shift
+//     and type-assertion check and every explicit panic that the
+//     compiler's prove pass left; map writes, nil dereferences, make
+//     sizes and truncating index conversions are source rules
+//     (nopanic.go);
 //   - wherever a sync.Mutex, RWMutex or Cond is used, in any package:
 //     no lock-order cycle (callees in other packages contribute the
 //     locks they take), no blocking operation or callback under a

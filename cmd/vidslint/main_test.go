@@ -259,7 +259,7 @@ func TestEscapeGateFixture(t *testing.T) {
 		"go statement allocates":                  1,
 		"dynamic call through function value":     1,
 		"interface conversion boxes a value":      1,
-		"not reassigned to its own operand":       1,
+		"append grows a slice whose capacity is":  3,
 		"[]byte(string concatenation) allocates":  1,
 		"a value escapes to the heap":             2,
 		"stale //vids:alloc-ok on noalloc.Frozen": 1,
@@ -273,13 +273,13 @@ func TestEscapeGateFixture(t *testing.T) {
 			t.Errorf("findings containing %q = %d, want %d", substr, got, n)
 		}
 	}
-	for _, path := range []string{"noalloc.Hot → noalloc.escape", "noalloc.Hot → noalloc.keep"} {
-		if got := countContaining(fs, path); got != 1 {
-			t.Errorf("call-graph path diagnostics %q = %d, want 1 (root-to-site path must name the chain)", path, got)
+	for path, n := range map[string]int{"noalloc.Hot → noalloc.escape": 1, "noalloc.Hot → noalloc.keep": 2} {
+		if got := countContaining(fs, path); got != n {
+			t.Errorf("call-graph path diagnostics %q = %d, want %d (root-to-site path must name the chain)", path, got, n)
 		}
 	}
-	if len(fs) != 16 {
-		t.Errorf("total findings = %d, want 16", len(fs))
+	if len(fs) != 18 {
+		t.Errorf("total findings = %d, want 18", len(fs))
 	}
 }
 
@@ -291,8 +291,8 @@ func TestEscapeGateExitsNonzero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 16 {
-		t.Errorf("run reported %d findings, want 16\n%s", n, buf.String())
+	if n != 18 {
+		t.Errorf("run reported %d findings, want 18\n%s", n, buf.String())
 	}
 	if !strings.Contains(buf.String(), "hot path:") {
 		t.Errorf("plain output lacks a hot-path diagnostic:\n%s", buf.String())
@@ -301,37 +301,47 @@ func TestEscapeGateExitsNonzero(t *testing.T) {
 
 // TestEscapeGateIgnoresGOFLAGS: the caller's GOFLAGS must not reach
 // the -S build. Under -trimpath the listing would name no file the
-// index holds, and the gate would see no allocator in the fixture.
+// index holds, and neither closure gate would see an allocator or a
+// panic in its fixture.
 func TestEscapeGateIgnoresGOFLAGS(t *testing.T) {
 	t.Setenv("GOFLAGS", "-trimpath")
-	n, err := run([]string{filepath.Join("testdata", "src", "noalloc")}, false, io.Discard)
+	n, err := run([]string{filepath.Join("testdata", "src", "noalloc"), filepath.Join("testdata", "src", "nopanic")}, false, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 16 {
-		t.Errorf("run under GOFLAGS=-trimpath reported %d findings, want 16", n)
+	if n != 18+24 {
+		t.Errorf("run under GOFLAGS=-trimpath reported %d findings, want 18 + 24", n)
 	}
 }
 
-// TestEscapeGateFailsClosed: a listing with no code from a reached
-// function's file is an error, never a clean verdict.
+// TestEscapeGateFailsClosed: for either closure gate, a listing with no
+// code from a reached function's file is an error, never a clean
+// verdict.
 func TestEscapeGateFailsClosed(t *testing.T) {
 	a := newTestAnalyzer(t)
-	if _, err := a.analyzeDir(filepath.Join("testdata", "src", "noalloc")); err != nil {
-		t.Fatal(err)
+	for _, dir := range []string{"noalloc", "nopanic"} {
+		if _, err := a.analyzeDir(filepath.Join("testdata", "src", dir)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ix := a.index()
+	var hot *funcNode
 	for _, node := range ix.funcs {
-		if node.name() != "noalloc.Hot" {
-			continue
+		if node.name() == "noalloc.Hot" {
+			hot = node
 		}
-		err := scanObject(&gate{ix: ix}, node, map[string]map[int][]string{})
-		if err == nil || !strings.Contains(err.Error(), "listed no code") {
-			t.Errorf("scanObject over an empty listing: err = %v, want a listed-no-code error", err)
-		}
-		return
 	}
-	t.Fatal("noalloc.Hot not in the index")
+	if hot == nil {
+		t.Fatal("noalloc.Hot not in the index")
+	}
+	empty := &listing{}
+	if err := scanObject(&gate{ix: ix}, hot, empty); err == nil || !strings.Contains(err.Error(), "listed no code") {
+		t.Errorf("scanObject over an empty listing: err = %v, want a listed-no-code error", err)
+	}
+	raw := ix.walk(ix.roots(dirNopanic), everyEdge, nil)
+	if _, err := checkNopanic(ix, raw, empty); err == nil || !strings.Contains(err.Error(), "listed no code") {
+		t.Errorf("checkNopanic over an empty listing: err = %v, want a listed-no-code error", err)
+	}
 }
 
 // TestLockDisciplineFixture drives the concurrency gate over the
@@ -445,9 +455,10 @@ func TestGuardPurityEdgeCases(t *testing.T) {
 
 // TestNopanicGateFixture drives the panic-freedom gate over the
 // seeded nopanic fixture: one finding per panic class from the Entry
-// root, the positive/negative bounds-dominance table in bounds.go, a
-// path diagnostic through helper, and the panic-ok freshness sweep.
-// The waived data[9] site and every ok* shape must stay silent.
+// root, the guard-shape table of the compiler's prove pass in
+// bounds.go, a path diagnostic through helper, and the panic-ok
+// freshness sweep. The waived data[9] site and every ok* shape must
+// stay silent.
 func TestNopanicGateFixture(t *testing.T) {
 	a := newTestAnalyzer(t)
 	perPkg, err := a.analyzeDir(filepath.Join("testdata", "src", "nopanic"))
@@ -465,46 +476,49 @@ func TestNopanicGateFixture(t *testing.T) {
 		t.Log(f)
 	}
 	want := map[string]int{
-		"single-result type assertion":         1,
-		"write to nil map":                     1,
-		"dereference of nil pointer":           1,
-		"integer division/modulo":              2,
-		"explicit panic call":                  1,
-		"truncating conversion":                1,
-		"dynamic call through function value":  1,
-		"interface method call":                1,
-		"is not on the panic-free allowlist":   1,
-		"slice expression":                     1,
-		"binary.Uint64 panics on slices":       1,
-		"needs a non-empty justification":      1,
-		"no nopanic finding on this or the":    1,
-		"the function is not reached from any": 1,
-		"the function body has no potential":   1,
+		"slice bounds may be out of range":        1,
+		"slice-to-array conversion":               1,
+		"single-result type assertion may fail":   1,
+		"write to map m, which is not a local":    1,
+		"dereference of nil pointer":              1,
+		"integer divisor may be zero":             1,
+		"shift count may be negative":             1,
+		"explicit panic":                          1,
+		"make size k is not a constant":           1,
+		"truncating conversion":                   1,
+		"dynamic call through function value":     1,
+		"interface method call":                   1,
+		"is not on the panic-free allowlist":      1,
+		"inlined from encoding/binary/binary.go:": 1,
+		"needs a non-empty justification":         1,
+		"no nopanic finding on this or the":       1,
+		"the function is not reached from any":    1,
+		"the function body has no potential":      1,
 	}
 	for substr, n := range want {
 		if got := countContaining(fs, substr); got != n {
 			t.Errorf("findings containing %q = %d, want %d", substr, got, n)
 		}
 	}
-	// Unproven bounds sites: data[4] and data[2:] in Entry, b[8] in
-	// helper, and the three bad* dominance negatives in bounds.go (the
-	// truncating-conversion index reports once, under its own class).
-	if got := countContaining(fs, "is not dominated by a bounds check"); got != 6 {
-		t.Errorf("bounds findings = %d, want 6 (5 index + 1 slice)", got)
+	// Surviving index checks: data[4], data[uint8(idx)] in Entry, b[8]
+	// in helper, and the four bad* shapes in bounds.go (badBinary's is
+	// encoding/binary's, inlined).
+	if got := countContaining(fs, "index may be out of range"); got != 7 {
+		t.Errorf("index findings = %d, want 7", got)
 	}
 	if got := countContaining(fs, "nopanic.Entry → nopanic.helper"); got != 1 {
 		t.Errorf("call-graph path diagnostics = %d, want 1 (root-to-site path must name the chain)", got)
 	}
 	for _, f := range fs {
-		if strings.Contains(f.msg, "data[9]") {
+		if f.pos.Line == 44 && strings.HasSuffix(f.pos.Filename, "nopanic.go") {
 			t.Errorf("waived site flagged despite its //vids:panic-ok: %s", f)
 		}
-		if strings.Contains(f.msg, "ok") && strings.Contains(f.msg, "bounds.go") {
-			t.Errorf("positive dominance case flagged: %s", f)
+		if strings.Contains(f.msg, "→ nopanic.ok") {
+			t.Errorf("guard shape the prove pass accepts flagged: %s", f)
 		}
 	}
-	if len(fs) != 21 {
-		t.Errorf("total findings = %d, want 21", len(fs))
+	if len(fs) != 24 {
+		t.Errorf("total findings = %d, want 24", len(fs))
 	}
 }
 

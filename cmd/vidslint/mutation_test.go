@@ -38,11 +38,11 @@ type mutation struct {
 	found  int
 }
 
-// gateMutations seeds one violation at the top of every root of a gate
-// and of one deepest function of each root's own closure that has no
-// function-level waiver to excuse the site (the root itself at worst:
-// no root carries one).
-func gateMutations(t *testing.T, ix *index, root, waiver string, edge func(*callSite) bool, m mutation) (muts []*mutation, roots map[string]bool) {
+// gateMutations seeds the given violations at the top of every root of
+// a gate and of one deepest function of each root's own closure that
+// has no function-level waiver to excuse the site (the root itself at
+// worst: no root carries one).
+func gateMutations(t *testing.T, ix *index, root, waiver string, edge func(*callSite) bool, seeds ...mutation) (muts []*mutation, roots map[string]bool) {
 	t.Helper()
 	targets := make(map[*funcNode]bool)
 	roots = make(map[string]bool)
@@ -67,12 +67,13 @@ func gateMutations(t *testing.T, ix *index, root, waiver string, edge func(*call
 		targets[r], targets[deepest] = true, true
 	}
 	for n := range targets {
-		mut := m
-		pos := ix.a.fset.Position(n.decl.Body.Lbrace)
-		mut.file, mut.offset, mut.fn = pos.Filename, pos.Offset+1, n.name()
-		muts = append(muts, &mut)
+		for _, mut := range seeds {
+			pos := ix.a.fset.Position(n.decl.Body.Lbrace)
+			mut.file, mut.offset, mut.fn = pos.Filename, pos.Offset+1, n.name()
+			muts = append(muts, &mut)
+		}
 	}
-	t.Logf("//%s: %d roots, %d seeded functions", root, len(roots), len(muts))
+	t.Logf("//%s: %d roots, %d seeded functions, %d seeds", root, len(roots), len(targets), len(muts))
 	if len(roots) == 0 {
 		t.Errorf("no //%s root found", root)
 	}
@@ -81,21 +82,30 @@ func gateMutations(t *testing.T, ix *index, root, waiver string, edge func(*call
 
 // TestGatesCatchSeededViolations is the gates' own test: a gate that
 // guards everything must itself be checked. Into an in-memory copy of
-// the module (which the noalloc gate compiles through go build
-// -overlay) it seeds a heap allocation at the top of every //vids:noalloc
-// root and of a deepest function of each root's closure, an unguarded
-// index the same way for every //vids:nopanic root, and the reverse of
-// every lock order the lock gate observes; one analyzer run must then
-// report exactly one finding per seed, of the right kind, whose call
-// path starts at a root and ends at the seeded function.
+// the module (which the -S build compiles through go build -overlay)
+// it seeds a heap allocation at the top of every //vids:noalloc root
+// and of a deepest function of each root's closure, one panic of every
+// class the listing reader names the same way for every //vids:nopanic
+// root, and the reverse of every lock order the lock gate observes; one
+// analyzer run must then report exactly one finding per seed, of the
+// right kind, whose call path starts at a root and ends at the seeded
+// function.
 func TestGatesCatchSeededViolations(t *testing.T) {
 	base := loadRepo(t, nil)
 	ix := base.index()
 
 	allocs, hotRoots := gateMutations(t, ix, dirNoalloc, dirAllocOK, staysHot,
 		mutation{text: " vidsmutSink = new(int);", kind: "noalloc", want: []string{"(runtime.newobject)"}})
+	seed := func(text, want string) mutation { return mutation{text: text, kind: "nopanic", want: []string{want}} }
 	panics, rawRoots := gateMutations(t, ix, dirNopanic, dirPanicOK, everyEdge,
-		mutation{text: " _ = vidsmut[3];", kind: "nopanic", want: []string{"index vidsmut[3] is not dominated by a bounds check"}})
+		seed(" _ = vidsmut[3];", "index may be out of range"),
+		seed(" _ = vidsmut[vidsmutN:];", "slice bounds may be out of range"),
+		seed(" _ = [4]byte(vidsmutC);", "slice-to-array conversion may get a short slice"),
+		seed(" vidsmutN /= vidsmutD;", "integer divisor may be zero"),
+		seed(" vidsmutN <<= vidsmutS;", "shift count may be negative"),
+		seed(" vidsmutN = vidsmutE.(int);", "single-result type assertion may fail"),
+		seed(" _ = vidsmutI.(interface{ M() });", "single-result type assertion may get a nil interface"),
+		seed(` if vidsmutN == 7 { panic("vidsmut") };`, "explicit panic"))
 	muts := append(allocs, panics...)
 
 	// A reversed acquisition cannot always be written as code — Go's
@@ -133,9 +143,10 @@ func TestGatesCatchSeededViolations(t *testing.T) {
 		overlay[m.file] = []byte(string(src[:at]) + m.text + string(src[at:]))
 	}
 	// The seeds use package-level variables, so the compiler can
-	// neither drop an allocation seed nor prove that an index seed
-	// always panics, which would make the rest of its function dead
-	// code: one declaration per seeded package.
+	// neither drop an allocation seed nor prove that a panic seed always
+	// panics, which would make the rest of its function dead code, nor
+	// let one panic seed prove another's check away: one declaration per
+	// seeded package.
 	decls := make(map[string]string) // package directory → the file that declares
 	for _, m := range muts {
 		if dir := filepath.Dir(m.file); m.fn != "" && (decls[dir] == "" || m.file < decls[dir]) {
@@ -143,7 +154,7 @@ func TestGatesCatchSeededViolations(t *testing.T) {
 		}
 	}
 	for _, file := range decls {
-		overlay[file] = append(overlay[file], "\nvar (\n\tvidsmutSink *int\n\tvidsmut     []byte\n)\n"...)
+		overlay[file] = append(overlay[file], "\nvar (\n\tvidsmutSink *int\n\tvidsmut, vidsmutC []byte\n\tvidsmutN, vidsmutD, vidsmutS int\n\tvidsmutE, vidsmutI any\n)\n"...)
 	}
 
 	mutated := loadRepo(t, overlay)

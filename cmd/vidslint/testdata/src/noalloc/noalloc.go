@@ -39,6 +39,9 @@ func Hot(b []byte) string {
 	Sink = s                     // want: interface conversion boxes
 	Bytes = append(b, '!')       // want: append not reassigned to its own operand
 	Bytes = []byte(s + s)        // want: conversion of a concatenation allocates
+	var grown []byte
+	grown = append(grown, b...) // want: self-append onto a local declared without capacity
+	Bytes = grown
 	escape()
 	keep(len(b))
 	return s
@@ -52,10 +55,11 @@ func escape() *Box {
 
 // keep publishes a local's address, so the variable moves to the heap
 // though no line of it says new or &T{}: the shape of a copy-on-write
-// list published through an atomic pointer.
+// list published through an atomic pointer. Its self-append has no
+// capacity to reuse either: list is declared without one.
 func keep(n int) {
-	var list []int // want: a value escapes (moved to heap: list)
-	list = append(list, n)
+	var list []int         // want: a value escapes (moved to heap: list)
+	list = append(list, n) // want: self-append onto a local declared without capacity
 	Kept = &list
 }
 

@@ -1,8 +1,8 @@
-// bounds.go is the dominance table for the flow-sensitive facts pass:
-// the ok* functions are guarded in shapes the engine must prove (no
-// findings), the bad* functions look guarded but are not (exactly one
-// finding each). Together they pin the positive and negative halves of
-// the bounds model.
+// bounds.go is the guard-shape table of the compiler's prove pass: the
+// ok* functions are guarded in shapes that leave no bounds check in
+// their object code (no findings), the bad* functions look guarded but
+// keep one (exactly one finding each). Together they pin what the
+// pinned toolchain proves and what it does not.
 package nopanic
 
 import (
@@ -58,11 +58,12 @@ func okOrBail(b []byte) int {
 	return int(b[0])
 }
 
-// okIndexByte: an IndexByte result checked non-negative bounds both
-// halves of the split.
+// okIndexByte: an IndexByte result bounded on both sides bounds both
+// halves of the split (the compiler does not know i < len(s) unless
+// the guard says so).
 func okIndexByte(s string) int {
 	i := strings.IndexByte(s, ':')
-	if i < 0 {
+	if i < 0 || i >= len(s) {
 		return 0
 	}
 	return len(s[:i]) + len(s[i+1:])
@@ -77,8 +78,8 @@ func okRangeLoop(b []byte) int {
 	return t
 }
 
-// okCountedLoop: the i++ idiom keeps the lower bound, the condition
-// supplies the upper one.
+// okCountedLoop: the counted loop is an induction variable the
+// compiler bounds by its condition.
 func okCountedLoop(b []byte) int {
 	t := 0
 	for i := 0; i < len(b); i++ {
@@ -96,7 +97,7 @@ func okReslice(b []byte) int {
 	return int(rest[3])
 }
 
-// okMakeCopy: make fixes the length; copy into it invalidates nothing.
+// okMakeCopy: make fixes the length.
 func okMakeCopy(b []byte) int {
 	buf := make([]byte, 4)
 	n := copy(buf, b)
@@ -126,8 +127,8 @@ func okWindow(b []byte) int {
 	return t
 }
 
-// okBinary: binary.BigEndian readers are proven by the residual
-// length of a guarded re-slice.
+// okBinary: a binary.BigEndian reader inlined behind a guard on the
+// residual length of a re-slice.
 func okBinary(b []byte) int {
 	if len(b) < 8 {
 		return 0
@@ -142,11 +143,11 @@ func badMutateAfterGuard(b []byte) int {
 		return 0
 	}
 	b = b[2:]
-	return int(b[3]) // want: index not dominated (guard predates the rebind)
+	return int(b[3]) // want: index may be out of range (the guard predates the rebind)
 }
 
-// badJoinWiden: one branch leaves i bounded, the other does not; the
-// join must widen to unknown.
+// badJoinWiden: one branch leaves i bounded, the other does not, so
+// the index after the join is not.
 func badJoinWiden(b []byte, k int) int {
 	i := 0
 	if k > 0 {
@@ -155,7 +156,7 @@ func badJoinWiden(b []byte, k int) int {
 	if len(b) == 0 {
 		return 0
 	}
-	return int(b[i]) // want: index not dominated (join widened i)
+	return int(b[i]) // want: index may be out of range (i is k on one branch)
 }
 
 // badWrongPolarity: the guard bails on the long case, so the fallthrough
@@ -164,7 +165,7 @@ func badWrongPolarity(b []byte) int {
 	if len(b) > 4 {
 		return 0
 	}
-	return int(b[2]) // want: index not dominated (wrong polarity)
+	return int(b[2]) // want: index may be out of range (wrong polarity)
 }
 
 // badBinary: an 8-byte reader behind a 4-byte guard.
@@ -172,5 +173,5 @@ func badBinary(b []byte) int {
 	if len(b) < 4 {
 		return 0
 	}
-	return int(binary.BigEndian.Uint64(b)) // want: binary reader not proven long enough
+	return int(binary.BigEndian.Uint64(b)) // want: the inlined reader's bounds check
 }

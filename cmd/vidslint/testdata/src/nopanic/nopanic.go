@@ -20,34 +20,36 @@ type Feeder interface{ Feed(b []byte) }
 // is one distinct violation class.
 //
 //vids:nopanic fixture root; every site below is a seeded violation
-func Entry(data []byte, v any, f Feeder) int {
-	x := data[4]     // want: index not dominated
-	tail := data[2:] // want: slice expression not dominated
+func Entry(data []byte, v any, f Feeder, k int) int {
+	x := data[4]     // want: index may be out of range
+	tail := data[k:] // want: slice bounds may be out of range
 	n := v.(int)     // want: single-result type assertion
 	var m map[string]int
-	m["k"] = n // want: write to nil map
+	m["k"] = n // want: write to a map not bound only to make or a literal
 	var p *Box
 	total := p.N        // want: nil pointer dereference
-	total += int(x) / n // want: division by unproven divisor
-	total %= n          // want: modulo by unproven divisor
+	total += int(x) / n // want: divisor may be zero
+	total <<= n         // want: shift count may be negative
 	if n > 1000 {
 		panic("flood") // want: explicit panic call
 	}
 	idx := uint64(total)
-	small := data[uint8(idx)] // want: truncating conversion used as index
+	small := data[uint8(idx)] // want: truncating conversion used as index, and its bounds check
 	hook(tail)                // want: dynamic call through function value
 	f.Feed(tail)              // want: unresolvable interface method call
 	_ = hex.EncodeToString(tail)
+	pair := [2]byte(tail)  // want: slice-to-array conversion may get a short slice
+	buf := make([]byte, k) // want: make size neither a constant nor a len or cap
 	//vids:panic-ok fixture: seeded suppression — this waiver absorbs the site below
 	waived := data[9]
-	total += helper(tail) + int(small) + int(waived) + int(Quiet(tail))
+	total += helper(tail) + int(small) + int(waived) + int(Quiet(tail)) + int(pair[1]) + len(buf)
 	return total
 }
 
 // helper panics one level below the root, so its finding must carry
 // the call-graph path nopanic.Entry → nopanic.helper.
 func helper(b []byte) int {
-	return int(b[8]) // want: index not dominated, with path diagnostic
+	return int(b[8]) // want: index may be out of range, with path diagnostic
 }
 
 // Quiet is reached from the root and fully guarded, so its

@@ -127,9 +127,9 @@ func (sys *System) join(m MachineLike) error {
 
 // Find returns a member machine by name (ok=false if absent).
 func (sys *System) Find(name string) (MachineLike, bool) {
-	for i := range sys.members {
-		if sys.members[i].name == name {
-			return sys.members[i].m, true
+	for _, mb := range sys.members {
+		if mb.name == name {
+			return mb.m, true
 		}
 	}
 	return nil, false

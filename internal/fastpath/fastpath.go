@@ -402,10 +402,10 @@ const noPort = math.MinInt
 // destination it names: ids.AppendMediaKey renders (host, port) as
 // "host:port".
 func splitKeyBytes(key []byte) (host []byte, port int) {
-	if i := bytes.LastIndexByte(key, ':'); i >= 0 {
+	if i := bytes.LastIndexByte(key, ':'); i >= 0 && i < len(key) {
 		var p portText
-		for j := i + 1; j < len(key); j++ {
-			p.add(key[j])
+		for _, c := range key[i+1:] {
+			p.add(c)
 		}
 		if port, ok := p.value(); ok {
 			return key[:i], port
@@ -899,11 +899,12 @@ func (call *Call) hold(f *Flow) {
 			return
 		}
 	}
-	var list []*Flow //vids:alloc-ok copy-on-write past a call's first two flows: the published slice header is a new heap object
+	var prev []*Flow
 	if p := call.more.Load(); p != nil {
-		list = make([]*Flow, len(*p), len(*p)+1) //vids:alloc-ok copy-on-write past a call's first two flows, per SDP observation
-		copy(list, *p)
+		prev = *p
 	}
+	list := make([]*Flow, len(prev), len(prev)+1) //vids:alloc-ok copy-on-write past a call's first two flows, per SDP observation: the published slice header and its array are new
+	copy(list, prev)
 	list = append(list, f)
 	call.more.Store(&list)
 }

@@ -65,8 +65,8 @@ func stateFlag(bits []bool, id uint8) bool {
 // eventID resolves an event name to its column, or -1. The alphabets
 // are tiny (≤5 events), so a linear scan beats a map probe.
 func (t *machTable) eventID(name string) int {
-	for i := range t.events {
-		if t.events[i] == name {
+	for i, ev := range t.events {
+		if ev == name {
 			return i
 		}
 	}

@@ -197,7 +197,7 @@ func MediaDest(data []byte) (addr []byte, port, payload int, ok bool) {
 	rest := data
 	for len(rest) > 0 {
 		line := rest
-		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 && i < len(rest) {
 			line, rest = rest[:i], rest[i+1:]
 		} else {
 			rest = nil
@@ -290,11 +290,11 @@ func (f *fields) next() []byte {
 		}
 		b = b[n:]
 	}
-	for j, skip := 0, 0; ; j++ {
-		for j < len(b) && b[j]-0x21 < 0x7e-0x21+1 {
+	for j, skip := uint(0), 0; ; j++ {
+		for j < uint(len(b)) && b[j]-0x21 < 0x7e-0x21+1 {
 			j++
 		}
-		if j >= len(b) {
+		if j >= uint(len(b)) {
 			break
 		}
 		if c := b[j]; skip > 0 {

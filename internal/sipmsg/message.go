@@ -124,19 +124,19 @@ func ParseVia(s string) (Via, error) {
 		return Via{}, fmt.Errorf("sipmsg: Via %q: missing SIP/2.0/ prefix", s)
 	}
 	sp := strings.IndexByte(rest, ' ')
-	if sp < 0 {
+	if sp < 0 || sp >= len(rest) {
 		return Via{}, fmt.Errorf("sipmsg: Via %q: missing sent-by", s)
 	}
 	v := Via{Transport: rest[:sp]}
 	rest = strings.TrimSpace(rest[sp+1:])
 	hostPort := rest
-	if i := strings.IndexByte(rest, ';'); i >= 0 {
+	if i := strings.IndexByte(rest, ';'); i >= 0 && i < len(rest) {
 		hostPort = rest[:i]
 		v.Params = parseParams(rest[i:])
 	} else {
 		v.Params = make(map[string]string)
 	}
-	if c := strings.IndexByte(hostPort, ':'); c >= 0 {
+	if c := strings.IndexByte(hostPort, ':'); c >= 0 && c < len(hostPort) {
 		port, err := strconv.Atoi(hostPort[c+1:])
 		if err != nil || port <= 0 || port > 65535 {
 			return Via{}, fmt.Errorf("sipmsg: Via %q: bad port", s)

@@ -19,10 +19,10 @@ type Span struct{ Off, Len uint16 }
 func (s Span) Of(raw []byte) []byte {
 	lo := int(s.Off)
 	hi := lo + int(s.Len)
-	if hi > len(raw) {
+	if hi > len(raw) || lo > hi { // Len is unsigned: lo > hi never holds, but it bounds lo for the compiler
 		return nil
 	}
-	return raw[lo:hi] //vids:panic-ok lo ≤ hi (Len is unsigned) and hi ≤ len(raw) by the guard above
+	return raw[lo:hi]
 }
 
 // maxScanLen is the largest datagram Scan commits to: offsets are 16
@@ -301,7 +301,7 @@ type scanState struct {
 // parseHeaderLine.
 func (sc *scanState) header(raw []byte, v *View, ln []byte) ScanResult {
 	colon := bytes.IndexByte(ln, ':')
-	if colon < 0 {
+	if colon < 0 || colon >= len(ln) {
 		return ScanReject
 	}
 	id, _ := lookupHeader(trimASCII(ln[:colon]))

@@ -36,18 +36,18 @@ func ParseURI(s string) (URI, error) {
 		return URI{}, fmt.Errorf("sipmsg: URI %q: missing sip: scheme", s)
 	}
 	// Drop URI parameters and headers.
-	if i := strings.IndexAny(rest, ";?"); i >= 0 {
+	if i := strings.IndexAny(rest, ";?"); i >= 0 && i < len(rest) {
 		rest = rest[:i]
 	}
 	var u URI
-	if at := strings.IndexByte(rest, '@'); at >= 0 {
+	if at := strings.IndexByte(rest, '@'); at >= 0 && at < len(rest) {
 		u.User = rest[:at]
 		rest = rest[at+1:]
 	}
 	if rest == "" {
 		return URI{}, fmt.Errorf("sipmsg: URI %q: empty host", s)
 	}
-	if c := strings.IndexByte(rest, ':'); c >= 0 {
+	if c := strings.IndexByte(rest, ':'); c >= 0 && c < len(rest) {
 		port, err := strconv.Atoi(rest[c+1:])
 		if err != nil || port <= 0 || port > 65535 {
 			return URI{}, fmt.Errorf("sipmsg: URI %q: bad port", s)
@@ -143,11 +143,12 @@ func ParseNameAddr(s string) (NameAddr, error) {
 	var na NameAddr
 	rest := s
 
-	if i := strings.IndexByte(s, '<'); i >= 0 {
+	if i := strings.IndexByte(s, '<'); i >= 0 && i < len(s) {
 		j := strings.IndexByte(s, '>')
 		// j == i is impossible (one byte cannot be both brackets), so
-		// <= is equivalent to < and gives the gate i < j directly.
-		if j <= i {
+		// <= is equivalent to <: with j < len(s) it bounds every slice
+		// below for the compiler.
+		if j <= i || j >= len(s) {
 			return na, fmt.Errorf("sipmsg: name-addr %q: unbalanced angle brackets", s)
 		}
 		na.Display = strings.Trim(strings.TrimSpace(s[:i]), `"`)
@@ -161,7 +162,7 @@ func ParseNameAddr(s string) (NameAddr, error) {
 		// addr-spec form: params after the first ';' belong to the
 		// header field, not the URI.
 		uriPart := s
-		if k := strings.IndexByte(s, ';'); k >= 0 {
+		if k := strings.IndexByte(s, ';'); k >= 0 && k < len(s) {
 			uriPart = s[:k]
 			rest = s[k:]
 		} else {
@@ -189,7 +190,7 @@ func parseParams(s string) map[string]string {
 	rest := s
 	for rest != "" {
 		var part string
-		if i := strings.IndexByte(rest, ';'); i >= 0 {
+		if i := strings.IndexByte(rest, ';'); i >= 0 && i < len(rest) {
 			part, rest = rest[:i], rest[i+1:]
 		} else {
 			part, rest = rest, ""
@@ -198,7 +199,7 @@ func parseParams(s string) map[string]string {
 		if part == "" {
 			continue
 		}
-		if eq := strings.IndexByte(part, '='); eq >= 0 {
+		if eq := strings.IndexByte(part, '='); eq >= 0 && eq < len(part) {
 			params[strings.TrimSpace(part[:eq])] = strings.TrimSpace(part[eq+1:])
 		} else {
 			params[part] = ""

@@ -78,11 +78,7 @@ var crlfcrlf = []byte("\r\n\r\n")
 //vids:noalloc per-packet SIP decode; budget alloc_test.go:maxSIPParseAllocs
 //vids:nopanic parses untrusted wire input
 func Parse(data []byte) (*Message, error) {
-	headerEnd, bodyStart := len(data), len(data)
-	if i := bytes.Index(data, crlfcrlf); i >= 0 {
-		headerEnd, bodyStart = i, i+4
-	}
-	hdr := data[:headerEnd]
+	hdr, body, _ := bytes.Cut(data, crlfcrlf)
 
 	line, pos := cutLine(hdr, 0)
 	if len(trimASCII(line)) == 0 {
@@ -107,11 +103,10 @@ func Parse(data []byte) (*Message, error) {
 		}
 		if (ln[0] == ' ' || ln[0] == '\t') && haveCur {
 			if !curFolded {
-				scratch = append(scratch[:0], cur...)
+				scratch = append(scratch[:0], cur...) //vids:alloc-ok a folded header line (obsolete line folding, RFC 3261 §7.3.1) grows scratch from nil once per message
 				curFolded = true
 			}
-			scratch = append(scratch, ' ')
-			scratch = append(scratch, trimASCII(ln)...)
+			scratch = append(append(scratch, ' '), trimASCII(ln)...) //vids:alloc-ok each continuation of a folded header line may grow scratch
 			cur = scratch
 			continue
 		}
@@ -131,7 +126,6 @@ func Parse(data []byte) (*Message, error) {
 	if m.MaxForwards < 0 {
 		m.MaxForwards = 70
 	}
-	body := data[bodyStart:] //vids:panic-ok bodyStart is len(data) or bytes.Index(data, crlfcrlf)+4 ≤ len(data) when the 4-byte needle is found
 	if contentLength >= 0 {
 		if contentLength > len(body) {
 			return nil, fmt.Errorf("sipmsg: Content-Length %d exceeds body size %d", //vids:alloc-ok error path: malformed message aborts parsing
@@ -158,7 +152,7 @@ func cutLine(b []byte, pos int) ([]byte, int) {
 	}
 	rest := b[pos:]
 	i := bytes.IndexByte(rest, '\r')
-	if i < 0 {
+	if i < 0 || i >= len(rest) {
 		return rest, len(b) + 1
 	}
 	if i+1 < len(rest) && rest[i+1] == '\n' {
@@ -166,9 +160,9 @@ func cutLine(b []byte, pos int) ([]byte, int) {
 	}
 	// The first CR is a bare one (no serializer emits that): look for
 	// the CRLF pair byte by byte.
-	for i := 0; i+1 < len(rest); i++ {
-		if rest[i] == '\r' && rest[i+1] == '\n' {
-			return rest[:i], pos + i + 2
+	for i := 1; i < len(rest); i++ {
+		if rest[i-1] == '\r' && rest[i] == '\n' {
+			return rest[:i-1], pos + i + 1
 		}
 	}
 	return rest, len(b) + 1
@@ -179,7 +173,7 @@ func cutLine(b []byte, pos int) ([]byte, int) {
 //vids:alloc-ok materializes the retained header values; bounded by alloc_test.go:maxSIPParseAllocs
 func (m *Message) parseHeaderLine(ln []byte, contentLength *int) error {
 	colon := bytes.IndexByte(ln, ':')
-	if colon < 0 {
+	if colon < 0 || colon >= len(ln) {
 		return fmt.Errorf("sipmsg: malformed header line %q", ln)
 	}
 	name := trimASCII(ln[:colon])
@@ -241,7 +235,7 @@ func (m *Message) parseHeaderLine(ln []byte, contentLength *int) error {
 		if m.Other == nil {
 			m.Other = make(map[string][]string)
 		}
-		m.Other[canon] = append(m.Other[canon], string(value))
+		m.Other[canon] = append(m.Other[canon], string(value)) //vids:panic-ok the nil check above makes m.Other before this first write
 	}
 	return nil
 }
@@ -253,7 +247,7 @@ func (m *Message) parseHeaderLine(ln []byte, contentLength *int) error {
 func (m *Message) parseViaLine(value []byte) error {
 	start, depth := 0, 0
 	inQuote := false
-	for i := 0; i <= len(value); i++ {
+	for i := range len(value) + 1 {
 		if i < len(value) {
 			c := value[i]
 			if c == '"' {
@@ -296,7 +290,7 @@ func parseStartLineBytes(m *Message, line []byte) error {
 		rest := line[len(sipVersion)+1:]
 		codePart := rest
 		var reason []byte
-		if sp := bytes.IndexByte(rest, ' '); sp >= 0 {
+		if sp := bytes.IndexByte(rest, ' '); sp >= 0 && sp < len(rest) {
 			codePart, reason = rest[:sp], rest[sp+1:]
 		}
 		code, err := atoiBytes(codePart)
@@ -309,7 +303,7 @@ func parseStartLineBytes(m *Message, line []byte) error {
 	}
 	// Request line: INVITE sip:bob@b.com SIP/2.0
 	var fields [3][]byte
-	n := 0
+	n := uint(0)
 	rest := line
 	for len(rest) > 0 {
 		for len(rest) > 0 && asciiSpace(rest[0]) {
@@ -318,14 +312,14 @@ func parseStartLineBytes(m *Message, line []byte) error {
 		if len(rest) == 0 {
 			break
 		}
-		j := 0
-		for j < len(rest) && !asciiSpace(rest[j]) {
+		j := uint(0)
+		for j < uint(len(rest)) && !asciiSpace(rest[j]) {
 			j++
 		}
-		if n >= len(fields) {
+		if n >= uint(len(fields)) {
 			return fmt.Errorf("sipmsg: bad request line %q", line)
 		}
-		if j < len(rest) {
+		if j < uint(len(rest)) {
 			fields[n] = rest[:j]
 			rest = rest[j:]
 		} else {
@@ -361,12 +355,12 @@ func parseCSeqBytes(b []byte) (CSeq, error) {
 		if len(rest) == 0 {
 			break
 		}
-		j := 0
-		for j < len(rest) && !asciiSpace(rest[j]) {
+		j := uint(0)
+		for j < uint(len(rest)) && !asciiSpace(rest[j]) {
 			j++
 		}
 		field := rest
-		if j < len(rest) {
+		if j < uint(len(rest)) {
 			field, rest = rest[:j], rest[j:]
 		} else {
 			rest = rest[:0]
